@@ -32,15 +32,22 @@ const coalesceBlockMax = 32 << 10
 // serve back to the individual two-phase read path (see continueOp).
 var errCoalesceRetry = errors.New("faster: coalesced read re-issues individually")
 
+// blockWaiter is one op attached to a block read. buf is a record buffer
+// taken from the op's session pool when it joined (on the session
+// goroutine; deliver runs elsewhere and must not touch that pool).
 type blockWaiter struct {
 	sess *Session
 	op   *PendingOp
+	buf  []byte
 }
 
+// blockFetch is one in-flight block read. Finished fetches recycle through
+// coalescer.free with their block buffer and waiter slice attached.
 type blockFetch struct {
 	start   hlog.Address
 	buf     []byte
 	waiters []blockWaiter
+	done    func(error) // bound to co.deliver(f, ·) once, reused with f
 }
 
 type coalescer struct {
@@ -49,7 +56,7 @@ type coalescer struct {
 
 	mu       sync.Mutex
 	inflight map[hlog.Address]*blockFetch
-	bufs     [][]byte
+	free     []*blockFetch
 }
 
 func newCoalescer(s *Store) *coalescer {
@@ -72,30 +79,29 @@ func (co *coalescer) tryJoin(sess *Session, op *PendingOp) bool {
 	if start < co.s.log.BeginAddress() || start+co.blockLen > co.s.log.HeadAddress() {
 		return false
 	}
+	w := blockWaiter{sess, op, sess.getIOBuf(0)}
 	co.mu.Lock()
 	if f := co.inflight[start]; f != nil {
-		f.waiters = append(f.waiters, blockWaiter{sess, op})
+		f.waiters = append(f.waiters, w)
 		co.mu.Unlock()
 		co.s.mx.ioCoalesced.Inc()
 		return true
 	}
-	var buf []byte
-	if n := len(co.bufs); n > 0 {
-		buf = co.bufs[n-1]
-		co.bufs = co.bufs[:n-1]
+	var f *blockFetch
+	if n := len(co.free); n > 0 {
+		f = co.free[n-1]
+		co.free = co.free[:n-1]
+	} else {
+		f = &blockFetch{buf: make([]byte, co.blockLen)}
+		f.done = func(err error) { co.deliver(f, err) }
 	}
-	f := &blockFetch{start: start, buf: buf}
-	f.waiters = append(f.waiters, blockWaiter{sess, op})
+	f.start = start
+	f.waiters = append(f.waiters, w)
 	co.inflight[start] = f
 	co.mu.Unlock()
-	if f.buf == nil {
-		f.buf = make([]byte, co.blockLen)
-	}
 	// The leader's deadline bounds the device call; followers with laxer
 	// deadlines recover via the individual re-issue on a deadline shed.
-	co.s.readRetrying(start, f.buf, op.deadlineNs, func(err error) {
-		co.deliver(f, err)
-	})
+	co.s.readRetrying(start, f.buf, op.deadlineNs, f.done)
 	return true
 }
 
@@ -105,12 +111,11 @@ func (co *coalescer) tryJoin(sess *Session, op *PendingOp) bool {
 // completion queue, same as the individual path).
 func (co *coalescer) deliver(f *blockFetch, err error) {
 	co.mu.Lock()
-	delete(co.inflight, f.start)
-	waiters := f.waiters
+	delete(co.inflight, f.start) // from here on nobody else appends to f.waiters
 	co.mu.Unlock()
 
 	now := time.Now().UnixNano()
-	for _, w := range waiters {
+	for _, w := range f.waiters {
 		op := w.op
 		switch {
 		case err != nil && errors.Is(err, ErrOpDeadline):
@@ -139,29 +144,25 @@ func (co *coalescer) deliver(f *blockFetch, err error) {
 				size = probeSize(f.buf[off:])
 			}
 			switch {
-			case size == 0 || size > 1<<24:
+			case off+recHeaderBytes > co.blockLen || uint64(off)+uint64(size) > co.blockLen:
+				// The record (or just its header) straddles the block end
+				// (block < page): fetch it individually.
+				op.err = errCoalesceRetry
+			case size == 0 || size > maxRecordBytes:
 				// Same resolution as the individual path: corrupt, unless
 				// a truncation raced the read (continueOp re-checks begin).
 				op.err = errCorruptRecord
-			case uint64(off)+uint64(size) > co.blockLen:
-				// Record straddles the block end (block < page): fetch it
-				// individually.
-				op.err = errCoalesceRetry
 			default:
-				buf := make([]byte, size)
-				copy(buf, f.buf[off:uint64(off)+uint64(size)])
-				op.buf = buf
+				op.buf = append(w.buf[:0], f.buf[off:uint64(off)+uint64(size)]...)
 			}
 		}
 		w.sess.completed.push(op)
 	}
-	co.putBuf(f.buf)
-}
-
-func (co *coalescer) putBuf(b []byte) {
+	clear(f.waiters)
+	f.waiters = f.waiters[:0]
 	co.mu.Lock()
-	if len(co.bufs) < 8 {
-		co.bufs = append(co.bufs, b)
+	if len(co.free) < 8 {
+		co.free = append(co.free, f)
 	}
 	co.mu.Unlock()
 }

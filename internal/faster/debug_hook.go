@@ -111,6 +111,9 @@ var (
 	debugPush  func(*PendingOp)
 )
 
+// debugReap observes every io-worker reap pass (tests only).
+var debugReap func()
+
 // debugPath counts reissue paths (tests only).
 var debugPath func(string)
 

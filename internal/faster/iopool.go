@@ -2,6 +2,7 @@ package faster
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"time"
 )
@@ -43,14 +44,15 @@ var errNilDone = errors.New("faster: Submit requires a done callback")
 
 // ioRequest is one operation handed to the pool. key and input are
 // request-owned copies (the submitter may reuse its buffers as soon as
-// Submit returns); the read output buffer is worker-allocated so a
-// deadline-shed request can never race a late device completion into a
-// caller's memory.
+// Submit returns). A read carries no output buffer: the worker session
+// allocates one, sized to the record's value, once the value is in hand
+// (Session.outFor) — a deadline-shed request can never race a late device
+// completion into a caller's memory. Requests recycle through
+// ioPool.free; a buffer a Result handed out leaves the request first.
 type ioRequest struct {
 	kind        opKind // opRead or opRMW
 	key         []byte
 	input       []byte
-	outLen      int // read output buffer length
 	deadlineNs  int64
 	ctx         any
 	done        func(Result)
@@ -71,6 +73,7 @@ type ioPool struct {
 	reqs chan *ioRequest
 	stop chan struct{}
 	wg   sync.WaitGroup
+	free sync.Pool // *ioRequest, key buffer attached
 
 	// mu orders submits against shutdown: shutdown takes the write side,
 	// so once closed is observed no request can slip into reqs behind the
@@ -97,15 +100,16 @@ func (s *Store) startIOPool() {
 	s.iop = p
 }
 
-// SubmitRead hands a read to the io-worker pool. The result — including a
-// worker-owned output buffer of outLen bytes whose ownership transfers to
-// the callback — is delivered exactly once via done, from a worker
-// goroutine, no later than deadline (the zero time means no deadline).
-// A deadline shed completes with Status Err and an error wrapping
+// SubmitRead hands a read to the io-worker pool. The result is delivered
+// exactly once via done, from a worker goroutine, no later than deadline
+// (the zero time means no deadline). Result.Output is allocated by the
+// worker at completion, exactly as long as the record's value
+// (Result.ValueLen), and its ownership transfers to the callback. A
+// deadline shed completes with Status Err and an error wrapping
 // context.DeadlineExceeded; whether the underlying fetch still finishes
 // is unobservable and irrelevant for reads. key and input are copied.
-func (s *Store) SubmitRead(key, input []byte, outLen int, deadline time.Time, ctx any, done func(Result)) error {
-	return s.submitIO(opRead, key, input, outLen, deadline, ctx, done)
+func (s *Store) SubmitRead(key, input []byte, deadline time.Time, ctx any, done func(Result)) error {
+	return s.submitIO(opRead, key, input, deadline, ctx, done)
 }
 
 // SubmitRMW hands a read-modify-write to the io-worker pool; see
@@ -113,10 +117,10 @@ func (s *Store) SubmitRead(key, input []byte, outLen int, deadline time.Time, ct
 // not apply — the update can still publish after the shed fires — which
 // is the same indeterminacy a crashed connection always had.
 func (s *Store) SubmitRMW(key, input []byte, deadline time.Time, ctx any, done func(Result)) error {
-	return s.submitIO(opRMW, key, input, 0, deadline, ctx, done)
+	return s.submitIO(opRMW, key, input, deadline, ctx, done)
 }
 
-func (s *Store) submitIO(kind opKind, key, input []byte, outLen int, deadline time.Time, ctx any, done func(Result)) error {
+func (s *Store) submitIO(kind opKind, key, input []byte, deadline time.Time, ctx any, done func(Result)) error {
 	if done == nil {
 		return errNilDone
 	}
@@ -127,24 +131,27 @@ func (s *Store) submitIO(kind opKind, key, input []byte, outLen int, deadline ti
 		return ErrStoreClosed
 	}
 	s.ioOnce.Do(s.startIOPool)
-	if s.iop == nil {
+	p := s.iop
+	if p == nil {
 		return ErrStoreClosed
 	}
-	r := &ioRequest{
-		kind:        kind,
-		key:         append([]byte(nil), key...),
-		outLen:      outLen,
-		ctx:         ctx,
-		done:        done,
-		submittedNs: time.Now().UnixNano(),
+	r, _ := p.free.Get().(*ioRequest)
+	if r == nil {
+		r = &ioRequest{}
 	}
+	*r = ioRequest{kind: kind, key: append(r.key[:0], key...), ctx: ctx, done: done,
+		submittedNs: time.Now().UnixNano()}
 	if input != nil {
 		r.input = append([]byte(nil), input...)
 	}
 	if !deadline.IsZero() {
 		r.deadlineNs = deadline.UnixNano()
 	}
-	return s.iop.submit(r)
+	err := p.submit(r)
+	if err != nil {
+		p.free.Put(r)
+	}
+	return err
 }
 
 func (p *ioPool) submit(r *ioRequest) error {
@@ -186,93 +193,82 @@ func (p *ioPool) shutdown() {
 	}
 }
 
+// fail delivers err for r unless r was already delivered. The Result
+// carries the request's own key and input, so neither is reused.
 func (p *ioPool) fail(r *ioRequest, err error) {
 	if r.delivered {
 		return
 	}
 	r.delivered = true
-	r.done(Result{Kind: r.kindString(), Key: r.key, Input: r.input,
-		Status: Err, Err: err, Ctx: r.ctx})
+	res := Result{Kind: r.kindString(), Key: r.key, Input: r.input,
+		Status: Err, Err: err, Ctx: r.ctx}
+	r.key, r.input = nil, nil
+	r.done(res)
+}
+
+// ioWorker is one pool goroutine's state: its private session and the
+// requests it has issued whose store completion has not been reaped yet
+// (including ones already shed at their deadline).
+type ioWorker struct {
+	p       *ioPool
+	sess    *Session
+	live    []*ioRequest
+	results []Result // reap scratch
 }
 
 // worker is one pool goroutine: admit requests, issue them on a private
-// session, drain the session's completions back to the submitters, and
-// shed anything that outlives its deadline. The loop blocks only on the
-// admission queue — never on device I/O — so a latency spike on cold
-// misses leaves admission (and every other worker) live.
+// session, hand the session's completions back to the submitters, and
+// shed anything that outlives its deadline. It is driven by events, not
+// a poll: between them it sleeps in Session.await — parked, so it pins no
+// epoch and cannot stall flushes, compactions and checkpoints like a
+// wedged session — on the admission queue, its session's wake channel,
+// the pool's stop channel and a timer for the earliest live deadline. It
+// never blocks on device I/O, so a latency spike on cold misses leaves
+// admission (and every other worker) live.
 func (p *ioPool) worker() {
 	defer p.wg.Done()
-	sess := p.s.StartSession()
-	var live []*ioRequest
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
+	w := &ioWorker{p: p, sess: p.s.StartSession()}
+	w.sess.ownOutputs = true
 	for {
-		if len(live) == 0 {
-			// Idle: block until work or shutdown. Parked, so an idle
-			// worker pins no epoch — otherwise it would stall flushes,
-			// compactions and checkpoints exactly like a wedged session.
-			sess.Park()
-			select {
-			case r := <-p.reqs:
-				sess.Unpark()
-				live = p.pickup(sess, r, live)
-			case <-p.stop:
-				sess.Unpark()
-				p.finish(sess, live)
-				return
+		r, stopped := w.sess.await(w.nextWake(), p.reqs, p.stop)
+		if stopped {
+			w.finish()
+			return
+		}
+		if r != nil {
+			w.pickup(r)
+			if len(w.sess.retries) > 0 {
+				// The op deferred in the fuzzy region, quite possibly on a
+				// read-only shift only this session has yet to observe.
+				w.sess.g.Refresh()
+				w.reap()
 			}
 		} else {
-			// Busy: admit everything already queued without blocking.
-			admitting := true
-			for admitting {
-				select {
-				case r := <-p.reqs:
-					live = p.pickup(sess, r, live)
-				case <-p.stop:
-					p.finish(sess, live)
-					return
-				default:
-					admitting = false
-				}
-			}
+			w.reap()
 		}
+		w.shedExpired()
+	}
+}
 
-		progressed := false
-		live, progressed = p.reap(sess, live)
-		live = p.shedExpired(live)
-		if len(live) == 0 || progressed {
-			continue
-		}
-		// Nothing moved: run epoch maintenance (fuzzy deferrals resolve
-		// when the safe read-only offset republishes) and wait briefly,
-		// still admitting new work and shutdown promptly.
-		sess.Refresh()
-		p.s.em.Drain()
-		timer.Reset(100 * time.Microsecond)
-		select {
-		case r := <-p.reqs:
-			if !timer.Stop() {
-				<-timer.C
-			}
-			live = p.pickup(sess, r, live)
-		case <-p.stop:
-			if !timer.Stop() {
-				<-timer.C
-			}
-			p.finish(sess, live)
-			return
-		case <-timer.C:
+// nextWake is the instant the worker must look at its live set again
+// without being told to: the earliest deadline not yet delivered, or the
+// next maintenance tick while the session holds fuzzy deferrals.
+func (w *ioWorker) nextWake() int64 {
+	var earliest int64
+	for _, r := range w.live {
+		if !r.delivered && r.deadlineNs != 0 && (earliest == 0 || r.deadlineNs < earliest) {
+			earliest = r.deadlineNs
 		}
 	}
+	return waitBound(earliest, len(w.sess.retries) > 0)
 }
 
 // pickup issues a freshly admitted request on the worker session. A
 // request that resolves synchronously (the record became resident, or the
 // store rejects the op) is delivered immediately; one that goes Pending
 // joins the live set until its completion is reaped.
-func (p *ioPool) pickup(sess *Session, r *ioRequest, live []*ioRequest) []*ioRequest {
+func (w *ioWorker) pickup(r *ioRequest) {
+	p, sess := w.p, w.sess
 	p.s.mx.ioQueueDepth.Dec()
 	r.pickedNs = time.Now().UnixNano()
 	p.s.mx.ioQueueWait.Observe(time.Duration(r.pickedNs - r.submittedNs))
@@ -280,95 +276,105 @@ func (p *ioPool) pickup(sess *Session, r *ioRequest, live []*ioRequest) []*ioReq
 		// Dead on arrival: it waited out its whole budget in the queue.
 		p.s.mx.ioShedTimeout.Inc()
 		p.fail(r, ErrOpDeadline)
-		return live
+		p.free.Put(r)
+		return
 	}
 	sess.opDeadlineNs = r.deadlineNs
 	var st Status
 	var err error
-	var out []byte
-	switch r.kind {
-	case opRMW:
+	if r.kind == opRMW {
 		st, err = sess.RMW(r.key, r.input, r)
-	default:
-		out = make([]byte, r.outLen)
-		st, err = sess.Read(r.key, r.input, out, r)
+	} else {
+		st, err = sess.Read(r.key, r.input, nil, r)
 	}
 	sess.opDeadlineNs = 0
 	if st == Pending {
 		p.s.mx.ioInflight.Inc()
-		return append(live, r)
+		w.live = append(w.live, r)
+		return
 	}
-	r.delivered = true
-	p.s.mx.ioDelivered.Inc()
-	p.s.mx.ioService.Observe(time.Duration(time.Now().UnixNano() - r.pickedNs))
-	r.done(Result{Kind: r.kindString(), Key: r.key, Input: r.input,
-		Output: out, Status: st, Err: err, Ctx: r.ctx})
-	return live
+	res := Result{Kind: r.kindString(), Key: r.key, Input: r.input,
+		Status: st, Err: err, Ctx: r.ctx}
+	if st == OK && r.kind == opRead {
+		res.Output, res.ValueLen = sess.owned, len(sess.owned)
+		sess.owned = nil
+	}
+	r.key, r.input = nil, nil
+	w.deliver(r, res)
+	p.free.Put(r)
 }
 
-// reap drains the worker session's completions and delivers them to their
-// submitters. Completions of already-shed requests are dropped (their
-// done fired at the deadline); Result.Input is copied back into the
-// request-owned buffer so the session can recycle its op immediately.
-func (p *ioPool) reap(sess *Session, live []*ioRequest) ([]*ioRequest, bool) {
-	results := sess.CompletePending(false)
-	if len(results) == 0 {
-		return live, false
+// deliver fires r's done with a completed operation's result.
+func (w *ioWorker) deliver(r *ioRequest, res Result) {
+	r.delivered = true
+	w.p.s.mx.ioDelivered.Inc()
+	w.p.s.mx.ioService.Observe(time.Duration(time.Now().UnixNano() - r.pickedNs))
+	r.done(res)
+}
+
+// reap runs one pass of the worker session's pending machinery and hands
+// what finished to the submitters.
+func (w *ioWorker) reap() {
+	if debugReap != nil {
+		debugReap()
 	}
+	w.results = w.sess.completePass(w.results[:0])
+	w.handOver(w.results)
+	clear(w.results)
+}
+
+// handOver delivers the session results of live requests and retires the
+// requests. The completion of a request already shed at its deadline is
+// dropped (its done fired then). Result.Input is copied back into the
+// request-owned buffer, which leaves with the Result, so the session can
+// recycle its op — whose input copy RMW verdict channels write into —
+// immediately.
+func (w *ioWorker) handOver(results []Result) {
 	for i := range results {
 		res := &results[i]
-		r, ok := res.Ctx.(*ioRequest)
-		if !ok {
-			continue
+		r, _ := res.Ctx.(*ioRequest)
+		j := slices.Index(w.live, r)
+		if j < 0 {
+			continue // not a live request's (r is nil for a foreign ctx)
 		}
-		for j, lr := range live {
-			if lr == r {
-				live[j] = live[len(live)-1]
-				live[len(live)-1] = nil
-				live = live[:len(live)-1]
-				break
+		last := len(w.live) - 1
+		w.live[j] = w.live[last]
+		w.live[last] = nil
+		w.live = w.live[:last]
+		w.p.s.mx.ioInflight.Dec()
+		if !r.delivered {
+			if res.Input != nil && r.input != nil {
+				res.Input = append(r.input[:0], res.Input...)
 			}
+			r.input = nil
+			res.Ctx = r.ctx // the request was the session-level ctx; unwrap
+			w.deliver(r, *res)
 		}
-		p.s.mx.ioInflight.Dec()
-		if r.delivered {
-			continue // shed at its deadline; the late completion is dropped
-		}
-		r.delivered = true
-		p.s.mx.ioDelivered.Inc()
-		p.s.mx.ioService.Observe(time.Duration(time.Now().UnixNano() - r.pickedNs))
-		if res.Input != nil && r.input != nil {
-			// The session-owned input copy (which RMW verdict channels
-			// write into) is recycled with the op; hand the caller the
-			// request-owned buffer instead.
-			res.Input = append(r.input[:0], res.Input...)
-		}
-		res.Ctx = r.ctx // the request was the session-level ctx; unwrap
-		r.done(*res)
+		w.p.free.Put(r)
 	}
-	return live, true
 }
 
 // shedExpired delivers a deadline shed for every live request past its
 // deadline. The request stays in the live set so its eventual store
 // completion is still reaped (and dropped) — the submitter is unblocked
 // by the deadline no matter what the device does.
-func (p *ioPool) shedExpired(live []*ioRequest) []*ioRequest {
-	now := time.Now().UnixNano()
-	for _, r := range live {
-		if r.delivered || r.deadlineNs == 0 || now < r.deadlineNs {
-			continue
-		}
-		r.delivered = true
-		p.s.mx.ioShedTimeout.Inc()
-		r.done(Result{Kind: r.kindString(), Key: r.key, Input: r.input,
-			Status: Err, Err: ErrOpDeadline, Ctx: r.ctx})
+func (w *ioWorker) shedExpired() {
+	if len(w.live) == 0 {
+		return
 	}
-	return live
+	now := time.Now().UnixNano()
+	for _, r := range w.live {
+		if !r.delivered && r.deadlineNs != 0 && now >= r.deadlineNs {
+			w.p.s.mx.ioShedTimeout.Inc()
+			w.p.fail(r, ErrOpDeadline)
+		}
+	}
 }
 
 // finish is the worker's shutdown path: fail its share of the queue,
 // drain outstanding I/O under a bounded wait, and fail whatever is left.
-func (p *ioPool) finish(sess *Session, live []*ioRequest) {
+func (w *ioWorker) finish() {
+	p, sess := w.p, w.sess
 	draining := true
 	for draining {
 		select {
@@ -380,25 +386,8 @@ func (p *ioPool) finish(sess *Session, live []*ioRequest) {
 		}
 	}
 	results, err := sess.CompletePendingTimeout(2 * time.Second)
-	for i := range results {
-		res := &results[i]
-		r, ok := res.Ctx.(*ioRequest)
-		if !ok {
-			continue
-		}
-		p.s.mx.ioInflight.Dec()
-		if r.delivered {
-			continue
-		}
-		r.delivered = true
-		p.s.mx.ioDelivered.Inc()
-		if res.Input != nil && r.input != nil {
-			res.Input = append(r.input[:0], res.Input...)
-		}
-		res.Ctx = r.ctx
-		r.done(*res)
-	}
-	for _, r := range live {
+	w.handOver(results)
+	for _, r := range w.live {
 		p.fail(r, ErrStoreClosed)
 	}
 	if err == nil {

@@ -84,7 +84,7 @@ func TestIOPoolCompletesColdReadAndRMW(t *testing.T) {
 
 	// Cold read: completed out of band, output in a pool-owned buffer.
 	r := newSubmitResult()
-	if err := s.SubmitRead(key(cold), nil, 8, time.Now().Add(5*time.Second), "ctx", r.done); err != nil {
+	if err := s.SubmitRead(key(cold), nil, time.Now().Add(5*time.Second), "ctx", r.done); err != nil {
 		t.Fatal(err)
 	}
 	res := r.wait(t, 5*time.Second)
@@ -104,7 +104,7 @@ func TestIOPoolCompletesColdReadAndRMW(t *testing.T) {
 		t.Fatalf("cold rmw = %v %v", res.Status, res.Err)
 	}
 	r3 := newSubmitResult()
-	if err := s.SubmitRead(key(cold), nil, 8, time.Time{}, nil, r3.done); err != nil {
+	if err := s.SubmitRead(key(cold), nil, time.Time{}, nil, r3.done); err != nil {
 		t.Fatal(err)
 	}
 	if res := r3.wait(t, 5*time.Second); res.Status != OK || !bytes.Equal(res.Output, u64(cold+42)) {
@@ -114,14 +114,14 @@ func TestIOPoolCompletesColdReadAndRMW(t *testing.T) {
 	// A hot (resident) key resolves synchronously on the worker, and a
 	// missing key reports NotFound — neither is an error.
 	r4 := newSubmitResult()
-	if err := s.SubmitRead(key(1499), nil, 8, time.Time{}, nil, r4.done); err != nil {
+	if err := s.SubmitRead(key(1499), nil, time.Time{}, nil, r4.done); err != nil {
 		t.Fatal(err)
 	}
 	if res := r4.wait(t, 5*time.Second); res.Status != OK {
 		t.Fatalf("hot read = %v %v", res.Status, res.Err)
 	}
 	r5 := newSubmitResult()
-	if err := s.SubmitRead([]byte("never-written"), nil, 8, time.Time{}, nil, r5.done); err != nil {
+	if err := s.SubmitRead([]byte("never-written"), nil, time.Time{}, nil, r5.done); err != nil {
 		t.Fatal(err)
 	}
 	if res := r5.wait(t, 5*time.Second); res.Status != NotFound {
@@ -137,10 +137,10 @@ func TestIOPoolCompletesColdReadAndRMW(t *testing.T) {
 func TestIOPoolSubmitValidation(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	s, _, _ := openSpillStore(t)
-	if err := s.SubmitRead(key(1), nil, 8, time.Time{}, nil, nil); err == nil {
+	if err := s.SubmitRead(key(1), nil, time.Time{}, nil, nil); err == nil {
 		t.Fatal("nil done accepted")
 	}
-	if err := s.SubmitRead(nil, nil, 8, time.Time{}, nil, func(Result) {}); err == nil {
+	if err := s.SubmitRead(nil, nil, time.Time{}, nil, func(Result) {}); err == nil {
 		t.Fatal("empty key accepted")
 	}
 }
@@ -191,7 +191,7 @@ func TestIOPoolDeadlineShed(t *testing.T) {
 
 	r := newSubmitResult()
 	begin := time.Now()
-	if err := s.SubmitRead(key(cold), nil, 8, begin.Add(50*time.Millisecond), nil, r.done); err != nil {
+	if err := s.SubmitRead(key(cold), nil, begin.Add(50*time.Millisecond), nil, r.done); err != nil {
 		t.Fatal(err)
 	}
 	res := r.wait(t, 3*time.Second)
@@ -259,16 +259,16 @@ func TestIOPoolQueueFullSheds(t *testing.T) {
 	// First submit wedges the only worker inside the device; the second
 	// occupies the queue slot; the third must shed at admission.
 	r1, r2 := newSubmitResult(), newSubmitResult()
-	if err := s.SubmitRead(key(cold), nil, 8, time.Time{}, nil, r1.done); err != nil {
+	if err := s.SubmitRead(key(cold), nil, time.Time{}, nil, r1.done); err != nil {
 		t.Fatal(err)
 	}
 	testutil.WaitUntil(t, 5*time.Second,
 		func() bool { return s.Metrics().IOQueueDepth == 0 },
 		"worker to pick up the first request")
-	if err := s.SubmitRead(key(cold), nil, 8, time.Time{}, nil, r2.done); err != nil {
+	if err := s.SubmitRead(key(cold), nil, time.Time{}, nil, r2.done); err != nil {
 		t.Fatal(err)
 	}
-	err = s.SubmitRead(key(cold), nil, 8, time.Time{}, nil, func(Result) { t.Error("shed op delivered") })
+	err = s.SubmitRead(key(cold), nil, time.Time{}, nil, func(Result) { t.Error("shed op delivered") })
 	if !errors.Is(err, ErrIOQueueFull) {
 		t.Fatalf("overflow submit = %v, want ErrIOQueueFull", err)
 	}
@@ -305,7 +305,7 @@ func TestIOPoolShutdownDrainsInflight(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
-		if err := s.SubmitRead(key(cold), nil, 8, time.Now().Add(5*time.Second), nil, func(res Result) {
+		if err := s.SubmitRead(key(cold), nil, time.Now().Add(5*time.Second), nil, func(res Result) {
 			if res.Status != OK && !errors.Is(res.Err, ErrStoreClosed) {
 				t.Errorf("shutdown delivery = %v %v", res.Status, res.Err)
 			}
@@ -328,7 +328,7 @@ func TestIOPoolShutdownDrainsInflight(t *testing.T) {
 	if fires.Load() != n {
 		t.Fatalf("fires = %d, want %d", fires.Load(), n)
 	}
-	if err := s.SubmitRead(key(cold), nil, 8, time.Time{}, nil, func(Result) {}); !errors.Is(err, ErrStoreClosed) {
+	if err := s.SubmitRead(key(cold), nil, time.Time{}, nil, func(Result) {}); !errors.Is(err, ErrStoreClosed) {
 		t.Fatalf("post-close submit = %v, want ErrStoreClosed", err)
 	}
 }
@@ -366,7 +366,7 @@ func TestIOPoolChaosSoak(t *testing.T) {
 						var err error
 						cb := func(Result) { fired.Add(1) }
 						if rng.Intn(2) == 0 {
-							err = s.SubmitRead(k, nil, 8, deadline, nil, cb)
+							err = s.SubmitRead(k, nil, deadline, nil, cb)
 						} else {
 							err = s.SubmitRMW(k, u64(1), deadline, nil, cb)
 						}

@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
@@ -123,10 +122,14 @@ type Result struct {
 }
 
 // completionQueue is a mutex-guarded queue filled by device callbacks
-// (arbitrary goroutines) and drained by the session goroutine.
+// (arbitrary goroutines) and drained by the session goroutine. Every push
+// signals wake, so the session goroutine — a CompletePending(true) caller
+// or an io-worker — sleeps until a completion exists instead of polling
+// for one. The sub-sessions of a ShardedSession share one waker.
 type completionQueue struct {
-	mu  sync.Mutex
-	ops []*PendingOp
+	mu   sync.Mutex
+	ops  []*PendingOp
+	wake *waker
 }
 
 func (q *completionQueue) push(op *PendingOp) {
@@ -136,14 +139,109 @@ func (q *completionQueue) push(op *PendingOp) {
 	q.mu.Lock()
 	q.ops = append(q.ops, op)
 	q.mu.Unlock()
+	q.wake.signal()
 }
 
-func (q *completionQueue) drain() []*PendingOp {
+// drain moves the queued completions into buf (the caller's scratch, so
+// neither side allocates per completion) and returns it.
+func (q *completionQueue) drain(buf []*PendingOp) []*PendingOp {
 	q.mu.Lock()
-	ops := q.ops
-	q.ops = nil
+	buf = append(buf[:0], q.ops...)
+	clear(q.ops)
+	q.ops = q.ops[:0]
 	q.mu.Unlock()
-	return ops
+	return buf
+}
+
+// waker is the wake-channel protocol between completion producers and the
+// one goroutine that consumes them. ch has capacity 1 and signal never
+// blocks: a push between the consumer's drain and its wait leaves a token
+// behind, so no wakeup is lost, and a token left over from a push that was
+// already drained costs one empty pass. The consumer always runs a pass
+// before it waits.
+type waker struct {
+	ch    chan struct{}
+	timer *time.Timer // the consumer's reusable wait bound
+}
+
+func newWaker() *waker { return &waker{ch: make(chan struct{}, 1)} }
+
+func (w *waker) signal() {
+	select {
+	case w.ch <- struct{}{}:
+	default:
+	}
+}
+
+// wait blocks until a signal or until wakeNs (unix nanoseconds; 0 = no
+// bound). An io-worker also passes its two other event sources, the
+// admission queue and the pool's stop channel; a session waiting for its
+// own operations passes nil for both. Consumer side only.
+func (w *waker) wait(wakeNs int64, reqs <-chan *ioRequest, stop <-chan struct{}) (r *ioRequest, stopped bool) {
+	var tick <-chan time.Time
+	if wakeNs != 0 {
+		d := time.Duration(wakeNs - time.Now().UnixNano())
+		if d <= 0 {
+			return nil, false
+		}
+		if w.timer == nil {
+			w.timer = time.NewTimer(d)
+		} else {
+			w.timer.Reset(d)
+		}
+		tick = w.timer.C
+	}
+	select {
+	case <-tick:
+		return nil, false
+	case <-w.ch:
+	case r = <-reqs:
+	case <-stop:
+		stopped = true
+	}
+	if tick != nil {
+		stopTimer(w.timer)
+	}
+	return r, stopped
+}
+
+// stopTimer stops t and drops a tick that fired before the stop, leaving
+// the timer ready for Reset.
+func stopTimer(t *time.Timer) {
+	if !t.Stop() {
+		select {
+		case <-t.C:
+		default:
+		}
+	}
+}
+
+// maintenanceTick bounds a wait that has fuzzy-region deferrals
+// outstanding: those resolve when the safe read-only offset republishes,
+// which no completion announces, so the waiter re-runs them on this tick.
+// A wait with only device I/O outstanding carries no tick at all.
+const maintenanceTick = 100 * time.Microsecond
+
+// waitBound is the instant a completion wait must end by: the caller's
+// deadline (0 = none), pulled in to the next maintenance tick while
+// deferrals are outstanding.
+func waitBound(deadlineNs int64, deferrals bool) int64 {
+	if deferrals {
+		if tick := time.Now().Add(maintenanceTick).UnixNano(); deadlineNs == 0 || tick < deadlineNs {
+			return tick
+		}
+	}
+	return deadlineNs
+}
+
+// await sleeps the session goroutine in waker.wait. The session is parked
+// for the duration, so a sleeper pins no epoch: flushes, evictions and the
+// read-only shifts its own deferrals wait for keep moving (Park also runs
+// the trigger actions this session was holding back).
+func (sess *Session) await(wakeNs int64, reqs <-chan *ioRequest, stop <-chan struct{}) (*ioRequest, bool) {
+	sess.g.Park()
+	defer sess.g.Unpark()
+	return sess.completed.wake.wait(wakeNs, reqs, stop)
 }
 
 // newPendingOp builds a continuation with owned copies of key and input,
@@ -227,17 +325,19 @@ var ErrOpDeadline = fmt.Errorf("faster: pending operation deadline expired: %w",
 // device cause still works). deadlineNs, when nonzero, bounds the whole
 // retry chain: an expired deadline fails fast with ErrOpDeadline instead
 // of scheduling another backoff (and never raises health). The retry
-// chain is serial — one outstanding read at a time — so failures needs no
-// synchronization beyond the happens-before edges of timer creation.
+// chain is serial — one outstanding read at a time.
 func (s *Store) readRetrying(addr hlog.Address, buf []byte, deadlineNs int64, done func(error)) {
 	if deadlineNs > 0 && time.Now().UnixNano() >= deadlineNs {
 		done(ErrOpDeadline)
 		return
 	}
-	var attempt func(error)
-	failures := 0
-	issue := func() { s.log.ReadAsync(addr, buf, attempt) }
-	attempt = func(err error) {
+	s.readAttempt(addr, buf, deadlineNs, 0, done)
+}
+
+// readAttempt issues one device read of the chain; failures counts the
+// attempts that failed before it. The success path costs one closure.
+func (s *Store) readAttempt(addr hlog.Address, buf []byte, deadlineNs int64, failures int, done func(error)) {
+	s.log.ReadAsync(addr, buf, func(err error) {
 		if err == nil {
 			done(nil)
 			return
@@ -251,7 +351,7 @@ func (s *Store) readRetrying(addr hlog.Address, buf []byte, deadlineNs int64, do
 			done(err)
 			return
 		}
-		failures++
+		failures := failures + 1
 		if !s.cfg.ReadRetry.Budget(s.classify, err, failures) {
 			done(retry.Exhausted(s.classify, err, failures))
 			return
@@ -267,9 +367,8 @@ func (s *Store) readRetrying(addr hlog.Address, buf []byte, deadlineNs int64, do
 		}
 		s.mx.pendingRetries.Inc()
 		s.raiseHealth(Degraded, err)
-		time.AfterFunc(delay, issue)
-	}
-	issue()
+		time.AfterFunc(delay, func() { s.readAttempt(addr, buf, deadlineNs, failures, done) })
+	})
 }
 
 // issueIO starts the asynchronous fetch of the record at op.addr: first
@@ -312,7 +411,7 @@ func (sess *Session) issueIO(op *PendingOp) {
 			return
 		}
 		size := probeSize(hdr)
-		if size == 0 || size > 1<<24 {
+		if size == 0 || size > maxRecordBytes {
 			op.err = errCorruptRecord
 			sess.completed.push(op)
 			return
@@ -361,89 +460,96 @@ func (sess *Session) CompletePendingTimeout(d time.Duration) ([]Result, error) {
 
 func (sess *Session) completePending(wait bool, deadline time.Time) ([]Result, error) {
 	var results []Result
-	spins := 0
+	var deadlineNs int64
+	if !deadline.IsZero() {
+		deadlineNs = deadline.UnixNano()
+	}
+	idle := 0
 	for {
-		progressed := false
-
-		// Fuzzy deferrals: retry once the safe read-only offset has been
-		// republished (any epoch refresh may have advanced it).
-		if n := len(sess.retries); n > 0 {
-			retries := sess.retries
-			sess.retries = nil
-			for _, op := range retries {
-				if mutationsEnabled && mutDroppedReenqueue() {
-					// Seeded bug: the deferral is acknowledged OK without
-					// ever re-executing — an applied-but-lost RMW.
-					progressed = true
-					results = append(results, Result{
-						Kind: op.kind.String(), Key: op.key, Input: op.input,
-						Status: OK, Ctx: op.ctx,
-					})
-					sess.recycleOp(op)
-					continue
-				}
-				// Re-execution happens under the op's own deadline: a
-				// worker session interleaves many callers' ops, so the
-				// session-level stamp is restored afterwards.
-				saved := sess.opDeadlineNs
-				sess.opDeadlineNs = op.deadlineNs
-				st, err := sess.rmwInternal(op.key, op.input, op.ctx, hashKey(op.key))
-				sess.opDeadlineNs = saved
-				if st == Pending {
-					// Re-queued (still fuzzy, or now on storage) as a
-					// fresh op; this one is done with.
-					sess.recycleOp(op)
-					continue
-				}
-				progressed = true
-				results = append(results, Result{
-					Kind: op.kind.String(), Key: op.key, Input: op.input,
-					Status: st, Err: err, Ctx: op.ctx,
-				})
-				sess.recycleOp(op)
-			}
-		}
-
-		for _, op := range sess.completed.drain() {
-			progressed = true
-			sess.s.mx.pendingLatency.Observe(time.Duration(time.Now().UnixNano() - op.issuedNs))
-			if res, done := sess.continueOp(op); done {
-				sess.ioDone()
-				results = append(results, res)
-				sess.recycleOp(op)
-			}
-		}
-
+		n := len(results)
+		results = sess.completePass(results)
 		if !wait {
 			return results, nil
 		}
 		if sess.inFlight == 0 && len(sess.retries) == 0 {
 			return results, nil
 		}
-		if progressed {
-			spins = 0
+		if len(results) > n {
+			idle = 0
 			continue
 		}
-		if !deadline.IsZero() && time.Now().After(deadline) {
+		if deadlineNs != 0 && time.Now().UnixNano() > deadlineNs {
 			return results, fmt.Errorf("%w (%d in flight, %d deferred)",
 				ErrPendingTimeout, sess.inFlight, len(sess.retries))
 		}
-		// Let flush/eviction trigger actions run so the fuzzy region
-		// shrinks and device callbacks land — and yield the processor so
-		// the device workers actually get to run (critical on small
-		// GOMAXPROCS: a tight spin here starves the I/O goroutines).
-		sess.g.Refresh()
-		sess.s.em.Drain()
 		if debugSpin != nil {
 			debugSpin(sess)
 		}
-		spins++
-		if spins > 64 {
-			time.Sleep(5 * time.Microsecond)
-		} else {
-			runtime.Gosched()
+		// Nothing moved. First let the trigger actions this session was
+		// holding back run (a deferral is often waiting on this very
+		// session's refresh) and look again; after that, sleep until a
+		// device callback signals the completion queue.
+		if idle++; idle == 1 {
+			sess.g.Refresh()
+			sess.s.em.Drain()
+			continue
+		}
+		sess.await(waitBound(deadlineNs, len(sess.retries) > 0), nil, nil)
+	}
+}
+
+// completePass runs one non-blocking round of the pending machinery —
+// re-execute the fuzzy deferrals, then continue every op whose I/O has
+// landed — appending a Result per finished user operation to results.
+func (sess *Session) completePass(results []Result) []Result {
+	// Fuzzy deferrals: retry once the safe read-only offset has been
+	// republished (any epoch refresh may have advanced it).
+	if n := len(sess.retries); n > 0 {
+		retries := sess.retries
+		sess.retries = nil
+		for _, op := range retries {
+			if mutationsEnabled && mutDroppedReenqueue() {
+				// Seeded bug: the deferral is acknowledged OK without
+				// ever re-executing — an applied-but-lost RMW.
+				results = append(results, Result{
+					Kind: op.kind.String(), Key: op.key, Input: op.input,
+					Status: OK, Ctx: op.ctx,
+				})
+				sess.recycleOp(op)
+				continue
+			}
+			// Re-execution happens under the op's own deadline: a
+			// worker session interleaves many callers' ops, so the
+			// session-level stamp is restored afterwards.
+			saved := sess.opDeadlineNs
+			sess.opDeadlineNs = op.deadlineNs
+			st, err := sess.rmwInternal(op.key, op.input, op.ctx, hashKey(op.key))
+			sess.opDeadlineNs = saved
+			if st == Pending {
+				// Re-queued (still fuzzy, or now on storage) as a
+				// fresh op; this one is done with.
+				sess.recycleOp(op)
+				continue
+			}
+			results = append(results, Result{
+				Kind: op.kind.String(), Key: op.key, Input: op.input,
+				Status: st, Err: err, Ctx: op.ctx,
+			})
+			sess.recycleOp(op)
 		}
 	}
+
+	sess.drained = sess.completed.drain(sess.drained)
+	for i, op := range sess.drained {
+		sess.drained[i] = nil
+		sess.s.mx.pendingLatency.Observe(time.Duration(time.Now().UnixNano() - op.issuedNs))
+		if res, done := sess.continueOp(op); done {
+			sess.ioDone()
+			results = append(results, res)
+			sess.recycleOp(op)
+		}
+	}
+	return results
 }
 
 // continueOp resumes a pending operation whose I/O completed. done is
@@ -491,6 +597,7 @@ func (sess *Session) continueOp(op *PendingOp) (Result, bool) {
 		if rec.tombstone() {
 			return fail(NotFound, nil)
 		}
+		op.output = sess.outFor(op.output, len(rec.value))
 		if rec.delta() && s.merge != nil {
 			// The newest on-disk record is a delta: switch to a merge
 			// fold from here down.
@@ -555,6 +662,9 @@ func (sess *Session) resumeTruncated(op *PendingOp) (Result, bool) {
 		if st == Pending {
 			sess.ioDone()
 			return Result{}, false
+		}
+		if st == OK && sess.ownOutputs {
+			op.output = sess.owned
 		}
 		return Result{Kind: op.kind.String(), Key: op.key, Input: op.input,
 			Output: op.output, Status: st, Err: err, Ctx: op.ctx}, true

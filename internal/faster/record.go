@@ -45,6 +45,10 @@ func pad8(n int) int { return (n + 7) &^ 7 }
 // errCorruptRecord reports an undecodable record image read from storage.
 var errCorruptRecord = errors.New("faster: corrupt record")
 
+// maxRecordBytes bounds a record image read back from storage: a probed
+// size above it marks a corrupt header, not a record to allocate for.
+const maxRecordBytes = 1 << 24
+
 // probeSize computes the full record size from a header prefix fetched
 // from storage. It returns 0 for padding or a corrupt prefix.
 func probeSize(hdr []byte) uint32 {

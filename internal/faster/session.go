@@ -39,6 +39,7 @@ type Session struct {
 	accScratch []byte
 	opFree     []*PendingOp
 	ioBufs     [][]byte
+	drained    []*PendingOp // completePass's scratch for the drained completion queue
 
 	// Batch scratch (batch.go), reused across ExecBatch calls.
 	batchHash  []uint64
@@ -64,8 +65,25 @@ type Session struct {
 	// op sheds with ErrOpDeadline instead of burning retry budget or
 	// tripping the health ladder.
 	opDeadlineNs int64
+	// ownOutputs marks an io-worker session: its reads carry no caller
+	// buffer, each output is allocated by outFor and handed to the Result.
+	// owned is the buffer of the read that last completed synchronously.
+	ownOutputs bool
+	owned      []byte
 
 	closed bool
+}
+
+// outFor returns the buffer a read copies an n-byte value into: the
+// caller's, except on an io-worker session, where it is allocated here —
+// when the value is in hand and its length known — so no read is sized by
+// a configured maximum.
+func (sess *Session) outFor(output []byte, n int) []byte {
+	if !sess.ownOutputs {
+		return output
+	}
+	sess.owned = make([]byte, n)
+	return sess.owned
 }
 
 // SetResidentOnly toggles resident-only mode: with it set, Read/RMW (and
@@ -96,7 +114,8 @@ var errKeyEmpty = errors.New("faster: empty key")
 
 // StartSession registers a new session (the paper's Acquire).
 func (s *Store) StartSession() *Session {
-	return &Session{s: s, g: s.em.Acquire(), stat: s.acquireSessionStats()}
+	return &Session{s: s, g: s.em.Acquire(), stat: s.acquireSessionStats(),
+		completed: completionQueue{wake: newWaker()}}
 }
 
 // Close deregisters the session (the paper's Release). Pending operations
@@ -235,7 +254,7 @@ func (sess *Session) readAt(key, input, output []byte, ctx any, entry index.Entr
 		}
 		if !crec.invalid() && !crec.tombstone() && !crec.delta() && bytes.Equal(crec.key, key) {
 			s.rc.noteHit(raw)
-			s.ops.ConcurrentReader(key, crec.value, input, output)
+			s.ops.ConcurrentReader(key, crec.value, input, sess.outFor(output, len(crec.value)))
 			return OK, nil
 		}
 		addr = crec.prev()
@@ -261,6 +280,7 @@ func (sess *Session) readAt(key, input, output []byte, ctx any, entry index.Entr
 		if rec.tombstone() {
 			return NotFound, nil
 		}
+		output = sess.outFor(output, len(rec.value))
 		if rec.delta() {
 			return sess.readReconcile(key, input, output, ctx, raw, laddr, rec)
 		}

@@ -7,7 +7,6 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -257,8 +256,8 @@ func (ss *ShardedStore) HealthFor(key []byte) Health {
 }
 
 // SubmitRead routes an asynchronous read to its key's shard io-pool.
-func (ss *ShardedStore) SubmitRead(key, input []byte, outLen int, deadline time.Time, ctx any, done func(Result)) error {
-	return ss.shards[ss.ShardFor(key)].SubmitRead(key, input, outLen, deadline, ctx, done)
+func (ss *ShardedStore) SubmitRead(key, input []byte, deadline time.Time, ctx any, done func(Result)) error {
+	return ss.shards[ss.ShardFor(key)].SubmitRead(key, input, deadline, ctx, done)
 }
 
 // SubmitRMW routes an asynchronous RMW to its key's shard io-pool.
@@ -306,6 +305,7 @@ func (ss *ShardedStore) Close() error {
 type ShardedSession struct {
 	ss   *ShardedStore
 	subs []*Session
+	wake *waker // shared by every sub-session's completion queue
 	stok *ShardedToken
 	// curTok is the token holding the open stamped window during the
 	// SerialCheckKey/SerialCommitKey convenience protocol.
@@ -329,11 +329,13 @@ type ShardedSession struct {
 // parked; routed operations unpark exactly one for their duration.
 func (ss *ShardedStore) StartSession() *ShardedSession {
 	subs := make([]*Session, len(ss.shards))
+	wake := newWaker()
 	for i, s := range ss.shards {
 		subs[i] = s.StartSession()
+		subs[i].completed.wake = wake
 		subs[i].Park()
 	}
-	return &ShardedSession{ss: ss, subs: subs,
+	return &ShardedSession{ss: ss, subs: subs, wake: wake,
 		groups: make([][]BatchOp, len(ss.shards)), origIdx: make([][]int, len(ss.shards))}
 }
 
@@ -421,11 +423,11 @@ func (sess *ShardedSession) Delete(key []byte) (Status, error) {
 }
 
 // CompletePending drains completions from every shard session. With
-// wait set it spins across all shards until none holds an outstanding
+// wait set it cycles across all shards until none holds an outstanding
 // operation, never blocking inside any single shard's wait: a blocked
 // sub-session cannot drain its siblings' completions, and parking keeps
 // the idle shards from stalling the flushes the pending operations
-// need.
+// need. Between cycles it sleeps on the wake channel the subs share.
 func (sess *ShardedSession) CompletePending(wait bool) []Result {
 	out, _ := sess.completePendingAll(wait, time.Time{})
 	return out
@@ -438,14 +440,18 @@ func (sess *ShardedSession) CompletePendingTimeout(d time.Duration) ([]Result, e
 
 func (sess *ShardedSession) completePendingAll(wait bool, deadline time.Time) ([]Result, error) {
 	var out []Result
-	spins := 0
+	var deadlineNs int64
+	if !deadline.IsZero() {
+		deadlineNs = deadline.UnixNano()
+	}
 	for {
 		progressed := false
-		busy := 0
+		busy, deferrals := 0, false
 		for _, sub := range sess.subs {
 			sub.Unpark()
 			res := sub.CompletePending(false)
 			busyHere := sub.inFlight > 0 || len(sub.retries) > 0
+			deferrals = deferrals || len(sub.retries) > 0
 			sub.Park()
 			if len(res) > 0 {
 				progressed = true
@@ -459,23 +465,14 @@ func (sess *ShardedSession) completePendingAll(wait bool, deadline time.Time) ([
 			return out, nil
 		}
 		if progressed {
-			spins = 0
 			continue
 		}
-		if !deadline.IsZero() && time.Now().After(deadline) {
+		if deadlineNs != 0 && time.Now().UnixNano() > deadlineNs {
 			return out, fmt.Errorf("%w (%d shards busy)", ErrPendingTimeout, busy)
 		}
-		// Let flush/eviction trigger actions run and yield so device
-		// workers get the processor (critical on small GOMAXPROCS).
-		for _, sub := range sess.subs {
-			sub.s.em.Drain()
-		}
-		spins++
-		if spins > 64 {
-			time.Sleep(5 * time.Microsecond)
-		} else {
-			runtime.Gosched()
-		}
+		// Nothing moved and every sub is parked (each Park ran the trigger
+		// actions it could): sleep until any shard signals a completion.
+		sess.wake.wait(waitBound(deadlineNs, deferrals), nil, nil)
 	}
 }
 

@@ -88,6 +88,22 @@ func VarLenDecode(buf []byte) (payload []byte, ok bool) {
 	return buf[varLenHeader : varLenHeader+n], true
 }
 
+// VarLenFrameLen returns the full frame length (header + payload) that
+// the header at the front of buf reports, which may exceed len(buf) when
+// buf holds a truncated read: it is the output length a re-read needs. A
+// header no record could hold (a corrupt value) is clamped to the record
+// size limit; 0 means buf is shorter than a header.
+func VarLenFrameLen(buf []byte) int {
+	if len(buf) < varLenHeader {
+		return 0
+	}
+	n := binary.LittleEndian.Uint64(buf)
+	if n > maxRecordBytes-varLenHeader {
+		return maxRecordBytes
+	}
+	return varLenHeader + int(n)
+}
+
 // VarLenCounter decodes a framed counter value. ok is false when the
 // value is not an 8-byte counter payload.
 func VarLenCounter(buf []byte) (int64, bool) {

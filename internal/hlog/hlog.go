@@ -874,16 +874,19 @@ func (l *Log) ShiftBeginAddress(addr Address, g *epoch.Guard) (bool, error) {
 }
 
 // ApplyDeviceTruncation frees device storage below min(limit, the
-// epoch-safe begin published by ShiftBeginAddress). Truncates are
-// serialized under a mutex against a monotone watermark, so concurrent
-// callers can never apply device truncates out of order. Callers use
-// limit to hold back reclamation the durable metadata does not yet cover
-// (recovery must never need truncated addresses).
+// epoch-safe begin published by ShiftBeginAddress), rounded down to a page
+// boundary: the page holding a mid-page begin stays whole on the device,
+// because scans (compaction, recovery) read pages from their first byte.
+// Truncates are serialized under a mutex against a monotone watermark, so
+// concurrent callers can never apply device truncates out of order.
+// Callers use limit to hold back reclamation the durable metadata does
+// not yet cover (recovery must never need truncated addresses).
 func (l *Log) ApplyDeviceTruncation(limit Address) error {
 	target := l.truncSafe.Load()
 	if limit < target {
 		target = limit
 	}
+	target &^= l.PageSize() - 1
 	l.truncMu.Lock()
 	defer l.truncMu.Unlock()
 	if target <= l.truncDone.Load() {

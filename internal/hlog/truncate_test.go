@@ -112,10 +112,15 @@ func TestTruncateOrderingUnderConcurrency(t *testing.T) {
 	if got := l.BeginAddress(); got != want {
 		t.Fatalf("begin = %#x, want %#x", got, want)
 	}
-	if got := l.TruncatedUntil(); got != want {
-		t.Fatalf("device watermark = %#x, want %#x", got, want)
+	if got := l.TruncatedUntil(); got != pageFloor(l, want) {
+		t.Fatalf("device watermark = %#x, want %#x", got, pageFloor(l, want))
 	}
 }
+
+// pageFloor is the device watermark a truncation to addr leaves: device
+// truncation is page-granular, so the page holding a mid-page begin stays
+// readable from its first byte.
+func pageFloor(l *Log, addr Address) Address { return addr &^ (l.PageSize() - 1) }
 
 // TestTruncateWaitsForEpochDrain verifies the epoch-safety half of the
 // fix: begin may move immediately, but the device truncate must not be
@@ -149,8 +154,8 @@ func TestTruncateWaitsForEpochDrain(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if got := l.TruncatedUntil(); got != cut {
-		t.Fatalf("device watermark = %#x, want %#x", got, cut)
+	if got := l.TruncatedUntil(); got != pageFloor(l, cut) {
+		t.Fatalf("device watermark = %#x, want %#x", got, pageFloor(l, cut))
 	}
 	g.Unpark()
 	g.Release()
@@ -173,22 +178,22 @@ func TestApplyDeviceTruncationClamps(t *testing.T) {
 	if err := l.ApplyDeviceTruncation(limit); err != nil {
 		t.Fatal(err)
 	}
-	if got := l.TruncatedUntil(); got != limit {
-		t.Fatalf("device watermark = %#x, want clamped %#x", got, limit)
+	if got := l.TruncatedUntil(); got != pageFloor(l, limit) {
+		t.Fatalf("device watermark = %#x, want clamped %#x", got, pageFloor(l, limit))
 	}
 	// Re-applying a lower limit must be a no-op, not a regression.
 	if err := l.ApplyDeviceTruncation(limit / 2); err != nil {
 		t.Fatal(err)
 	}
-	if got := l.TruncatedUntil(); got != limit {
+	if got := l.TruncatedUntil(); got != pageFloor(l, limit) {
 		t.Fatalf("device watermark regressed to %#x", l.TruncatedUntil())
 	}
 	// Raising the limit catches the device up to the epoch-safe begin.
 	if err := l.ApplyDeviceTruncation(l.TailAddress()); err != nil {
 		t.Fatal(err)
 	}
-	if got := l.TruncatedUntil(); got != cut {
-		t.Fatalf("device watermark = %#x, want %#x", got, cut)
+	if got := l.TruncatedUntil(); got != pageFloor(l, cut) {
+		t.Fatalf("device watermark = %#x, want %#x", got, pageFloor(l, cut))
 	}
 	g.Unpark()
 	g.Release()

@@ -22,7 +22,7 @@ import (
 // concrete return types differ; the two adapters below bridge that.
 type Target interface {
 	NewSession() TargetSession
-	SubmitRead(key, input []byte, outLen int, deadline time.Time, ctx any, done func(faster.Result)) error
+	SubmitRead(key, input []byte, deadline time.Time, ctx any, done func(faster.Result)) error
 	SubmitRMW(key, input []byte, deadline time.Time, ctx any, done func(faster.Result)) error
 }
 
@@ -359,7 +359,7 @@ func runAsyncClient(store Target, clientID int, log *ClientLog, rng *rand.Rand, 
 		case roll < w.ReadPct:
 			id := log.Begin(KVInput{Kind: KVRead, Key: k})
 			pc := &pendingCtx{id: id}
-			err := store.SubmitRead(key, nil, 8, deadline(), nil,
+			err := store.SubmitRead(key, nil, deadline(), nil,
 				func(res faster.Result) { resCh <- asyncDone{pc: pc, res: res} })
 			if err != nil {
 				log.Drop(id) // never admitted: observed nothing

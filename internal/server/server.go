@@ -382,7 +382,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		r: resp.NewReaderLimits(&slowConn{Conn: conn, per: s.cfg.ReadTimeout},
 			resp.Limits{MaxBulk: s.cfg.MaxValueBytes + 1}),
 		w:    resp.NewWriter(conn),
-		out:  make([]byte, 8+s.cfg.MaxValueBytes),
+		out:  make([]byte, slotOutBytes),
 		cmds: make([]resp.Command, maxWindowCmds),
 	}
 	// The durable session entry outlives the connection (that is the
@@ -545,7 +545,7 @@ type connState struct {
 	conn net.Conn
 	r    *resp.Reader
 	w    *resp.Writer
-	out  []byte // read output buffer: 8-byte frame header + max value
+	out  []byte // read output buffer, grown to the largest frame read so far
 
 	cmds  []resp.Command   // per-slot pooled command decode storage
 	bops  []faster.BatchOp // batch ops, 1:1 with the run's executable commands
@@ -558,11 +558,15 @@ type connState struct {
 	// Asynchronous miss state: async describes a command step that hit
 	// WouldBlock on the resident-only session and must continue through
 	// the io-worker pool once the session and admission token are back in
-	// their pools; ioch is the reusable completion channel the pool's
-	// done callback delivers into (buffered, so a late delivery after a
-	// defensive timeout can never block a worker).
-	async asyncCmd
-	ioch  chan faster.Result
+	// their pools. ioch is the connection's completion channel, iodone the
+	// one callback that delivers into it and iotimer the backstop timer:
+	// all three are made at the first miss and reused by every later one.
+	// ioch holds a full window of results, so a delivery can never block a
+	// worker, even a late one after the backstop tripped.
+	async   asyncCmd
+	ioch    chan faster.Result
+	iodone  func(faster.Result)
+	iotimer *time.Timer
 
 	// Exactly-once session state: token is the connection's durable
 	// sharded session binding (SESSION <guid>), released on teardown; a
@@ -1067,24 +1071,35 @@ func (c *connState) doGet(sess *faster.ShardedSession, args [][]byte) bool {
 	return true
 }
 
-// readValue reads args key into c.out, draining a Pending completion.
-// ok=false means the session must be retired (pending timeout).
-func (c *connState) readValue(sess *faster.ShardedSession, key []byte) (faster.Status, error, bool) {
-	return c.readInto(sess, key, c.out)
+// readValue reads key into c.out, which grows to the frame's length when
+// the value does not fit. ok=false means the session must be retired
+// (pending timeout).
+func (c *connState) readValue(sess *faster.ShardedSession, key []byte) (st faster.Status, err error, ok bool) {
+	st, err, c.out, ok = c.readInto(sess, key, c.out)
+	return st, err, ok
 }
 
-// readInto is readValue with an explicit output buffer.
-func (c *connState) readInto(sess *faster.ShardedSession, key, out []byte) (faster.Status, error, bool) {
-	token := &opToken{}
-	st, err := sess.Read(key, nil, out, token)
-	if st == faster.Pending {
-		r, ok := c.drainPending(sess, token)
-		if !ok {
-			return faster.Err, nil, false
+// readInto reads key into out, draining a Pending completion. When the
+// stored frame is longer than out — its own header, which a truncated
+// read still delivers, says by how much — it re-reads into a buffer of
+// exactly that length and returns it in place of out.
+func (c *connState) readInto(sess *faster.ShardedSession, key, out []byte) (faster.Status, error, []byte, bool) {
+	for {
+		token := &opToken{}
+		st, err := sess.Read(key, nil, out, token)
+		if st == faster.Pending {
+			r, ok := c.drainPending(sess, token)
+			if !ok {
+				return faster.Err, nil, out, false
+			}
+			st, err = r.Status, r.Err
 		}
-		st, err = r.Status, r.Err
+		need := faster.VarLenFrameLen(out)
+		if st != faster.OK || need <= len(out) {
+			return st, err, out, true
+		}
+		out = make([]byte, need)
 	}
-	return st, err, true
 }
 
 func (c *connState) doSet(sess *faster.ShardedSession, args [][]byte) bool {
@@ -1267,46 +1282,78 @@ func (c *connState) runAsync(a *asyncCmd) {
 	}
 }
 
-// submitWait routes one operation through the io-worker pool and blocks
-// this connection (only) until its out-of-band completion. The pool
-// guarantees delivery by the deadline even when the device never
-// answers; the generous extra grace below is a defensive backstop, and
-// tripping it abandons the channel so a late delivery cannot leak into
-// a later command's wait.
-func (c *connState) submitWait(isRMW bool, key, input []byte, outLen int, deadline time.Time) (faster.Result, error) {
-	s := c.s
+// ioBackstop is how long past an operation's deadline a connection still
+// waits for the pool's delivery. The pool guarantees delivery by the
+// deadline even when the device never answers; this is a defensive
+// backstop, and tripping it abandons the channel so a late delivery cannot
+// leak into a later command's wait.
+const ioBackstop = 2 * time.Second
+
+// ioBegin readies the connection's completion channel, callback and
+// backstop timer (armed for deadline + ioBackstop) for a round of
+// submissions; ioEnd must follow.
+func (c *connState) ioBegin(deadline time.Time) {
 	if c.ioch == nil {
-		c.ioch = make(chan faster.Result, 1)
+		ch := make(chan faster.Result, maxWindowCmds)
+		c.ioch, c.iodone = ch, func(r faster.Result) { ch <- r }
 	}
-	ch := c.ioch
-	done := func(r faster.Result) { ch <- r }
+	if d := time.Until(deadline) + ioBackstop; c.iotimer == nil {
+		c.iotimer = time.NewTimer(d)
+	} else {
+		c.iotimer.Reset(d)
+	}
+}
+
+// ioAwait returns the next delivery, or ok=false when the backstop
+// tripped (the channel is abandoned to whatever arrives late).
+func (c *connState) ioAwait() (r faster.Result, ok bool) {
+	select {
+	case r = <-c.ioch:
+		return r, true
+	case <-c.iotimer.C:
+		c.ioch, c.iodone = nil, nil
+		return faster.Result{}, false
+	}
+}
+
+// ioEnd stops the backstop timer, leaving it ready for the next ioBegin.
+func (c *connState) ioEnd() {
+	if !c.iotimer.Stop() {
+		select {
+		case <-c.iotimer.C:
+		default:
+		}
+	}
+}
+
+// submitWait routes one operation through the io-worker pool and blocks
+// this connection (only) until its out-of-band completion.
+func (c *connState) submitWait(isRMW bool, key, input []byte, deadline time.Time) (faster.Result, error) {
+	s := c.s
+	c.ioBegin(deadline)
+	defer c.ioEnd()
 	var err error
 	if isRMW {
-		err = s.store.SubmitRMW(key, input, deadline, nil, done)
+		err = s.store.SubmitRMW(key, input, deadline, nil, c.iodone)
 	} else {
-		err = s.store.SubmitRead(key, input, outLen, deadline, nil, done)
+		err = s.store.SubmitRead(key, input, deadline, nil, c.iodone)
 	}
 	if err != nil {
 		return faster.Result{}, err
 	}
 	s.mx.ioAsync.Inc()
-	t := time.NewTimer(time.Until(deadline) + 2*time.Second)
-	defer t.Stop()
-	select {
-	case r := <-ch:
-		return r, nil
-	case <-t.C:
-		c.ioch = nil
+	r, ok := c.ioAwait()
+	if !ok {
 		return faster.Result{}, faster.ErrOpDeadline
 	}
+	return r, nil
 }
 
 // asyncGet completes a GET whose record lives below the in-memory
-// region. The output buffer is pool-allocated (ownership transfers with
-// the result), sized like the synchronous read buffer so any value the
-// server accepts decodes.
+// region. The output is the pool's, exactly the stored frame's size, and
+// ownership transfers with the result.
 func (c *connState) asyncGet(a *asyncCmd, deadline time.Time) {
-	r, err := c.submitWait(false, a.key, nil, len(c.out), deadline)
+	r, err := c.submitWait(false, a.key, nil, deadline)
 	if err != nil {
 		c.writeStoreErr(err)
 		return
@@ -1332,7 +1379,7 @@ func (c *connState) asyncGet(a *asyncCmd, deadline time.Time) {
 // overflow verdict rides back in Result.Input's 9th byte.
 func (c *connState) asyncIncrBy(a *asyncCmd, deadline time.Time) {
 	if a.step <= 0 {
-		r, err := c.submitWait(false, a.key, nil, len(c.out), deadline)
+		r, err := c.submitWait(false, a.key, nil, deadline)
 		if err != nil {
 			c.writeStoreErr(err)
 			return
@@ -1352,7 +1399,7 @@ func (c *connState) asyncIncrBy(a *asyncCmd, deadline time.Time) {
 	if a.step <= 1 {
 		var input [9]byte
 		binary.LittleEndian.PutUint64(input[:8], uint64(a.delta))
-		r, err := c.submitWait(true, a.key, input[:], 0, deadline)
+		r, err := c.submitWait(true, a.key, input[:], deadline)
 		if err != nil {
 			c.writeStoreErr(err)
 			return
@@ -1366,7 +1413,7 @@ func (c *connState) asyncIncrBy(a *asyncCmd, deadline time.Time) {
 			return
 		}
 	}
-	r, err := c.submitWait(false, a.key, nil, len(c.out), deadline)
+	r, err := c.submitWait(false, a.key, nil, deadline)
 	if err != nil {
 		c.writeStoreErr(err)
 		return
@@ -1609,8 +1656,7 @@ func (c *connState) runMulti() (ok, closeConn bool) {
 			continue
 		}
 		if _, dok := faster.VarLenDecode(op.Output); !dok {
-			big := make([]byte, 8+s.cfg.MaxValueBytes)
-			st, rerr, rok := c.readInto(sess, op.Key, big)
+			st, rerr, big, rok := c.readInto(sess, op.Key, make([]byte, faster.VarLenFrameLen(op.Output)))
 			if !rok {
 				healthy = false
 				op.Status = faster.Pending
@@ -1884,31 +1930,24 @@ func (c *connState) resolveBatchAsync(healthy bool) {
 		return
 	}
 	deadline := time.Now().Add(s.cfg.OpTimeout)
-	ch := make(chan faster.Result, outstanding)
+	c.ioBegin(deadline)
+	defer c.ioEnd()
 	submitted := 0
 	for i := range c.bops {
 		op := &c.bops[i]
 		if op.Kind != faster.BatchRead || op.Status != faster.WouldBlock {
 			continue
 		}
-		err := s.store.SubmitRead(op.Key, nil, 8+s.cfg.MaxValueBytes, deadline, i,
-			func(r faster.Result) { ch <- r })
-		if err != nil {
+		if err := s.store.SubmitRead(op.Key, nil, deadline, i, c.iodone); err != nil {
 			op.Status, op.Err = faster.Err, err
 			continue
 		}
 		s.mx.ioAsync.Inc()
 		submitted++
 	}
-	t := time.NewTimer(time.Until(deadline) + 2*time.Second)
-	defer t.Stop()
 	for k := 0; k < submitted; k++ {
-		select {
-		case r := <-ch:
-			if idx, ok := r.Ctx.(int); ok && idx >= 0 && idx < len(c.bops) {
-				c.bops[idx].Status, c.bops[idx].Err, c.bops[idx].Output = r.Status, r.Err, r.Output
-			}
-		case <-t.C:
+		r, ok := c.ioAwait()
+		if !ok {
 			// Defensive backstop only: pool delivery is deadline-bounded.
 			for i := range c.bops {
 				if c.bops[i].Kind == faster.BatchRead && c.bops[i].Status == faster.WouldBlock {
@@ -1916,6 +1955,9 @@ func (c *connState) resolveBatchAsync(healthy bool) {
 				}
 			}
 			return
+		}
+		if idx, ok := r.Ctx.(int); ok && idx >= 0 && idx < len(c.bops) {
+			c.bops[idx].Status, c.bops[idx].Err, c.bops[idx].Output = r.Status, r.Err, r.Output
 		}
 	}
 }
@@ -2077,8 +2119,7 @@ func (c *connState) execBatch(sess *faster.ShardedSession, cmds []resp.Command) 
 			continue
 		}
 		if _, ok := faster.VarLenDecode(op.Output); !ok {
-			big := make([]byte, 8+s.cfg.MaxValueBytes)
-			st, err, ok := c.readInto(sess, op.Key, big)
+			st, err, big, ok := c.readInto(sess, op.Key, make([]byte, faster.VarLenFrameLen(op.Output)))
 			if !ok {
 				healthy = false
 				op.Status = faster.Pending // renders as -TIMEOUT

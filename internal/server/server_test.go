@@ -19,10 +19,17 @@ import (
 // loopback port, torn down (drain first, then store) via t.Cleanup.
 func newTestServer(t *testing.T, cfg Config) *Server {
 	t.Helper()
+	return newTestServerOver(t, 14, 16, cfg)
+}
+
+// newTestServerOver is newTestServer with the log geometry chosen by the
+// test.
+func newTestServerOver(t *testing.T, pageBits uint, bufferPages int, cfg Config) *Server {
+	t.Helper()
 	dev := device.NewMem(device.MemConfig{})
 	s, err := faster.Open(faster.Config{
 		Ops: faster.VarLenOps{}, IndexBuckets: 1 << 10,
-		PageBits: 14, BufferPages: 16, MutableFraction: 0.75,
+		PageBits: pageBits, BufferPages: bufferPages, MutableFraction: 0.75,
 		Device: dev,
 	})
 	if err != nil {
