@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -61,6 +62,13 @@ type drainItem struct {
 	enqueuedNs int64 // wall time of enqueue, for bump-to-safe latency
 }
 
+// overflowItem is a pending trigger action that found the drain list full.
+type overflowItem struct {
+	epoch      uint64
+	action     func()
+	enqueuedNs int64
+}
+
 // Action is a trigger callback executed exactly once after its epoch is safe.
 type Action = func()
 
@@ -83,6 +91,13 @@ type Manager struct {
 
 	table     []entry
 	drainList [drainListSize]drainItem
+
+	// overflow holds the actions enqueued while every drain-list slot was
+	// taken; overflowCnt mirrors its length so drains skip the lock when
+	// it is empty. Both count towards drainCnt.
+	overflowMu  sync.Mutex
+	overflow    []overflowItem
+	overflowCnt atomic.Int64
 
 	mx struct {
 		bumps      metrics.Counter
@@ -206,33 +221,42 @@ func (m *Manager) BumpWith(action Action) {
 	m.computeSafeAndDrain(m.current.Load())
 }
 
-// enqueue adds (epoch, action) to the drain list, spinning for a free slot.
-// The list is sized generously; in a correctly running system actions drain
-// promptly, so exhaustion indicates threads failing to refresh.
+// enqueue adds (epoch, action) to the drain list. When every slot is
+// taken it helps drain once and, if the list is still full, spills the
+// action to the mutex-guarded overflow slice that every drain also
+// scans. It never waits: a full list means some thread has not refreshed
+// yet, and that thread may be the caller itself.
 func (m *Manager) enqueue(epoch uint64, action Action) {
-	for spins := 0; ; spins++ {
-		for i := range m.drainList {
-			it := &m.drainList[i]
-			if it.epoch.Load() == 0 {
-				// Claim the slot with CAS; install action before
-				// publishing the epoch so a concurrent drainer never
-				// sees a claimed slot without its action.
-				if it.epoch.CompareAndSwap(0, math.MaxUint64) {
-					it.action = action
-					it.enqueuedNs = time.Now().UnixNano()
-					it.epoch.Store(epoch)
-					m.drainCnt.Add(1)
-					return
-				}
-			}
-		}
-		// Drain list full: help drain, then retry.
-		m.computeSafeAndDrain(m.current.Load())
-		if spins > 1<<20 {
-			panic("epoch: drain list persistently full (threads not refreshing?)")
-		}
-		runtime.Gosched()
+	if m.tryEnqueue(epoch, action) {
+		return
 	}
+	m.computeSafeAndDrain(m.current.Load())
+	if m.tryEnqueue(epoch, action) {
+		return
+	}
+	m.overflowMu.Lock()
+	m.overflow = append(m.overflow, overflowItem{epoch: epoch, action: action, enqueuedNs: time.Now().UnixNano()})
+	m.overflowCnt.Add(1)
+	m.drainCnt.Add(1)
+	m.overflowMu.Unlock()
+}
+
+// tryEnqueue claims a free drain-list slot for (epoch, action).
+func (m *Manager) tryEnqueue(epoch uint64, action Action) bool {
+	for i := range m.drainList {
+		it := &m.drainList[i]
+		// Claim the slot with CAS; install action before publishing the
+		// epoch so a concurrent drainer never sees a claimed slot without
+		// its action.
+		if it.epoch.Load() == 0 && it.epoch.CompareAndSwap(0, math.MaxUint64) {
+			it.action = action
+			it.enqueuedNs = time.Now().UnixNano()
+			it.epoch.Store(epoch)
+			m.drainCnt.Add(1)
+			return true
+		}
+	}
+	return false
 }
 
 // computeSafeAndDrain recomputes the maximal safe epoch by scanning the
@@ -271,10 +295,41 @@ func (m *Manager) computeSafeAndDrain(currentEpoch uint64) {
 		it.action = nil
 		it.epoch.Store(0) // free the slot
 		m.drainCnt.Add(-1)
-		m.mx.actionsRun.Inc()
-		m.mx.bumpToSafe.ObserveNs(uint64(max64(0, time.Now().UnixNano()-enqueuedNs)))
-		action()
+		m.runAction(action, enqueuedNs)
 	}
+	if m.overflowCnt.Load() > 0 {
+		m.drainOverflow(safe)
+	}
+}
+
+// drainOverflow runs the overflow actions whose epochs are safe. They are
+// taken out under the lock and run after it is released, so an action may
+// itself bump and enqueue.
+func (m *Manager) drainOverflow(safe uint64) {
+	var ready []overflowItem
+	m.overflowMu.Lock()
+	kept := m.overflow[:0]
+	for _, it := range m.overflow {
+		if it.epoch <= safe {
+			ready = append(ready, it)
+		} else {
+			kept = append(kept, it)
+		}
+	}
+	clear(m.overflow[len(kept):])
+	m.overflow = kept
+	m.overflowCnt.Add(-int64(len(ready)))
+	m.drainCnt.Add(-int64(len(ready)))
+	m.overflowMu.Unlock()
+	for _, it := range ready {
+		m.runAction(it.action, it.enqueuedNs)
+	}
+}
+
+func (m *Manager) runAction(action Action, enqueuedNs int64) {
+	m.mx.actionsRun.Inc()
+	m.mx.bumpToSafe.ObserveNs(uint64(max64(0, time.Now().UnixNano()-enqueuedNs)))
+	action()
 }
 
 // Drain runs all pending trigger actions whose epochs are safe, first

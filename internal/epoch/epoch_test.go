@@ -155,19 +155,31 @@ func TestParkStopsPinning(t *testing.T) {
 	active.Release()
 }
 
+// TestActionsRunExactlyOnce pins the epoch with a guard that does not
+// refresh while actions are bumped — more of them, in the second case,
+// than the drain list holds, so the rest spill to the overflow — and
+// checks each runs exactly once after the refresh, none before.
 func TestActionsRunExactlyOnce(t *testing.T) {
-	m := New(8)
-	var count atomic.Int64
-	g := m.Acquire()
-	for i := 0; i < 100; i++ {
-		m.BumpWith(func() { count.Add(1) })
+	for _, n := range []int64{100, 3 * drainListSize} {
+		m := New(8)
+		var count atomic.Int64
+		g := m.Acquire()
+		for i := int64(0); i < n; i++ {
+			m.BumpWith(func() { count.Add(1) })
+		}
+		if got, pending := count.Load(), m.PendingActions(); got != 0 || int64(pending) != n {
+			t.Fatalf("%d actions: %d ran and %d pending before the refresh, want 0 and %d", n, got, pending, n)
+		}
+		g.Refresh()
+		m.Drain()
+		if got := count.Load(); got != n {
+			t.Fatalf("actions ran %d times, want %d", got, n)
+		}
+		if pending := m.PendingActions(); pending != 0 {
+			t.Fatalf("%d actions still pending after the drain", pending)
+		}
+		g.Release()
 	}
-	g.Refresh()
-	m.Drain()
-	if got := count.Load(); got != 100 {
-		t.Fatalf("actions ran %d times, want 100", got)
-	}
-	g.Release()
 }
 
 func TestActionsOrderedBySafety(t *testing.T) {

@@ -229,16 +229,14 @@ func (tok *SessionToken) WindowExit() {
 	if !tok.inWindow {
 		panic("faster: WindowExit outside a window")
 	}
+	// Under mu: a token fenced by a newer binding still exits its window
+	// while the new owner commits to the same entry.
 	e := tok.e
-	// Unlocked read is safe: only the owner (this goroutine) writes
-	// issued/acked; concurrent snapshots read them under mu.
-	if e.issued != e.acked {
-		e.mu.Lock()
-		if e.owner == tok.owner && e.issued != e.acked {
-			e.issued = e.acked
-		}
-		e.mu.Unlock()
+	e.mu.Lock()
+	if e.owner == tok.owner && e.issued != e.acked {
+		e.issued = e.acked
 	}
+	e.mu.Unlock()
 	tok.inWindow = false
 	tok.s.sessions.cutMu.RUnlock()
 }

@@ -313,6 +313,8 @@ type ShardedSession struct {
 	// batch scratch, reused across ExecBatch calls
 	groups  [][]BatchOp
 	origIdx [][]int
+	errs    []error
+	fan     sync.WaitGroup
 }
 
 // Epoch discipline: every sub-session stays PARKED except while it is
@@ -336,7 +338,8 @@ func (ss *ShardedStore) StartSession() *ShardedSession {
 		subs[i].Park()
 	}
 	return &ShardedSession{ss: ss, subs: subs, wake: wake,
-		groups: make([][]BatchOp, len(ss.shards)), origIdx: make([][]int, len(ss.shards))}
+		groups: make([][]BatchOp, len(ss.shards)), origIdx: make([][]int, len(ss.shards)),
+		errs: make([]error, len(ss.shards))}
 }
 
 // Close closes every per-shard session. Each sub is unparked first:
@@ -482,6 +485,9 @@ func (sess *ShardedSession) completePendingAll(wait bool, deadline time.Time) ([
 // caller's buffers exactly as with Session.ExecBatch. Slots that go
 // Pending complete through CompletePending as usual.
 func (sess *ShardedSession) ExecBatch(ops []BatchOp) error {
+	if len(ops) == 0 {
+		return nil
+	}
 	if len(sess.subs) == 1 {
 		sub := sess.subs[0]
 		sub.Unpark()
@@ -494,50 +500,30 @@ func (sess *ShardedSession) ExecBatch(ops []BatchOp) error {
 		groups[i] = groups[i][:0]
 		origIdx[i] = origIdx[i][:0]
 	}
-	used := 0
 	last := -1
 	for i := range ops {
 		sh := sess.ss.ShardFor(ops[i].Key)
-		if len(groups[sh]) == 0 {
-			used++
-		}
 		last = sh
 		groups[sh] = append(groups[sh], ops[i])
 		origIdx[sh] = append(origIdx[sh], i)
 	}
-	if used == 1 {
-		// Single-shard window: run in place on this goroutine.
-		sub := sess.subs[last]
-		sub.Unpark()
-		err := sub.ExecBatch(groups[last])
-		sub.Park()
-		for j, oi := range origIdx[last] {
-			ops[oi].Status = groups[last][j].Status
-			ops[oi].Err = groups[last][j].Err
-			ops[oi].Output = groups[last][j].Output
-		}
-		return err
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, len(sess.subs))
+	// Every other shard's sub-batch runs on a goroutine of its own; the
+	// last op's shard runs on this one, so a single-shard window never
+	// leaves the caller's goroutine.
+	clear(sess.errs)
 	for sh := range groups {
-		if len(groups[sh]) == 0 {
-			continue
+		if sh != last && len(groups[sh]) > 0 {
+			sess.fan.Add(1)
+			go sess.execGroup(sh)
 		}
-		wg.Add(1)
-		go func(sh int) {
-			defer wg.Done()
-			sub := sess.subs[sh]
-			sub.Unpark()
-			errs[sh] = sub.ExecBatch(groups[sh])
-			sub.Park()
-		}(sh)
 	}
-	wg.Wait()
+	sess.fan.Add(1)
+	sess.execGroup(last)
+	sess.fan.Wait()
 	var firstErr error
 	for sh := range groups {
-		if errs[sh] != nil && firstErr == nil {
-			firstErr = errs[sh]
+		if sess.errs[sh] != nil && firstErr == nil {
+			firstErr = sess.errs[sh]
 		}
 		for j, oi := range origIdx[sh] {
 			ops[oi].Status = groups[sh][j].Status
@@ -546,6 +532,15 @@ func (sess *ShardedSession) ExecBatch(ops []BatchOp) error {
 		}
 	}
 	return firstErr
+}
+
+// execGroup runs shard sh's sub-batch of the current ExecBatch window.
+func (sess *ShardedSession) execGroup(sh int) {
+	defer sess.fan.Done()
+	sub := sess.subs[sh]
+	sub.Unpark()
+	sess.errs[sh] = sub.ExecBatch(sess.groups[sh])
+	sub.Park()
 }
 
 // ---------------------------------------------------------------------------

@@ -26,21 +26,25 @@ import (
 //   - 8-byte payload: the delta is added, in place when possible
 //     (full concurrency) or via copy-update when the record is sealed or
 //     read-only;
-//   - any other payload length: the value is not a counter; the RMW
-//     resets it to a counter holding the delta. Redis would error here —
-//     ValueOps has no error channel, so the front-end pre-checks the
-//     type and rejects non-counter INCRBY before issuing the RMW (a
-//     concurrent SET can still race the check; the reset keeps that race
-//     well-defined).
+//   - any other payload length: the value is not a counter. With an 8-
+//     or 9-byte input the RMW resets it to a counter holding the delta;
+//     with a 17-byte input it leaves the value byte-identical and reports
+//     the refusal (below).
 //
-// A 9th input byte, when present, is an overflow status channel: every
-// updater invocation writes it (1 when the addition would wrap int64 —
-// the counter is then left unchanged — 0 otherwise), so callers that
-// need Redis's "increment or decrement would overflow" semantics pass a
-// 9-byte input and inspect input[8] afterwards (Result.Input on the
-// pending path). An 8-byte input keeps the historical wrapping
-// behaviour. The flag is rewritten on every attempt, so a lost-CAS
-// retry cannot leak a stale verdict.
+// Input bytes past the delta are a status channel that every updater
+// invocation rewrites, so a lost-CAS retry cannot leak a stale verdict.
+// Callers read it back from their input (Result.Input on the pending
+// path):
+//
+//   - 9 bytes, [delta][status]: status is 1 when the addition would wrap
+//     int64 (the counter is then left unchanged), 0 otherwise.
+//   - 17 bytes, [delta][status][new value]: status is one of
+//     CounterUpdated, CounterOverflow or CounterNotCounter, and the last
+//     8 bytes (LE) hold the counter value this RMW produced, so one RMW
+//     is the whole of Redis's INCRBY, reply included. A non-counter
+//     payload makes InPlaceUpdater decline, CopyValueLen keep the old
+//     length and CopyUpdater copy the old value unchanged.
+//   - 8 bytes: the addition wraps.
 //
 // In-place upserts accept any new framed value that fits the existing
 // allocation (header included), so shrinking values update in place and
@@ -152,15 +156,26 @@ const (
 	minInt64 = -maxInt64 - 1
 )
 
-// setOverflowFlag writes the overflow verdict into the 9th input byte
-// when the caller provided one.
-func setOverflowFlag(input []byte, overflowed bool) {
+// Status codes of the 17-byte counter input's status byte (input[8]).
+const (
+	CounterUpdated    byte = 0 // the counter holds the new value in input[9:17]
+	CounterOverflow   byte = 1 // the add would wrap int64; the counter is unchanged
+	CounterNotCounter byte = 2 // the value is not a counter; it is unchanged
+)
+
+// CounterInputLen is the length of the counter input that reports the new
+// value: [delta][status][new value].
+const CounterInputLen = 17
+
+// setCounterStatus writes an updater's verdict into the input's status
+// channel: the status byte (9- and 17-byte inputs) and the post-update
+// counter value (17-byte inputs).
+func setCounterStatus(input []byte, status byte, value int64) {
 	if len(input) >= 9 {
-		if overflowed {
-			input[8] = 1
-		} else {
-			input[8] = 0
-		}
+		input[8] = status
+	}
+	if len(input) >= CounterInputLen {
+		binary.LittleEndian.PutUint64(input[9:CounterInputLen], uint64(value))
 	}
 }
 
@@ -169,13 +184,13 @@ func setOverflowFlag(input []byte, overflowed bool) {
 func (VarLenOps) InitialUpdater(_, value, input []byte) {
 	binary.LittleEndian.PutUint64(value, 8)
 	copy(value[varLenHeader:], input[:8])
-	setOverflowFlag(input, false)
+	setCounterStatus(input, CounterUpdated, int64(binary.LittleEndian.Uint64(input)))
 }
 
 // InPlaceUpdater implements ValueOps: overflow-checked add on a counter
 // payload; non-counter payloads decline to the sealed copy-update path.
-// With a 9-byte input an overflowing add leaves the counter unchanged
-// and reports through the flag; an 8-byte input wraps.
+// With a 9- or 17-byte input an overflowing add leaves the counter
+// unchanged and reports through the status byte; an 8-byte input wraps.
 func (VarLenOps) InPlaceUpdater(_, value, input []byte) bool {
 	if len(value) < varLenHeader+8 || frameLen(value) != 8 {
 		return false
@@ -189,42 +204,55 @@ func (VarLenOps) InPlaceUpdater(_, value, input []byte) bool {
 	for {
 		cur := atomic.LoadUint64(p)
 		if addOverflows(int64(cur), delta) {
-			setOverflowFlag(input, true)
+			setCounterStatus(input, CounterOverflow, int64(cur))
 			return true // handled: counter intact, verdict delivered
 		}
 		if atomic.CompareAndSwapUint64(p, cur, cur+uint64(delta)) {
-			setOverflowFlag(input, false)
+			setCounterStatus(input, CounterUpdated, int64(cur+uint64(delta)))
 			return true
 		}
 	}
 }
 
-// CopyUpdater implements ValueOps: counter += delta, or reset to the
-// delta when the old value was not a counter. An overflowing add copies
-// the counter unchanged and reports through the flag (9-byte input) or
-// wraps (8-byte input).
+// CopyUpdater implements ValueOps: counter += delta. An old value that is
+// not a counter is reset to the delta, or — with a 17-byte input — copied
+// unchanged. An overflowing add copies the counter unchanged and reports
+// through the status byte (9- and 17-byte inputs) or wraps (8 bytes).
 func (VarLenOps) CopyUpdater(_, oldValue, newValue, input []byte) {
 	delta := int64(binary.LittleEndian.Uint64(input))
-	binary.LittleEndian.PutUint64(newValue, 8)
 	p, ok := VarLenDecode(oldValue)
 	if !ok || len(p) != 8 {
-		// Non-counter value: reset to a counter holding the delta.
+		if len(input) >= CounterInputLen {
+			copy(newValue, oldValue)
+			setCounterStatus(input, CounterNotCounter, 0)
+			return
+		}
+		binary.LittleEndian.PutUint64(newValue, 8)
 		binary.LittleEndian.PutUint64(newValue[varLenHeader:], uint64(delta))
-		setOverflowFlag(input, false)
+		setCounterStatus(input, CounterUpdated, delta)
 		return
 	}
+	binary.LittleEndian.PutUint64(newValue, 8)
 	old := int64(binary.LittleEndian.Uint64(p))
 	if len(input) >= 9 && addOverflows(old, delta) {
 		binary.LittleEndian.PutUint64(newValue[varLenHeader:], uint64(old))
-		setOverflowFlag(input, true)
+		setCounterStatus(input, CounterOverflow, old)
 		return
 	}
 	binary.LittleEndian.PutUint64(newValue[varLenHeader:], uint64(old)+uint64(delta))
-	setOverflowFlag(input, false)
+	setCounterStatus(input, CounterUpdated, old+delta)
 }
 
 // InitialValueLen implements ValueOps: header + 8-byte counter.
 func (VarLenOps) InitialValueLen(_, _ []byte) int { return varLenHeader + 8 }
 
-// CopyValueLen implements ValueOps: the updated value is always a counter.
-func (VarLenOps) CopyValueLen(_, _, _ []byte) int { return varLenHeader + 8 }
+// CopyValueLen implements ValueOps: the updated value is a counter, except
+// that a 17-byte input keeps a non-counter value (and its length) as is.
+func (VarLenOps) CopyValueLen(_, oldValue, input []byte) int {
+	if len(input) >= CounterInputLen {
+		if p, ok := VarLenDecode(oldValue); !ok || len(p) != 8 {
+			return len(oldValue)
+		}
+	}
+	return varLenHeader + 8
+}

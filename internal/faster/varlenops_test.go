@@ -252,6 +252,69 @@ func TestVarLenCounterOverflow(t *testing.T) {
 	}
 }
 
+// delta17 frames a delta with the 17-byte status channel, pre-poisoned
+// so a test catches paths that fail to write the verdict or the value.
+func delta17(d int64) []byte {
+	b := make([]byte, CounterInputLen)
+	binary.LittleEndian.PutUint64(b, uint64(d))
+	for i := 8; i < len(b); i++ {
+		b[i] = 0xAA
+	}
+	return b
+}
+
+// TestVarLenCounterInput17 pins the 17-byte input contract: one RMW
+// reports the post-update value, overflow and "not a counter", on the
+// insert, in-place and copy-update paths, and a refused non-counter
+// value stays byte-identical.
+func TestVarLenCounterInput17(t *testing.T) {
+	s := varLenStore(t)
+	sess := s.StartSession()
+	defer sess.Close()
+	rmw := func(key []byte, d int64) (byte, int64) {
+		t.Helper()
+		in := delta17(d)
+		if st, err := sess.RMW(key, in, nil); st != OK || err != nil {
+			t.Fatalf("rmw %q %d: %v %v", key, d, st, err)
+		}
+		return in[8], int64(binary.LittleEndian.Uint64(in[9:]))
+	}
+	key := []byte("c17")
+	if st, v := rmw(key, 5); st != CounterUpdated || v != 5 {
+		t.Fatalf("insert = status %d value %d, want 0/5", st, v)
+	}
+	if st, v := rmw(key, -7); st != CounterUpdated || v != -2 {
+		t.Fatalf("in-place = status %d value %d, want 0/-2", st, v)
+	}
+	s.Log().ShiftReadOnlyToTail()
+	sess.Refresh()
+	if st, v := rmw(key, 3); st != CounterUpdated || v != 1 {
+		t.Fatalf("copy-update = status %d value %d, want 0/1", st, v)
+	}
+	if st, v := rmw(key, maxInt64); st != CounterOverflow || v != 1 {
+		t.Fatalf("overflow = status %d value %d, want 1/1", st, v)
+	}
+
+	blob := VarLenEncode([]byte("not a number"))
+	out := make([]byte, 64)
+	for _, readOnly := range []bool{false, true} {
+		bkey := []byte(fmt.Sprintf("blob-%v", readOnly))
+		if st, _ := sess.Upsert(bkey, blob); st != OK {
+			t.Fatal("upsert blob")
+		}
+		if readOnly {
+			s.Log().ShiftReadOnlyToTail()
+			sess.Refresh()
+		}
+		if st, _ := rmw(bkey, 1); st != CounterNotCounter {
+			t.Fatalf("rmw over blob (read-only %v) = status %d, want %d", readOnly, st, CounterNotCounter)
+		}
+		if st, _ := sess.Read(bkey, nil, out, nil); st != OK || !bytes.Equal(out[:len(blob)], blob) {
+			t.Fatalf("blob changed by refused rmw (read-only %v): %v %q", readOnly, st, out[:len(blob)])
+		}
+	}
+}
+
 func TestVarLenConcurrentCounters(t *testing.T) {
 	s := varLenStore(t)
 	const (

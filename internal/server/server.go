@@ -24,8 +24,8 @@
 //
 //   - Connection cap: beyond Config.MaxConns, new connections receive
 //     "-OVERLOADED max connections" and are closed — shed, not queued.
-//   - Admission semaphore: at most Config.MaxInFlight commands execute
-//     at once; excess requests are answered "-OVERLOADED" immediately
+//   - Admission semaphore: at most Config.MaxInFlight command windows
+//     execute at once; excess requests are answered "-OVERLOADED" immediately
 //     instead of queueing unboundedly.
 //   - Bounded session pool: Config.Sessions FASTER sessions are created
 //     up front and multiplexed across connections, so connection churn
@@ -45,11 +45,20 @@
 //     takes a final checkpoint — provably leak-free (the chaos soak
 //     asserts zero leaked goroutines under -race).
 //
-// Protocol: GET/SET/DEL return Redis-shaped replies; MGET/MSET execute
-// multi-key windows as per-shard fan-outs; INCRBY maps onto FASTER's
-// RMW with faster.VarLenOps counter semantics (the store must be opened
-// with Ops: faster.VarLenOps{}); PING/ECHO/QUIT/COMMAND cover interop.
-// Values are framed server-side with faster.VarLenEncode.
+// Every data command takes one path: decode → plan → admit → execute →
+// resolve → encode. A pipelined burst is decoded as a window; the planner
+// turns each data command into store slots (GET one read, SET one upsert,
+// DEL one delete per key, INCRBY one RMW, MGET/MSET one read or upsert per
+// key) and a single command is simply a window of one. The window is
+// admitted once (one in-flight token, one pooled session) and runs as one
+// ShardedSession.ExecBatch, which splits it into concurrent per-shard
+// sub-batches. The session and token go back to their pools before the
+// slots that missed memory are resolved through the shards' io-worker
+// pools; the replies are then encoded in command order through one
+// renderer. INCRBY is the paper's RMW with faster.VarLenOps counter
+// semantics (the store must be opened with Ops: faster.VarLenOps{}): one
+// atomic step that reports the value it produced. PING/ECHO/QUIT/COMMAND
+// cover interop. Values are framed server-side with faster.VarLenEncode.
 //
 // Exactly-once sessions (the CPR session extension): "SESSION <guid>"
 // binds the connection to a durable store session and replies :<acked>,
@@ -63,14 +72,15 @@
 // gap error, and a connection whose GUID was re-bound elsewhere gets
 // -FENCED. After a crash the client re-issues SESSION, reads the
 // recovered frontier from the reply, and resends everything above it —
-// each retried op applies exactly once. Stamped SETs join pipelined
-// ExecBatch windows; a window commits its serial run in order and stops
-// acking at the first failed op, so the client's resend-from-frontier
-// rule stays sufficient (uncommitted SET re-application is idempotent;
-// non-idempotent INCRBY always executes as a window barrier).
+// each retried op applies exactly once. Stamped SETs share windows; a
+// window commits its serial run in order and stops acking at the first
+// failed op, so the client's resend-from-frontier rule stays sufficient
+// (uncommitted SET re-application is idempotent; a stamped DEL or INCRBY
+// is always a window of its own).
 package server
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -91,7 +101,7 @@ type Config struct {
 	// MaxConns caps concurrently served connections (default 256).
 	// Excess connections are shed with -OVERLOADED at accept time.
 	MaxConns int
-	// MaxInFlight caps commands executing at once across all
+	// MaxInFlight caps command windows executing at once across all
 	// connections (default 4*Sessions). Excess requests are shed with
 	// -OVERLOADED, never queued unboundedly.
 	MaxInFlight int
@@ -112,8 +122,8 @@ type Config struct {
 	// AcquireTimeout bounds the wait for a pooled session (default
 	// 100ms); on expiry the request is shed with -OVERLOADED.
 	AcquireTimeout time.Duration
-	// OpTimeout bounds CompletePendingTimeout for one command's
-	// asynchronous I/O (default 5s).
+	// OpTimeout bounds one command window's storage I/O, in-session
+	// pending completions and io-pool misses alike (default 5s).
 	OpTimeout time.Duration
 	// DrainTimeout bounds the graceful drain in Close (default 10s).
 	DrainTimeout time.Duration
@@ -235,19 +245,16 @@ func ListenAndServeSharded(store *faster.ShardedStore, addr string, cfg Config) 
 		done:     make(chan struct{}),
 	}
 	for i := 0; i < cfg.Sessions; i++ {
-		// Pooled sessions are parked while idle: they keep their
-		// epoch-table slot but pin no epoch, so an idle pool never stalls
-		// the store's flush/eviction machinery for active sessions.
-		//
-		// They are also resident-only: a storage miss returns WouldBlock
-		// instead of going Pending, and the handler re-routes the miss
-		// through the store's io-worker pool after releasing the session
-		// and admission token — no pooled session ever blocks on device
-		// I/O, so a device latency spike slows only the cold misses that
-		// touch it while hot in-memory traffic keeps its full speed.
+		// Pooled sessions are resident-only: a storage miss returns
+		// WouldBlock instead of going Pending, and the handler re-routes the
+		// miss through the store's io-worker pool after releasing the session
+		// and admission token — no pooled session ever blocks on device I/O,
+		// so a device latency spike slows only the cold misses that touch it
+		// while hot in-memory traffic keeps its full speed. (Their shard
+		// sub-sessions stay parked between operations, so an idle pool pins
+		// no epoch.)
 		sess := store.StartSession()
 		sess.SetResidentOnly(true)
-		sess.Park()
 		s.sessions <- sess
 	}
 	s.wg.Add(1)
@@ -382,7 +389,6 @@ func (s *Server) serveConn(conn net.Conn) {
 		r: resp.NewReaderLimits(&slowConn{Conn: conn, per: s.cfg.ReadTimeout},
 			resp.Limits{MaxBulk: s.cfg.MaxValueBytes + 1}),
 		w:    resp.NewWriter(conn),
-		out:  make([]byte, slotOutBytes),
 		cmds: make([]resp.Command, maxWindowCmds),
 	}
 	// The durable session entry outlives the connection (that is the
@@ -435,62 +441,6 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
-// processWindow executes a decoded window in order: maximal runs of
-// batchable commands go through dataBatch, everything else through the
-// single-command dispatch. Returns false when the connection must close.
-func (c *connState) processWindow(cmds []resp.Command) bool {
-	for i := 0; i < len(cmds); {
-		if !c.batchable(&cmds[i]) {
-			if !c.dispatch(cmds[i].Args) {
-				return false
-			}
-			i++
-			continue
-		}
-		j := i + 1
-		for j < len(cmds) && c.batchable(&cmds[j]) {
-			j++
-		}
-		if j-i == 1 {
-			if !c.dispatch(cmds[i].Args) {
-				return false
-			}
-		} else if !c.dataBatch(cmds[i:j]) {
-			return false
-		}
-		i = j
-	}
-	return true
-}
-
-// batchable reports whether cmd can join a store batch: a well-formed
-// GET or SET. Malformed forms keep their single-command error replies,
-// and everything else (DEL, INCRBY, PING, QUIT, ...) is a barrier the
-// window executes in place.
-func (c *connState) batchable(cmd *resp.Command) bool {
-	if testPanicCommand != "" {
-		return false // preserve injected-panic semantics in tests
-	}
-	if cmd.Is("GET") {
-		return len(cmd.Args) == 2 && len(cmd.Args[1]) > 0
-	}
-	if cmd.Is("SET") {
-		if len(cmd.Args) == 3 {
-			return len(cmd.Args[1]) > 0 && len(cmd.Args[2]) <= c.s.cfg.MaxValueBytes
-		}
-		// Serial-stamped form (SET key value SERIAL n) joins the batch
-		// when the connection is bound; otherwise the single-op path
-		// renders the proper protocol error.
-		if len(cmd.Args) == 5 && c.token != nil {
-			serial, _, errMsg := splitSerial(cmd.Args)
-			return serial > 0 && errMsg == "" && len(cmd.Args[1]) > 0 &&
-				len(cmd.Args[2]) <= c.s.cfg.MaxValueBytes
-		}
-		return false
-	}
-	return false
-}
-
 func isTimeout(err error) bool {
 	var ne net.Error
 	return errors.As(err, &ne) && ne.Timeout()
@@ -513,113 +463,18 @@ func (c *slowConn) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// Pipelining window shape: a burst of buffered commands is decoded into
-// pooled per-slot storage and executed as store batches.
-const (
-	// maxWindowCmds caps commands decoded per window (the ExecBatch size).
-	maxWindowCmds = 64
-	// windowByteBudget caps the decoded argument bytes a window may pin.
-	windowByteBudget = 256 << 10
-	// slotOutBytes sizes the pooled per-slot GET output (frame header +
-	// payload); larger stored values take the exact-size fallback re-read.
-	slotOutBytes = 8 + 4096
-	// inlineReplyMax is the largest GET payload copied into the reply
-	// scratch; larger payloads ride as their own vectored-write element,
-	// straight from the slot buffer.
-	inlineReplyMax = 512
-)
-
-// replySeg marks a boundary in the batched reply scratch: everything up
-// to end is one net.Buffers element, followed by payload (when non-nil)
-// as a zero-copy element of its own.
-type replySeg struct {
-	end     int
-	payload []byte
-}
-
-// connState is one connection's parsing and reply state. The batch
-// fields are pooled per connection so a steady pipelined workload
-// decodes, executes and replies without per-command allocations.
-type connState struct {
-	s    *Server
-	conn net.Conn
-	r    *resp.Reader
-	w    *resp.Writer
-	out  []byte // read output buffer, grown to the largest frame read so far
-
-	cmds  []resp.Command   // per-slot pooled command decode storage
-	bops  []faster.BatchOp // batch ops, 1:1 with the run's executable commands
-	outs  [][]byte         // per-slot pooled GET outputs (lazily allocated)
-	val   []byte           // arena for the run's framed SET values
-	reply []byte           // reply scratch for the vectored write
-	segs  []replySeg
-	vecs  net.Buffers
-
-	// Asynchronous miss state: async describes a command step that hit
-	// WouldBlock on the resident-only session and must continue through
-	// the io-worker pool once the session and admission token are back in
-	// their pools. ioch is the connection's completion channel, iodone the
-	// one callback that delivers into it and iotimer the backstop timer:
-	// all three are made at the first miss and reused by every later one.
-	// ioch holds a full window of results, so a delivery can never block a
-	// worker, even a late one after the backstop tripped.
-	async   asyncCmd
-	ioch    chan faster.Result
-	iodone  func(faster.Result)
-	iotimer *time.Timer
-
-	// Exactly-once session state: token is the connection's durable
-	// sharded session binding (SESSION <guid>), released on teardown; a
-	// stamped operation runs under its key's shard token. nextSerial is
-	// the connection's stream-wide gap detector — sparse per-shard serial
-	// tables admit any forward serial, so only the connection (which sees
-	// the whole stream) can reject one that skips ahead. smeta and slotop
-	// carry per-slot serial bookkeeping through a batched run: slotop[i]
-	// indexes the slot's BatchOp, or -1 when the serial verdict resolved
-	// the slot without executing (replay/stale/gap/fenced).
-	token      *faster.ShardedToken
-	nextSerial uint64
-	smeta      []slotMeta
-	slotop     []int
-	slotTok    []*faster.SessionToken // per-slot shard token (batch pre-scan)
-	winOpen    []bool                 // per-shard open-window marks (batch scratch)
-	ackBuf     []byte                 // scratch for rendering "ACK <serial> <result>" bodies
-}
-
-// asyncCmd is a command continuation for a WouldBlock miss: the step of
-// the command that must resume through the io-worker pool. kind 0 means
-// no continuation is pending.
-type asyncCmd struct {
-	kind  byte   // 'G' = GET, 'I' = INCRBY
-	key   []byte // borrowed from the window's decode storage
-	delta int64  // INCRBY operand
-	step  int    // INCRBY resume point: 0 pre-read, 1 RMW, 2 post-read
-}
-
-// slotMeta is one batched slot's serial bookkeeping. verdict is only
-// meaningful when serial > 0; saved holds the reply body to emit for
-// replayed and committed slots; tok is the key's shard token the serial
-// was admitted on.
-type slotMeta struct {
-	serial    uint64
-	verdict   faster.SerialVerdict
-	saved     []byte
-	tok       *faster.SessionToken
-	committed bool
-}
+// ---------------------------------------------------------------------------
+// Non-data commands
+// ---------------------------------------------------------------------------
 
 // testPanicCommand, when set (tests only, before serving starts), makes
-// dispatch panic on that command — the recovery tests use it to prove a
+// the window panic on that command — the recovery tests use it to prove a
 // handler panic costs one connection, not the process.
 var testPanicCommand string
 
-// dispatch executes one command; false means the connection must close.
+// dispatch executes one command that is not a data command; false means
+// the connection must close.
 func (c *connState) dispatch(args [][]byte) bool {
-	s := c.s
-	s.mx.commands.Inc()
-	if testPanicCommand != "" && len(args) > 0 && commandName(args[0]) == testPanicCommand {
-		panic("injected handler panic: " + testPanicCommand)
-	}
 	if len(args) == 0 {
 		c.w.WriteError("ERR empty command")
 		return true
@@ -647,24 +502,6 @@ func (c *connState) dispatch(args [][]byte) bool {
 	case "QUIT":
 		c.w.WriteSimple("OK")
 		return false
-	case "GET", "SET", "DEL", "INCRBY":
-		ok := c.dataCommand(name, args)
-		if c.async.kind != 0 {
-			// The command hit a storage miss on the resident-only session.
-			// dataCommand's deferred releases have already returned the
-			// session and admission token, so the continuation holds
-			// nothing that hot traffic needs — only this connection waits.
-			a := c.async
-			c.async = asyncCmd{}
-			if ok {
-				c.runAsync(&a)
-			}
-		}
-		return ok
-	case "MGET":
-		return c.doMGet(args)
-	case "MSET":
-		return c.doMSet(args)
 	case "SESSION":
 		return c.doSession(args)
 	case "COMPACT":
@@ -672,7 +509,7 @@ func (c *connState) dispatch(args [][]byte) bool {
 	case "MEMORY":
 		return c.doMemory(args)
 	default:
-		s.mx.unknownCommands.Inc()
+		c.s.mx.unknownCommands.Inc()
 		c.w.WriteError(fmt.Sprintf("ERR unknown command '%s'", name))
 		return true
 	}
@@ -694,146 +531,6 @@ func commandName(b []byte) string {
 		}
 	}
 	return string(b)
-}
-
-// dataCommand runs a store-touching command under the health gate, the
-// admission semaphore and the session pool. Returns false to close the
-// connection (Failed sheds).
-func (c *connState) dataCommand(name string, args [][]byte) bool {
-	s := c.s
-	isWrite := name != "GET"
-
-	// Exactly-once stamping: strip a trailing "SERIAL <n>" before the
-	// gates so malformed stamps are rejected without burning admission.
-	serial, sargs, serr := splitSerial(args)
-	if serr != "" {
-		c.w.WriteError(serr)
-		return true
-	}
-	if serial > 0 {
-		if !isWrite {
-			c.w.WriteError("ERR SERIAL is not allowed on reads")
-			return true
-		}
-		if c.token == nil {
-			c.w.WriteError("ERR no session bound; send SESSION <guid> first")
-			return true
-		}
-		if name == "DEL" && len(sargs) != 2 {
-			// A serial lives on exactly one shard — its key's — so a
-			// stamped DEL cannot span the key space.
-			c.w.WriteError("ERR a stamped DEL takes exactly one key")
-			return true
-		}
-	}
-	args = sargs
-
-	// Health ladder, per shard: the command is gated by the health of the
-	// shards its keys route to, so one poisoned shard degrades only its
-	// own keys. ReadOnly: writes fail fast, reads keep serving. Failed:
-	// the key is unservable, but the connection is shed only when every
-	// shard is gone — siblings keep serving their keys.
-	var kh faster.Health
-	if len(args) >= 2 {
-		if name == "DEL" {
-			for _, k := range args[1:] {
-				if h := s.store.HealthFor(k); h > kh {
-					kh = h
-				}
-			}
-		} else {
-			kh = s.store.HealthFor(args[1])
-		}
-	}
-	switch kh {
-	case faster.Failed:
-		s.mx.failedRejects.Inc()
-		c.w.WriteError("FAILED store failed (device lost)")
-		return !s.allShardsFailed()
-	case faster.ReadOnly:
-		if isWrite {
-			s.mx.readonlyRejects.Inc()
-			c.w.WriteError("READONLY store is read-only (write path lost)")
-			return true
-		}
-	}
-
-	// Admission: a full semaphore sheds immediately — the explicit
-	// -OVERLOADED contract, never an unbounded queue.
-	select {
-	case s.inflight <- struct{}{}:
-	default:
-		s.mx.overloadSheds.Inc()
-		c.w.WriteError("OVERLOADED too many requests in flight")
-		return true
-	}
-	defer func() { <-s.inflight }()
-	s.mx.inflightDepth.Inc()
-	defer s.mx.inflightDepth.Dec()
-
-	// Session pool: bounded wait, then shed. Fast path first.
-	sess, shed, down := s.acquireSession()
-	if down {
-		c.w.WriteError("ERR server shutting down")
-		return false
-	}
-	if shed {
-		c.w.WriteError("OVERLOADED no session available")
-		return true
-	}
-	sess.Unpark()
-	healthy := true
-	defer func() {
-		if healthy {
-			sess.Park()
-			s.sessions <- sess
-		} else {
-			s.retireSession(sess)
-		}
-	}()
-
-	start := time.Now()
-	defer func() { s.mx.cmdLatency.Observe(time.Since(start)) }()
-
-	if serial > 0 {
-		// Stamped ops stay on the synchronous pinned-session path: the
-		// serial window must not stay open across an out-of-band pool
-		// completion. Blocking I/O is allowed again for the duration, with
-		// the op deadline propagated down to the device retry chain so a
-		// wedged device sheds the op with -TIMEOUT (serial retryable,
-		// health ladder untouched) instead of pinning the handler.
-		sess.SetResidentOnly(false)
-		sess.SetOpDeadline(start.Add(s.cfg.OpTimeout))
-		healthy = c.doStamped(sess, name, args, serial)
-		sess.SetOpDeadline(time.Time{})
-		sess.SetResidentOnly(true)
-		return true
-	}
-	switch name {
-	case "GET":
-		healthy = c.doGet(sess, args)
-	case "SET":
-		healthy = c.doSet(sess, args)
-	case "DEL":
-		healthy = c.doDel(sess, args)
-	case "INCRBY":
-		healthy = c.doIncrBy(sess, args)
-	}
-	return true
-}
-
-// splitSerial strips a trailing "SERIAL <n>" argument pair. serial is 0
-// (with the args untouched) when the command is unstamped; a non-empty
-// errMsg reports a malformed stamp.
-func splitSerial(args [][]byte) (serial uint64, rest [][]byte, errMsg string) {
-	if len(args) < 4 || commandName(args[len(args)-2]) != "SERIAL" {
-		return 0, args, ""
-	}
-	n, err := strconv.ParseUint(string(args[len(args)-1]), 10, 64)
-	if err != nil || n == 0 {
-		return 0, args, "ERR SERIAL must be a positive integer"
-	}
-	return n, args[:len(args)-2], ""
 }
 
 // doSession binds the connection to a durable exactly-once session and
@@ -860,83 +557,6 @@ func (c *connState) doSession(args [][]byte) bool {
 	c.nextSerial = acked + 1
 	c.w.WriteInt(int64(acked))
 	return true
-}
-
-// doStamped executes one serial-tagged write under the key's shard
-// window discipline: admit the serial on the shard owning the key, run
-// the op, commit the rendered reply crash-atomically with respect to
-// checkpoints, then acknowledge with "+ACK <serial> <result>".
-// Non-apply verdicts resolve without touching the store. The shard
-// token only orders its own sub-stream, so the connection-level
-// nextSerial check rejects serials that skip ahead of the whole stream.
-func (c *connState) doStamped(sess *faster.ShardedSession, name string, args [][]byte, serial uint64) bool {
-	tok := c.token.For(args[1])
-	tok.WindowEnter()
-	v, saved := tok.Check(serial)
-	if v == faster.SerialApply && serial > c.nextSerial {
-		// Exiting the window rolls the admission back, so the serial
-		// stays retryable once the client fills the gap.
-		tok.WindowExit()
-		c.w.WriteError(fmt.Sprintf("ERR serial %d skips the next expected serial", serial))
-		return true
-	}
-	switch v {
-	case faster.SerialApply:
-	case faster.SerialReplay:
-		tok.WindowExit()
-		c.w.WriteSimple(string(saved))
-		return true
-	case faster.SerialStale:
-		tok.WindowExit()
-		c.w.WriteError(fmt.Sprintf("STALE serial %d is at or below the committed frontier", serial))
-		return true
-	case faster.SerialGap:
-		tok.WindowExit()
-		c.w.WriteError(fmt.Sprintf("ERR serial %d skips the next expected serial", serial))
-		return true
-	default: // SerialFenced
-		tok.WindowExit()
-		c.w.WriteError("FENCED session was re-bound by a newer connection")
-		return true
-	}
-
-	var (
-		result  int64
-		isInt   bool
-		ok      bool
-		healthy bool
-	)
-	switch name {
-	case "SET":
-		ok, healthy = c.setCore(sess, args)
-	case "DEL":
-		result, ok, healthy = c.delCore(sess, args)
-		isInt = true
-	default: // INCRBY
-		result, ok, healthy = c.incrByCore(sess, args)
-		isInt = true
-	}
-	if !ok {
-		// The op's error reply is already written. Exiting the window
-		// rolls the admission back, so the client may retry this serial.
-		tok.WindowExit()
-		return healthy
-	}
-	body := c.ackBuf[:0]
-	body = append(body, "ACK "...)
-	body = strconv.AppendUint(body, serial, 10)
-	body = append(body, ' ')
-	if isInt {
-		body = strconv.AppendInt(body, result, 10)
-	} else {
-		body = append(body, "OK"...)
-	}
-	c.ackBuf = body
-	tok.Commit(serial, body)
-	tok.WindowExit()
-	c.nextSerial = serial + 1
-	c.w.WriteSimple(string(body))
-	return healthy
 }
 
 // acquireSession takes a pooled session under the acquire timeout.
@@ -979,455 +599,14 @@ func (s *Server) retireSession(sess *faster.ShardedSession) {
 			}
 		}()
 		if _, err := sess.CompletePendingTimeout(2 * s.cfg.OpTimeout); err == nil {
-			sess.Park()
 			s.sessions <- sess
 			return
 		}
-		// Abandoned: never Close (it would block on the wedged op), but
-		// park it so the dead session at least stops pinning the epoch —
-		// otherwise one wedged client request would stall flushes and
-		// evictions for every other session until restart.
-		sess.Park()
+		// Abandoned: never Close (it would block on the wedged op). Its
+		// shard sub-sessions are parked between operations, so the dead
+		// session pins no epoch and stalls nobody's flushes or evictions.
 		s.abandoned.Add(1)
 	}()
-}
-
-// ---------------------------------------------------------------------------
-// Command execution
-// ---------------------------------------------------------------------------
-
-// opToken is the ctx attached to asynchronous operations so their
-// results can be matched out of CompletePending.
-type opToken struct{}
-
-// drainPending completes one Pending operation under the op deadline.
-func (c *connState) drainPending(sess *faster.ShardedSession, token *opToken) (faster.Result, bool) {
-	results, err := sess.CompletePendingTimeout(c.s.cfg.OpTimeout)
-	if err != nil {
-		c.s.mx.pendingTimeouts.Inc()
-		c.w.WriteError("TIMEOUT operation did not complete in time")
-		return faster.Result{}, false
-	}
-	for _, r := range results {
-		if r.Ctx == token {
-			return r, true
-		}
-	}
-	// The session had no foreign work (one command at a time), so a
-	// missing result is a bug worth surfacing loudly.
-	c.w.WriteError("ERR internal: pending result lost")
-	return faster.Result{}, false
-}
-
-// writeStoreErr renders a store error as a RESP error reply. Deadline
-// and admission sheds from the io-worker pool are explicit, counted
-// replies — back-pressure, not silent drops — and deliberately do not
-// retire sessions or feed the health ladder.
-func (c *connState) writeStoreErr(err error) {
-	switch {
-	case errors.Is(err, faster.ErrOpDeadline):
-		c.s.mx.ioShedTimeouts.Inc()
-		c.w.WriteError("TIMEOUT operation deadline expired")
-	case errors.Is(err, faster.ErrIOQueueFull):
-		c.s.mx.ioShedQueueFull.Inc()
-		c.w.WriteError("OVERLOADED io queue full")
-	case errors.Is(err, faster.ErrStoreClosed):
-		c.w.WriteError("ERR server shutting down")
-	case errors.Is(err, faster.ErrReadOnly):
-		c.s.mx.readonlyRejects.Inc()
-		c.w.WriteError("READONLY store is read-only (write path lost)")
-	case errors.Is(err, faster.ErrStoreFailed):
-		c.s.mx.failedRejects.Inc()
-		c.w.WriteError("FAILED store failed (device lost)")
-	default:
-		c.w.WriteError("ERR " + err.Error())
-	}
-}
-
-func (c *connState) doGet(sess *faster.ShardedSession, args [][]byte) bool {
-	if len(args) != 2 || len(args[1]) == 0 {
-		c.w.WriteError("ERR wrong number of arguments for 'get'")
-		return true
-	}
-	st, err, ok := c.readValue(sess, args[1])
-	if !ok {
-		return false
-	}
-	switch st {
-	case faster.OK:
-		payload, ok := faster.VarLenDecode(c.out)
-		if !ok {
-			c.w.WriteError("ERR stored value exceeds server read buffer")
-			return true
-		}
-		c.w.WriteBulk(payload)
-	case faster.NotFound:
-		c.w.WriteNil()
-	case faster.WouldBlock:
-		c.async = asyncCmd{kind: 'G', key: args[1]}
-	default:
-		c.writeStoreErr(err)
-	}
-	return true
-}
-
-// readValue reads key into c.out, which grows to the frame's length when
-// the value does not fit. ok=false means the session must be retired
-// (pending timeout).
-func (c *connState) readValue(sess *faster.ShardedSession, key []byte) (st faster.Status, err error, ok bool) {
-	st, err, c.out, ok = c.readInto(sess, key, c.out)
-	return st, err, ok
-}
-
-// readInto reads key into out, draining a Pending completion. When the
-// stored frame is longer than out — its own header, which a truncated
-// read still delivers, says by how much — it re-reads into a buffer of
-// exactly that length and returns it in place of out.
-func (c *connState) readInto(sess *faster.ShardedSession, key, out []byte) (faster.Status, error, []byte, bool) {
-	for {
-		token := &opToken{}
-		st, err := sess.Read(key, nil, out, token)
-		if st == faster.Pending {
-			r, ok := c.drainPending(sess, token)
-			if !ok {
-				return faster.Err, nil, out, false
-			}
-			st, err = r.Status, r.Err
-		}
-		need := faster.VarLenFrameLen(out)
-		if st != faster.OK || need <= len(out) {
-			return st, err, out, true
-		}
-		out = make([]byte, need)
-	}
-}
-
-func (c *connState) doSet(sess *faster.ShardedSession, args [][]byte) bool {
-	ok, healthy := c.setCore(sess, args)
-	if ok {
-		c.w.WriteSimple("OK")
-	}
-	return healthy
-}
-
-// setCore validates and executes a SET. ok=false means an error reply
-// has already been written; healthy=false retires the session.
-func (c *connState) setCore(sess *faster.ShardedSession, args [][]byte) (ok, healthy bool) {
-	if len(args) != 3 || len(args[1]) == 0 {
-		c.w.WriteError("ERR wrong number of arguments for 'set'")
-		return false, true
-	}
-	if len(args[2]) > c.s.cfg.MaxValueBytes {
-		c.w.WriteError(fmt.Sprintf("ERR value exceeds %d bytes", c.s.cfg.MaxValueBytes))
-		return false, true
-	}
-	st, err := sess.Upsert(args[1], faster.VarLenEncode(args[2]))
-	if st != faster.OK {
-		c.writeStoreErr(err)
-		return false, true
-	}
-	return true, true
-}
-
-func (c *connState) doDel(sess *faster.ShardedSession, args [][]byte) bool {
-	deleted, ok, healthy := c.delCore(sess, args)
-	if ok {
-		c.w.WriteInt(deleted)
-	}
-	return healthy
-}
-
-// delCore validates and executes a DEL, returning the deleted count.
-func (c *connState) delCore(sess *faster.ShardedSession, args [][]byte) (deleted int64, ok, healthy bool) {
-	if len(args) < 2 {
-		c.w.WriteError("ERR wrong number of arguments for 'del'")
-		return 0, false, true
-	}
-	for _, key := range args[1:] {
-		if len(key) == 0 {
-			continue
-		}
-		st, err := sess.Delete(key)
-		switch st {
-		case faster.OK:
-			deleted++
-		case faster.NotFound:
-		default:
-			c.writeStoreErr(err)
-			return 0, false, true
-		}
-	}
-	return deleted, true, true
-}
-
-func (c *connState) doIncrBy(sess *faster.ShardedSession, args [][]byte) bool {
-	n, ok, healthy := c.incrByCore(sess, args)
-	if ok {
-		c.w.WriteInt(n)
-	}
-	return healthy
-}
-
-// incrByCore validates and executes an INCRBY, returning the updated
-// counter value.
-func (c *connState) incrByCore(sess *faster.ShardedSession, args [][]byte) (n int64, ok, healthy bool) {
-	if len(args) != 3 || len(args[1]) == 0 {
-		c.w.WriteError("ERR wrong number of arguments for 'incrby'")
-		return 0, false, true
-	}
-	delta, perr := strconv.ParseInt(string(args[2]), 10, 64)
-	if perr != nil {
-		c.w.WriteError("ERR value is not an integer or out of range")
-		return 0, false, true
-	}
-	key := args[1]
-
-	// Type pre-check: INCRBY on a non-counter value is a client error,
-	// not a reset. (A concurrent SET can still race this check; the ops'
-	// reset semantics keep that race well-defined.)
-	st, err, rok := c.readValue(sess, key)
-	if !rok {
-		return 0, false, false
-	}
-	if st == faster.WouldBlock {
-		c.async = asyncCmd{kind: 'I', key: key, delta: delta, step: 0}
-		return 0, false, true
-	}
-	if st == faster.OK {
-		if _, isCtr := faster.VarLenCounter(c.out); !isCtr {
-			c.w.WriteError("ERR value is not an integer or out of range")
-			return 0, false, true
-		}
-	} else if st == faster.Err {
-		c.writeStoreErr(err)
-		return 0, false, true
-	}
-
-	// The 9th input byte is VarLenOps's overflow status channel: the
-	// updater writes 1 there instead of wrapping the counter. On the
-	// pending path the updater ran against the store's copy of the input,
-	// so the verdict comes back in Result.Input.
-	var input [9]byte
-	binary.LittleEndian.PutUint64(input[:8], uint64(delta))
-	token := &opToken{}
-	st, err = sess.RMW(key, input[:], token)
-	overflowed := input[8] != 0
-	if st == faster.WouldBlock {
-		c.async = asyncCmd{kind: 'I', key: key, delta: delta, step: 1}
-		return 0, false, true
-	}
-	if st == faster.Pending {
-		r, drok := c.drainPending(sess, token)
-		if !drok {
-			return 0, false, false
-		}
-		st, err = r.Status, r.Err
-		overflowed = len(r.Input) >= 9 && r.Input[8] != 0
-	}
-	if st != faster.OK {
-		c.writeStoreErr(err)
-		return 0, false, true
-	}
-	if overflowed {
-		// A client asking for an impossible increment is not a store
-		// fault: reply like Redis does and leave the counter (and the
-		// health ladder) untouched.
-		c.w.WriteError("ERR increment or decrement would overflow")
-		return 0, false, true
-	}
-
-	// Report the updated counter. Under concurrent INCRBY of the same
-	// key the read may observe later increments — the reply is a recent
-	// value, not a linearisation point (documented deviation).
-	st, err, rok = c.readValue(sess, key)
-	if !rok {
-		return 0, false, false
-	}
-	if st == faster.WouldBlock {
-		c.async = asyncCmd{kind: 'I', key: key, delta: delta, step: 2}
-		return 0, false, true
-	}
-	if st != faster.OK {
-		c.writeStoreErr(fmt.Errorf("counter vanished: %v %v", st, err))
-		return 0, false, true
-	}
-	n, isCtr := faster.VarLenCounter(c.out)
-	if !isCtr {
-		c.w.WriteError("ERR value is not an integer or out of range")
-		return 0, false, true
-	}
-	return n, true, true
-}
-
-// ---------------------------------------------------------------------------
-// Out-of-band miss completion (the stall-free slow path)
-// ---------------------------------------------------------------------------
-
-// runAsync finishes a command whose storage miss was re-routed through
-// the store's io-worker pool. It runs on the connection goroutine with
-// no pooled session and no admission token held: the only thing waiting
-// is this connection's reply slot, which RESP's in-order protocol
-// requires anyway. Every outcome — including deadline and queue-full
-// sheds — produces an explicit reply.
-func (c *connState) runAsync(a *asyncCmd) {
-	s := c.s
-	start := time.Now()
-	deadline := start.Add(s.cfg.OpTimeout)
-	defer func() { s.mx.cmdLatency.Observe(time.Since(start)) }()
-	switch a.kind {
-	case 'G':
-		c.asyncGet(a, deadline)
-	default: // 'I'
-		c.asyncIncrBy(a, deadline)
-	}
-}
-
-// ioBackstop is how long past an operation's deadline a connection still
-// waits for the pool's delivery. The pool guarantees delivery by the
-// deadline even when the device never answers; this is a defensive
-// backstop, and tripping it abandons the channel so a late delivery cannot
-// leak into a later command's wait.
-const ioBackstop = 2 * time.Second
-
-// ioBegin readies the connection's completion channel, callback and
-// backstop timer (armed for deadline + ioBackstop) for a round of
-// submissions; ioEnd must follow.
-func (c *connState) ioBegin(deadline time.Time) {
-	if c.ioch == nil {
-		ch := make(chan faster.Result, maxWindowCmds)
-		c.ioch, c.iodone = ch, func(r faster.Result) { ch <- r }
-	}
-	if d := time.Until(deadline) + ioBackstop; c.iotimer == nil {
-		c.iotimer = time.NewTimer(d)
-	} else {
-		c.iotimer.Reset(d)
-	}
-}
-
-// ioAwait returns the next delivery, or ok=false when the backstop
-// tripped (the channel is abandoned to whatever arrives late).
-func (c *connState) ioAwait() (r faster.Result, ok bool) {
-	select {
-	case r = <-c.ioch:
-		return r, true
-	case <-c.iotimer.C:
-		c.ioch, c.iodone = nil, nil
-		return faster.Result{}, false
-	}
-}
-
-// ioEnd stops the backstop timer, leaving it ready for the next ioBegin.
-func (c *connState) ioEnd() {
-	if !c.iotimer.Stop() {
-		select {
-		case <-c.iotimer.C:
-		default:
-		}
-	}
-}
-
-// submitWait routes one operation through the io-worker pool and blocks
-// this connection (only) until its out-of-band completion.
-func (c *connState) submitWait(isRMW bool, key, input []byte, deadline time.Time) (faster.Result, error) {
-	s := c.s
-	c.ioBegin(deadline)
-	defer c.ioEnd()
-	var err error
-	if isRMW {
-		err = s.store.SubmitRMW(key, input, deadline, nil, c.iodone)
-	} else {
-		err = s.store.SubmitRead(key, input, deadline, nil, c.iodone)
-	}
-	if err != nil {
-		return faster.Result{}, err
-	}
-	s.mx.ioAsync.Inc()
-	r, ok := c.ioAwait()
-	if !ok {
-		return faster.Result{}, faster.ErrOpDeadline
-	}
-	return r, nil
-}
-
-// asyncGet completes a GET whose record lives below the in-memory
-// region. The output is the pool's, exactly the stored frame's size, and
-// ownership transfers with the result.
-func (c *connState) asyncGet(a *asyncCmd, deadline time.Time) {
-	r, err := c.submitWait(false, a.key, nil, deadline)
-	if err != nil {
-		c.writeStoreErr(err)
-		return
-	}
-	switch r.Status {
-	case faster.OK:
-		payload, ok := faster.VarLenDecode(r.Output)
-		if !ok {
-			c.w.WriteError("ERR stored value exceeds server read buffer")
-			return
-		}
-		c.w.WriteBulk(payload)
-	case faster.NotFound:
-		c.w.WriteNil()
-	default:
-		c.writeStoreErr(r.Err)
-	}
-}
-
-// asyncIncrBy resumes an INCRBY from the step that missed, driving the
-// remaining pre-read / RMW / post-read steps through the pool. All
-// steps share one command deadline. Semantics match incrByCore; the
-// overflow verdict rides back in Result.Input's 9th byte.
-func (c *connState) asyncIncrBy(a *asyncCmd, deadline time.Time) {
-	if a.step <= 0 {
-		r, err := c.submitWait(false, a.key, nil, deadline)
-		if err != nil {
-			c.writeStoreErr(err)
-			return
-		}
-		switch r.Status {
-		case faster.OK:
-			if _, isCtr := faster.VarLenCounter(r.Output); !isCtr {
-				c.w.WriteError("ERR value is not an integer or out of range")
-				return
-			}
-		case faster.NotFound:
-		default:
-			c.writeStoreErr(r.Err)
-			return
-		}
-	}
-	if a.step <= 1 {
-		var input [9]byte
-		binary.LittleEndian.PutUint64(input[:8], uint64(a.delta))
-		r, err := c.submitWait(true, a.key, input[:], deadline)
-		if err != nil {
-			c.writeStoreErr(err)
-			return
-		}
-		if r.Status != faster.OK {
-			c.writeStoreErr(r.Err)
-			return
-		}
-		if len(r.Input) >= 9 && r.Input[8] != 0 {
-			c.w.WriteError("ERR increment or decrement would overflow")
-			return
-		}
-	}
-	r, err := c.submitWait(false, a.key, nil, deadline)
-	if err != nil {
-		c.writeStoreErr(err)
-		return
-	}
-	if r.Status != faster.OK {
-		c.writeStoreErr(fmt.Errorf("counter vanished: %v %v", r.Status, r.Err))
-		return
-	}
-	n, isCtr := faster.VarLenCounter(r.Output)
-	if !isCtr {
-		c.w.WriteError("ERR value is not an integer or out of range")
-		return
-	}
-	c.w.WriteInt(n)
 }
 
 // doCompact runs a log compaction over every shard's stable region and
@@ -1442,18 +621,16 @@ func (c *connState) doCompact(args [][]byte) bool {
 	}
 	switch s.store.Health() {
 	case faster.Failed:
-		s.mx.failedRejects.Inc()
-		c.w.WriteError("FAILED store failed (device lost)")
+		c.writeErr(faster.ErrStoreFailed)
 		return !s.allShardsFailed()
 	case faster.ReadOnly:
-		s.mx.readonlyRejects.Inc()
-		c.w.WriteError("READONLY store is read-only (write path lost)")
+		c.writeErr(faster.ErrReadOnly)
 		return true
 	}
 	s.mx.compactRuns.Inc()
 	stats, err := s.store.CompactAll()
 	if err != nil {
-		c.writeStoreErr(err)
+		c.writeErr(err)
 		return true
 	}
 	c.w.WriteInt(int64(stats.ReclaimedBytes))
@@ -1570,599 +747,430 @@ func (c *connState) memoryPairsSharded(n int) bool {
 }
 
 // ---------------------------------------------------------------------------
-// Multi-key commands (MGET/MSET): explicit cluster windows
+// The data pipeline: decode → plan → admit → execute → resolve → encode
 // ---------------------------------------------------------------------------
 
-// runMulti executes c.bops as one admitted window on a pooled session:
-// the session facade splits it into concurrent per-shard sub-batches
-// and rejoins the statuses in slot order. Cold read misses resolve
-// through the shards' io-worker pools after the session and admission
-// token are back in their pools. ok=false means the run was shed (an
-// error reply has been written); closeConn reports that the connection
-// must close.
-func (c *connState) runMulti() (ok, closeConn bool) {
-	s := c.s
-	select {
-	case s.inflight <- struct{}{}:
-	default:
-		s.mx.overloadSheds.Inc()
-		c.w.WriteError("OVERLOADED too many requests in flight")
-		return false, false
-	}
-	s.mx.inflightDepth.Inc()
-	sess, shed, down := s.acquireSession()
-	if down || shed {
-		<-s.inflight
-		s.mx.inflightDepth.Dec()
-		if down {
-			c.w.WriteError("ERR server shutting down")
-			return false, true
-		}
-		c.w.WriteError("OVERLOADED no session available")
-		return false, false
-	}
-	sess.Unpark()
-	released := false
-	release := func(healthy bool) {
-		if released {
-			return
-		}
-		released = true
-		if healthy {
-			sess.Park()
-			s.sessions <- sess
-		} else {
-			s.retireSession(sess)
-		}
-		<-s.inflight
-		s.mx.inflightDepth.Dec()
-	}
-	defer func() { release(false) }()
+// Pipelining window shape: a burst of buffered commands is decoded into
+// pooled per-command storage and executed as planned store windows.
+const (
+	// maxWindowCmds caps the commands decoded per window and the slots a
+	// planned window holds (a DEL of more keys is a window of its own:
+	// deletes never leave the session).
+	maxWindowCmds = 64
+	// windowByteBudget caps the decoded argument bytes a window may pin.
+	windowByteBudget = 256 << 10
+	// slotOutBytes sizes the pooled per-slot read output (frame header +
+	// payload); larger stored values take the exact-size re-read.
+	slotOutBytes = 8 + 4096
+)
 
-	start := time.Now()
-	healthy := true
-	if err := sess.ExecBatch(c.bops); err != nil {
-		for i := range c.bops {
-			c.bops[i].Status, c.bops[i].Err = faster.Err, err
-		}
-		release(true)
-		s.mx.cmdLatency.Observe(time.Since(start))
-		return true, false
+// Data commands: the commands the window planner turns into store slots.
+const (
+	cmdGet byte = iota + 1
+	cmdSet
+	cmdDel
+	cmdIncrBy
+	cmdMGet
+	cmdMSet
+)
+
+var cmdNames = [...]string{cmdGet: "get", cmdSet: "set", cmdDel: "del",
+	cmdIncrBy: "incrby", cmdMGet: "mget", cmdMSet: "mset"}
+
+// dataOp classifies a data command, or returns 0 for any other.
+func dataOp(cmd *resp.Command) byte {
+	switch {
+	case cmd.Is("GET"):
+		return cmdGet
+	case cmd.Is("SET"):
+		return cmdSet
+	case cmd.Is("DEL"):
+		return cmdDel
+	case cmd.Is("INCRBY"):
+		return cmdIncrBy
+	case cmd.Is("MGET"):
+		return cmdMGet
+	case cmd.Is("MSET"):
+		return cmdMSet
 	}
-	pending := 0
-	for i := range c.bops {
-		if c.bops[i].Status == faster.Pending {
-			pending++
-		}
-	}
-	if pending > 0 {
-		results, derr := sess.CompletePendingTimeout(s.cfg.OpTimeout)
-		if derr != nil {
-			s.mx.pendingTimeouts.Inc()
-			healthy = false // unresolved slots render -TIMEOUT in the caller
-		} else {
-			for _, r := range results {
-				if k, rok := r.Ctx.(int); rok && k >= 0 && k < len(c.bops) {
-					c.bops[k].Status, c.bops[k].Err = r.Status, r.Err
-				}
-			}
-		}
-	}
-	// Oversized values: re-read through an exact-size buffer, mirroring
-	// the pipelined batch path.
-	for i := range c.bops {
-		op := &c.bops[i]
-		if !healthy || op.Kind != faster.BatchRead || op.Status != faster.OK {
-			continue
-		}
-		if _, dok := faster.VarLenDecode(op.Output); !dok {
-			st, rerr, big, rok := c.readInto(sess, op.Key, make([]byte, faster.VarLenFrameLen(op.Output)))
-			if !rok {
-				healthy = false
-				op.Status = faster.Pending
-				continue
-			}
-			op.Status, op.Err, op.Output = st, rerr, big
-		}
-	}
-	release(healthy)
-	s.mx.cmdLatency.Observe(time.Since(start))
-	c.resolveBatchAsync(healthy)
-	return true, false
+	return 0
 }
 
-// doMGet reads every key as one window. The facade fans the reads out
-// per shard concurrently; keys on read-only shards keep serving. RESP2
-// arrays carry no per-element errors, so the first hard failure fails
-// the whole command.
-func (c *connState) doMGet(args [][]byte) bool {
-	s := c.s
-	if len(args) < 2 {
-		c.w.WriteError("ERR wrong number of arguments for 'mget'")
-		return true
-	}
-	keys := args[1:]
-	if len(keys) > maxWindowCmds {
-		c.w.WriteError(fmt.Sprintf("ERR MGET takes at most %d keys", maxWindowCmds))
-		return true
-	}
-	worst := faster.Healthy
-	for _, k := range keys {
-		if len(k) == 0 {
-			c.w.WriteError("ERR empty key")
-			return true
-		}
-		if h := s.store.HealthFor(k); h > worst {
-			worst = h
-		}
-	}
-	if worst == faster.Failed {
-		s.mx.failedRejects.Inc()
-		c.w.WriteError("FAILED store failed (device lost)")
-		return !s.allShardsFailed()
-	}
-	if cap(c.bops) < len(keys) {
-		c.bops = make([]faster.BatchOp, 0, maxWindowCmds)
-	}
-	c.bops = c.bops[:0]
-	for i, k := range keys {
-		c.bops = append(c.bops, faster.BatchOp{
-			Kind: faster.BatchRead, Key: k, Output: c.slotOut(i), Ctx: i,
-		})
-	}
-	ok, closeConn := c.runMulti()
-	if !ok {
-		return !closeConn
-	}
-	for i := range c.bops {
-		switch c.bops[i].Status {
-		case faster.OK, faster.NotFound:
-		case faster.Pending, faster.WouldBlock:
-			s.mx.pendingTimeouts.Inc()
-			c.w.WriteError("TIMEOUT operation did not complete in time")
-			return true
-		default:
-			c.writeStoreErr(c.bops[i].Err)
-			return true
-		}
-	}
-	c.w.WriteArrayHeader(len(c.bops))
-	for i := range c.bops {
-		if c.bops[i].Status == faster.NotFound {
-			c.w.WriteNil()
-			continue
-		}
-		payload, dok := faster.VarLenDecode(c.bops[i].Output)
-		if !dok {
-			payload = nil // defensive: the oversized re-read resolved these
-		}
-		c.w.WriteBulk(payload)
-	}
-	return true
+// connState is one connection's decode, plan and reply state. Everything
+// a window needs is pooled per connection, so a steady pipelined workload
+// decodes, executes and replies without per-command allocations.
+type connState struct {
+	s    *Server
+	conn net.Conn
+	r    *resp.Reader
+	w    *resp.Writer
+
+	cmds []resp.Command // per-command pooled decode storage
+
+	// The planned window: its commands in order, their store slots, and
+	// the pooled storage the slots point into.
+	plans   []cmdPlan
+	bops    []faster.BatchOp
+	redo    []faster.BatchOp                            // exact-size re-reads of oversized values
+	outs    [][]byte                                    // per-slot pooled read outputs (lazily allocated)
+	val     []byte                                      // arena for the decoded window's framed values
+	ctr     [maxWindowCmds][faster.CounterInputLen]byte // per-command INCRBY inputs
+	sealed  bool                                        // the window takes no further command
+	closing bool                                        // close once the window's replies are out
+
+	// Miss resolution: ioch is the connection's completion channel, iodone
+	// the one callback that delivers into it and iotimer the backstop
+	// timer: all three are made at the first miss and reused by every
+	// later one. ioch holds a full window of results, so a delivery can
+	// never block a worker, even a late one after the backstop tripped.
+	ioch    chan faster.Result
+	iodone  func(faster.Result)
+	iotimer *time.Timer
+
+	// Exactly-once session state: token is the connection's durable
+	// sharded session binding (SESSION <guid>), released on teardown; a
+	// stamped operation runs under its key's shard token. nextSerial is
+	// the connection's stream-wide gap detector — sparse per-shard serial
+	// tables admit any forward serial, so only the connection (which sees
+	// the whole stream) can reject one that skips ahead.
+	token      *faster.ShardedToken
+	nextSerial uint64
+	winOpen    []bool // per-shard open-window marks
+	ackBuf     []byte // scratch for rendering "ACK <serial> <result>" bodies
 }
 
-// doMSet writes every key/value pair as one window, fanned out per
-// shard. All-or-error reply: +OK only when every pair applied; a
-// failure on any shard reports that shard's error (earlier pairs may
-// have applied — MSET is not transactional, matching Redis).
-func (c *connState) doMSet(args [][]byte) bool {
-	s := c.s
-	if len(args) < 3 || len(args)%2 != 1 {
-		c.w.WriteError("ERR wrong number of arguments for 'mset'")
-		return true
-	}
-	pairs := (len(args) - 1) / 2
-	if pairs > maxWindowCmds {
-		c.w.WriteError(fmt.Sprintf("ERR MSET takes at most %d pairs", maxWindowCmds))
-		return true
-	}
-	worst := faster.Healthy
-	need := 0
-	for i := 0; i < pairs; i++ {
-		k, v := args[1+2*i], args[2+2*i]
-		if len(k) == 0 {
-			c.w.WriteError("ERR empty key")
-			return true
-		}
-		if len(v) > s.cfg.MaxValueBytes {
-			c.w.WriteError(fmt.Sprintf("ERR value exceeds %d bytes", s.cfg.MaxValueBytes))
-			return true
-		}
-		need += 8 + len(v)
-		if h := s.store.HealthFor(k); h > worst {
-			worst = h
-		}
-	}
-	switch worst {
-	case faster.Failed:
-		s.mx.failedRejects.Inc()
-		c.w.WriteError("FAILED store failed (device lost)")
-		return !s.allShardsFailed()
-	case faster.ReadOnly:
-		s.mx.readonlyRejects.Inc()
-		c.w.WriteError("READONLY store is read-only (write path lost)")
-		return true
-	}
-	if cap(c.val) < need {
-		c.val = make([]byte, 0, need)
-	}
-	val := c.val[:0]
-	if cap(c.bops) < pairs {
-		c.bops = make([]faster.BatchOp, 0, maxWindowCmds)
-	}
-	c.bops = c.bops[:0]
-	for i := 0; i < pairs; i++ {
-		frame := faster.VarLenAppend(val, args[2+2*i])
-		c.bops = append(c.bops, faster.BatchOp{
-			Kind: faster.BatchUpsert, Key: args[1+2*i], Value: frame[len(val):], Ctx: i,
-		})
-		val = frame
-	}
-	ok, closeConn := c.runMulti()
-	if !ok {
-		return !closeConn
-	}
-	for i := range c.bops {
-		if st := c.bops[i].Status; st != faster.OK {
-			if st == faster.Pending || st == faster.WouldBlock {
-				s.mx.pendingTimeouts.Inc()
-				c.w.WriteError("TIMEOUT operation did not complete in time")
-			} else {
-				c.writeStoreErr(c.bops[i].Err)
-			}
-			return true
-		}
-	}
-	c.w.WriteSimple("OK")
-	return true
+// cmdPlan is one data command of a planned window: its slots are
+// c.bops[first:first+n]. err is a reply decided at plan time (usage,
+// stamp or health gate), in which case the command has no slots.
+type cmdPlan struct {
+	cmd   byte
+	first int
+	n     int
+	err   error
+
+	// A stamped command's serial, the verdict its shard token gave it
+	// (saved is the reply a replay repeats), and whether it committed.
+	serial    uint64
+	shard     int
+	verdict   faster.SerialVerdict
+	saved     []byte
+	committed bool
 }
 
-// ---------------------------------------------------------------------------
-// Batched execution (pipelined GET/SET windows)
-// ---------------------------------------------------------------------------
+// replyError is an error whose text is the RESP error reply itself.
+type replyError string
 
-// dataBatch executes a run of well-formed GET/SET commands as one store
-// batch: the health gate, admission token and pooled session are paid
-// once for the run, the operations go through Session.ExecBatch, and the
-// replies leave in a single vectored write. Per-command semantics match
-// the single-op path; only the bookkeeping is amortized. Returns false
+func (e replyError) Error() string { return string(e) }
+
+var (
+	errInflightFull = replyError("OVERLOADED too many requests in flight")
+	errNoSession    = replyError("OVERLOADED no session available")
+	errUnresolved   = replyError("TIMEOUT operation did not complete in time")
+	errNotInteger   = replyError("ERR value is not an integer or out of range")
+	errOverflow     = replyError("ERR increment or decrement would overflow")
+	errOversized    = replyError("ERR stored value exceeds server read buffer")
+	errEmptyKey     = replyError("ERR empty key")
+	errBadSerial    = replyError("ERR SERIAL must be a positive integer")
+	errSerialRead   = replyError("ERR SERIAL is not allowed on reads")
+	errUnbound      = replyError("ERR no session bound; send SESSION <guid> first")
+	errStampedDel   = replyError("ERR a stamped DEL takes exactly one key")
+	errUnknownStore = replyError("ERR unknown store error")
+)
+
+func wrongArity(op byte) error {
+	return replyError("ERR wrong number of arguments for '" + cmdNames[op] + "'")
+}
+
+// writeErr renders an error reply: the one table from store errors to
+// RESP replies. Deadline and admission sheds from the io-worker pool are
+// explicit, counted replies — back-pressure, not silent drops — and
+// deliberately do not retire sessions or feed the health ladder.
+func (c *connState) writeErr(err error) {
+	mx := &c.s.mx
+	var re replyError
+	switch {
+	case err == nil:
+		err = errUnknownStore
+	case errors.Is(err, faster.ErrOpDeadline):
+		mx.ioShedTimeouts.Inc()
+		err = replyError("TIMEOUT operation deadline expired")
+	case errors.Is(err, faster.ErrIOQueueFull):
+		mx.ioShedQueueFull.Inc()
+		err = replyError("OVERLOADED io queue full")
+	case errors.Is(err, faster.ErrStoreClosed):
+		err = replyError("ERR server shutting down")
+	case errors.Is(err, faster.ErrReadOnly):
+		mx.readonlyRejects.Inc()
+		err = replyError("READONLY store is read-only (write path lost)")
+	case errors.Is(err, faster.ErrStoreFailed):
+		mx.failedRejects.Inc()
+		err = replyError("FAILED store failed (device lost)")
+	case err == errUnresolved:
+		mx.pendingTimeouts.Inc()
+	case !errors.As(err, &re):
+		err = replyError("ERR " + err.Error())
+	}
+	c.w.WriteError(err.Error())
+}
+
+// processWindow executes a decoded window in command order: data
+// commands are planned into store windows, and any other command runs in
+// place once the window planned before it has executed. Returns false
 // when the connection must close.
-func (c *connState) dataBatch(cmds []resp.Command) bool {
-	s := c.s
-
-	// Health ladder, once per run, on the worst shard. Any shard worse
-	// than Degraded degrades the run to the single-op path, whose
-	// per-key gates isolate the sick shard: keys on healthy shards keep
-	// full service, SETs on a read-only shard get -READONLY, keys on a
-	// failed shard get -FAILED. Only a fully failed ensemble sheds the
-	// connection. Batching is a fast-path concern, not a degraded-mode
-	// one.
-	switch s.store.Health() {
-	case faster.Failed, faster.ReadOnly:
-		if s.allShardsFailed() {
-			s.mx.commands.Inc()
-			s.mx.failedRejects.Inc()
-			c.w.WriteError("FAILED store failed (device lost)")
-			return false
+func (c *connState) processWindow(cmds []resp.Command) bool {
+	c.s.mx.commands.Add(uint64(len(cmds)))
+	c.reserveValues(cmds)
+	for i := range cmds {
+		args := cmds[i].Args
+		if testPanicCommand != "" && len(args) > 0 && commandName(args[0]) == testPanicCommand {
+			panic("injected handler panic: " + testPanicCommand)
 		}
-		for i := range cmds {
-			if !c.dispatch(cmds[i].Args) {
+		op := dataOp(&cmds[i])
+		if op == 0 {
+			if !c.runWindow() || !c.dispatch(args) {
 				return false
 			}
+			continue
 		}
-		return true
-	}
-	s.mx.commands.Add(uint64(len(cmds)))
-
-	// Admission: one token per run — a batch is one unit of store work.
-	select {
-	case s.inflight <- struct{}{}:
-	default:
-		s.mx.overloadSheds.Inc()
-		for range cmds {
-			c.w.WriteError("OVERLOADED too many requests in flight")
+		if !c.plan(op, args) {
+			if !c.runWindow() {
+				return false
+			}
+			c.plan(op, args) // an empty window takes any command
 		}
-		return true
-	}
-	s.mx.inflightDepth.Inc()
-
-	sess, shed, down := s.acquireSession()
-	if down || shed {
-		<-s.inflight
-		s.mx.inflightDepth.Dec()
-		if down {
-			c.w.WriteError("ERR server shutting down")
+		if c.sealed && !c.runWindow() {
 			return false
 		}
-		for range cmds {
-			c.w.WriteError("OVERLOADED no session available")
-		}
-		return true
 	}
-	sess.Unpark()
-
-	// The session and admission token go back to their pools as soon as
-	// the resident work is done — before any cold WouldBlock slot is
-	// resolved through the io-worker pool — so a batch of cold misses
-	// cannot hold capacity that hot traffic needs. The deferred release
-	// is only the panic backstop.
-	released := false
-	release := func(healthy bool) {
-		if released {
-			return
-		}
-		released = true
-		if healthy {
-			sess.Park()
-			s.sessions <- sess
-		} else {
-			s.retireSession(sess)
-		}
-		<-s.inflight
-		s.mx.inflightDepth.Dec()
-	}
-	defer func() { release(false) }()
-
-	start := time.Now()
-	healthy := c.execBatch(sess, cmds)
-	release(healthy)
-	s.mx.cmdLatency.Observe(time.Since(start))
-	c.resolveBatchAsync(healthy)
-	return c.flushBatchReplies(cmds)
+	return c.runWindow()
 }
 
-// resolveBatchAsync completes the run's WouldBlock GET slots through the
-// io-worker pool, submitting them all before waiting so independent
-// misses overlap on the device. Submit failures (queue full, shutdown)
-// land in the slot's Err and render as explicit sheds.
-func (c *connState) resolveBatchAsync(healthy bool) {
-	s := c.s
-	if !healthy {
-		return // unresolved slots render -TIMEOUT below
-	}
-	outstanding := 0
-	for i := range c.bops {
-		if c.bops[i].Kind == faster.BatchRead && c.bops[i].Status == faster.WouldBlock {
-			outstanding++
-		}
-	}
-	if outstanding == 0 {
-		return
-	}
-	deadline := time.Now().Add(s.cfg.OpTimeout)
-	c.ioBegin(deadline)
-	defer c.ioEnd()
-	submitted := 0
-	for i := range c.bops {
-		op := &c.bops[i]
-		if op.Kind != faster.BatchRead || op.Status != faster.WouldBlock {
-			continue
-		}
-		if err := s.store.SubmitRead(op.Key, nil, deadline, i, c.iodone); err != nil {
-			op.Status, op.Err = faster.Err, err
-			continue
-		}
-		s.mx.ioAsync.Inc()
-		submitted++
-	}
-	for k := 0; k < submitted; k++ {
-		r, ok := c.ioAwait()
-		if !ok {
-			// Defensive backstop only: pool delivery is deadline-bounded.
-			for i := range c.bops {
-				if c.bops[i].Kind == faster.BatchRead && c.bops[i].Status == faster.WouldBlock {
-					c.bops[i].Status, c.bops[i].Err = faster.Err, faster.ErrOpDeadline
-				}
-			}
-			return
-		}
-		if idx, ok := r.Ctx.(int); ok && idx >= 0 && idx < len(c.bops) {
-			c.bops[idx].Status, c.bops[idx].Err, c.bops[idx].Output = r.Status, r.Err, r.Output
-		}
-	}
-}
-
-// execBatch builds the BatchOps for a run, executes them, drains any
-// pending completions and resolves oversized GETs. Outcomes land in
-// c.bops[i].Status/Err with outputs filled; the return value is the
-// session's health (false retires it).
-func (c *connState) execBatch(sess *faster.ShardedSession, cmds []resp.Command) bool {
-	s := c.s
-	if cap(c.bops) < len(cmds) {
-		c.bops = make([]faster.BatchOp, 0, maxWindowCmds)
-	}
-	c.bops = c.bops[:0]
-	c.smeta = c.smeta[:0]
-	c.slotop = c.slotop[:0]
-
-	// The SET arena is sized up front so appends cannot regrow it and
-	// invalidate the value slices already handed to earlier ops.
+// reserveValues sizes the value arena for every SET and MSET of the
+// decoded window up front, so framing a value never regrows it under the
+// slices earlier slots hold.
+func (c *connState) reserveValues(cmds []resp.Command) {
 	need := 0
 	for i := range cmds {
-		if cmds[i].Is("SET") {
-			need += 8 + len(cmds[i].Args[2])
+		if cmds[i].Is("SET") || cmds[i].Is("MSET") {
+			for _, a := range cmds[i].Args[1:] {
+				need += 8 + len(a)
+			}
 		}
 	}
 	if cap(c.val) < need {
 		c.val = make([]byte, 0, need)
 	}
-	val := c.val[:0]
-
-	// Serial admission happens in command order inside per-shard session
-	// windows, which stay open across the store batch so a concurrent
-	// checkpoint cannot cut between an op's record and its commit. The
-	// windows of every shard a stamped slot routes to are opened up front
-	// in ascending shard order — the same global order the sharded
-	// checkpoint barrier takes its write locks in — so a multi-window
-	// batch can never deadlock against a concurrent checkpoint. The
-	// stream-wide gap check lives here on the connection (sparse shard
-	// tables admit any forward serial); expect tracks admissions within
-	// the window, c.nextSerial advances only on commit.
-	windowOpen := false
-	nShards := 0
-	if c.token != nil {
-		nShards = s.store.NumShards()
-		if cap(c.winOpen) < nShards {
-			c.winOpen = make([]bool, nShards)
-		}
-		c.winOpen = c.winOpen[:nShards]
-		for i := range c.winOpen {
-			c.winOpen[i] = false
-		}
-		c.slotTok = c.slotTok[:0]
-		for i := range cmds {
-			var tok *faster.SessionToken
-			if cmds[i].Is("SET") && len(cmds[i].Args) == 5 {
-				if serial, _, _ := splitSerial(cmds[i].Args); serial > 0 {
-					sh := s.store.ShardFor(cmds[i].Args[1])
-					c.winOpen[sh] = true
-					tok = c.token.Tok(sh)
-				}
-			}
-			c.slotTok = append(c.slotTok, tok)
-		}
-		for sh := 0; sh < nShards; sh++ {
-			if c.winOpen[sh] {
-				c.token.Tok(sh).WindowEnter()
-				windowOpen = true
-			}
-		}
-	}
-	closeWindows := func() {
-		for sh := nShards - 1; sh >= 0; sh-- {
-			if c.winOpen[sh] {
-				c.token.Tok(sh).WindowExit()
-			}
-		}
-	}
-	expect := c.nextSerial
-	for i := range cmds {
-		cmd := &cmds[i]
-		var meta slotMeta
-		if cmd.Is("SET") && len(cmd.Args) == 5 {
-			meta.serial, _, _ = splitSerial(cmd.Args)
-		}
-		if meta.serial > 0 {
-			meta.tok = c.slotTok[i]
-			if meta.serial > expect {
-				// Connection-level gap: resolved before the shard token so
-				// no admission needs rolling back.
-				meta.verdict = faster.SerialGap
-				c.smeta = append(c.smeta, meta)
-				c.slotop = append(c.slotop, -1)
-				continue
-			}
-			meta.verdict, meta.saved = meta.tok.Check(meta.serial)
-			if meta.verdict != faster.SerialApply {
-				// Resolved without touching the store.
-				c.smeta = append(c.smeta, meta)
-				c.slotop = append(c.slotop, -1)
-				continue
-			}
-			expect = meta.serial + 1
-		}
-		c.smeta = append(c.smeta, meta)
-		c.slotop = append(c.slotop, len(c.bops))
-		if cmd.Is("GET") {
-			c.bops = append(c.bops, faster.BatchOp{
-				Kind: faster.BatchRead, Key: cmd.Args[1],
-				Output: c.slotOut(i), Ctx: len(c.bops),
-			})
-			continue
-		}
-		frame := faster.VarLenAppend(val, cmd.Args[2])
-		c.bops = append(c.bops, faster.BatchOp{
-			Kind: faster.BatchUpsert, Key: cmd.Args[1],
-			Value: frame[len(val):], Ctx: len(c.bops),
-		})
-		val = frame
-	}
-
-	if err := sess.ExecBatch(c.bops); err != nil {
-		for i := range c.bops {
-			c.bops[i].Status, c.bops[i].Err = faster.Err, err
-		}
-		if windowOpen {
-			closeWindows()
-		}
-		return true
-	}
-
-	// Drain pending completions (cold GETs) once for the whole run.
-	healthy := true
-	pending := 0
-	for i := range c.bops {
-		if c.bops[i].Status == faster.Pending {
-			pending++
-		}
-	}
-	if pending > 0 {
-		results, err := sess.CompletePendingTimeout(s.cfg.OpTimeout)
-		if err != nil {
-			s.mx.pendingTimeouts.Inc()
-			healthy = false // unresolved slots reply -TIMEOUT below
-		} else {
-			for _, r := range results {
-				if k, ok := r.Ctx.(int); ok && k >= 0 && k < len(c.bops) {
-					c.bops[k].Status, c.bops[k].Err = r.Status, r.Err
-				}
-			}
-		}
-	}
-
-	// Oversized values: the pooled slot buffer was too small, so re-read
-	// through an exact-size buffer (rare path; the allocation is the
-	// price of not sizing every slot for the maximum value).
-	for i := range c.bops {
-		op := &c.bops[i]
-		if !healthy || op.Kind != faster.BatchRead || op.Status != faster.OK {
-			continue
-		}
-		if _, ok := faster.VarLenDecode(op.Output); !ok {
-			st, err, big, ok := c.readInto(sess, op.Key, make([]byte, faster.VarLenFrameLen(op.Output)))
-			if !ok {
-				healthy = false
-				op.Status = faster.Pending // renders as -TIMEOUT
-				continue
-			}
-			op.Status, op.Err, op.Output = st, err, big
-		}
-	}
-
-	// Commit the run's serial prefix in order. The first failed stamped
-	// op stops the commits: later serials cannot ack (Commit is strictly
-	// sequential) and reply -RETRY instead, so the client's
-	// resend-from-frontier rule re-applies exactly the uncommitted
-	// suffix. Re-application is safe here because only idempotent SETs
-	// ride the batch path.
-	if windowOpen {
-		committing := true
-		scratch := c.ackBuf[:0]
-		for i := range c.smeta {
-			m := &c.smeta[i]
-			if m.serial == 0 || m.verdict != faster.SerialApply {
-				continue
-			}
-			if !committing || !healthy || c.bops[c.slotop[i]].Status != faster.OK {
-				committing = false
-				continue
-			}
-			scratch = scratch[:0]
-			scratch = append(scratch, "ACK "...)
-			scratch = strconv.AppendUint(scratch, m.serial, 10)
-			scratch = append(scratch, " OK"...)
-			m.tok.Commit(m.serial, scratch)
-			m.committed = true
-			c.nextSerial = m.serial + 1
-		}
-		c.ackBuf = scratch
-		// Uncommitted admissions roll back as each window closes.
-		closeWindows()
-	}
-	return healthy
+	c.val = c.val[:0]
 }
 
-// slotOut returns slot i's pooled GET output buffer.
+// plan adds one data command to the window: its store slots — GET one
+// read, SET one upsert, DEL one delete per key, INCRBY one RMW, MGET and
+// MSET one read or upsert per key — plus what its reply needs. false
+// means the command does not fit the window planned so far and the
+// window must run first; an empty window takes any command.
+func (c *connState) plan(op byte, args [][]byte) bool {
+	p := cmdPlan{cmd: op, first: len(c.bops)}
+	serial, args, err := c.stamp(op, args)
+	var delta int64
+	if err == nil {
+		delta, err = c.validate(op, args)
+	}
+	keys, stride := args, 1
+	if err == nil {
+		keys, stride = slotKeys(op, args)
+		err = c.gate(op, keys, stride)
+	}
+	if err != nil {
+		p.err = err
+		c.plans = append(c.plans, p)
+		return true
+	}
+	// A stamped DEL or INCRBY is a window of its own: it is not idempotent,
+	// so it must never be the uncommitted suffix of a partly failed window
+	// that the client resends.
+	barrier := serial > 0 && (op == cmdDel || op == cmdIncrBy)
+	if len(c.bops) > 0 && (barrier || len(c.bops)+len(keys)/stride > maxWindowCmds ||
+		c.conflicts(op, keys, stride)) {
+		return false
+	}
+	c.sealed = barrier
+	if serial > 0 {
+		p.serial, p.shard = serial, c.s.store.ShardFor(args[1])
+	}
+	for j := 0; j < len(keys); j += stride {
+		slot := faster.BatchOp{Key: keys[j]}
+		switch op {
+		case cmdGet, cmdMGet:
+			slot.Kind, slot.Output, slot.Ctx = faster.BatchRead, c.slotOut(len(c.bops)), len(c.bops)
+		case cmdSet, cmdMSet:
+			frame := faster.VarLenAppend(c.val, keys[j+1])
+			slot.Kind, slot.Value = faster.BatchUpsert, frame[len(c.val):]
+			c.val = frame
+		case cmdDel:
+			if len(keys[j]) == 0 {
+				continue
+			}
+			slot.Kind = faster.BatchDelete
+		case cmdIncrBy:
+			in := c.ctr[len(c.plans)][:]
+			clear(in)
+			binary.LittleEndian.PutUint64(in, uint64(delta))
+			slot.Kind, slot.Value, slot.Ctx = faster.BatchRMW, in, len(c.bops)
+		}
+		c.bops = append(c.bops, slot)
+	}
+	p.n = len(c.bops) - p.first
+	c.plans = append(c.plans, p)
+	return true
+}
+
+// stamp strips a trailing "SERIAL <n>" from a GET, SET, DEL or INCRBY
+// and checks the command may carry it: only writes, only on a bound
+// connection, and a stamped DEL takes one key (a serial lives on exactly
+// one shard, its key's).
+func (c *connState) stamp(op byte, args [][]byte) (uint64, [][]byte, error) {
+	n := len(args)
+	if op > cmdIncrBy || n < 4 || !bytes.EqualFold(args[n-2], []byte("SERIAL")) {
+		return 0, args, nil
+	}
+	serial, err := strconv.ParseUint(string(args[n-1]), 10, 64)
+	switch {
+	case err != nil || serial == 0:
+		return 0, args, errBadSerial
+	case op == cmdGet:
+		return 0, args, errSerialRead
+	case c.token == nil:
+		return 0, args, errUnbound
+	case op == cmdDel && n != 4:
+		return 0, args, errStampedDel
+	}
+	return serial, args[:n-2], nil
+}
+
+// validate checks a data command's arity and arguments; for INCRBY it
+// returns the parsed delta.
+func (c *connState) validate(op byte, args [][]byte) (int64, error) {
+	limit := c.s.cfg.MaxValueBytes
+	tooBig := func() error { return replyError(fmt.Sprintf("ERR value exceeds %d bytes", limit)) }
+	switch op {
+	case cmdGet, cmdSet, cmdIncrBy:
+		want := 3
+		if op == cmdGet {
+			want = 2
+		}
+		if len(args) != want || len(args[1]) == 0 {
+			return 0, wrongArity(op)
+		}
+		if op == cmdSet && len(args[2]) > limit {
+			return 0, tooBig()
+		}
+		if op == cmdIncrBy {
+			delta, err := strconv.ParseInt(string(args[2]), 10, 64)
+			if err != nil {
+				return 0, errNotInteger
+			}
+			return delta, nil
+		}
+	case cmdDel:
+		if len(args) < 2 {
+			return 0, wrongArity(op)
+		}
+	case cmdMGet:
+		if len(args) < 2 {
+			return 0, wrongArity(op)
+		}
+		if len(args)-1 > maxWindowCmds {
+			return 0, replyError(fmt.Sprintf("ERR MGET takes at most %d keys", maxWindowCmds))
+		}
+		for _, k := range args[1:] {
+			if len(k) == 0 {
+				return 0, errEmptyKey
+			}
+		}
+	case cmdMSet:
+		if len(args) < 3 || len(args)%2 != 1 {
+			return 0, wrongArity(op)
+		}
+		if (len(args)-1)/2 > maxWindowCmds {
+			return 0, replyError(fmt.Sprintf("ERR MSET takes at most %d pairs", maxWindowCmds))
+		}
+		for i := 1; i < len(args); i += 2 {
+			if len(args[i]) == 0 {
+				return 0, errEmptyKey
+			}
+			if len(args[i+1]) > limit {
+				return 0, tooBig()
+			}
+		}
+	}
+	return 0, nil
+}
+
+// slotKeys returns the command's keys as keys[0], keys[stride], ...
+// (SET and MSET interleave each key with its value).
+func slotKeys(op byte, args [][]byte) (keys [][]byte, stride int) {
+	switch op {
+	case cmdGet, cmdIncrBy:
+		return args[1:2], 1
+	case cmdSet:
+		return args[1:3], 2
+	case cmdMSet:
+		return args[1:], 2
+	}
+	return args[1:], 1
+}
+
+// gate applies the per-shard health ladder to the command's keys: a key
+// on a Failed shard fails the command with -FAILED, a write to a
+// ReadOnly shard with -READONLY, while keys on sibling shards keep full
+// service. Once every shard has failed, a Failed command also closes the
+// connection.
+func (c *connState) gate(op byte, keys [][]byte, stride int) error {
+	s := c.s
+	if s.store.Health() <= faster.Degraded {
+		return nil
+	}
+	worst := faster.Healthy
+	for j := 0; j < len(keys); j += stride {
+		if h := s.store.HealthFor(keys[j]); h > worst {
+			worst = h
+		}
+	}
+	switch {
+	case worst == faster.Failed:
+		if s.allShardsFailed() {
+			c.closing, c.sealed = true, true
+		}
+		return faster.ErrStoreFailed
+	case worst == faster.ReadOnly && op != cmdGet && op != cmdMGet:
+		return faster.ErrReadOnly
+	}
+	return nil
+}
+
+// conflicts reports whether the command touches a key the window already
+// reads or read-modify-writes in a way whose order matters (a write after
+// a read, anything after an RMW). Such a slot may miss memory and finish
+// through the io-worker pool after the rest of the window has run, so a
+// later slot on its key waits for the next window: per-connection program
+// order holds whether or not a key is cold.
+func (c *connState) conflicts(op byte, keys [][]byte, stride int) bool {
+	write := op != cmdGet && op != cmdMGet
+	for i := range c.bops {
+		b := &c.bops[i]
+		if b.Kind != faster.BatchRMW && (!write || b.Kind != faster.BatchRead) {
+			continue
+		}
+		for j := 0; j < len(keys); j += stride {
+			if bytes.Equal(b.Key, keys[j]) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// slotOut returns slot i's pooled read output buffer.
 func (c *connState) slotOut(i int) []byte {
 	for len(c.outs) <= i {
 		c.outs = append(c.outs, nil)
@@ -2173,152 +1181,503 @@ func (c *connState) slotOut(i int) []byte {
 	return c.outs[i]
 }
 
-// flushBatchReplies renders the run's replies into the pooled reply
-// scratch — large GET payloads ride as zero-copy elements — and sends
-// everything with one vectored write. The resp.Writer is flushed first
-// so earlier single-command replies keep their place in the stream.
-func (c *connState) flushBatchReplies(cmds []resp.Command) bool {
-	c.reply = c.reply[:0]
-	c.segs = c.segs[:0]
-	for i := range cmds {
-		m := &c.smeta[i]
-		if m.serial > 0 {
-			c.appendSerialReply(m, c.slotop[i])
-			continue
+// runWindow executes the planned window and writes its replies in
+// command order. Returns false when the connection must close.
+func (c *connState) runWindow() bool {
+	if len(c.bops) > 0 {
+		c.execute()
+	}
+	for i := range c.plans {
+		c.reply(&c.plans[i])
+	}
+	clear(c.bops) // drop references to values and outputs
+	c.plans, c.bops, c.sealed = c.plans[:0], c.bops[:0], false
+	return !c.closing
+}
+
+// failSlots gives every slot the same failed outcome.
+func failSlots(ops []faster.BatchOp, err error) {
+	for i := range ops {
+		ops[i].Status, ops[i].Err = faster.Err, err
+	}
+}
+
+// execute admits the window — one in-flight token and one pooled session,
+// shed with -OVERLOADED rather than queued — runs it on the session, and
+// returns both before resolving the slots that missed memory through the
+// io-worker pool, so a window of cold misses holds nothing hot traffic
+// needs: only this connection waits, which RESP's in-order replies
+// require anyway.
+func (c *connState) execute() {
+	s := c.s
+	select {
+	case s.inflight <- struct{}{}:
+	default:
+		s.mx.overloadSheds.Inc()
+		failSlots(c.bops, errInflightFull)
+		return
+	}
+	s.mx.inflightDepth.Inc()
+	sess, shed, down := s.acquireSession()
+	if shed || down {
+		<-s.inflight
+		s.mx.inflightDepth.Dec()
+		if down {
+			c.closing = true
+			failSlots(c.bops, faster.ErrStoreClosed)
+		} else {
+			failSlots(c.bops, errNoSession)
 		}
-		op := &c.bops[c.slotop[i]]
-		if op.Kind == faster.BatchUpsert {
-			if op.Status == faster.OK {
-				c.reply = append(c.reply, "+OK\r\n"...)
-			} else {
-				c.appendErrReply(op.Err)
+		return
+	}
+	start := time.Now()
+	released := false
+	defer func() {
+		if !released { // panic backstop: the session's state is unknown
+			s.release(sess, false)
+		}
+	}()
+	healthy := c.run(sess, start)
+	released = true
+	s.release(sess, healthy)
+	c.resolve()
+	s.mx.cmdLatency.Observe(time.Since(start))
+}
+
+// release returns a window's session and admission token to their pools;
+// a session whose pendings outlived the op deadline is retired instead.
+func (s *Server) release(sess *faster.ShardedSession, healthy bool) {
+	if healthy {
+		s.sessions <- sess
+	} else {
+		s.retireSession(sess)
+	}
+	<-s.inflight
+	s.mx.inflightDepth.Dec()
+}
+
+// run executes the window on a pooled session; false means the session
+// must be retired. A window holding a stamped command admits its serials
+// in command order inside the shard session windows (DESIGN.md §11) and
+// runs with blocking I/O allowed under the op deadline: the serial window
+// must not stay open across an out-of-band pool completion, so its slots
+// complete Pending in-session, and a wedged device sheds them with
+// -TIMEOUT (serial retryable, health ladder untouched).
+func (c *connState) run(sess *faster.ShardedSession, start time.Time) bool {
+	if !c.admitSerials() {
+		return c.exec(sess)
+	}
+	sess.SetResidentOnly(false)
+	sess.SetOpDeadline(start.Add(c.s.cfg.OpTimeout))
+	healthy := c.exec(sess)
+	sess.SetOpDeadline(time.Time{})
+	sess.SetResidentOnly(true)
+	c.commitSerials(healthy)
+	return healthy
+}
+
+// exec runs the window's slots through the session's one ExecBatch, then
+// re-reads any value too large for its pooled slot buffer into an
+// exact-size one (rare path; the allocation is the price of not sizing
+// every slot for the largest value). false means pending slots outlived
+// the op deadline (they render -TIMEOUT).
+func (c *connState) exec(sess *faster.ShardedSession) bool {
+	ops := c.bops
+	for rereads := false; len(ops) > 0; rereads = true {
+		if err := sess.ExecBatch(ops); err != nil {
+			failSlots(ops, err)
+		}
+		if rereads {
+			for i := range ops {
+				dst := &c.bops[ops[i].Ctx.(int)]
+				dst.Status, dst.Err, dst.Output = ops[i].Status, ops[i].Err, ops[i].Output
 			}
-			continue
 		}
-		switch op.Status {
-		case faster.OK:
-			payload, ok := faster.VarLenDecode(op.Output)
-			if !ok {
-				c.reply = append(c.reply, "-ERR stored value exceeds server read buffer\r\n"...)
+		if !c.completePending(sess) {
+			return false
+		}
+		c.redo = c.redo[:0]
+		for i := range c.bops {
+			op := &c.bops[i]
+			if op.Kind != faster.BatchRead || op.Status != faster.OK {
 				continue
 			}
-			c.reply = append(c.reply, '$')
-			c.reply = strconv.AppendInt(c.reply, int64(len(payload)), 10)
-			c.reply = append(c.reply, '\r', '\n')
-			if len(payload) <= inlineReplyMax {
-				c.reply = append(c.reply, payload...)
-			} else {
-				c.segs = append(c.segs, replySeg{end: len(c.reply), payload: payload})
+			if need := faster.VarLenFrameLen(op.Output); need > len(op.Output) {
+				c.redo = append(c.redo, faster.BatchOp{Kind: faster.BatchRead, Key: op.Key,
+					Output: make([]byte, need), Ctx: i})
 			}
-			c.reply = append(c.reply, '\r', '\n')
-		case faster.NotFound:
-			c.reply = append(c.reply, "$-1\r\n"...)
-		case faster.Pending, faster.WouldBlock:
-			c.s.mx.pendingTimeouts.Inc()
-			c.reply = append(c.reply, "-TIMEOUT operation did not complete in time\r\n"...)
-		default:
-			c.appendErrReply(op.Err)
 		}
-	}
-	c.segs = append(c.segs, replySeg{end: len(c.reply)})
-
-	c.conn.SetWriteDeadline(time.Now().Add(c.s.cfg.WriteTimeout))
-	if err := c.w.Flush(); err != nil {
-		if isTimeout(err) {
-			c.s.mx.deadlineEvictions.Inc()
-		}
-		return false
-	}
-	c.vecs = c.vecs[:0]
-	prev := 0
-	for _, seg := range c.segs {
-		if seg.end > prev {
-			c.vecs = append(c.vecs, c.reply[prev:seg.end])
-		}
-		prev = seg.end
-		if seg.payload != nil {
-			c.vecs = append(c.vecs, seg.payload)
-		}
-	}
-	if _, err := c.vecs.WriteTo(c.conn); err != nil {
-		if isTimeout(err) {
-			c.s.mx.deadlineEvictions.Inc()
-		}
-		return false
+		ops = c.redo
 	}
 	return true
 }
 
-// appendSerialReply renders a stamped batch slot's outcome into the
-// reply scratch; j is the slot's BatchOp index (-1 when the serial
-// verdict resolved the slot without executing).
-func (c *connState) appendSerialReply(m *slotMeta, j int) {
-	switch {
-	case m.committed:
-		c.reply = append(c.reply, "+ACK "...)
-		c.reply = strconv.AppendUint(c.reply, m.serial, 10)
-		c.reply = append(c.reply, " OK\r\n"...)
-	case m.verdict == faster.SerialReplay:
-		c.reply = append(c.reply, '+')
-		c.reply = append(c.reply, m.saved...)
-		c.reply = append(c.reply, '\r', '\n')
-	case m.verdict == faster.SerialStale:
-		c.reply = append(c.reply, "-STALE serial "...)
-		c.reply = strconv.AppendUint(c.reply, m.serial, 10)
-		c.reply = append(c.reply, " is at or below the committed frontier\r\n"...)
-	case m.verdict == faster.SerialGap:
-		c.reply = append(c.reply, "-ERR serial "...)
-		c.reply = strconv.AppendUint(c.reply, m.serial, 10)
-		c.reply = append(c.reply, " skips the next expected serial\r\n"...)
-	case m.verdict == faster.SerialFenced:
-		c.reply = append(c.reply, "-FENCED session was re-bound by a newer connection\r\n"...)
-	default:
-		// Admitted but rolled back: either this op failed or an earlier
-		// serial in the window did (strict in-order commit).
-		op := &c.bops[j]
-		switch op.Status {
-		case faster.OK:
-			c.reply = append(c.reply, "-RETRY serial "...)
-			c.reply = strconv.AppendUint(c.reply, m.serial, 10)
-			c.reply = append(c.reply, " not committed; resend from the session frontier\r\n"...)
-		case faster.Pending:
-			c.s.mx.pendingTimeouts.Inc()
-			c.reply = append(c.reply, "-TIMEOUT operation did not complete in time\r\n"...)
-		default:
-			c.appendErrReply(op.Err)
+// completePending drains the slots a stamped window left Pending.
+func (c *connState) completePending(sess *faster.ShardedSession) bool {
+	pending := false
+	for i := range c.bops {
+		pending = pending || c.bops[i].Status == faster.Pending
+	}
+	if !pending {
+		return true
+	}
+	results, err := sess.CompletePendingTimeout(c.s.cfg.OpTimeout)
+	if err != nil {
+		return false
+	}
+	for i := range results {
+		c.complete(&results[i])
+	}
+	return true
+}
+
+// complete lands an asynchronous result in the slot its Ctx names: the
+// status, a read's output, an RMW's status channel.
+func (c *connState) complete(r *faster.Result) {
+	i, ok := r.Ctx.(int)
+	if !ok || i < 0 || i >= len(c.bops) {
+		return
+	}
+	op := &c.bops[i]
+	op.Status, op.Err = r.Status, r.Err
+	if op.Kind == faster.BatchRMW {
+		copy(op.Value, r.Input)
+	} else if r.Output != nil {
+		op.Output = r.Output
+	}
+}
+
+// resolve completes the window's WouldBlock slots — reads and RMWs whose
+// records live below the in-memory region — through the io-worker pool,
+// submitting them all before waiting so independent misses overlap on
+// the device. A read's output is the pool's, exactly the stored frame's
+// size, and ownership transfers with the result. Submit failures (queue
+// full, shutdown) land in the slot's Err and render as explicit sheds.
+func (c *connState) resolve() {
+	s := c.s
+	misses := 0
+	for i := range c.bops {
+		if c.bops[i].Status == faster.WouldBlock {
+			misses++
+		}
+	}
+	if misses == 0 {
+		return
+	}
+	deadline := time.Now().Add(s.cfg.OpTimeout)
+	c.ioBegin(deadline)
+	defer c.ioEnd()
+	submitted := 0
+	for i := range c.bops {
+		op := &c.bops[i]
+		if op.Status != faster.WouldBlock {
+			continue
+		}
+		var err error
+		if op.Kind == faster.BatchRMW {
+			err = s.store.SubmitRMW(op.Key, op.Value, deadline, i, c.iodone)
+		} else {
+			err = s.store.SubmitRead(op.Key, nil, deadline, i, c.iodone)
+		}
+		if err != nil {
+			op.Status, op.Err = faster.Err, err
+			continue
+		}
+		s.mx.ioAsync.Inc()
+		submitted++
+	}
+	for ; submitted > 0; submitted-- {
+		r, ok := c.ioAwait()
+		if !ok {
+			// Defensive backstop only: pool delivery is deadline-bounded.
+			for i := range c.bops {
+				if c.bops[i].Status == faster.WouldBlock {
+					c.bops[i].Status, c.bops[i].Err = faster.Err, faster.ErrOpDeadline
+				}
+			}
+			return
+		}
+		c.complete(&r)
+	}
+}
+
+// admitSerials opens the session window of every shard a stamped command
+// routes to and admits the stamped serials in command order. The windows
+// open in ascending shard order — the order the sharded checkpoint
+// barrier takes its write locks in — so a multi-shard window cannot
+// deadlock against a concurrent checkpoint, and stay open across the
+// store batch so a checkpoint cannot cut between an op's record and its
+// commit. The stream-wide gap check lives here on the connection; expect
+// tracks admissions within the window, c.nextSerial advances only on
+// commit. A command its verdict resolves without executing (replay,
+// stale, gap, fenced) loses its slots. Returns whether the window holds
+// a stamped command.
+func (c *connState) admitSerials() bool {
+	stamped := false
+	for i := range c.plans {
+		stamped = stamped || (c.plans[i].serial > 0 && c.plans[i].err == nil)
+	}
+	if !stamped {
+		return false
+	}
+	if n := c.s.store.NumShards(); len(c.winOpen) != n {
+		c.winOpen = make([]bool, n)
+	}
+	for i := range c.plans {
+		if p := &c.plans[i]; p.serial > 0 && p.err == nil {
+			c.winOpen[p.shard] = true
+		}
+	}
+	for sh, open := range c.winOpen {
+		if open {
+			c.token.Tok(sh).WindowEnter()
+		}
+	}
+	expect, dropped := c.nextSerial, false
+	for i := range c.plans {
+		p := &c.plans[i]
+		if p.serial == 0 || p.err != nil {
+			continue
+		}
+		if p.serial > expect && len(c.winOpen) > 1 {
+			// Connection-level gap: resolved before the shard token, so no
+			// admission needs rolling back. (A single shard's dense serial
+			// table rejects gaps itself.)
+			p.verdict = faster.SerialGap
+		} else if p.verdict, p.saved = c.token.Tok(p.shard).Check(p.serial); p.verdict == faster.SerialApply {
+			expect = p.serial + 1
+		}
+		dropped = dropped || p.verdict != faster.SerialApply
+	}
+	if dropped {
+		w := 0
+		for i := range c.plans {
+			p := &c.plans[i]
+			if p.serial > 0 && p.verdict != faster.SerialApply {
+				p.n = 0
+			}
+			for j := p.first; j < p.first+p.n; j++ {
+				c.bops[w] = c.bops[j]
+				if c.bops[w].Ctx != nil {
+					c.bops[w].Ctx = w
+				}
+				w++
+			}
+			p.first = w - p.n
+		}
+		c.bops = c.bops[:w]
+	}
+	return true
+}
+
+// commitSerials commits the window's admitted serials in order and closes
+// the shard windows. The first stamped command that failed stops the
+// commits: later serials cannot ack (Commit is strictly sequential) and
+// reply -RETRY, so the client's resend-from-frontier rule re-applies
+// exactly the uncommitted suffix — safe because only idempotent SETs
+// share a window with other stamped commands. Uncommitted admissions
+// roll back as each window closes.
+func (c *connState) commitSerials(healthy bool) {
+	committing := healthy
+	for i := range c.plans {
+		p := &c.plans[i]
+		if p.serial == 0 || p.err != nil || p.verdict != faster.SerialApply {
+			continue
+		}
+		n, err := c.result(p)
+		if !committing || err != nil {
+			committing = false
+			continue
+		}
+		c.ackBuf = c.appendAck(c.ackBuf[:0], p, n)
+		c.token.Tok(p.shard).Commit(p.serial, c.ackBuf)
+		p.committed = true
+		c.nextSerial = p.serial + 1
+	}
+	for sh := len(c.winOpen) - 1; sh >= 0; sh-- {
+		if c.winOpen[sh] {
+			c.token.Tok(sh).WindowExit()
+			c.winOpen[sh] = false
 		}
 	}
 }
 
-// appendErrReply renders a store error into the batched reply scratch,
-// mirroring writeStoreErr.
-func (c *connState) appendErrReply(err error) {
-	switch {
-	case errors.Is(err, faster.ErrOpDeadline):
-		c.s.mx.ioShedTimeouts.Inc()
-		c.reply = append(c.reply, "-TIMEOUT operation deadline expired\r\n"...)
-	case errors.Is(err, faster.ErrIOQueueFull):
-		c.s.mx.ioShedQueueFull.Inc()
-		c.reply = append(c.reply, "-OVERLOADED io queue full\r\n"...)
-	case errors.Is(err, faster.ErrStoreClosed):
-		c.reply = append(c.reply, "-ERR server shutting down\r\n"...)
-	case errors.Is(err, faster.ErrReadOnly):
-		c.s.mx.readonlyRejects.Inc()
-		c.reply = append(c.reply, "-READONLY store is read-only (write path lost)\r\n"...)
-	case errors.Is(err, faster.ErrStoreFailed):
-		c.s.mx.failedRejects.Inc()
-		c.reply = append(c.reply, "-FAILED store failed (device lost)\r\n"...)
-	case err != nil:
-		c.reply = append(c.reply, "-ERR "...)
-		for _, b := range []byte(err.Error()) {
-			if b == '\r' || b == '\n' {
-				b = ' '
+// appendAck renders a committed command's "ACK <serial> <result>" body.
+func (c *connState) appendAck(b []byte, p *cmdPlan, n int64) []byte {
+	b = append(b, "ACK "...)
+	b = strconv.AppendUint(b, p.serial, 10)
+	if p.cmd == cmdSet {
+		return append(b, " OK"...)
+	}
+	b = append(b, ' ')
+	return strconv.AppendInt(b, n, 10)
+}
+
+// slotErr is the error a slot that did not complete normally replies.
+func slotErr(op *faster.BatchOp) error {
+	if op.Status == faster.Pending || op.Status == faster.WouldBlock {
+		return errUnresolved
+	}
+	if op.Err == nil {
+		return errUnknownStore
+	}
+	return op.Err
+}
+
+// result evaluates a write command's slots: the integer it replies (DEL's
+// count, the value INCRBY's RMW produced), or the error of its first
+// failed slot.
+func (c *connState) result(p *cmdPlan) (n int64, err error) {
+	for _, op := range c.bops[p.first : p.first+p.n] {
+		switch op.Status {
+		case faster.NotFound:
+		case faster.OK:
+			if p.cmd != cmdIncrBy {
+				n++
+				continue
 			}
-			c.reply = append(c.reply, b)
+			switch op.Value[8] {
+			case faster.CounterOverflow:
+				// A client asking for an impossible increment is not a store
+				// fault: the counter (and the health ladder) stay untouched.
+				return 0, errOverflow
+			case faster.CounterNotCounter:
+				return 0, errNotInteger
+			}
+			n = int64(binary.LittleEndian.Uint64(op.Value[9:]))
+		default:
+			return 0, slotErr(&op)
 		}
-		c.reply = append(c.reply, '\r', '\n')
+	}
+	return n, nil
+}
+
+// writeValue renders a read slot: the value, nil, or its error.
+func (c *connState) writeValue(op *faster.BatchOp) {
+	switch op.Status {
+	case faster.OK:
+		payload, ok := faster.VarLenDecode(op.Output)
+		if !ok {
+			c.writeErr(errOversized)
+			return
+		}
+		c.w.WriteBulk(payload)
+	case faster.NotFound:
+		c.w.WriteNil()
 	default:
-		c.reply = append(c.reply, "-ERR unknown store error\r\n"...)
+		c.writeErr(slotErr(op))
+	}
+}
+
+// reply renders one planned command's reply.
+func (c *connState) reply(p *cmdPlan) {
+	switch {
+	case p.err != nil:
+		c.writeErr(p.err)
+	case p.serial > 0:
+		c.replyStamped(p)
+	case p.cmd == cmdGet:
+		c.writeValue(&c.bops[p.first])
+	case p.cmd == cmdMGet:
+		// RESP2 arrays carry no per-element errors, so the first hard
+		// failure fails the whole command.
+		slots := c.bops[p.first : p.first+p.n]
+		for i := range slots {
+			if st := slots[i].Status; st != faster.OK && st != faster.NotFound {
+				c.writeErr(slotErr(&slots[i]))
+				return
+			}
+		}
+		c.w.WriteArrayHeader(len(slots))
+		for i := range slots {
+			c.writeValue(&slots[i])
+		}
+	default:
+		n, err := c.result(p)
+		switch {
+		case err != nil:
+			c.writeErr(err)
+		case p.cmd == cmdSet || p.cmd == cmdMSet:
+			c.w.WriteSimple("OK")
+		default:
+			c.w.WriteInt(n)
+		}
+	}
+}
+
+// replyStamped renders a stamped command's reply: its ACK, the saved
+// reply of a replay, a verdict that kept it from executing, or — admitted
+// but rolled back — its own error or -RETRY when an earlier serial of the
+// window failed.
+func (c *connState) replyStamped(p *cmdPlan) {
+	switch p.verdict {
+	case faster.SerialReplay:
+		c.w.WriteSimple(string(p.saved))
+	case faster.SerialStale:
+		c.writeErr(replyError(fmt.Sprintf("STALE serial %d is at or below the committed frontier", p.serial)))
+	case faster.SerialGap:
+		c.writeErr(replyError(fmt.Sprintf("ERR serial %d skips the next expected serial", p.serial)))
+	case faster.SerialFenced:
+		c.writeErr(replyError("FENCED session was re-bound by a newer connection"))
+	default:
+		n, err := c.result(p)
+		switch {
+		case err != nil:
+			c.writeErr(err)
+		case p.committed:
+			c.ackBuf = c.appendAck(c.ackBuf[:0], p, n)
+			c.w.WriteSimple(string(c.ackBuf))
+		default:
+			c.writeErr(replyError(fmt.Sprintf("RETRY serial %d not committed; resend from the session frontier", p.serial)))
+		}
+	}
+}
+
+// ---------------------------------------------------------------------------
+// Miss resolution channel
+// ---------------------------------------------------------------------------
+
+// ioBackstop is how long past an operation's deadline a connection still
+// waits for the pool's delivery. The pool guarantees delivery by the
+// deadline even when the device never answers; this is a defensive
+// backstop, and tripping it abandons the channel so a late delivery cannot
+// leak into a later command's wait.
+const ioBackstop = 2 * time.Second
+
+// ioBegin readies the connection's completion channel, callback and
+// backstop timer (armed for deadline + ioBackstop) for a round of
+// submissions; ioEnd must follow.
+func (c *connState) ioBegin(deadline time.Time) {
+	if c.ioch == nil {
+		ch := make(chan faster.Result, maxWindowCmds)
+		c.ioch, c.iodone = ch, func(r faster.Result) { ch <- r }
+	}
+	if d := time.Until(deadline) + ioBackstop; c.iotimer == nil {
+		c.iotimer = time.NewTimer(d)
+	} else {
+		c.iotimer.Reset(d)
+	}
+}
+
+// ioAwait returns the next delivery, or ok=false when the backstop
+// tripped (the channel is abandoned to whatever arrives late).
+func (c *connState) ioAwait() (r faster.Result, ok bool) {
+	select {
+	case r = <-c.ioch:
+		return r, true
+	case <-c.iotimer.C:
+		c.ioch, c.iodone = nil, nil
+		return faster.Result{}, false
+	}
+}
+
+// ioEnd stops the backstop timer, leaving it ready for the next ioBegin.
+func (c *connState) ioEnd() {
+	if !c.iotimer.Stop() {
+		select {
+		case <-c.iotimer.C:
+		default:
+		}
 	}
 }
 
@@ -2368,7 +1727,6 @@ func (s *Server) drain() error {
 	for {
 		select {
 		case sess := <-s.sessions:
-			sess.Unpark()
 			left := time.Until(deadline)
 			if left < 100*time.Millisecond {
 				left = 100 * time.Millisecond

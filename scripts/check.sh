@@ -11,6 +11,19 @@ go vet ./...
 go test ./...
 go test -race ./internal/...
 
+# Epoch drain list under contention on one, two and eight processors,
+# repeated: a full list must spill, never panic or wait on the caller.
+for procs in 1 2 8; do
+	GOMAXPROCS=$procs go test -count=20 ./internal/epoch/
+done
+
+# The RESP front-end's one execution path on one and on two processors:
+# windows, io-pool miss resolution and stamped serials depend on
+# scheduling.
+for procs in 1 2; do
+	GOMAXPROCS=$procs go test -count=1 ./internal/server/
+done
+
 # The benchmark is a module of its own (kvbench/, named by
 # BENCHMARK.json): it must keep compiling and passing its own checks
 # against internal/* as it stands, without being edited to follow.
