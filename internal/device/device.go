@@ -9,7 +9,8 @@
 //     serviced by a small pool of I/O worker goroutines.
 //   - Mem:   an in-memory simulated SSD with configurable read latency and
 //     sequential-write bandwidth, used where the paper's FusionIO drive is
-//     unavailable (see DESIGN.md substitutions).
+//     unavailable (see DESIGN.md substitutions). It delivers each request
+//     at its due time from one timer-driven goroutine.
 //   - Null:  discards writes and fails reads; backs the pure in-memory
 //     allocator mode, which never touches storage.
 package device
@@ -324,207 +325,6 @@ func (d *File) Metrics() Metrics { return d.metricsSnapshot() }
 func (d *File) Close() error {
 	d.pool.close()
 	return d.f.Close()
-}
-
-// ---------------------------------------------------------------------------
-// Mem device: simulated SSD
-// ---------------------------------------------------------------------------
-
-// MemConfig tunes the simulated SSD.
-type MemConfig struct {
-	// ReadLatency is added to every read, modelling flash random-read
-	// latency. Zero disables the delay.
-	ReadLatency time.Duration
-	// WriteBandwidth caps sequential write throughput in bytes/sec,
-	// modelling the drive's 2 GB/s ceiling from §7.3. Zero = unlimited.
-	WriteBandwidth uint64
-	// Workers sets the I/O pool size (default 4).
-	Workers int
-}
-
-// Mem is an in-memory Device that simulates an SSD: it stores flushed pages
-// in a sparse map of extents and can impose read latency and a write
-// bandwidth cap. It substitutes for the paper's FusionIO drive in
-// larger-than-memory experiments (DESIGN.md §1).
-type Mem struct {
-	statCounters
-	cfg  MemConfig
-	pool *ioPool
-
-	mu         sync.RWMutex
-	extents    map[uint64][]byte // offset -> copy of written buffer
-	truncated  uint64
-	maxExtent  uint64
-	extentSize uint64 // size of first extent; fast path for aligned lookups
-
-	writeTokens atomic.Int64 // crude token bucket for bandwidth capping
-	lastRefill  atomic.Int64 // unix nanos
-}
-
-// NewMem creates a simulated SSD.
-func NewMem(cfg MemConfig) *Mem {
-	workers := cfg.Workers
-	if workers == 0 {
-		workers = 4
-	}
-	d := &Mem{cfg: cfg, extents: make(map[uint64][]byte)}
-	d.lastRefill.Store(time.Now().UnixNano())
-	d.pool = newIOPool(workers, d.serve)
-	return d
-}
-
-func (d *Mem) throttleWrite(n int) {
-	if d.cfg.WriteBandwidth == 0 {
-		return
-	}
-	for {
-		now := time.Now().UnixNano()
-		last := d.lastRefill.Load()
-		if now > last && d.lastRefill.CompareAndSwap(last, now) {
-			refill := int64(uint64(now-last) * d.cfg.WriteBandwidth / 1e9)
-			// Cap the bucket at one second of bandwidth.
-			if cur := d.writeTokens.Add(refill); cur > int64(d.cfg.WriteBandwidth) {
-				d.writeTokens.Store(int64(d.cfg.WriteBandwidth))
-			}
-		}
-		if d.writeTokens.Add(-int64(n)) >= 0 {
-			return
-		}
-		d.writeTokens.Add(int64(n)) // undo; wait for refill
-		time.Sleep(100 * time.Microsecond)
-	}
-}
-
-func (d *Mem) serve(r ioRequest) {
-	defer func() { d.observe(r.write, r.submitNs) }()
-	if r.write {
-		d.throttleWrite(len(r.buf))
-		cp := make([]byte, len(r.buf))
-		copy(cp, r.buf)
-		d.mu.Lock()
-		d.extents[r.offset] = cp
-		if d.extentSize == 0 {
-			d.extentSize = uint64(len(cp))
-		}
-		if end := r.offset + uint64(len(cp)); end > d.maxExtent {
-			d.maxExtent = end
-		}
-		d.mu.Unlock()
-		d.writes.Add(1)
-		d.bytesWritten.Add(uint64(len(r.buf)))
-		r.cb(nil)
-		return
-	}
-	if d.cfg.ReadLatency > 0 {
-		time.Sleep(d.cfg.ReadLatency)
-	}
-	err := d.readAt(r.buf, r.offset)
-	if err == nil {
-		d.reads.Add(1)
-		d.bytesRead.Add(uint64(len(r.buf)))
-	}
-	r.cb(err)
-}
-
-// readAt assembles buf from stored extents. Extents are written at page
-// granularity by the log, so a record read touches one or two extents.
-func (d *Mem) readAt(buf []byte, offset uint64) error {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if offset < d.truncated {
-		return ErrOutOfRange
-	}
-	if offset+uint64(len(buf)) > d.maxExtent {
-		return ErrOutOfRange
-	}
-	need := len(buf)
-	filled := 0
-	for filled < need {
-		pos := offset + uint64(filled)
-		ext, extOff, ok := d.findExtent(pos)
-		if !ok {
-			return ErrOutOfRange
-		}
-		n := copy(buf[filled:], ext[extOff:])
-		filled += n
-	}
-	return nil
-}
-
-// findExtent locates the extent containing pos. Called with mu held.
-func (d *Mem) findExtent(pos uint64) (ext []byte, off uint64, ok bool) {
-	// Extents are page-sized and page-aligned in normal operation, so an
-	// aligned probe hits first; fall back to a scan for irregular writes.
-	if sz := d.extentSize; sz != 0 {
-		start := pos - pos%sz
-		if e, found := d.extents[start]; found && pos < start+uint64(len(e)) {
-			return e, pos - start, true
-		}
-	}
-	for start, e := range d.extents {
-		if pos >= start && pos < start+uint64(len(e)) {
-			return e, pos - start, true
-		}
-	}
-	return nil, 0, false
-}
-
-// WriteAsync implements Device.
-func (d *Mem) WriteAsync(buf []byte, offset uint64, cb Callback) {
-	if !d.pool.submit(ioRequest{write: true, buf: buf, offset: offset, cb: cb}) {
-		cb(ErrClosed)
-	}
-}
-
-// ReadAsync implements Device.
-func (d *Mem) ReadAsync(buf []byte, offset uint64, cb Callback) {
-	if !d.pool.submit(ioRequest{buf: buf, offset: offset, cb: cb}) {
-		cb(ErrClosed)
-	}
-}
-
-// Sync implements Device.
-func (d *Mem) Sync() error {
-	d.pool.syncWait()
-	return nil
-}
-
-// Truncate implements Device and frees truncated extents.
-func (d *Mem) Truncate(until uint64) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if until > d.truncated {
-		d.truncated = until
-	}
-	for start, e := range d.extents {
-		if start+uint64(len(e)) <= d.truncated {
-			delete(d.extents, start)
-		}
-	}
-	return nil
-}
-
-// Stats returns I/O counters.
-func (d *Mem) Stats() Stats { return d.snapshot() }
-
-// Metrics implements MetricsSource.
-func (d *Mem) Metrics() Metrics { return d.metricsSnapshot() }
-
-// StoredBytes reports how many bytes the device currently retains.
-func (d *Mem) StoredBytes() uint64 {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	var n uint64
-	for _, e := range d.extents {
-		n += uint64(len(e))
-	}
-	return n
-}
-
-// Close implements Device.
-func (d *Mem) Close() error {
-	d.pool.close()
-	return nil
 }
 
 // ---------------------------------------------------------------------------

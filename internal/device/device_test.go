@@ -5,10 +5,14 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"repro/internal/testutil"
 )
 
 // writeSync is a test helper performing a blocking write.
@@ -154,6 +158,119 @@ func TestMemReadLatency(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed < lat {
 		t.Fatalf("read completed in %v, want >= %v", elapsed, lat)
+	}
+}
+
+// The simulated SSD keeps its configured latency in an otherwise idle
+// process: a sleeping worker would be rounded up to the runtime's
+// millisecond netpoll granularity.
+func TestMemReadLatencyFidelity(t *testing.T) {
+	const lat = 150 * time.Microsecond
+	d := NewMem(MemConfig{ReadLatency: lat})
+	defer d.Close()
+	writeSync(t, d, make([]byte, 64), 0)
+	const n = 200
+	took := make([]time.Duration, n)
+	for i := range took {
+		done := make(chan error, 1)
+		start := time.Now()
+		d.ReadAsync(make([]byte, 64), 0, func(err error) {
+			took[i] = time.Since(start)
+			done <- err
+		})
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+	sort.Slice(took, func(i, j int) bool { return took[i] < took[j] })
+	if took[0] < lat {
+		t.Fatalf("a read completed after %v, before its %v latency", took[0], lat)
+	}
+	if med := took[n/2]; med > 2*lat {
+		t.Fatalf("median read took %v for a %v latency (p90 %v)", med, lat, took[n*9/10])
+	}
+}
+
+// Workers is the number of reads in service at once: eight reads on two
+// slots complete in four waves of the read latency.
+func TestMemReadServiceSlots(t *testing.T) {
+	const lat = 2 * time.Millisecond
+	d := NewMem(MemConfig{ReadLatency: lat, Workers: 2})
+	defer d.Close()
+	writeSync(t, d, make([]byte, 64), 0)
+	const n = 8
+	var mu sync.Mutex
+	var took []time.Duration
+	var wg sync.WaitGroup
+	wg.Add(n)
+	start := time.Now()
+	for i := 0; i < n; i++ {
+		d.ReadAsync(make([]byte, 64), 0, func(err error) {
+			if err != nil {
+				t.Error(err)
+			}
+			mu.Lock()
+			took = append(took, time.Since(start))
+			mu.Unlock()
+			wg.Done()
+		})
+	}
+	wg.Wait()
+	sort.Slice(took, func(i, j int) bool { return took[i] < took[j] })
+	for i, at := range took {
+		if wave := time.Duration(i/2 + 1); at < wave*lat {
+			t.Fatalf("read %d of wave %d completed at %v, before %v: %v", i, wave, at, wave*lat, took)
+		}
+	}
+	// One slot would take eight waves.
+	if last := took[n-1]; last >= 7*lat {
+		t.Fatalf("last read completed at %v, want four waves of %v: %v", last, lat, took)
+	}
+}
+
+// Close delivers what is in flight, each callback once, and then refuses.
+func TestMemCloseDeliversInFlight(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	d := NewMem(MemConfig{ReadLatency: 20 * time.Millisecond})
+	writeSync(t, d, make([]byte, 64), 0)
+	const n = 16
+	var calls [n]atomic.Int32
+	errs := make(chan error, n)
+	for i := 0; i < n; i++ {
+		d.ReadAsync(make([]byte, 64), 0, func(err error) {
+			calls[i].Add(1)
+			errs <- err
+		})
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i := range calls {
+		if c := calls[i].Load(); c != 1 {
+			t.Fatalf("read %d called back %d times, want 1", i, c)
+		}
+		if err := <-errs; err != nil {
+			t.Fatalf("in-flight read failed at Close: %v", err)
+		}
+	}
+	if err := readSync(d, make([]byte, 64), 0); err != ErrClosed {
+		t.Fatalf("read after Close: %v, want ErrClosed", err)
+	}
+}
+
+// A read copies the data when it is due, not when it is submitted: a
+// truncate in between is seen, as on a drive that serves it then.
+func TestMemReadSeesTruncateBeforeDue(t *testing.T) {
+	d := NewMem(MemConfig{ReadLatency: 20 * time.Millisecond})
+	defer d.Close()
+	writeSync(t, d, make([]byte, 256), 0)
+	done := make(chan error, 1)
+	d.ReadAsync(make([]byte, 64), 0, func(err error) { done <- err })
+	if err := d.Truncate(256); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != ErrOutOfRange {
+		t.Fatalf("read of a range truncated before it was due: %v, want ErrOutOfRange", err)
 	}
 }
 

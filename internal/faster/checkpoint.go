@@ -191,8 +191,8 @@ func (s *Store) checkpointFinish(prep ckptPrep, sessPayload []byte, sessSnaps []
 	dir, begin, t1 := prep.dir, prep.begin, prep.t1
 	indexTmp, indexPath := prep.indexTmp, prep.indexPath
 	// The safe read-only shift needs every session to refresh; the log's
-	// wait loop drains trigger actions for us.
-	if err := s.log.WaitUntilFlushed(t2); err != nil {
+	// wait loop drains trigger actions for us. No guard is held here.
+	if err := s.log.WaitUntilFlushed(t2, nil); err != nil {
 		return CheckpointInfo{}, fmt.Errorf("faster: flush to t2: %w", err)
 	}
 

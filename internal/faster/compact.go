@@ -148,8 +148,7 @@ func (s *Store) Compact(until hlog.Address) (CompactStats, error) {
 	// Phase 3: make the copies durable before destroying their sources,
 	// then truncate. A poisoned tail aborts here with the prefix intact.
 	t := s.log.ShiftReadOnlyToTail()
-	sess.Refresh()
-	if err := s.log.WaitUntilFlushed(t); err != nil {
+	if err := s.log.WaitUntilFlushed(t, sess.g); err != nil {
 		return stats, err
 	}
 	if _, err := s.log.ShiftBeginAddress(until, sess.g); err != nil {

@@ -110,7 +110,7 @@ func TestPermanentWriteFailurePoisonsWithoutRetrying(t *testing.T) {
 	}
 
 	// WaitUntilFlushed surfaces the poison instead of spinning forever.
-	if err := l.WaitUntilFlushed(l.TailAddress()); !errors.Is(err, ErrPoisoned) {
+	if err := l.WaitUntilFlushed(l.TailAddress(), nil); !errors.Is(err, ErrPoisoned) {
 		t.Fatalf("WaitUntilFlushed = %v, want ErrPoisoned", err)
 	}
 }

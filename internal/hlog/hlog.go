@@ -786,9 +786,14 @@ func (l *Log) ReadAsync(addr Address, buf []byte, cb device.Callback) {
 
 // WaitUntilFlushed blocks until the flush watermark reaches addr. It
 // drains epoch actions while waiting so that single-threaded callers make
-// progress; callers holding a guard must have refreshed past the bump that
-// initiated the flush.
-func (l *Log) WaitUntilFlushed(addr Address) error {
+// progress.
+//
+// g, if non-nil, is the caller's epoch guard and is refreshed every
+// iteration, as in ShiftBeginAddress: a page can turn read-only after the
+// caller's last refresh, and the epoch action that flushes it needs that
+// guard to move on. A caller holding a guard it does not pass here must
+// Park it first or the wait can deadlock.
+func (l *Log) WaitUntilFlushed(addr Address, g *epoch.Guard) error {
 	if l.flushed.level() >= addr {
 		return nil
 	}
@@ -801,6 +806,9 @@ func (l *Log) WaitUntilFlushed(addr Address) error {
 		if err := l.WriteFailure(); err != nil {
 			// The watermark can never reach addr: the flush path gave up.
 			return err
+		}
+		if g != nil {
+			g.Refresh()
 		}
 		l.em.Drain()
 		if spins > 128 {

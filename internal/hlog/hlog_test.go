@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/device"
 	"repro/internal/epoch"
@@ -216,7 +217,7 @@ func TestFlushHappensForReadOnlyPages(t *testing.T) {
 	if ro == 0 {
 		t.Fatal("no pages became read-only")
 	}
-	if err := l.WaitUntilFlushed(ro); err != nil {
+	if err := l.WaitUntilFlushed(ro, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Every flushed record must be readable from the device.
@@ -258,7 +259,7 @@ func TestBufferWrapEvictsAndRecycles(t *testing.T) {
 		if l.InMemory(a) {
 			copy(buf[:], l.Slice(a))
 		} else {
-			if err := l.WaitUntilFlushed(a + 512); err != nil {
+			if err := l.WaitUntilFlushed(a+512, nil); err != nil {
 				t.Fatal(err)
 			}
 			done := make(chan error, 1)
@@ -335,8 +336,34 @@ func TestShiftReadOnlyToTail(t *testing.T) {
 	if l.SafeReadOnlyAddress() != tail {
 		t.Fatalf("safeRO = %#x, want tail %#x", l.SafeReadOnlyAddress(), tail)
 	}
-	if err := l.WaitUntilFlushed(tail); err != nil {
+	if err := l.WaitUntilFlushed(tail, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A read-only shift registered after the waiter's last refresh can only
+// flush once the waiter refreshes again, so WaitUntilFlushed must refresh
+// the guard it is given (the Compact hang: an openPage shifted read-only
+// between Compact's ShiftReadOnlyToTail and its wait).
+func TestWaitUntilFlushedRefreshesGuard(t *testing.T) {
+	l, em, _ := testLog(t, ModeHybrid, 8, 0.9)
+	g := em.Acquire()
+	defer g.Release()
+	for i := 0; i < 10; i++ {
+		if _, err := l.Allocate(256, g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tail := l.ShiftReadOnlyToTail()
+	done := make(chan error, 1)
+	go func() { done <- l.WaitUntilFlushed(tail, g) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("WaitUntilFlushed did not return: the caller's guard pins the flush")
 	}
 }
 

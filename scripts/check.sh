@@ -17,6 +17,19 @@ for procs in 1 2 8; do
 	GOMAXPROCS=$procs go test -count=20 ./internal/epoch/
 done
 
+# The simulated SSD's delivery scheduler on one and on two processors,
+# repeated under the race detector (due-time order, service slots, Close
+# delivering in-flight I/O exactly once), and its non-Linux runtime-timer
+# fallback must keep compiling.
+for procs in 1 2; do
+	GOMAXPROCS=$procs go test -race -count=20 ./internal/device/
+done
+GOOS=darwin GOARCH=arm64 go vet ./internal/device/
+
+# Compaction's flush wait refreshes its session's guard; without that a
+# read-only shift racing the compaction hung this test.
+go test -run 'TestLinearizableSharded$' -count=200 -timeout 300s ./internal/linearize/
+
 # The RESP front-end's one execution path on one and on two processors:
 # windows, io-pool miss resolution and stamped serials depend on
 # scheduling.
