@@ -2,30 +2,17 @@ package bench
 
 import (
 	"bytes"
-	"sync/atomic"
 	"testing"
 	"time"
-
-	"repro/internal/faster"
 )
 
 // TestFig12Regression is the promoted form of the old DEBUG_FIG12 manual
 // harness: it runs the full Fig 12 IPU-region sweep at unit-test scale
 // with a fixed seed and asserts the sweep's structural invariants instead
 // of printing state for a human. The original harness existed to chase a
-// CompletePending livelock, so the debug spin hook stays installed as a
-// watchdog: the hook firing is normal (it marks no-progress waits), but
-// the sweep completing at all is the regression criterion.
+// CompletePending livelock, so the sweep completing at all is the
+// regression criterion: an unbounded spin shows up as a test timeout.
 func TestFig12Regression(t *testing.T) {
-	var spinReports atomic.Int64
-	faster.SetDebugSpinHook(func(inFlight, retries, completed int, ios uint64, desc string) {
-		// Only called from no-progress wait paths; an unbounded spin here
-		// (the bug this harness was built to chase) now shows up as a
-		// test timeout rather than silence.
-		spinReports.Add(1)
-	})
-	defer faster.SetDebugSpinHook(nil)
-
 	var buf bytes.Buffer
 	o := Options{Keys: 2000, Duration: 60 * time.Millisecond, MaxThreads: 2, Out: &buf, Seed: 7}
 	rows, err := Fig12(o)

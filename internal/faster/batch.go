@@ -61,7 +61,7 @@ type batchAppend struct {
 	chainHead hlog.Address // underlying hlog chain head (the record's prev)
 	overwrite hlog.Address // record superseded by this append (RCU), or invalid
 	size      uint32
-	addr      hlog.Address // assigned when the reservation is carved
+	addr      hlog.Address // assigned when carved; invalid once its publish CAS lost
 }
 
 // batchSlot is the context the typed batch helpers attach to pending
@@ -370,10 +370,12 @@ probe:
 
 // publishChunk reserves tail space for a chunk of planned appends with
 // one Allocate, carves and writes the records, then publishes each with
-// its index CAS in run order. A lost CAS invalidates the batch copy and
-// retries that op through the single-op path; Allocate refreshing the
-// epoch mid-batch is safe because a stale chain head loses its CAS and
-// setOverwritten ignores evicted addresses.
+// its index CAS in run order. A lost CAS invalidates the batch copy; only
+// after the whole chunk is published or invalidated do the losers retry
+// through the single-op path, whose Allocate may refresh the epoch and
+// let the chunk's page flush (a flush must never copy a record whose
+// invalid bit is still to be set). setOverwritten ignores evicted
+// addresses.
 func (sess *Session) publishChunk(run []BatchOp, chunk []batchAppend, total uint32) {
 	s := sess.s
 	base, err := s.log.Allocate(total, sess.g)
@@ -403,7 +405,7 @@ func (sess *Session) publishChunk(run []BatchOp, chunk []batchAppend, total uint
 		if cur != p.expect || !e.CompareAndSwapAddress(p.expect, p.addr) {
 			s.setInvalid(p.addr)
 			sess.stat.failedCAS.Add(1)
-			op.Status, op.Err = sess.upsertInternal(op.Key, op.Value, p.h)
+			p.addr = hlog.InvalidAddress
 			continue
 		}
 		if isCacheAddr(p.expect) {
@@ -414,6 +416,12 @@ func (sess *Session) publishChunk(run []BatchOp, chunk []batchAppend, total uint
 		if p.overwrite != hlog.InvalidAddress {
 			sess.stat.rcuCopies.Add(1)
 			s.setOverwritten(p.overwrite)
+		}
+	}
+	for i := range chunk {
+		if p := &chunk[i]; p.addr == hlog.InvalidAddress {
+			op := &run[p.idx]
+			op.Status, op.Err = sess.upsertInternal(op.Key, op.Value, p.h)
 		}
 	}
 }

@@ -83,18 +83,6 @@ type PendingOp struct {
 	noCoalesce bool
 
 	hdr [recHeaderBytes]byte // header-probe buffer (avoids a per-I/O alloc)
-
-	trace []string // debug instrumentation (debugTraceOps)
-}
-
-// debugTrace appends a step to the op's debug trace.
-func (op *PendingOp) debugTrace(format string, args ...any) {
-	if debugTraceOps {
-		op.trace = append(op.trace, fmt.Sprintf(format, args...))
-		if len(op.trace) > 24 {
-			op.trace = op.trace[len(op.trace)-24:]
-		}
-	}
 }
 
 // Result reports the completion of a pending operation.
@@ -133,9 +121,6 @@ type completionQueue struct {
 }
 
 func (q *completionQueue) push(op *PendingOp) {
-	if debugPush != nil {
-		debugPush(op)
-	}
 	q.mu.Lock()
 	q.ops = append(q.ops, op)
 	q.mu.Unlock()
@@ -377,10 +362,6 @@ func (s *Store) readAttempt(addr hlog.Address, buf []byte, deadlineNs int64, fai
 // state is touched from the I/O callback goroutine beyond the health
 // escalation for permanent device loss.
 func (sess *Session) issueIO(op *PendingOp) {
-	op.debugTrace("issue@%#x kind=%v", op.addr, op.kind)
-	if debugIssue != nil {
-		debugIssue(op)
-	}
 	sess.inFlight++
 	sess.s.mx.pendingDepth.Inc()
 	sess.stat.pendingIOs.Add(1)
@@ -481,9 +462,6 @@ func (sess *Session) completePending(wait bool, deadline time.Time) ([]Result, e
 		if deadlineNs != 0 && time.Now().UnixNano() > deadlineNs {
 			return results, fmt.Errorf("%w (%d in flight, %d deferred)",
 				ErrPendingTimeout, sess.inFlight, len(sess.retries))
-		}
-		if debugSpin != nil {
-			debugSpin(sess)
 		}
 		// Nothing moved. First let the trigger actions this session was
 		// holding back run (a deferral is often waiting on this very
@@ -586,7 +564,6 @@ func (sess *Session) continueOp(op *PendingOp) (Result, bool) {
 		return fail(Err, errCorruptRecord)
 	}
 
-	op.debugTrace("complete@%#x key=%x inv=%v prev=%#x", op.addr, rec.key, rec.invalid(), rec.prev())
 	if rec.invalid() || !bytes.Equal(rec.key, op.key) {
 		// Not our record: follow the chain further down.
 		return sess.followChain(op, rec.prev())
@@ -647,7 +624,6 @@ func (sess *Session) continueOp(op *PendingOp) (Result, bool) {
 // key; the op restarts from the index, where post-truncation state
 // (including any compaction copy rolled forward to the tail) is visible.
 func (sess *Session) resumeTruncated(op *PendingOp) (Result, bool) {
-	op.debugTrace("resume-truncated@%#x", op.addr)
 	op.err = nil
 	switch op.kind {
 	case opRead, opReadMerge:
@@ -709,16 +685,10 @@ func (sess *Session) followChain(op *PendingOp, next hlog.Address) (Result, bool
 		return sess.chainExhausted(op)
 	}
 	if s.log.InMemory(next) {
-		if debugPath != nil {
-			debugPath("follow-inmemory")
-		}
 		// Chains point strictly downward, so a fetched record's
 		// predecessor cannot re-enter memory; begin-address truncation
 		// is the only way this could mislead, handled above.
 		return sess.chainExhausted(op)
-	}
-	if debugPath != nil {
-		debugPath("follow-chain")
 	}
 	op.addr = next
 	if op.buf != nil && (op.fetchedBuf == nil || &op.buf[0] != &op.fetchedBuf[0]) {
@@ -932,7 +902,6 @@ func (sess *Session) publishFetched(h uint64, op *PendingOp, old record, chainHe
 
 // reissueRMW re-executes a lost-CAS RMW via the normal path.
 func (sess *Session) reissueRMW(op *PendingOp) (Result, bool) {
-	op.debugTrace("reissue")
 	saved := sess.opDeadlineNs
 	sess.opDeadlineNs = op.deadlineNs
 	st, err := sess.rmwInternal(op.key, op.input, op.ctx, hashKey(op.key))

@@ -45,10 +45,11 @@ func (idx *Index) WriteCheckpoint(w io.Writer) error {
 // entry entirely. mapAddr runs inside the fuzzy scan and must not mutate
 // the index.
 func (idx *Index) WriteCheckpointMapped(w io.Writer, mapAddr func(addr uint64) (uint64, bool)) error {
-	if phase, _ := unpackStatus(idx.status.Load()); phase != phaseStable {
+	s := idx.state.Load()
+	if s.phase != phaseStable {
 		return errors.New("index: cannot checkpoint during resize")
 	}
-	t := idx.activeTable()
+	t := s.old
 
 	crc := crc32.NewIEEE()
 	bw := bufio.NewWriterSize(io.MultiWriter(w, crc), 1<<16)
@@ -108,7 +109,9 @@ func (idx *Index) WriteCheckpointMapped(w io.Writer, mapAddr func(addr uint64) (
 	return err
 }
 
-// ReadCheckpoint reconstructs an index from a checkpoint image.
+// ReadCheckpoint reconstructs an index from a checkpoint image. Nothing is
+// sized from the header until the CRC and every field have checked out,
+// so a corrupt image is an error, never an allocation of its claimed size.
 func ReadCheckpoint(r io.Reader) (*Index, error) {
 	crc := crc32.NewIEEE()
 	br := bufio.NewReaderSize(r, 1<<16)
@@ -143,14 +146,9 @@ func ReadCheckpoint(r io.Reader) (*Index, error) {
 		return nil, err
 	}
 
-	idx, err := New(Config{InitialBuckets: size, TagBits: uint(tagBits)})
-	if err != nil {
-		return nil, err
-	}
-	t := idx.activeTable()
-	if t.size != size {
-		return nil, fmt.Errorf("%w: size %d not a power of two", errCorrupt, size)
-	}
+	// The records slice grows only as their bytes arrive, so a corrupt
+	// count costs at most the image's own size.
+	var recs [][2]uint64
 	for i := uint64(0); i < count; i++ {
 		off, err := readU64()
 		if err != nil {
@@ -160,10 +158,7 @@ func ReadCheckpoint(r io.Reader) (*Index, error) {
 		if err != nil {
 			return nil, err
 		}
-		if off >= size {
-			return nil, fmt.Errorf("%w: offset %d out of range", errCorrupt, off)
-		}
-		idx.insertMigrated(t, off, word)
+		recs = append(recs, [2]uint64{off, word})
 	}
 	wantCRC := uint64(crc.Sum32())
 	var tail [8]byte
@@ -172,6 +167,27 @@ func ReadCheckpoint(r io.Reader) (*Index, error) {
 	}
 	if got := binary.LittleEndian.Uint64(tail[:]); got != wantCRC {
 		return nil, fmt.Errorf("%w: crc mismatch", errCorrupt)
+	}
+
+	if size == 0 || size&(size-1) != 0 {
+		return nil, fmt.Errorf("%w: size %d not a power of two", errCorrupt, size)
+	}
+	if tagBits == 0 || tagBits > MaxTagBits {
+		return nil, fmt.Errorf("%w: tag width %d", errCorrupt, tagBits)
+	}
+	fields := occupiedBit | (1<<tagBits-1)<<tagShift | AddressMask
+	for _, rec := range recs {
+		if off, word := rec[0], rec[1]; off >= size || !entryLive(word) || word&^fields != 0 {
+			return nil, fmt.Errorf("%w: entry %#x at offset %d", errCorrupt, word, off)
+		}
+	}
+	idx, err := New(Config{InitialBuckets: size, TagBits: uint(tagBits)})
+	if err != nil {
+		return nil, err
+	}
+	t := idx.activeTable()
+	for _, rec := range recs {
+		idx.insertMigrated(t, rec[0], rec[1])
 	}
 	return idx, nil
 }

@@ -25,6 +25,15 @@
 // locked. Inserting a new tag uses the paper's two-phase tentative-bit
 // algorithm to preserve the invariant that each (offset, tag) pair has at
 // most one non-tentative entry.
+//
+// # Epoch contract
+//
+// Every index operation runs under a guard of the epoch.Manager passed to
+// Grow (every store session holds one). That guard, not any check inside
+// the index, is what keeps an operation still routed by one resize
+// cycle's state safe on the table the next cycle is preparing: the next
+// cycle cannot begin migrating until the operation's thread refreshes.
+// See resize.go.
 package index
 
 import (
@@ -72,12 +81,12 @@ type table struct {
 	size    uint64 // number of main buckets, power of two
 	buckets []bucket
 
-	// Overflow buckets are allocated from a chunked arena so bucket
-	// pointers stay stable while the arena grows.
+	// Overflow buckets are carved from a chunked arena so bucket pointers
+	// stay stable while it grows. The chunk directory is copied on growth
+	// under ovMu and republished, so a reader never sees it mid-append.
 	ovMu     sync.Mutex
-	ovChunks [][]bucket
-	ovNext   atomic.Uint64
-	ovFree   atomic.Uint64 // head of free list (1+index), 0 if empty
+	ovChunks atomic.Pointer[[]*[ovChunkSize]bucket]
+	ovNext   atomic.Uint64 // overflow buckets carved so far
 }
 
 const ovChunkSize = 1024
@@ -89,32 +98,24 @@ func newTable(size uint64) *table {
 // overflowBucket returns the overflow bucket for handle h (h = 1+index).
 func (t *table) overflowBucket(h uint64) *bucket {
 	i := h - 1
-	return &t.ovChunks[i/ovChunkSize][i%ovChunkSize]
+	return &(*t.ovChunks.Load())[i/ovChunkSize][i%ovChunkSize]
 }
 
-// allocOverflow returns a handle to a zeroed overflow bucket.
+// allocOverflow returns a handle to a fresh zeroed overflow bucket.
+// Buckets are never reused: one whose link CAS lost stays unlinked (64
+// bytes, counted in insertRetries), which is cheaper than an ABA-safe free
+// list.
 func (t *table) allocOverflow() uint64 {
-	// Pop from the free list first. Freed buckets are only pushed while
-	// zeroed, and handles are never reused concurrently with a pop
-	// because pushes happen under the index invariants (bucket
-	// unreachable), so the simple CAS loop suffices.
-	for {
-		h := t.ovFree.Load()
-		if h == 0 {
-			break
-		}
-		b := t.overflowBucket(h)
-		next := atomic.LoadUint64(&b[7])
-		if t.ovFree.CompareAndSwap(h, next) {
-			atomic.StoreUint64(&b[7], 0)
-			return h
-		}
-	}
 	t.ovMu.Lock()
 	defer t.ovMu.Unlock()
 	n := t.ovNext.Load()
-	if int(n/ovChunkSize) == len(t.ovChunks) {
-		t.ovChunks = append(t.ovChunks, make([]bucket, ovChunkSize))
+	if n%ovChunkSize == 0 {
+		var dir []*[ovChunkSize]bucket
+		if p := t.ovChunks.Load(); p != nil {
+			dir = *p
+		}
+		dir = append(dir[:len(dir):len(dir)], new([ovChunkSize]bucket))
+		t.ovChunks.Store(&dir)
 	}
 	t.ovNext.Store(n + 1)
 	return n + 1
@@ -127,8 +128,6 @@ type Config struct {
 	InitialBuckets uint64
 	// TagBits is the tag width in bits, 0..14. Default 14.
 	TagBits uint
-	// MaxResizeChunks caps the number of migration chunks (default 256).
-	MaxResizeChunks int
 }
 
 // Index is the FASTER hash index.
@@ -137,12 +136,10 @@ type Index struct {
 	tagMask  uint64 // tag field mask, already shifted into position
 	tagCount uint64 // number of distinct tags
 
-	// status packs the resize phase and active version; see resize.go.
-	status atomic.Uint32
-
-	tables [2]*table // [version] — during resize both are live
-
-	resize resizeState
+	// state is the published resize state (see resize.go); every
+	// operation routes by one load of it.
+	state  atomic.Pointer[state]
+	growMu sync.Mutex // serializes Grow
 
 	mx struct {
 		tentativeConflicts metrics.Counter // two-phase insert backoffs (§3.2)
@@ -169,12 +166,7 @@ func New(cfg Config) (*Index, error) {
 		tagMask:  (1<<tagBits - 1) << tagShift,
 		tagCount: 1 << tagBits,
 	}
-	idx.tables[0] = newTable(size)
-	idx.resize.maxChunks = cfg.MaxResizeChunks
-	if idx.resize.maxChunks == 0 {
-		idx.resize.maxChunks = 256
-	}
-	idx.status.Store(packStatus(phaseStable, 0))
+	idx.state.Store(&state{phase: phaseStable, old: newTable(size)})
 	return idx, nil
 }
 
@@ -195,10 +187,7 @@ func (idx *Index) TagBits() uint { return idx.tagBits }
 // Size returns the number of main buckets of the active table.
 func (idx *Index) Size() uint64 { return idx.activeTable().size }
 
-func (idx *Index) activeTable() *table {
-	_, v := unpackStatus(idx.status.Load())
-	return idx.tables[v]
-}
+func (idx *Index) activeTable() *table { return idx.state.Load().old }
 
 // tagOf extracts the (shifted) tag field for hash.
 func (idx *Index) tagOf(hash uint64) uint64 {
@@ -267,8 +256,8 @@ func (idx *Index) Prefetch(hashes []uint64) {
 // is held across the scan so a concurrent resize cannot poison the chain
 // mid-traversal.
 func (idx *Index) FindEntry(hash uint64) (e Entry, addr uint64, ok bool) {
-	t, pinned := idx.beginOp(hash)
-	defer idx.endOp(pinned)
+	t, pin := idx.beginOp(hash)
+	defer idx.endOp(pin)
 	tag := idx.tagOf(hash)
 	b := &t.buckets[offsetOf(t, hash)]
 	for {
@@ -291,9 +280,9 @@ func (idx *Index) FindEntry(hash uint64) (e Entry, addr uint64, ok bool) {
 // address is 0 for a fresh entry.
 func (idx *Index) FindOrCreateEntry(hash uint64) (Entry, uint64) {
 	for {
-		t, pinned := idx.beginOp(hash)
+		t, pin := idx.beginOp(hash)
 		e, addr, ok := idx.findOrCreateOnce(t, hash)
-		idx.endOp(pinned)
+		idx.endOp(pin)
 		if ok {
 			return e, addr
 		}
@@ -330,12 +319,10 @@ func (idx *Index) findOrCreateOnce(t *table, hash uint64) (Entry, uint64, bool) 
 	}
 	if free == nil {
 		// Chain full: extend it with a fresh overflow bucket. The CAS
-		// may lose to a concurrent extender; retry either way.
+		// may lose to a concurrent extender, leaving the bucket unlinked;
+		// retry either way.
 		idx.mx.insertRetries.Inc()
-		h := t.allocOverflow()
-		if !atomic.CompareAndSwapUint64(&b[7], 0, h) {
-			t.freeOverflow(h)
-		}
+		atomic.CompareAndSwapUint64(&b[7], 0, t.allocOverflow())
 		return Entry{}, 0, false
 	}
 	// Phase 1: claim the slot tentatively. Entries with the tentative bit
@@ -376,19 +363,6 @@ scan:
 		return Entry{}, 0, false
 	}
 	return Entry{slot: free, meta: meta}, 0, true
-}
-
-// freeOverflow pushes an unused overflow bucket back on the free list.
-// The bucket must be unreachable and zero except possibly its link word.
-func (t *table) freeOverflow(h uint64) {
-	b := t.overflowBucket(h)
-	for {
-		head := t.ovFree.Load()
-		atomic.StoreUint64(&b[7], head)
-		if t.ovFree.CompareAndSwap(head, h) {
-			return
-		}
-	}
 }
 
 // Delete removes the live entry for hash regardless of its address.
@@ -501,7 +475,8 @@ type Metrics struct {
 // snapshot. Safe to run concurrently with mutations; the structural
 // numbers are a fuzzy snapshot.
 func (idx *Index) Metrics() Metrics {
-	t := idx.activeTable()
+	s := idx.state.Load()
+	t := s.old
 	m := Metrics{
 		Buckets:            t.size,
 		TagBits:            idx.tagBits,
@@ -535,12 +510,11 @@ func (idx *Index) Metrics() Metrics {
 			m.MaxChain = chain
 		}
 	}
-	if phase, _ := unpackStatus(idx.status.Load()); phase != phaseStable {
-		r := &idx.resize
+	if s.phase != phaseStable {
 		m.ResizeActive = true
-		m.ResizeChunksTotal = r.numChunks
-		for c := range r.migrated {
-			if r.migrated[c].Load() == 2 {
+		m.ResizeChunksTotal = len(s.migrated)
+		for c := range s.migrated {
+			if s.migrated[c].Load() {
 				m.ResizeChunksDone++
 			}
 		}

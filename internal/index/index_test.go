@@ -2,11 +2,16 @@ package index
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/epoch"
 	"repro/internal/xhash"
@@ -345,6 +350,94 @@ func TestGrowConcurrentWithMutations(t *testing.T) {
 	}
 }
 
+// TestGrowStragglerFromFinishedCycle holds a thread inside one Grow's
+// resizing phase until the next Grow is in prepare, then lets it run
+// ensureChunkDone with the state it loaded. It must work on its own
+// finished cycle, leaving the next cycle's chunk arrays alone, so
+// operations on that chunk still proceed and the next Grow completes.
+func TestGrowStragglerFromFinishedCycle(t *testing.T) {
+	em := epoch.New(8)
+	idx := newTestIndex(t, 64)
+	want := map[uint64]uint64{}
+	for i := uint64(0); i < 500; i++ {
+		h := xhash.Uint64(i)
+		if e, addr := idx.FindOrCreateEntry(h); addr == 0 && e.CompareAndSwapAddress(0, i+1) {
+			want[h] = i + 1
+		}
+	}
+	h := xhash.Uint64(7)
+	grown := make(chan error, 1)
+
+	// Grow #1 stays in prepare while g holds its epoch. Pin h's chunk
+	// there, then let resizing begin: the pin keeps Grow #1 from
+	// finishing until its resizing state has been captured.
+	g := em.Acquire()
+	go func() { grown <- idx.Grow(em) }()
+	waitPhase(t, idx, phasePrepare, nil)
+	_, pin := idx.beginOp(h)
+	straggler := waitPhase(t, idx, phaseResizing, g.Refresh)
+	chunk := straggler.chunkOf(h)
+	idx.endOp(pin)
+	if err := <-grown; err != nil {
+		t.Fatal(err)
+	}
+
+	// Grow #2 stays in prepare while g holds its epoch.
+	go func() { grown <- idx.Grow(em) }()
+	next := waitPhase(t, idx, phasePrepare, nil)
+	idx.ensureChunkDone(straggler, chunk)
+	for c := range next.pins {
+		if p, m := next.pins[c].Load(), next.migrated[c].Load(); p != 0 || m {
+			t.Fatalf("straggler touched the next cycle: chunk %d pins=%d migrated=%v", c, p, m)
+		}
+	}
+	found := make(chan bool, 1)
+	go func() {
+		_, addr, ok := idx.FindEntry(h)
+		found <- ok && addr == want[h]
+	}()
+	select {
+	case ok := <-found:
+		if !ok {
+			t.Fatal("FindEntry in the next prepare lost the entry")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("FindEntry hung on the straggler's chunk")
+	}
+
+	g.Release()
+	if err := <-grown; err != nil {
+		t.Fatal(err)
+	}
+	if got := idx.Size(); got != 256 {
+		t.Fatalf("Size = %d after two grows, want 256", got)
+	}
+	for h, addr := range want {
+		if _, got, ok := idx.FindEntry(h); !ok || got != addr {
+			t.Fatalf("FindEntry(%#x) = (%v, %d), want (true, %d)", h, ok, got, addr)
+		}
+	}
+}
+
+// waitPhase waits until idx publishes a state in phase and returns it,
+// calling step (if non-nil) on every poll.
+func waitPhase(t *testing.T, idx *Index, phase uint32, step func()) *state {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if s := idx.state.Load(); s.phase == phase {
+			return s
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("phase %d never published", phase)
+		}
+		if step != nil {
+			step()
+		}
+		runtime.Gosched()
+	}
+}
+
 func TestShrinkUnsupported(t *testing.T) {
 	idx := newTestIndex(t, 64)
 	if err := idx.Shrink(epoch.New(2)); err != ErrUnsupported {
@@ -390,11 +483,59 @@ func TestCheckpointDetectsCorruption(t *testing.T) {
 	if err := idx.WriteCheckpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
-	img := buf.Bytes()
-	img[len(img)/2] ^= 0xff
-	if _, err := ReadCheckpoint(bytes.NewReader(img)); err == nil {
-		t.Fatal("corrupted checkpoint accepted")
+	good := buf.Bytes()
+	// Header words: magic, tagBits, size, count (8 bytes each).
+	flips := map[string]struct {
+		byteOff int
+		mask    byte
+	}{
+		"middle":      {len(good) / 2, 0xff},
+		"size bit 32": {16 + 4, 1},
+		"size bit 40": {16 + 5, 1},
+		"count":       {24 + 5, 1},
 	}
+	for name, f := range flips {
+		img := bytes.Clone(good)
+		img[f.byteOff] ^= f.mask
+		if _, err := ReadCheckpoint(bytes.NewReader(img)); err == nil {
+			t.Errorf("%s: corrupted checkpoint accepted", name)
+		}
+	}
+
+	// Images whose CRC is right but whose fields are not.
+	live := occupiedBit | 3<<tagShift | 64
+	hostile := map[string][]byte{
+		"size not a power of two": checkpointImage(14, 48, [2]uint64{1, live}),
+		"zero size":               checkpointImage(14, 0),
+		"tag width 15":            checkpointImage(15, 64),
+		"tentative word":          checkpointImage(14, 64, [2]uint64{1, live | tentativeBit}),
+		"poison word":             checkpointImage(14, 64, [2]uint64{1, poisonWord}),
+		"unoccupied word":         checkpointImage(14, 64, [2]uint64{1, 3<<tagShift | 64}),
+		"tag outside tagBits":     checkpointImage(4, 64, [2]uint64{1, occupiedBit | 1<<(tagShift+4) | 64}),
+		"offset out of range":     checkpointImage(14, 64, [2]uint64{64, live}),
+	}
+	for name, img := range hostile {
+		if _, err := ReadCheckpoint(bytes.NewReader(img)); !errors.Is(err, errCorrupt) {
+			t.Errorf("%s: err = %v, want errCorrupt", name, err)
+		}
+	}
+	if _, err := ReadCheckpoint(bytes.NewReader(checkpointImage(14, 64, [2]uint64{1, live}))); err != nil {
+		t.Fatalf("well-formed hand-built image rejected: %v", err)
+	}
+}
+
+// checkpointImage builds an index checkpoint image with a valid CRC from
+// raw header fields and (offset, entry word) records.
+func checkpointImage(tagBits, size uint64, recs ...[2]uint64) []byte {
+	words := []uint64{checkpointMagic, tagBits, size, uint64(len(recs))}
+	for _, r := range recs {
+		words = append(words, r[0], r[1])
+	}
+	var img []byte
+	for _, w := range words {
+		img = binary.LittleEndian.AppendUint64(img, w)
+	}
+	return binary.LittleEndian.AppendUint64(img, uint64(crc32.ChecksumIEEE(img)))
 }
 
 func TestUpdateAddresses(t *testing.T) {

@@ -5,15 +5,12 @@ import (
 	"math"
 	"math/bits"
 	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/epoch"
 )
 
-// Resizing (Appendix B of the paper) proceeds through three phases packed,
-// together with the active version and a generation counter, into a single
-// atomic status word:
+// Resizing (Appendix B of the paper) walks three phases:
 //
 //	stable    normal operation on the active table
 //	prepare   a new table exists; threads pin their chunk around each
@@ -21,9 +18,19 @@ import (
 //	resizing  threads cooperatively migrate chunks; operations route to
 //	          the new table once their chunk is done
 //
-// The epoch framework provides the prepare->resizing transition: the phase
-// only becomes resizing after every thread has observed prepare, which it
-// does at its next refresh.
+// The phase, and the tables and chunk arrays it works on, are one
+// immutable state value published through an atomic pointer. An operation
+// loads it once and touches only what that value names, so a thread
+// delayed across a whole resize cycle still sees its own cycle's finished
+// chunk arrays, never the next cycle's.
+//
+// The epoch framework provides the prepare->resizing transition: Grow
+// publishes the resizing value from a BumpWith action, which runs only
+// after every thread has refreshed past the prepare bump. The same rule
+// covers a late resizing-phase operation, which holds no pin, on the table
+// the next cycle is preparing (the package comment's epoch contract): the
+// next cycle cannot publish its resizing value, and so cannot migrate
+// anything, until that operation's thread refreshes.
 //
 // Safety against stale entry references: when a migrator copies an entry
 // out of the old table it CASes the old slot to a poison word (tentative,
@@ -44,101 +51,74 @@ const (
 	phaseResizing
 )
 
+// maxResizeChunks caps the number of migration chunks of one Grow.
+const maxResizeChunks = 256
+
 // poisonWord marks a migrated slot: tentative and not occupied, so it is
 // invisible to readers and unmatchable by any legitimate CAS.
 const poisonWord = tentativeBit
 
-func packStatus(phase uint32, version uint32) uint32 {
-	return phase | version<<2
-}
-
-// packStatusGen includes the resize generation in the upper bits.
-func packStatusGen(phase, version, gen uint32) uint32 {
-	return phase | version<<2 | gen<<3
-}
-
-func unpackStatus(s uint32) (phase uint32, version uint32) {
-	return s & 3, s >> 2 & 1
-}
-
-func statusGen(s uint32) uint32 { return s >> 3 }
-
 // ErrUnsupported is returned by Shrink.
 var ErrUnsupported = errors.New("index: shrink requires meta-records and is not implemented")
 
-// resizeState holds the coordination data for an in-flight resize.
-type resizeState struct {
-	mu        sync.Mutex // serializes Grow calls
-	maxChunks int
-
-	// The fields below are rewritten under mu before the status word
-	// advertises prepare; readers load status first (acquire) so they
-	// observe a consistent snapshot.
-	old, new   *table
-	numChunks  int
+// state is one published resize state. Its fields never change once it is
+// stored in Index.state; a phase change publishes a new value. The prepare
+// and resizing values of one Grow share pins and migrated.
+type state struct {
+	phase    uint32
+	old, new *table // old is the active table when stable; new is nil then
+	// chunkShift is log2 of the old-table buckets per migration chunk.
 	chunkShift uint
-	pins       []atomic.Int32
-	migrated   []atomic.Uint32 // 0 pending, 1 claimed, 2 done
+	pins       []atomic.Int32 // operations in the chunk; MinInt32 once claimed
+	migrated   []atomic.Bool  // chunk copied into new
 }
 
 // chunkOf maps a hash to its migration chunk in the old table.
-func (r *resizeState) chunkOf(hash uint64) int {
-	return int((hash & (r.old.size - 1)) >> r.chunkShift)
+func (s *state) chunkOf(hash uint64) int {
+	return int((hash & (s.old.size - 1)) >> s.chunkShift)
 }
 
-// beginOp routes an index operation to the right table for hash,
-// respecting the resize phase. It returns the table whose buckets the
-// operation may touch and the chunk it pinned (-1 if none). The caller
-// must call endOp with the same pin.
-func (idx *Index) beginOp(hash uint64) (t *table, pinned int) {
+// beginOp routes an index operation to the right table for hash. It
+// returns the table whose buckets the operation may touch and the chunk
+// pin it holds (nil if none), which the caller passes to endOp.
+func (idx *Index) beginOp(hash uint64) (*table, *atomic.Int32) {
 	for {
-		st := idx.status.Load()
-		phase, v := unpackStatus(st)
-		switch phase {
+		s := idx.state.Load()
+		switch s.phase {
 		case phaseStable:
-			return idx.tables[v], -1
+			return s.old, nil
 		case phasePrepare:
-			r := &idx.resize
-			chunk := r.chunkOf(hash)
-			if r.pins[chunk].Add(1) > 0 {
-				// Guard against a full resize cycle having slipped by
-				// between the status load and the pin (generation check).
-				if idx.status.Load() == st {
-					return r.old, chunk
-				}
-				r.pins[chunk].Add(-1)
-				continue
+			pin := &s.pins[s.chunkOf(hash)]
+			if pin.Add(1) > 0 && idx.state.Load() == s {
+				return s.old, pin
 			}
-			// The migrator claimed this chunk already; undo and spin
-			// until the phase catches up.
-			r.pins[chunk].Add(-1)
-			runtime.Gosched()
-		case phaseResizing:
-			r := &idx.resize
-			idx.ensureChunkDone(r.chunkOf(hash))
-			if statusGen(idx.status.Load()) != statusGen(st) {
-				continue // a whole resize cycle slipped past us
-			}
-			return r.new, -1
+			// Resizing was published since the load: either the re-check
+			// saw it, or a migrator already claimed the chunk, which it
+			// only does after the store. Undo and route by the new value.
+			pin.Add(-1)
+		default:
+			idx.ensureChunkDone(s, s.chunkOf(hash))
+			return s.new, nil
 		}
 	}
 }
 
 // endOp releases the chunk pin taken by beginOp.
-func (idx *Index) endOp(pinned int) {
-	if pinned >= 0 {
-		idx.resize.pins[pinned].Add(-1)
+func (idx *Index) endOp(pin *atomic.Int32) {
+	if pin != nil {
+		pin.Add(-1)
 	}
 }
 
-// ensureChunkDone cooperatively migrates chunk or waits for its migrator.
-func (idx *Index) ensureChunkDone(chunk int) {
-	r := &idx.resize
-	for r.migrated[chunk].Load() != 2 {
-		if r.pins[chunk].CompareAndSwap(0, math.MinInt32) {
-			r.migrated[chunk].Store(1)
-			idx.migrateChunk(chunk)
-			r.migrated[chunk].Store(2)
+// ensureChunkDone cooperatively migrates chunk of s or waits for its
+// migrator. It touches only s's own arrays, so a caller holding the
+// state of a finished cycle returns at once. The wait is on other threads'
+// pins and migration, never on epoch progress.
+func (idx *Index) ensureChunkDone(s *state, chunk int) {
+	for !s.migrated[chunk].Load() {
+		if s.pins[chunk].CompareAndSwap(0, math.MinInt32) {
+			idx.migrateChunk(s, chunk)
+			s.migrated[chunk].Store(true)
 			return
 		}
 		runtime.Gosched()
@@ -149,12 +129,11 @@ func (idx *Index) ensureChunkDone(chunk int) {
 // into both child buckets of the new table, poisoning old slots as it
 // goes. The migrator has exclusive ownership of the chunk (pins are
 // negative) and of the child buckets.
-func (idx *Index) migrateChunk(chunk int) {
-	r := &idx.resize
-	lo := uint64(chunk) << r.chunkShift
-	hi := lo + r.old.size/uint64(r.numChunks)
+func (idx *Index) migrateChunk(s *state, chunk int) {
+	lo := uint64(chunk) << s.chunkShift
+	hi := lo + 1<<s.chunkShift
 	for off := lo; off < hi; off++ {
-		b := &r.old.buckets[off]
+		b := &s.old.buckets[off]
 		for {
 			for i := 0; i < entriesPerBucket; i++ {
 				for {
@@ -163,23 +142,23 @@ func (idx *Index) migrateChunk(chunk int) {
 						break
 					}
 					if entryLive(w) {
-						idx.insertMigrated(r.new, off, w)
-						idx.insertMigrated(r.new, off+r.old.size, w)
+						idx.insertMigrated(s.new, off, w)
+						idx.insertMigrated(s.new, off+s.old.size, w)
 					}
 					if atomic.CompareAndSwapUint64(&b[i], w, poisonWord) {
 						break
 					}
 					// Lost a race with a late CAS; undo the copies and
 					// redo with the fresh value.
-					idx.removeMigrated(r.new, off, w)
-					idx.removeMigrated(r.new, off+r.old.size, w)
+					idx.removeMigrated(s.new, off, w)
+					idx.removeMigrated(s.new, off+s.old.size, w)
 				}
 			}
 			ov := atomic.LoadUint64(&b[7])
 			if ov == 0 {
 				break
 			}
-			b = r.old.overflowBucket(ov)
+			b = s.old.overflowBucket(ov)
 		}
 	}
 }
@@ -229,50 +208,32 @@ func (idx *Index) removeMigrated(t *table, off uint64, w uint64) {
 // hold an epoch guard (other sessions keep refreshing as usual and help
 // migrate chunks they touch).
 func (idx *Index) Grow(em *epoch.Manager) error {
-	r := &idx.resize
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	idx.growMu.Lock()
+	defer idx.growMu.Unlock()
 
-	st := idx.status.Load()
-	phase, v := unpackStatus(st)
-	if phase != phaseStable {
-		return errors.New("index: resize already in progress")
+	old := idx.state.Load().old
+	chunks := min(maxResizeChunks, old.size)
+	prepare := &state{
+		phase:      phasePrepare,
+		old:        old,
+		new:        newTable(old.size * 2),
+		chunkShift: uint(bits.TrailingZeros64(old.size / chunks)),
+		pins:       make([]atomic.Int32, chunks),
+		migrated:   make([]atomic.Bool, chunks),
 	}
-	gen := statusGen(st) + 1
+	resizing := *prepare
+	resizing.phase = phaseResizing
 
-	old := idx.tables[v]
-	nt := newTable(old.size * 2)
-	idx.tables[1-v] = nt
-
-	numChunks := r.maxChunks
-	if uint64(numChunks) > old.size {
-		numChunks = int(old.size)
-	}
-	// Round down to a power of two so chunk boundaries divide evenly.
-	numChunks = 1 << (bits.Len(uint(numChunks)) - 1)
-	r.old, r.new = old, nt
-	r.numChunks = numChunks
-	r.chunkShift = uint(bits.TrailingZeros64(old.size / uint64(numChunks)))
-	r.pins = make([]atomic.Int32, numChunks)
-	r.migrated = make([]atomic.Uint32, numChunks)
-
-	idx.status.Store(packStatusGen(phasePrepare, v, gen))
-	em.BumpWith(func() {
-		idx.status.Store(packStatusGen(phaseResizing, v, gen))
-	})
-	for {
-		p, _ := unpackStatus(idx.status.Load())
-		if p == phaseResizing {
-			break
-		}
+	idx.state.Store(prepare)
+	em.BumpWith(func() { idx.state.Store(&resizing) })
+	for idx.state.Load() == prepare {
 		em.Drain()
 		runtime.Gosched()
 	}
-	for c := 0; c < numChunks; c++ {
-		idx.ensureChunkDone(c)
+	for c := range resizing.pins {
+		idx.ensureChunkDone(&resizing, c)
 	}
-	idx.status.Store(packStatusGen(phaseStable, 1-v, gen))
-	idx.tables[v] = nil
+	idx.state.Store(&state{phase: phaseStable, old: resizing.new})
 	idx.mx.resizes.Inc()
 	return nil
 }

@@ -178,8 +178,11 @@ func TestLinearizablePendingIO(t *testing.T) {
 
 // TestLinearizableResize doubles the hash index repeatedly while traffic
 // runs, exercising the split-chain rehash against concurrent CAS
-// publishes.
+// publishes. The key space is well above the 56 entries the 8-bucket
+// table holds, so chains overflow and migration walks overflow buckets,
+// and there are more clients than processors on small machines.
 func TestLinearizableResize(t *testing.T) {
+	const clients, ops = 6, 200
 	for _, seed := range seeds {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			s := openScenarioStore(t, faster.Config{
@@ -191,16 +194,16 @@ func TestLinearizableResize(t *testing.T) {
 			})
 			rec := NewRecorder()
 			// Each grow fires once the recorder clock shows another
-			// quarter of the run's ~2*Clients*Ops events, so the grows
+			// tenth of the run's ~2*Clients*Ops events, so the grows
 			// interleave with live traffic regardless of how fast the
 			// schedule executes. (GrowIndex must run off-session, hence
 			// Chaos rather than Interleave.)
 			RecordWorkload(s, rec, Workload{
-				Clients: 6, Ops: 80, Keys: 5, Seed: seed,
+				Clients: clients, Ops: ops, Keys: 128, Seed: seed,
 				Chaos: func(stop <-chan struct{}) {
-					events := int64(2 * 6 * 80)
+					events := int64(2 * clients * ops)
 					for i := int64(1); i <= 4; i++ {
-						for rec.Peek() < i*events/5 {
+						for rec.Peek() < i*events/10 {
 							select {
 							case <-stop:
 								return

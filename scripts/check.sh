@@ -17,6 +17,15 @@ for procs in 1 2 8; do
 	GOMAXPROCS=$procs go test -count=20 ./internal/epoch/
 done
 
+# Index resize under the race detector on one, two and eight processors,
+# repeated: one published state per phase, so a thread late by a whole
+# cycle can never claim the next cycle's chunks. The repeated grow run
+# without the race detector is the hang guard.
+for procs in 1 2 8; do
+	GOMAXPROCS=$procs go test -race -count=20 ./internal/index/
+done
+go test -run 'TestGrow' -count=300 -timeout 120s ./internal/index/
+
 # The simulated SSD's delivery scheduler on one and on two processors,
 # repeated under the race detector (due-time order, service slots, Close
 # delivering in-flight I/O exactly once), and its non-Linux runtime-timer
@@ -29,6 +38,11 @@ GOOS=darwin GOARCH=arm64 go vet ./internal/device/
 # Compaction's flush wait refreshes its session's guard; without that a
 # read-only shift racing the compaction hung this test.
 go test -run 'TestLinearizableSharded$' -count=200 -timeout 300s ./internal/linearize/
+
+# A batch record whose publish CAS lost is invalidated before anything
+# can refresh the epoch and let its page flush; the race detector flags
+# a flush copying the record while its invalid bit is set.
+go test -race -run 'TestLinearizableSharded$' -count=100 -timeout 300s ./internal/linearize/
 
 # The RESP front-end's one execution path on one and on two processors:
 # windows, io-pool miss resolution and stamped serials depend on
