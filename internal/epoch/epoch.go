@@ -338,6 +338,41 @@ func (m *Manager) Drain() {
 	m.computeSafeAndDrain(m.current.Load())
 }
 
+// Wait's back-off: Gosched for the first waitSpins rounds, then sleep.
+const (
+	waitSpins = 128
+	waitSleep = 10 * time.Microsecond
+)
+
+// Wait blocks until done reports true or stop reports an error, and keeps
+// the epoch moving meanwhile. It is for waits on another thread's epoch
+// progress (a page turn, a flush, a drain), which no channel announces.
+// Each round refreshes g, the caller's own guard — a waiter that pins its
+// epoch blocks the very trigger action it waits for, and the refresh runs
+// the actions that became ready — then yields: Gosched for the first
+// rounds, short sleeps after, so a long wait does not starve the threads
+// it waits on. g may be nil when the caller holds no guard; the round then
+// only drains. done may also nudge the state it polls.
+func (m *Manager) Wait(g *Guard, done func() bool, stop func() error) error {
+	for spins := 0; !done(); spins++ {
+		if err := stop(); err != nil {
+			return err
+		}
+		switch {
+		case g == nil:
+			m.Drain()
+		case !(mutationsEnabled && mutSkipWaitRefresh()):
+			g.Refresh()
+		}
+		if spins > waitSpins {
+			time.Sleep(waitSleep)
+		} else {
+			runtime.Gosched()
+		}
+	}
+	return nil
+}
+
 // PendingActions reports the number of trigger actions not yet executed.
 func (m *Manager) PendingActions() int { return int(m.drainCnt.Load()) }
 

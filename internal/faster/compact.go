@@ -15,7 +15,8 @@ import (
 // forward exactly like a lost-update-free RCU), and then truncates the
 // prefix under the epoch-safe protocol in hlog. Unlike the paper's
 // administrative sketch, this version runs concurrently with reads, RMWs
-// and pending I/O:
+// and pending I/O, and in bounded memory — one log address per live key
+// plus one page, never a copy of the live values:
 //
 //   - a copy is published only if no newer version of the key exists in
 //     the chain span above the cut — verified in memory when the span is
@@ -76,12 +77,37 @@ func (s *Store) Compact(until hlog.Address) (CompactStats, error) {
 		return stats, fmt.Errorf("faster: compact until %#x beyond safe read-only %#x", until, safeRO)
 	}
 
-	// Phase 1: one scan of the doomed prefix, folding it into each key's
-	// newest below-cut state. Log order is version order for a single
-	// key, so last-seen wins and a tombstone erases the key.
-	live := map[string][]byte{}
+	// Both scans walk the prefix one page at a time on the driver's own
+	// session guard and one reusable page buffer. The guard is refreshed
+	// per page and is the only guard the driver holds, so no scan ever
+	// pins the epoch while the session appends (Allocate waits for every
+	// guard to refresh).
+	sess := s.StartSession()
+	defer sess.Close()
+	pageBuf := make([]byte, s.log.PageSize())
+	walk := func(fn func(ScanRecord) bool, afterPage func() error) error {
+		for addr := begin; addr < until; {
+			next, cont, err := s.scanPage(sess.g, addr, until, pageBuf, false, fn)
+			if err != nil || !cont {
+				return err
+			}
+			if afterPage != nil {
+				if err := afterPage(); err != nil {
+					return err
+				}
+			}
+			addr = next
+		}
+		return nil
+	}
+
+	// Phase 1: fold the doomed prefix into the address of each key's
+	// newest below-cut version — no value bytes are kept. Log order is
+	// version order for a single key, so last-seen wins and a tombstone
+	// erases the key.
+	live := map[string]hlog.Address{}
 	var scanErr error
-	err := s.Scan(ScanOptions{From: begin, To: until}, func(r ScanRecord) bool {
+	err := walk(func(r ScanRecord) bool {
 		if r.Delta {
 			scanErr = errCompactDelta
 			return false
@@ -95,11 +121,9 @@ func (s *Store) Compact(until hlog.Address) (CompactStats, error) {
 				r.Address, len(r.Value), maxCompactValue)
 			return false
 		}
-		// Scan buffers are transient: copy, reusing the key's previous
-		// backing array across versions.
-		live[string(r.Key)] = append(live[string(r.Key)][:0], r.Value...)
+		live[string(r.Key)] = r.Address
 		return true
-	})
+	}, nil)
 	if err == nil {
 		err = scanErr
 	}
@@ -107,11 +131,15 @@ func (s *Store) Compact(until hlog.Address) (CompactStats, error) {
 		return stats, err
 	}
 
-	// Phase 2: roll each candidate forward on a private session. Copies
-	// race concurrent writers through the ordinary append/CAS protocol,
-	// so a candidate superseded mid-flight is simply skipped.
-	sess := s.StartSession()
-	defer sess.Close()
+	// Phase 2: walk the prefix again and roll each candidate — the record
+	// the fold kept for its key — forward. The prefix is immutable (until
+	// is at most the safe read-only address, and compactMu excludes other
+	// truncations), so the second walk meets the same records as the
+	// first. A page's candidates are copied into a reusable arena before
+	// any of them appends: a resident page is only valid until the guard's
+	// next refresh, and appending refreshes it. Copies race concurrent
+	// writers through the ordinary append/CAS protocol, so a candidate
+	// superseded mid-flight is simply skipped.
 	var opErr error
 	tally := func(results []Result) {
 		for _, res := range results {
@@ -131,18 +159,35 @@ func (s *Store) Compact(until hlog.Address) (CompactStats, error) {
 			}
 		}
 	}
-	for key, val := range live {
-		sess.compactKey([]byte(key), val, until, &stats)
-		if sess.inFlight >= 32 {
-			tally(sess.CompletePending(true))
+	type candidate struct{ key, val []byte }
+	var cands []candidate
+	arena := make([]byte, 0, s.log.PageSize())
+	err = walk(func(r ScanRecord) bool {
+		if addr, ok := live[string(r.Key)]; ok && addr == r.Address {
+			n := len(arena)
+			arena = append(append(arena, r.Key...), r.Value...)
+			cands = append(cands, candidate{arena[n : n+len(r.Key)], arena[n+len(r.Key):]})
 		}
-		if opErr != nil {
-			break
+		return true
+	}, func() error {
+		for _, c := range cands {
+			sess.compactKey(c.key, c.val, until, &stats)
+			if sess.inFlight >= 32 {
+				tally(sess.CompletePending(true))
+			}
+			if opErr != nil {
+				break
+			}
 		}
-	}
+		cands, arena = cands[:0], arena[:0]
+		return opErr
+	})
 	tally(sess.CompletePending(true))
-	if opErr != nil {
-		return stats, opErr
+	if err == nil {
+		err = opErr
+	}
+	if err != nil {
+		return stats, err
 	}
 
 	// Phase 3: make the copies durable before destroying their sources,
@@ -232,9 +277,10 @@ func (sess *Session) compactKey(key, val []byte, until hlog.Address, stats *Comp
 		}
 		// laddr is inside [until, head): that part of the chain was
 		// evicted, so whether a newer version of the key exists there can
-		// only be answered from storage. Descend asynchronously.
+		// only be answered from storage. Descend asynchronously, on a copy
+		// of the value: the caller reuses val's memory for the next page.
 		op := sess.newPendingOp(opCompact, key, nil, nil, nil)
-		op.compactVal = val
+		op.compactVal = append([]byte(nil), val...)
 		op.verifyStop = until - 1 // clean once the descent passes below the cut
 		op.verifyCur = cur
 		op.addr = laddr

@@ -1,10 +1,12 @@
 package faster
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"maps"
 	"math/rand"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -508,4 +510,177 @@ func runCompactTortureCase(t *testing.T, seed, crashBudget int64, crashed, commi
 			t.Errorf("key %d resurrected past t2: status %v, want NotFound", k, st)
 		}
 	}
+}
+
+// blobValue is key i's value in version v: size bytes, every 8-byte word
+// stamped with (i, v), so a value delivered for the wrong key or version
+// — or overwritten by a reused buffer — cannot pass for the right one.
+func blobValue(i, v uint64, size int) []byte {
+	b := make([]byte, size)
+	for off := 0; off+8 <= size; off += 8 {
+		binary.LittleEndian.PutUint64(b[off:], i<<32|v)
+	}
+	return b
+}
+
+// checkBlobs reads every key back and requires want(i)'s value.
+func checkBlobs(t *testing.T, sess *Session, n uint64, size int, want func(i uint64) uint64) {
+	t.Helper()
+	out := make([]byte, size)
+	for i := uint64(0); i < n; i++ {
+		st, err := sess.Read(key(i), nil, out, nil)
+		if err != nil {
+			t.Fatalf("read key %d: %v", i, err)
+		}
+		if st == Pending {
+			res := sess.CompletePending(true)
+			if len(res) != 1 {
+				t.Fatalf("read key %d: %d results, want 1", i, len(res))
+			}
+			st = res[0].Status
+		}
+		if v := want(i); st != OK || !bytes.Equal(out, blobValue(i, v, size)) {
+			t.Fatalf("key %d = (%x…, %v), want version %d", i, out[:8], st, v)
+		}
+	}
+}
+
+// TestCompactAllocatesPerKeyNotPerValue bounds compaction's heap use: the
+// fold keeps one log address per live key and the copy phase reuses one
+// page of scratch, so the bytes allocated across a pass over 10 k live
+// 4 KiB values stay far below the 40 MiB of values it copies forward.
+func TestCompactAllocatesPerKeyNotPerValue(t *testing.T) {
+	const (
+		n    = 10_000
+		size = 4 << 10
+	)
+	s, _ := openTestStore(t, Config{Ops: BlobOps{}, PageBits: 16, IndexBuckets: 1 << 13})
+	sess := s.StartSession()
+	defer sess.Close()
+	for i := uint64(0); i < n; i++ {
+		if st, err := sess.Upsert(key(i), blobValue(i, 1, size)); st != OK {
+			t.Fatalf("upsert key %d: %v %v", i, st, err)
+		}
+	}
+	s.Log().ShiftReadOnlyToTail()
+	sess.Refresh()
+	cut := s.Log().SafeReadOnlyAddress()
+	sess.Park()
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	stats, err := s.Compact(cut)
+	runtime.ReadMemStats(&after)
+	sess.Unpark()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Copied != n {
+		t.Fatalf("copied %d records, want %d (every key is live)", stats.Copied, n)
+	}
+	liveBytes := uint64(n * size)
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= liveBytes/8 {
+		t.Fatalf("compaction allocated %d bytes for %d bytes of live values: it holds values, not addresses",
+			alloc, liveBytes)
+	} else {
+		t.Logf("compaction allocated %d bytes for %d bytes of live values", alloc, liveBytes)
+	}
+	checkBlobs(t, sess, n, size, func(uint64) uint64 { return 1 })
+}
+
+// TestCompactCopiesWrapTheBuffer compacts a prefix whose live records are
+// several times the log buffer, so the copy phase must wait for pages it
+// appended to flush and evict. A copy phase that held a scan guard while
+// appending would pin the epoch those waits need and hang here.
+func TestCompactCopiesWrapTheBuffer(t *testing.T) {
+	const (
+		n    = 400
+		size = 512
+	)
+	s, _ := openTestStore(t, Config{Ops: BlobOps{}, BufferPages: 8})
+	sess := s.StartSession()
+	defer sess.Close()
+	for i := uint64(0); i < n; i++ {
+		if st, err := sess.Upsert(key(i), blobValue(i, 1, size)); st != OK {
+			t.Fatalf("upsert key %d: %v %v", i, st, err)
+		}
+	}
+	s.Log().ShiftReadOnlyToTail()
+	sess.Refresh()
+	cut := s.Log().SafeReadOnlyAddress()
+	sess.Park()
+	stats, err := s.Compact(cut)
+	sess.Unpark()
+	if err != nil {
+		t.Fatal(err)
+	}
+	buffer := s.Log().PageSize() * 8
+	if stats.CopiedBytes < 4*buffer {
+		t.Fatalf("copied %d bytes, want at least 4 buffers (%d bytes) to wrap the log", stats.CopiedBytes, 4*buffer)
+	}
+	checkBlobs(t, sess, n, size, func(uint64) uint64 { return 1 })
+}
+
+// TestCompactDescentOwnsValue makes candidates verify their chains on the
+// device: one-bit tags over a tiny index thread every key's chain through
+// other keys' records above the cut, and those records are evicted, so
+// the candidates descend asynchronously while the copy phase moves on and
+// reuses its page arena. Each descent must copy forward its own value.
+func TestCompactDescentOwnsValue(t *testing.T) {
+	const (
+		n    = 200
+		size = 256
+	)
+	s, _ := openTestStore(t, Config{Ops: BlobOps{}, BufferPages: 8, TagBits: 1, IndexBuckets: 16})
+	sess := s.StartSession()
+	defer sess.Close()
+	put := func(i, v uint64) {
+		t.Helper()
+		if st, err := sess.Upsert(key(i), blobValue(i, v, size)); st != OK {
+			t.Fatalf("upsert key %d: %v %v", i, st, err)
+		}
+	}
+	// Below the cut: keys [0, n), spanning many pages, made read-only so
+	// the next versions append instead of updating in place.
+	for i := uint64(0); i < n; i++ {
+		put(i, 1)
+	}
+	cut := s.Log().ShiftReadOnlyToTail()
+	sess.Refresh()
+	// Above the cut: new versions of the even keys (stale candidates) and
+	// more than a buffer of other keys, so the span above the cut leaves
+	// memory.
+	for i := uint64(0); i < n; i += 2 {
+		put(i, 2)
+	}
+	for i := uint64(n); i < 3*n; i++ {
+		put(i, 1)
+	}
+	s.Log().ShiftReadOnlyToTail()
+	sess.Refresh()
+	if s.Log().HeadAddress() <= cut {
+		t.Fatalf("head %#x never passed the cut %#x: nothing above it was evicted", s.Log().HeadAddress(), cut)
+	}
+	sess.Park()
+	issued := s.Metrics().PendingIssued
+	stats, err := s.Compact(cut)
+	descents := s.Metrics().PendingIssued - issued
+	sess.Unpark()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("compact: %d copied, %d skipped, %d device reads", stats.Copied, stats.Skipped, descents)
+	if descents == 0 {
+		t.Fatal("no candidate descended to the device")
+	}
+	if stats.Copied != n/2 || stats.Skipped != n/2 {
+		t.Fatalf("copied %d / skipped %d, want %d / %d", stats.Copied, stats.Skipped, n/2, n/2)
+	}
+	checkBlobs(t, sess, 3*n, size, func(i uint64) uint64 {
+		if i < n && i%2 == 0 {
+			return 2
+		}
+		return 1
+	})
 }

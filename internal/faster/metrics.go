@@ -2,7 +2,6 @@ package faster
 
 import (
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"io"
 	"net/http"
@@ -16,7 +15,7 @@ import (
 
 // StoreMetrics is a point-in-time snapshot of every instrumented layer of
 // the store. It is the typed view; Series flattens it into named scalar
-// series for the expvar endpoint and text reports.
+// series for the JSON endpoint and text reports.
 type StoreMetrics struct {
 	// Store-level operation counters.
 	Reads     uint64
@@ -278,20 +277,8 @@ func (s *Store) WriteReport(w io.Writer) error {
 	return err
 }
 
-// PublishExpvar registers the store's metrics under name in the process's
-// expvar registry (served on /debug/vars by any expvar-aware mux). The
-// snapshot is taken lazily on every scrape. Expvar panics on duplicate
-// names, so publishing the same name twice returns an error instead.
-func (s *Store) PublishExpvar(name string) error {
-	if expvar.Get(name) != nil {
-		return fmt.Errorf("faster: expvar name %q already published", name)
-	}
-	expvar.Publish(name, expvar.Func(func() any { return s.Metrics().Series() }))
-	return nil
-}
-
 // MetricsHandler returns an http.Handler that serves the flattened metric
-// series as a JSON object, for wiring into any mux without expvar.
+// series as a JSON object, for wiring into any mux.
 func (s *Store) MetricsHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")

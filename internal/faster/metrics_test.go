@@ -149,13 +149,6 @@ func TestMetricsUnderMixedWorkload(t *testing.T) {
 		t.Errorf("JSON endpoint has %d series, want >= 15", len(decoded))
 	}
 
-	// Expvar publication: first registration succeeds, duplicate errors.
-	if err := s.PublishExpvar("faster-test-store"); err != nil {
-		t.Fatalf("PublishExpvar: %v", err)
-	}
-	if err := s.PublishExpvar("faster-test-store"); err == nil {
-		t.Error("duplicate PublishExpvar should error")
-	}
 }
 
 // TestMetricsRCUCopies checks the RCU counter moves when updates land in

@@ -3,11 +3,14 @@
 package faster_test
 
 import (
+	"encoding/binary"
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
 
 	"repro/internal/device"
+	"repro/internal/epoch"
 	"repro/internal/faster"
 	"repro/internal/hlog"
 	"repro/internal/linearize"
@@ -495,4 +498,70 @@ func TestMutationGateSkipCacheInvalidate(t *testing.T) {
 		})
 		return h, s
 	})
+}
+
+// TestMutationGateSkipWaitRefresh seeds the self-deadlock class into the
+// one epoch wait (epoch.Manager.Wait): the waiter stops refreshing its own
+// guard, so it pins the epoch whose trigger action — the flush and the
+// eviction of the frame it needs — it is waiting for. A lone writer that
+// wraps the log buffer must finish with the seed off and hang with it on:
+// this gate's red signal is a timeout, not a history. Switching the seed
+// back off lets the stuck wait refresh again, so the writer drains.
+func TestMutationGateSkipWaitRefresh(t *testing.T) {
+	epoch.DisableMutations()
+	wrap := func() (*faster.Store, <-chan error) {
+		s, err := faster.Open(faster.Config{
+			Ops:          faster.SumOps{},
+			Mode:         hlog.ModeHybrid,
+			PageBits:     12,
+			BufferPages:  8,
+			IndexBuckets: 1 << 12,
+			Device:       device.NewMem(device.MemConfig{}),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() {
+			sess := s.StartSession()
+			defer sess.Close()
+			// 4 096 records of 32 bytes: four trips around a 32 KiB buffer.
+			for i := uint64(0); i < 4096; i++ {
+				kv := binary.LittleEndian.AppendUint64(nil, i)
+				if st, err := sess.Upsert(kv, kv); st != faster.OK {
+					done <- fmt.Errorf("upsert %d: %v %v", i, st, err)
+					return
+				}
+			}
+			done <- nil
+		}()
+		return s, done
+	}
+	finish := func(s *faster.Store, done <-chan error, what string) {
+		t.Helper()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%s: the writer never wrapped the buffer", what)
+		}
+		s.Close()
+	}
+
+	s, done := wrap()
+	finish(s, done, "baseline (seed off)")
+
+	epoch.EnableMutation("skip-wait-refresh")
+	defer epoch.DisableMutations()
+	s, done = wrap()
+	select {
+	case err := <-done:
+		t.Fatalf("seeded bug NOT detected: the writer wrapped the buffer without refreshing its guard in a wait (err %v) — the gate lost its teeth", err)
+	case <-time.After(3 * time.Second):
+		t.Log("seeded bug detected: the lone writer hung in an epoch wait (timeout)")
+	}
+	epoch.DisableMutations()
+	finish(s, done, "after switching the seed off")
 }

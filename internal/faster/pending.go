@@ -71,8 +71,8 @@ type PendingOp struct {
 	verifyCur  hlog.Address
 
 	// compactVal is the value a compaction descent (opCompact) will copy
-	// forward if its span proves clean. Owned by the Compact driver, which
-	// drains all pending ops before returning.
+	// forward if its span proves clean: the op's own copy, since the
+	// Compact driver reuses its page arena while the descent runs.
 	compactVal []byte
 
 	issuedNs   int64 // set by issueIO; feeds the pending-latency histogram

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync/atomic"
 
+	"repro/internal/epoch"
 	"repro/internal/hlog"
 )
 
@@ -60,104 +61,104 @@ func (s *Store) Scan(opts ScanOptions, fn func(r ScanRecord) bool) error {
 	if from >= to {
 		return nil
 	}
-	pageSize := s.log.PageSize()
-	pageBuf := make([]byte, pageSize)
+	pageBuf := make([]byte, s.log.PageSize())
 
 	// Epoch protection keeps resident pages from being evicted under the
 	// scan; refreshing at page granularity bounds how long we pin them.
 	g := s.em.Acquire()
 	defer g.Release()
 
-	addr := from
-	for addr < to {
-		g.Refresh()
-		pageStart := addr &^ (pageSize - 1)
-		pageEnd := pageStart + pageSize
-		var page []byte
-		if s.log.InMemory(pageStart) {
-			page = s.log.Slice(pageStart)[:pageSize]
-		} else {
-			// Fetch the flushed page (or its prefix, if the window ends
-			// inside it) from the device.
-			end := pageEnd
-			if to < end {
-				end = to
-			}
-			buf := pageBuf[:end-pageStart]
-			// Page reads retry transient device faults under the read
-			// policy; this is what lets Recover and RebuildIndex survive a
-			// flaky device instead of aborting on the first hiccup.
-			err := s.cfg.ReadRetry.Do(s.classify, func() error {
-				errCh := make(chan error, 1)
-				s.log.ReadAsync(pageStart, buf, func(err error) { errCh <- err })
-				return <-errCh
-			})
-			if err != nil {
-				return fmt.Errorf("faster: scan read page at %#x: %w", pageStart, err)
-			}
-			page = buf
+	for addr := from; addr < to; {
+		next, cont, err := s.scanPage(g, addr, to, pageBuf, opts.IncludeInvalid, fn)
+		if err != nil || !cont {
+			return err
 		}
-		inMemory := s.log.InMemory(pageStart)
-		// Walk records within the page.
-		for addr < to && addr < pageEnd {
-			off := addr - pageStart
-			if uint64(len(page)) <= off {
-				break
-			}
-			// Resident pages are live memory whose header words may be
-			// concurrently CASed; load them atomically. Fetched pages
-			// are private buffers.
-			var rec record
-			var ok bool
-			if inMemory && uint64(len(page)) >= off+recHeaderBytes {
-				rec, ok = parseRecordHeader(page[off:], atomic.LoadUint64(s.log.Uint64Ptr(addr)))
-			} else {
-				rec, ok = parseRecord(page[off:])
-			}
-			if !ok {
-				// A record that cannot be decoded marks end-of-page padding
-				// (a straddling allocation wastes the rest of the page, which
-				// stays zero). Every abandoned slot is laid out as a full
-				// invalid record precisely so this break never skips live
-				// data; the assert guards that invariant for the stable
-				// region, where all records are fully written.
-				if debugAssert() {
-					limit := pageEnd
-					if to < limit {
-						limit = to
-					}
-					if sro := s.log.SafeReadOnlyAddress(); sro < limit {
-						limit = sro
-					}
-					for a := addr; a < limit; a++ {
-						if page[a-pageStart] != 0 {
-							panic(fmt.Sprintf("hlog scan: nonzero byte at %#x after undecodable record at %#x (page %#x): live data would be skipped",
-								a, addr, pageStart))
-						}
-					}
-				}
-				break // padding: rest of page is empty
-			}
-			if !rec.invalid() || opts.IncludeInvalid {
-				cont := fn(ScanRecord{
-					Address:   addr,
-					Key:       rec.key,
-					Value:     rec.value,
-					Tombstone: rec.tombstone(),
-					Delta:     rec.delta(),
-					Invalid:   rec.invalid(),
-					Previous:  rec.prev(),
-				})
-				if !cont {
-					return nil
-				}
-			}
-			addr += uint64(rec.size)
-		}
-		addr = pageEnd
+		addr = next
 	}
 	return nil
 }
 
+// scanPage refreshes g, then yields the records in [addr, to) that lie on
+// addr's page, in log order, and returns the page end to continue from;
+// cont is false when fn stopped the scan. Resident records alias live log
+// memory, valid only until g's next refresh; a flushed page is fetched
+// into buf, the caller's reusable page-sized buffer.
+func (s *Store) scanPage(g *epoch.Guard, addr, to hlog.Address, buf []byte, includeInvalid bool,
+	fn func(r ScanRecord) bool) (next hlog.Address, cont bool, err error) {
+	g.Refresh()
+	pageSize := s.log.PageSize()
+	pageStart := addr &^ (pageSize - 1)
+	pageEnd := pageStart + pageSize
+	inMemory := s.log.InMemory(pageStart)
+	var page []byte
+	if inMemory {
+		page = s.log.Slice(pageStart)[:pageSize]
+	} else {
+		// Fetch the flushed page (or its prefix, if the window ends
+		// inside it) from the device.
+		page = buf[:min(pageEnd, to)-pageStart]
+		// Page reads retry transient device faults under the read
+		// policy; this is what lets Recover and RebuildIndex survive a
+		// flaky device instead of aborting on the first hiccup.
+		err := s.cfg.ReadRetry.Do(s.classify, func() error {
+			errCh := make(chan error, 1)
+			s.log.ReadAsync(pageStart, page, func(err error) { errCh <- err })
+			return <-errCh
+		})
+		if err != nil {
+			return 0, false, fmt.Errorf("faster: scan read page at %#x: %w", pageStart, err)
+		}
+	}
+	for addr < to && addr < pageEnd {
+		off := addr - pageStart
+		if uint64(len(page)) <= off {
+			break
+		}
+		// Resident pages are live memory whose header words may be
+		// concurrently CASed; load them atomically. Fetched pages
+		// are private buffers.
+		var rec record
+		var ok bool
+		if inMemory && uint64(len(page)) >= off+recHeaderBytes {
+			rec, ok = parseRecordHeader(page[off:], atomic.LoadUint64(s.log.Uint64Ptr(addr)))
+		} else {
+			rec, ok = parseRecord(page[off:])
+		}
+		if !ok {
+			// A record that cannot be decoded marks end-of-page padding
+			// (a straddling allocation wastes the rest of the page, which
+			// stays zero). Every abandoned slot is laid out as a full
+			// invalid record precisely so this break never skips live
+			// data; the assert guards that invariant for the stable
+			// region, where all records are fully written.
+			if debugAssert() {
+				limit := min(pageEnd, to, s.log.SafeReadOnlyAddress())
+				for a := addr; a < limit; a++ {
+					if page[a-pageStart] != 0 {
+						panic(fmt.Sprintf("hlog scan: nonzero byte at %#x after undecodable record at %#x (page %#x): live data would be skipped",
+							a, addr, pageStart))
+					}
+				}
+			}
+			break // padding: rest of page is empty
+		}
+		if !rec.invalid() || includeInvalid {
+			if !fn(ScanRecord{
+				Address:   addr,
+				Key:       rec.key,
+				Value:     rec.value,
+				Tombstone: rec.tombstone(),
+				Delta:     rec.delta(),
+				Invalid:   rec.invalid(),
+				Previous:  rec.prev(),
+			}) {
+				return 0, false, nil
+			}
+		}
+		addr += uint64(rec.size)
+	}
+	return pageEnd, true, nil
+}
+
 // Compaction (copy-forward GC over the stable region) lives in
-// compact.go; it reuses Scan as its discovery pass.
+// compact.go; it walks the prefix with scanPage.

@@ -25,7 +25,6 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -502,25 +501,11 @@ func (l *Log) Allocate(size uint32, g *epoch.Guard) (Address, error) {
 		// page turn into a scheduler convoy — with enough writers the
 		// whole store collapses to a few page turns per second.
 		waitStart := time.Now()
-		for spins := 0; ; spins++ {
+		if err := l.em.Wait(g, func() bool {
 			_, off := unpack(l.tailWord.Load())
-			if off <= l.pageSize {
-				break
-			}
-			if g != nil {
-				g.Refresh()
-			}
-			if spins > 64 {
-				time.Sleep(10 * time.Microsecond)
-			} else {
-				runtime.Gosched()
-			}
-			if l.closed.Load() {
-				return InvalidAddress, ErrClosed
-			}
-			if err := l.WriteFailure(); err != nil {
-				return InvalidAddress, err
-			}
+			return off <= l.pageSize
+		}, l.waitStop); err != nil {
+			return InvalidAddress, err
 		}
 		l.mx.tailContention.Observe(time.Since(waitStart))
 	}
@@ -551,26 +536,17 @@ func (l *Log) openPage(newPage uint64, g *epoch.Guard) error {
 	}
 	if f.status.Load() != frameClosed {
 		waitStart := time.Now()
-		for spins := 0; f.status.Load() != frameClosed; spins++ {
+		// A write failure ends the wait: the occupant page can never flush,
+		// so this frame can never be evicted. The frame stays untouched
+		// (resident readers still need it).
+		if err := l.em.Wait(g, func() bool {
+			if f.status.Load() == frameClosed {
+				return true
+			}
 			l.maybeShiftHead(desiredHead)
-			if g != nil {
-				g.Refresh()
-			}
-			l.em.Drain()
-			if spins > 1024 {
-				time.Sleep(10 * time.Microsecond)
-			} else {
-				runtime.Gosched()
-			}
-			if l.closed.Load() {
-				return ErrClosed
-			}
-			if err := l.WriteFailure(); err != nil {
-				// The occupant page can never flush, so this frame can
-				// never be evicted: the wait would spin forever. Leave
-				// the frame untouched (resident readers still need it).
-				return err
-			}
+			return false
+		}, l.waitStop); err != nil {
+			return err
 		}
 		l.mx.frameWait.Observe(time.Since(waitStart))
 	}
@@ -799,25 +775,18 @@ func (l *Log) WaitUntilFlushed(addr Address, g *epoch.Guard) error {
 	}
 	waitStart := time.Now()
 	defer func() { l.mx.flushWait.Observe(time.Since(waitStart)) }()
-	for spins := 0; l.flushed.level() < addr; spins++ {
-		if l.closed.Load() {
-			return ErrClosed
-		}
-		if err := l.WriteFailure(); err != nil {
-			// The watermark can never reach addr: the flush path gave up.
-			return err
-		}
-		if g != nil {
-			g.Refresh()
-		}
-		l.em.Drain()
-		if spins > 128 {
-			time.Sleep(20 * time.Microsecond)
-		} else {
-			runtime.Gosched()
-		}
+	// A write failure ends the wait: the flush path gave up, so the
+	// watermark can never reach addr.
+	return l.em.Wait(g, func() bool { return l.flushed.level() >= addr }, l.waitStop)
+}
+
+// waitStop ends an epoch wait once the log is closed or its tail poisoned:
+// whatever the wait expected can then never happen.
+func (l *Log) waitStop() error {
+	if l.closed.Load() {
+		return ErrClosed
 	}
-	return nil
+	return l.WriteFailure()
 }
 
 // ShiftBeginAddress advances the begin address to addr (monotone,
@@ -853,30 +822,20 @@ func (l *Log) ShiftBeginAddress(addr Address, g *epoch.Guard) (bool, error) {
 		// logs have no device range to protect.
 		return advanced, nil
 	}
-	done := make(chan struct{})
-	l.em.BumpWith(func() { close(done) })
-	for spins := 0; ; spins++ {
-		select {
-		case <-done:
-			for {
-				cur := l.truncSafe.Load()
-				if addr <= cur || l.truncSafe.CompareAndSwap(cur, addr) {
-					return true, nil
-				}
-			}
-		default:
-		}
+	var drained atomic.Bool
+	l.em.BumpWith(func() { drained.Store(true) })
+	if err := l.em.Wait(g, drained.Load, func() error {
 		if l.closed.Load() {
-			return true, ErrClosed
+			return ErrClosed
 		}
-		if g != nil {
-			g.Refresh()
-		}
-		l.em.Drain()
-		if spins > 128 {
-			time.Sleep(20 * time.Microsecond)
-		} else {
-			runtime.Gosched()
+		return nil
+	}); err != nil {
+		return true, err
+	}
+	for {
+		cur := l.truncSafe.Load()
+		if addr <= cur || l.truncSafe.CompareAndSwap(cur, addr) {
+			return true, nil
 		}
 	}
 }

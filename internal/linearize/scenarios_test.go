@@ -585,8 +585,12 @@ func TestLinearizableSharded(t *testing.T) {
 						}
 					}
 				},
+				// The sweep runs past half the events until one compaction
+				// has landed: on a host with fewer cores than processors the
+				// clients can finish the first half before this goroutine
+				// first runs.
 				Chaos: func(stop <-chan struct{}) {
-					for rec.Peek() < 4*400 {
+					for rec.Peek() < 4*400 || compactions == 0 {
 						select {
 						case <-stop:
 							return

@@ -3,8 +3,8 @@
 // allocations and no locks on the hot path. Every layer of the store
 // (faster, hlog, index, epoch, device) embeds these primitives and
 // exposes a snapshot; faster.Store.Metrics() aggregates the snapshots
-// into the named series consumed by the bench/CLI reports and the
-// expvar endpoint.
+// into the named series consumed by the bench/CLI reports and the JSON
+// endpoint.
 //
 // The package is deliberately stdlib-only and dependency-free so that
 // every internal package can import it.
@@ -166,7 +166,7 @@ func (s HistogramSnapshot) String() string {
 }
 
 // Series is a flat name -> value view of a metrics snapshot, the exchange
-// format between layer snapshots and the expvar/JSON endpoint and text
+// format between layer snapshots and the JSON endpoint and text
 // reports. Latencies appear in nanoseconds.
 type Series map[string]float64
 

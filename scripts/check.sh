@@ -11,6 +11,11 @@ go vet ./...
 go test ./...
 go test -race ./internal/...
 
+# Tier-1 on one and on eight processors: green on any core count.
+for procs in 1 8; do
+	GOMAXPROCS=$procs go test -count=1 ./...
+done
+
 # Epoch drain list under contention on one, two and eight processors,
 # repeated: a full list must spill, never panic or wait on the caller.
 for procs in 1 2 8; do
@@ -25,6 +30,14 @@ for procs in 1 2 8; do
 	GOMAXPROCS=$procs go test -race -count=20 ./internal/index/
 done
 go test -run 'TestGrow' -count=300 -timeout 120s ./internal/index/
+
+# The HybridLog under the race detector on one, two and eight processors,
+# repeated: page turns, flushes and truncation all wait through the one
+# epoch wait, whose refresh of the waiter's own guard is what lets them
+# finish.
+for procs in 1 2 8; do
+	GOMAXPROCS=$procs go test -race -count=20 ./internal/hlog/
+done
 
 # The simulated SSD's delivery scheduler on one and on two processors,
 # repeated under the race detector (due-time order, service slots, Close
@@ -74,9 +87,14 @@ go test -race -run TestServerChaosSoak -count=1 ./internal/server/
 go test -race -run 'TestLinearizable' -count=1 -timeout 300s ./internal/linearize/
 
 # Space-reclamation gate: compaction correctness (concurrent RMWs,
-# recovery with Begin > 0, crash torture mid-compaction) and the
-# epoch-safe truncation ordering fixes, under the race detector.
-go test -race -run 'TestCompact|TestBackgroundCompaction|TestTruncate' -count=1 ./internal/faster/ ./internal/hlog/
+# recovery with Begin > 0, crash torture mid-compaction, bounded memory,
+# copies that wrap the log buffer, asynchronous descents owning their
+# values) and the epoch-safe truncation ordering fixes, under the race
+# detector on one and on two processors. A copy phase that appends while
+# a scan pins the epoch hangs; the timeout turns that into a failure.
+for procs in 1 2; do
+	GOMAXPROCS=$procs go test -race -run 'TestCompact|TestBackgroundCompaction|TestTruncate' -count=1 -timeout 300s ./internal/faster/ ./internal/hlog/
+done
 
 # Exactly-once torture: 100 seeded crash/retry schedules against the
 # durable session table (duplicate deliveries, lost acks, mid-run
@@ -138,9 +156,10 @@ go test -race -run 'TestReadCache|TestIOCoalescedReads|TestCrashRecoveryWarmRead
 # shard map and a checkpoint skipping one shard's manifest fsync — by
 # the sharded linearize + torture tier, and a writer that links its
 # record behind a cached copy instead of republishing the index entry
-# (stale read-cache serves) by the read-cache scenario (the rest of the
-# gate runs via `make mutation-gate`).
-go test -tags mutate -run 'TestMutationGateSkipSerialFsync|TestMutationGateDroppedReenqueue|TestMutationGateRouteStaleMap|TestMutationGateSkipShardFsync|TestMutationGateSkipCacheInvalidate' -count=1 -timeout 300s ./internal/faster/
+# (stale read-cache serves) by the read-cache scenario, and an epoch wait
+# that stops refreshing its own guard by a lone writer hanging as it wraps
+# the log buffer (the rest of the gate runs via `make mutation-gate`).
+go test -tags mutate -run 'TestMutationGateSkipSerialFsync|TestMutationGateDroppedReenqueue|TestMutationGateRouteStaleMap|TestMutationGateSkipShardFsync|TestMutationGateSkipCacheInvalidate|TestMutationGateSkipWaitRefresh' -count=1 -timeout 300s ./internal/faster/
 
 # Fuzz smoke over the wire codecs: a few seconds per target beyond the
 # committed seed corpora. `make fuzz` / `make verify` run longer.
