@@ -4,6 +4,8 @@ import (
 	"math"
 	"sync"
 	"time"
+
+	"repro/internal/arena"
 )
 
 // MemConfig tunes the simulated SSD.
@@ -22,7 +24,9 @@ type MemConfig struct {
 // Mem is an in-memory Device that simulates an SSD: it stores flushed pages
 // in a sparse map of extents and can impose read latency and a write
 // bandwidth cap. It substitutes for the paper's FusionIO drive in
-// larger-than-memory experiments (DESIGN.md §1).
+// larger-than-memory experiments (DESIGN.md §1). Extents live outside the
+// Go heap (internal/arena), so the collector's heap goal does not grow
+// with the drive's contents.
 //
 // Nothing in it sleeps. Submission stamps each request with the time it
 // is due: a read when the earliest free of Workers service slots has
@@ -249,12 +253,12 @@ func (d *Mem) serve(r ioRequest) {
 // store copies buf into a new extent at offset, replacing any extent that
 // started there.
 func (d *Mem) store(buf []byte, offset uint64) {
-	ext := allocExtent(len(buf))
+	ext := arena.Alloc(len(buf))
 	copy(ext, buf)
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if old, ok := d.extents[offset]; ok {
-		freeExtent(old)
+		arena.Free(old)
 	}
 	d.extents[offset] = ext
 	if d.extentSize == 0 {
@@ -338,7 +342,7 @@ func (d *Mem) Truncate(until uint64) error {
 	}
 	for start, e := range d.extents {
 		if start+uint64(len(e)) <= d.truncated {
-			freeExtent(e)
+			arena.Free(e)
 			delete(d.extents, start)
 		}
 	}
@@ -383,7 +387,7 @@ func (d *Mem) Close() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for _, e := range d.extents {
-		freeExtent(e)
+		arena.Free(e)
 	}
 	d.extents = nil
 	return nil

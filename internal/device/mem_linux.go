@@ -56,20 +56,3 @@ func (a *timerfdAlarm) set(d time.Duration) {
 func (a *timerfdAlarm) wait() { a.f.Read(a.buf[:]) }
 
 func (a *timerfdAlarm) close() { a.f.Close() }
-
-// Extents live outside the Go heap, one anonymous mapping each, so the
-// collector's heap goal does not grow with the simulated drive's
-// contents. MAP_POPULATE faults the pages in with the mapping (the copy
-// that follows writes every one of them), which halves the cost of a
-// fresh 512 KiB extent against faulting page by page. Should mmap fail,
-// the extent comes from the heap instead; munmap rejects such a slice
-// with EINVAL and the collector frees it.
-
-func allocExtent(n int) []byte {
-	if b, err := syscall.Mmap(-1, 0, n, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE|syscall.MAP_POPULATE); err == nil {
-		return b
-	}
-	return make([]byte, n)
-}
-
-func freeExtent(b []byte) { _ = syscall.Munmap(b) }

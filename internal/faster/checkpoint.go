@@ -512,8 +512,10 @@ func recoverFrom(cfg Config, info CheckpointInfo, idx *index.Index, sess []Sessi
 	}
 	s, err := Open(cfg)
 	if err != nil {
+		idx.Close()
 		return nil, err
 	}
+	s.idx.Close()
 	s.idx = idx
 	// The read cache is volatile: no checkpoint image may reinstate a
 	// cache-tagged address (the writer maps them to the underlying chain

@@ -15,7 +15,8 @@ import (
 // forward exactly like a lost-update-free RCU), and then truncates the
 // prefix under the epoch-safe protocol in hlog. Unlike the paper's
 // administrative sketch, this version runs concurrently with reads, RMWs
-// and pending I/O, and in bounded memory — one log address per live key
+// and pending I/O, and in bounded memory — one log address and one copy
+// of the key per key in the prefix, held outside the Go heap (fold.go),
 // plus one page, never a copy of the live values:
 //
 //   - a copy is published only if no newer version of the key exists in
@@ -105,7 +106,8 @@ func (s *Store) Compact(until hlog.Address) (CompactStats, error) {
 	// newest below-cut version — no value bytes are kept. Log order is
 	// version order for a single key, so last-seen wins and a tombstone
 	// erases the key.
-	live := map[string]hlog.Address{}
+	live := newFold()
+	defer live.free()
 	var scanErr error
 	err := walk(func(r ScanRecord) bool {
 		if r.Delta {
@@ -113,7 +115,7 @@ func (s *Store) Compact(until hlog.Address) (CompactStats, error) {
 			return false
 		}
 		if r.Tombstone {
-			delete(live, string(r.Key))
+			live.tombstone(hashKey(r.Key), r.Key)
 			return true
 		}
 		if len(r.Value) > maxCompactValue {
@@ -121,9 +123,10 @@ func (s *Store) Compact(until hlog.Address) (CompactStats, error) {
 				r.Address, len(r.Value), maxCompactValue)
 			return false
 		}
-		live[string(r.Key)] = r.Address
+		live.set(hashKey(r.Key), r.Key, r.Address)
 		return true
 	}, nil)
+	s.foldPeak.Store(max(s.foldPeak.Load(), live.peak))
 	if err == nil {
 		err = scanErr
 	}
@@ -163,7 +166,7 @@ func (s *Store) Compact(until hlog.Address) (CompactStats, error) {
 	var cands []candidate
 	arena := make([]byte, 0, s.log.PageSize())
 	err = walk(func(r ScanRecord) bool {
-		if addr, ok := live[string(r.Key)]; ok && addr == r.Address {
+		if live.get(hashKey(r.Key), r.Key) == r.Address {
 			n := len(arena)
 			arena = append(append(arena, r.Key...), r.Value...)
 			cands = append(cands, candidate{arena[n : n+len(r.Key)], arena[n+len(r.Key):]})

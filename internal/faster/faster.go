@@ -289,6 +289,9 @@ type Store struct {
 	// always read every address its checkpoint needs (compact.go).
 	compactMu sync.Mutex
 	ckptBegin atomic.Uint64
+	// foldPeak is the largest compaction fold's arena footprint (written
+	// under compactMu).
+	foldPeak atomic.Uint64
 
 	// sessions is the exactly-once session table (sessiontable.go):
 	// per-GUID serial frontiers, persisted with every checkpoint.
@@ -337,7 +340,9 @@ type Store struct {
 		ioCoalesced metrics.Counter
 	}
 
-	closed atomic.Bool
+	closed  atomic.Bool
+	closeMu sync.Mutex
+	freed   bool // under closeMu: Close released the log, cache and index
 }
 
 // Open creates a Store from cfg.
@@ -465,18 +470,43 @@ func (s *Store) DeviceStoredBytes() (uint64, bool) {
 // hashKey computes the index hash for key.
 func hashKey(key []byte) uint64 { return xhash.Bytes(key) }
 
-// Close shuts the store down. Outstanding sessions must be closed first.
+// ErrSessionsOpen is returned by Close while sessions are still open.
+var ErrSessionsOpen = errors.New("faster: close with sessions still open")
+
+// Close shuts the store down and frees its memory: the log's frames once
+// the device has called back every flush write, then the read cache and
+// the index. Every session must be closed first. While one is still
+// registered Close stops the background maintainer and the io-worker pool
+// but frees nothing — an open session may still dereference log, cache or
+// index memory — and returns ErrSessionsOpen; a later Close, once the
+// sessions are gone, finishes the job.
 func (s *Store) Close() error {
-	if s.closed.Swap(true) {
+	s.closeMu.Lock()
+	defer s.closeMu.Unlock()
+	if s.freed {
 		return nil
 	}
-	if s.maintStop != nil {
-		close(s.maintStop)
-		s.maintWG.Wait()
+	if !s.closed.Swap(true) {
+		if s.maintStop != nil {
+			close(s.maintStop)
+			s.maintWG.Wait()
+		}
+		if s.iop != nil {
+			s.iop.shutdown()
+		}
 	}
-	if s.iop != nil {
-		s.iop.shutdown()
+	if n := s.em.Registered(); n > 0 {
+		return fmt.Errorf("%w: %d registered", ErrSessionsOpen, n)
 	}
-	s.em.Drain()
-	return s.log.Close()
+	// With no guard left every pending epoch action is safe: this runs
+	// them all, including read-cache frame clears and the free of an index
+	// table retired by Grow, before the memory they touch goes away.
+	for s.em.PendingActions() > 0 {
+		s.em.Drain()
+	}
+	err := s.log.Close()
+	s.rc.free()
+	s.idx.Close()
+	s.freed = true
+	return err
 }

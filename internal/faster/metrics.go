@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	rmetrics "runtime/metrics"
 
+	"repro/internal/arena"
 	"repro/internal/device"
 	"repro/internal/epoch"
 	"repro/internal/hlog"
@@ -70,6 +72,10 @@ type StoreMetrics struct {
 	Health            Health
 	HealthTransitions uint64
 
+	// Memory accounts the store's off-heap arenas by owner, next to the
+	// process's Go heap.
+	Memory MemoryMetrics
+
 	Log   hlog.Metrics
 	Index index.Metrics
 	Epoch epoch.Metrics
@@ -78,6 +84,41 @@ type StoreMetrics struct {
 	// built-in devices do); DeviceKnown reports whether it is meaningful.
 	Device      device.Metrics
 	DeviceKnown bool
+}
+
+// MemoryMetrics is where a store's memory goes. The big structures live
+// outside the Go heap (internal/arena) and are listed by owner; resident
+// memory can be lower than these sizes, since an arena page costs memory
+// only once touched. The process-wide figures are shared by every store
+// in the process and are not summed across shards.
+type MemoryMetrics struct {
+	LogFrames uint64 // hlog page frames
+	ReadCache uint64 // read-cache frames
+	Index     uint64 // index tables and overflow chunks
+	FoldPeak  uint64 // largest compaction fold so far; freed when Compact returns
+
+	ArenaLive uint64 // process: arena bytes allocated and not freed
+	ArenaPeak uint64 // process: high-water mark of ArenaLive
+	GoHeap    uint64 // process: bytes of Go heap objects, live or not yet swept
+}
+
+// MemoryMetrics samples the store's arena owners and the process totals.
+// Unlike Metrics it is cheap: nothing is scanned.
+func (s *Store) MemoryMetrics() MemoryMetrics {
+	sample := []rmetrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
+	rmetrics.Read(sample)
+	m := MemoryMetrics{
+		LogFrames: s.log.FrameBytes(),
+		ReadCache: s.rc.arenaBytes(),
+		Index:     s.idx.ArenaBytes(),
+		FoldPeak:  s.foldPeak.Load(),
+		ArenaLive: arena.Live(),
+		ArenaPeak: arena.Peak(),
+	}
+	if sample[0].Value.Kind() == rmetrics.KindUint64 {
+		m.GoHeap = sample[0].Value.Uint64()
+	}
+	return m
 }
 
 // Metrics returns a snapshot of all store instrumentation.
@@ -128,6 +169,8 @@ func (s *Store) Metrics() StoreMetrics {
 
 		Health:            s.Health(),
 		HealthTransitions: s.mx.healthTransitions.Load(),
+
+		Memory: s.MemoryMetrics(),
 
 		Log:   s.log.Metrics(),
 		Index: s.idx.Metrics(),
@@ -194,6 +237,14 @@ func (m StoreMetrics) Series() metrics.Series {
 	s["faster.io_inflight"] = float64(m.IOInflight)
 	s.AddHistogram("faster.io_queue_wait", m.IOQueueWait)
 	s.AddHistogram("faster.io_service", m.IOService)
+
+	s["memory.log_frames_bytes"] = float64(m.Memory.LogFrames)
+	s["memory.read_cache_bytes"] = float64(m.Memory.ReadCache)
+	s["memory.index_bytes"] = float64(m.Memory.Index)
+	s["memory.fold_peak_bytes"] = float64(m.Memory.FoldPeak)
+	s["memory.arena_live_bytes"] = float64(m.Memory.ArenaLive)
+	s["memory.arena_peak_bytes"] = float64(m.Memory.ArenaPeak)
+	s["memory.go_heap_bytes"] = float64(m.Memory.GoHeap)
 
 	s["hlog.tail_address"] = float64(m.Log.TailAddress)
 	s["hlog.head_address"] = float64(m.Log.HeadAddress)

@@ -3,8 +3,8 @@ package faster
 import (
 	"sync"
 	"sync/atomic"
-	"unsafe"
 
+	"repro/internal/arena"
 	"repro/internal/epoch"
 	"repro/internal/hlog"
 	"repro/internal/metrics"
@@ -58,6 +58,7 @@ type readCache struct {
 	s        *Store
 	pageSize uint64
 	nFrames  uint64
+	mem      []byte     // every frame's memory, one arena block (Store.Close frees it)
 	frames   [][]uint64 // frame memory, word-addressed for atomic headers
 	bytesv   [][]byte   // byte views aliasing frames
 	ready    []atomic.Bool
@@ -112,13 +113,30 @@ func newReadCache(s *Store, capBytes uint64) *readCache {
 		bytesv:   make([][]byte, nFrames),
 		ready:    make([]atomic.Bool, nFrames),
 	}
+	rc.mem = arena.Alloc(int(nFrames * rc.pageSize))
 	for i := range rc.frames {
-		words := make([]uint64, rc.pageSize/8)
-		rc.frames[i] = words
-		rc.bytesv[i] = unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), rc.pageSize)
+		b := rc.mem[uint64(i)*rc.pageSize : uint64(i+1)*rc.pageSize]
+		rc.bytesv[i] = b
+		rc.frames[i] = arena.View[uint64](b)
 		rc.ready[i].Store(true)
 	}
 	return rc
+}
+
+// arenaBytes reports the cache's frame memory (0 without a cache).
+func (rc *readCache) arenaBytes() uint64 {
+	if rc == nil {
+		return 0
+	}
+	return uint64(len(rc.mem))
+}
+
+// free releases the frames. Every epoch action that clears one must have
+// run, and no reader may be left.
+func (rc *readCache) free() {
+	if rc != nil {
+		arena.Free(rc.mem)
+	}
 }
 
 func (rc *readCache) frameFor(off uint64) uint64 { return (off / rc.pageSize) % rc.nFrames }

@@ -15,10 +15,11 @@
 //	[safeReadOnly, readOnly) fuzzy region (§6.2–6.3)
 //	[readOnly, tail)      mutable region, updated in place
 //
-// Page frames are allocated as []uint64 arenas so that every 8-byte word
-// can be manipulated with sync/atomic; records never span pages and are
-// 8-byte aligned. Flushing and eviction are coordinated latch-free with
-// epoch trigger actions, exactly as in Algorithm 1 of the paper.
+// Page frames live outside the Go heap (internal/arena) and are addressed
+// as []uint64 so that every 8-byte word can be manipulated with
+// sync/atomic; records never span pages and are 8-byte aligned. Flushing
+// and eviction are coordinated latch-free with epoch trigger actions,
+// exactly as in Algorithm 1 of the paper.
 package hlog
 
 import (
@@ -28,8 +29,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-	"unsafe"
 
+	"repro/internal/arena"
 	"repro/internal/device"
 	"repro/internal/epoch"
 	"repro/internal/metrics"
@@ -124,19 +125,22 @@ const (
 
 // frame is one slot of the circular buffer.
 type frame struct {
-	words []uint64 // page content; fixed after init
-	bytes []byte   // unsafe byte view of words
+	bytes []byte   // page content, arena memory; fixed after init
+	words []uint64 // word view of bytes
 
 	status atomic.Uint32 // frameClosed / frameOpen
 }
 
-func newFrame(pageSize int) *frame {
-	f := &frame{words: make([]uint64, pageSize/8)}
-	f.bytes = unsafe.Slice((*byte)(unsafe.Pointer(&f.words[0])), pageSize)
-	return f
+func newFrame(mem []byte) *frame {
+	return &frame{bytes: mem, words: arena.View[uint64](mem)}
 }
 
-func (f *frame) zero() { clear(f.words) }
+// open readies the frame for a new page: zeroed, as record scans expect
+// past the last record.
+func (f *frame) open() {
+	clear(f.words)
+	f.status.Store(frameOpen)
+}
 
 // cacheLineBytes is the assumed cache line size, matching the epoch
 // package; the padding in Log isolates the allocator's write-hot tail
@@ -173,7 +177,9 @@ type Log struct {
 	flushed    watermark     // contiguous flush completion watermark
 
 	frames    []*frame                // circular buffer (hybrid/append-only)
-	memFrames []atomic.Pointer[frame] // growable table (in-memory mode)
+	ring      []byte                  // the circular buffer's one arena block
+	memFrames []atomic.Pointer[frame] // growable table (in-memory mode), one block per page
+	memPages  atomic.Uint64           // pages opened in memFrames
 
 	classify retry.Classifier
 
@@ -216,7 +222,15 @@ type Log struct {
 		flushWait      metrics.Histogram // WaitUntilFlushed stall time
 	}
 
-	closed atomic.Bool
+	// closed is set under ioMu, which also counts the flush writes handed
+	// to the device whose callbacks have not returned (ioInflight). Close
+	// unmaps the frames only once that count drains: a device may copy a
+	// write's buffer long after WriteAsync returned, and device.Faulty can
+	// hand a delayed or torn write to its inner device after Sync.
+	ioMu       sync.Mutex
+	ioDrained  sync.Cond
+	ioInflight int
+	closed     atomic.Bool
 }
 
 // logFailure records the first unrecoverable flush error.
@@ -292,17 +306,20 @@ func New(cfg Config) (*Log, error) {
 		retryTimers: make(map[*time.Timer]struct{}),
 	}
 	l.flushed.init()
+	l.ioDrained.L = &l.ioMu
 
 	if cfg.Mode == ModeInMemory {
 		l.memFrames = make([]atomic.Pointer[frame], cfg.MaxInMemoryPages)
-		l.memFrames[0].Store(newFrame(int(l.pageSize)))
+		l.memFrames[0].Store(newFrame(arena.Alloc(int(l.pageSize))))
+		l.memPages.Store(1)
 	} else {
 		l.frameMask = uint64(cfg.BufferPages - 1)
 		l.frames = make([]*frame, cfg.BufferPages)
+		l.ring = arena.Alloc(cfg.BufferPages << cfg.PageBits)
 		for i := range l.frames {
-			l.frames[i] = newFrame(int(l.pageSize))
+			l.frames[i] = newFrame(l.ring[i<<cfg.PageBits : (i+1)<<cfg.PageBits : (i+1)<<cfg.PageBits])
 		}
-		l.frames[0].status.Store(frameOpen)
+		l.frames[0].open()
 		l.headLag = uint64(cfg.BufferPages) << cfg.PageBits
 		// Mutable region size in whole pages; the remainder of the
 		// buffer is the read-only (second chance) region.
@@ -519,7 +536,8 @@ func (l *Log) openPage(newPage uint64, g *epoch.Guard) error {
 		if newPage >= uint64(len(l.memFrames)) {
 			panic("hlog: in-memory log exceeded MaxInMemoryPages")
 		}
-		l.memFrames[newPage].Store(newFrame(int(l.pageSize)))
+		l.memFrames[newPage].Store(newFrame(arena.Alloc(int(l.pageSize))))
+		l.memPages.Add(1)
 		return nil
 	}
 
@@ -550,8 +568,7 @@ func (l *Log) openPage(newPage uint64, g *epoch.Guard) error {
 		}
 		l.mx.frameWait.Observe(time.Since(waitStart))
 	}
-	f.zero()
-	f.status.Store(frameOpen)
+	f.open()
 	return nil
 }
 
@@ -656,11 +673,14 @@ func (l *Log) issueFlush(from, to uint64) {
 		off := from & (l.pageSize - 1)
 		buf := f.bytes[off : end-(page<<l.pageBits)]
 		start, stop := from, end
-		var attempt device.Callback
+		if !l.beginIO() {
+			return
+		}
+		var done device.Callback
 		issued := time.Now()
 		failures := 0 // touched by one callback at a time (serial retries)
-		write := func() { l.dev.WriteAsync(buf, start, attempt) }
-		attempt = func(err error) {
+		write := func() { l.dev.WriteAsync(buf, start, done) }
+		attempt := func(err error) {
 			if err == nil {
 				l.mx.flushLatency.Observe(time.Since(issued))
 				l.mx.flushedBytes.Add(stop - start)
@@ -682,10 +702,36 @@ func (l *Log) issueFlush(from, to uint64) {
 			}
 			l.scheduleRetry(l.cfg.Retry.Delay(failures), write)
 		}
+		done = func(err error) {
+			attempt(err)
+			l.endIO()
+		}
 		l.mx.flushesIssued.Inc()
 		write()
 		from = end
 	}
+}
+
+// beginIO counts a flush write about to be handed to the device, or
+// reports false once the log is closed: Close may already be unmapping
+// the frame the write would read.
+func (l *Log) beginIO() bool {
+	l.ioMu.Lock()
+	defer l.ioMu.Unlock()
+	if l.closed.Load() {
+		return false
+	}
+	l.ioInflight++
+	return true
+}
+
+// endIO uncounts a flush write whose device callback has run.
+func (l *Log) endIO() {
+	l.ioMu.Lock()
+	if l.ioInflight--; l.ioInflight == 0 {
+		l.ioDrained.Broadcast()
+	}
+	l.ioMu.Unlock()
 }
 
 // scheduleRetry re-issues a failed flush write after delay. The timer is
@@ -702,9 +748,8 @@ func (l *Log) scheduleRetry(delay time.Duration, write func()) {
 	t = time.AfterFunc(delay, func() {
 		l.retryMu.Lock()
 		delete(l.retryTimers, t)
-		closed := l.closed.Load()
 		l.retryMu.Unlock()
-		if closed || l.Poisoned() {
+		if l.Poisoned() || !l.beginIO() {
 			return
 		}
 		write()
@@ -918,9 +963,7 @@ func (l *Log) RecoverTo(begin, tail Address) error {
 	for _, f := range l.frames {
 		f.status.Store(frameClosed) // including the initially open frame 0
 	}
-	f := l.frames[page&l.frameMask]
-	f.zero()
-	f.status.Store(frameOpen)
+	l.frames[page&l.frameMask].open()
 	return nil
 }
 
@@ -933,18 +976,54 @@ func (l *Log) Capacity() uint64 {
 	return uint64(len(l.frames)) << l.pageBits
 }
 
-// Close flushes nothing and releases the log. In-flight device I/O is
-// allowed to finish; subsequent allocations fail. Outstanding flush-retry
-// timers are cancelled so nothing fires into the closed log.
+// FrameBytes reports the arena bytes the log's page frames occupy: the
+// whole circular buffer, or every page opened so far in in-memory mode.
+// Resident memory can be lower: a frame costs it only once written.
+func (l *Log) FrameBytes() uint64 {
+	if l.cfg.Mode == ModeInMemory {
+		return l.memPages.Load() << l.pageBits
+	}
+	return uint64(len(l.ring))
+}
+
+// Close flushes nothing and releases the log. Subsequent allocations
+// fail, and outstanding flush-retry timers are cancelled so nothing fires
+// into the closed log. Close then waits until the device has called back
+// every flush write the log handed it — the device may read a write's
+// frame until then — and frees the frames. Nothing may touch a record
+// concurrently with Close or after it; the store guarantees that by
+// closing its log only once no session is left.
 func (l *Log) Close() error {
-	if l.closed.Swap(true) {
+	l.ioMu.Lock()
+	if l.closed.Load() {
+		l.ioMu.Unlock()
 		return nil
 	}
+	l.closed.Store(true)
+	l.ioMu.Unlock()
+
 	l.retryMu.Lock()
 	for t := range l.retryTimers {
 		t.Stop()
 	}
 	clear(l.retryTimers)
 	l.retryMu.Unlock()
-	return l.dev.Sync()
+
+	l.ioMu.Lock()
+	for l.ioInflight > 0 {
+		l.ioDrained.Wait()
+	}
+	l.ioMu.Unlock()
+	err := l.dev.Sync()
+
+	if l.cfg.Mode == ModeInMemory {
+		for i := range l.memPages.Load() {
+			if f := l.memFrames[i].Load(); f != nil {
+				arena.Free(f.bytes)
+			}
+		}
+	} else {
+		arena.Free(l.ring)
+	}
+	return err
 }

@@ -45,11 +45,14 @@ func (idx *Index) WriteCheckpoint(w io.Writer) error {
 // entry entirely. mapAddr runs inside the fuzzy scan and must not mutate
 // the index.
 func (idx *Index) WriteCheckpointMapped(w io.Writer, mapAddr func(addr uint64) (uint64, bool)) error {
-	s := idx.state.Load()
+	t, s := idx.pinActive()
+	if t == nil {
+		return errors.New("index: checkpoint of a closed index")
+	}
+	defer t.unpin()
 	if s.phase != phaseStable {
 		return errors.New("index: cannot checkpoint during resize")
 	}
-	t := s.old
 
 	crc := crc32.NewIEEE()
 	bw := bufio.NewWriterSize(io.MultiWriter(w, crc), 1<<16)

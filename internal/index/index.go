@@ -43,6 +43,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/arena"
 	"repro/internal/metrics"
 )
 
@@ -76,23 +77,89 @@ var (
 	_ [len(bucket{})*8 - 64]byte
 )
 
-// table is one version of the hash table (resizing keeps two).
+// table is one version of the hash table (resizing keeps two). Its
+// buckets and overflow chunks are arena memory (internal/arena), freed
+// explicitly: by Grow once no operation can still hold one of the retired
+// table's slots, or by Close.
 type table struct {
 	size    uint64 // number of main buckets, power of two
+	mem     []byte // arena block holding buckets
 	buckets []bucket
 
-	// Overflow buckets are carved from a chunked arena so bucket pointers
-	// stay stable while it grows. The chunk directory is copied on growth
-	// under ovMu and republished, so a reader never sees it mid-append.
+	// Whole-table walks that run without an epoch guard (Metrics,
+	// ForEachEntry, UpdateAddresses, checkpointing) pin the table they
+	// read. free on a pinned table only marks it retired; the last unpin
+	// releases the memory. Neither side ever waits for the other.
+	lifeMu  sync.Mutex
+	walkers int
+	retired bool
+
+	// Overflow buckets are carved from chunks allocated one at a time, so
+	// bucket pointers stay stable while the overflow area grows. The chunk
+	// directory is copied on growth under ovMu and republished, so a
+	// reader never sees it mid-append. ovBlocks keeps each chunk's arena
+	// block for free (under ovMu).
 	ovMu     sync.Mutex
 	ovChunks atomic.Pointer[[]*[ovChunkSize]bucket]
+	ovBlocks [][]byte
 	ovNext   atomic.Uint64 // overflow buckets carved so far
 }
 
 const ovChunkSize = 1024
 
+const bucketBytes = uint64(len(bucket{}) * 8)
+
 func newTable(size uint64) *table {
-	return &table{size: size, buckets: make([]bucket, size)}
+	mem := arena.Alloc(int(size * bucketBytes))
+	return &table{size: size, mem: mem, buckets: arena.View[bucket](mem)}
+}
+
+// bytes reports the table's arena footprint.
+func (t *table) bytes() uint64 {
+	t.ovMu.Lock()
+	defer t.ovMu.Unlock()
+	return uint64(len(t.mem) + len(t.ovBlocks)*ovChunkSize*int(bucketBytes))
+}
+
+// pin keeps the table's memory mapped for a walk until unpin, or reports
+// false if the table has been retired.
+func (t *table) pin() bool {
+	t.lifeMu.Lock()
+	defer t.lifeMu.Unlock()
+	if t.retired {
+		return false
+	}
+	t.walkers++
+	return true
+}
+
+func (t *table) unpin() {
+	t.lifeMu.Lock()
+	defer t.lifeMu.Unlock()
+	if t.walkers--; t.walkers == 0 && t.retired {
+		t.release()
+	}
+}
+
+// free retires the table: its memory is released now, or by the last
+// walk still pinning it. No guarded operation may touch the table after.
+func (t *table) free() {
+	t.lifeMu.Lock()
+	defer t.lifeMu.Unlock()
+	t.retired = true
+	if t.walkers == 0 {
+		t.release()
+	}
+}
+
+func (t *table) release() {
+	t.ovMu.Lock()
+	defer t.ovMu.Unlock()
+	arena.Free(t.mem)
+	for _, b := range t.ovBlocks {
+		arena.Free(b)
+	}
+	t.mem, t.buckets, t.ovBlocks = nil, nil, nil
 }
 
 // overflowBucket returns the overflow bucket for handle h (h = 1+index).
@@ -114,7 +181,9 @@ func (t *table) allocOverflow() uint64 {
 		if p := t.ovChunks.Load(); p != nil {
 			dir = *p
 		}
-		dir = append(dir[:len(dir):len(dir)], new([ovChunkSize]bucket))
+		block := arena.Alloc(ovChunkSize * int(bucketBytes))
+		t.ovBlocks = append(t.ovBlocks, block)
+		dir = append(dir[:len(dir):len(dir)], (*[ovChunkSize]bucket)(arena.View[bucket](block)))
 		t.ovChunks.Store(&dir)
 	}
 	t.ovNext.Store(n + 1)
@@ -188,6 +257,38 @@ func (idx *Index) TagBits() uint { return idx.tagBits }
 func (idx *Index) Size() uint64 { return idx.activeTable().size }
 
 func (idx *Index) activeTable() *table { return idx.state.Load().old }
+
+// pinActive returns the active table pinned (see table.pin) for a walk
+// that runs without an epoch guard, and the state it was active in; the
+// caller unpins it. It returns a nil table once Close has freed the index.
+func (idx *Index) pinActive() (*table, *state) {
+	for {
+		s := idx.state.Load()
+		if s.old.pin() {
+			return s.old, s
+		}
+		// A retired table has left the published state, unless Close
+		// retired it.
+		if idx.state.Load() == s {
+			return nil, s
+		}
+	}
+}
+
+// ArenaBytes reports the arena memory the index's tables occupy: the
+// active table, plus the table under construction while a Grow runs.
+func (idx *Index) ArenaBytes() uint64 {
+	s := idx.state.Load()
+	n := s.old.bytes()
+	if s.new != nil {
+		n += s.new.bytes()
+	}
+	return n
+}
+
+// Close frees the index's memory. No operation may run concurrently
+// with Close or follow it.
+func (idx *Index) Close() { idx.state.Load().old.free() }
 
 // tagOf extracts the (shifted) tag field for hash.
 func (idx *Index) tagOf(hash uint64) uint64 {
@@ -382,9 +483,14 @@ func (idx *Index) Delete(hash uint64) error {
 
 // ForEachEntry invokes fn for every live entry in the active table. Used
 // by recovery, GC sweeps and tests; runs concurrently with mutations and
-// sees a fuzzy snapshot.
+// sees a fuzzy snapshot. A Grow that completes meanwhile does not
+// redirect the walk: it finishes over the table it started on.
 func (idx *Index) ForEachEntry(fn func(addr uint64)) {
-	t := idx.activeTable()
+	t, _ := idx.pinActive()
+	if t == nil {
+		return
+	}
+	defer t.unpin()
 	for i := range t.buckets {
 		b := &t.buckets[i]
 		for {
@@ -407,7 +513,11 @@ func (idx *Index) ForEachEntry(fn func(addr uint64)) {
 // log-truncation GC to drop dangling addresses: fn returning 0 deletes the
 // entry). Not concurrent-safe with writers; callers quiesce first.
 func (idx *Index) UpdateAddresses(fn func(addr uint64) uint64) {
-	t := idx.activeTable()
+	t, _ := idx.pinActive()
+	if t == nil {
+		return
+	}
+	defer t.unpin()
 	for i := range t.buckets {
 		b := &t.buckets[i]
 		for {
@@ -475,16 +585,18 @@ type Metrics struct {
 // snapshot. Safe to run concurrently with mutations; the structural
 // numbers are a fuzzy snapshot.
 func (idx *Index) Metrics() Metrics {
-	s := idx.state.Load()
-	t := s.old
+	t, s := idx.pinActive()
 	m := Metrics{
-		Buckets:            t.size,
 		TagBits:            idx.tagBits,
-		OverflowBuckets:    t.ovNext.Load(),
 		TentativeConflicts: idx.mx.tentativeConflicts.Load(),
 		InsertRetries:      idx.mx.insertRetries.Load(),
 		Resizes:            idx.mx.resizes.Load(),
 	}
+	if t == nil {
+		return m
+	}
+	defer t.unpin()
+	m.Buckets, m.OverflowBuckets = t.size, t.ovNext.Load()
 	for i := range t.buckets {
 		b := &t.buckets[i]
 		chain := 1

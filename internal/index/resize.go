@@ -235,6 +235,13 @@ func (idx *Index) Grow(em *epoch.Manager) error {
 	}
 	idx.state.Store(&state{phase: phaseStable, old: resizing.new})
 	idx.mx.resizes.Inc()
+
+	// The old table is out of the published state, but an operation routed
+	// by an earlier state may still hold one of its slots (a prepare-phase
+	// FindEntry's Entry, a Prefetch) until its thread refreshes: free it
+	// from the drain action of one more bump. An unguarded whole-table
+	// walk still reading it has pinned it and releases it when done.
+	em.BumpWith(old.free)
 	return nil
 }
 

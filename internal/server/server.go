@@ -86,6 +86,7 @@ import (
 	"fmt"
 	"net"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -508,6 +509,8 @@ func (c *connState) dispatch(args [][]byte) bool {
 		return c.doCompact(args)
 	case "MEMORY":
 		return c.doMemory(args)
+	case "INFO":
+		return c.doInfo(args)
 	default:
 		c.s.mx.unknownCommands.Inc()
 		c.w.WriteError(fmt.Sprintf("ERR unknown command '%s'", name))
@@ -679,11 +682,66 @@ func (c *connState) doMemory(args [][]byte) bool {
 		[2]string{"read_cache_invalidations", strconv.FormatUint(m.ReadCache.Invalidations, 10)},
 		[2]string{"coalesced_reads", strconv.FormatUint(m.IOCoalescedReads, 10)},
 	)
+	pairs = append(pairs, memoryOwnerPairs(c.s.memory())...)
 	c.w.WriteArrayHeader(2 * len(pairs))
 	for _, p := range pairs {
 		c.w.WriteBulk([]byte(p[0]))
 		c.w.WriteBulk([]byte(p[1]))
 	}
+	return true
+}
+
+// memory sums the shards' arena owners and takes the largest fold peak
+// (the shards compact independently); the process-wide figures are taken
+// once.
+func (s *Server) memory() faster.MemoryMetrics {
+	var sum faster.MemoryMetrics
+	for i := range s.store.NumShards() {
+		m := s.store.Shard(i).MemoryMetrics()
+		sum.LogFrames += m.LogFrames
+		sum.ReadCache += m.ReadCache
+		sum.Index += m.Index
+		sum.FoldPeak = max(sum.FoldPeak, m.FoldPeak)
+		sum.ArenaLive, sum.ArenaPeak, sum.GoHeap = m.ArenaLive, m.ArenaPeak, m.GoHeap
+	}
+	return sum
+}
+
+// memoryOwnerPairs says where the process's memory goes: the Go heap,
+// every arena block in the process, and the store's arenas by owner.
+func memoryOwnerPairs(m faster.MemoryMetrics) [][2]string {
+	return [][2]string{
+		{"go_heap_bytes", strconv.FormatUint(m.GoHeap, 10)},
+		{"arena_live_bytes", strconv.FormatUint(m.ArenaLive, 10)},
+		{"arena_peak_bytes", strconv.FormatUint(m.ArenaPeak, 10)},
+		{"arena_log_frames_bytes", strconv.FormatUint(m.LogFrames, 10)},
+		{"arena_read_cache_bytes", strconv.FormatUint(m.ReadCache, 10)},
+		{"arena_index_bytes", strconv.FormatUint(m.Index, 10)},
+		{"arena_fold_peak_bytes", strconv.FormatUint(m.FoldPeak, 10)},
+	}
+}
+
+// doInfo answers INFO with its one section, memory (INFO, INFO memory,
+// INFO all); any other section is empty, as in Redis.
+func (c *connState) doInfo(args [][]byte) bool {
+	if len(args) > 2 {
+		c.w.WriteError("ERR wrong number of arguments for 'info'")
+		return true
+	}
+	if len(args) == 2 {
+		switch commandName(args[1]) {
+		case "MEMORY", "ALL", "EVERYTHING", "DEFAULT":
+		default:
+			c.w.WriteBulk([]byte{})
+			return true
+		}
+	}
+	var b strings.Builder
+	b.WriteString("# Memory\r\n")
+	for _, p := range memoryOwnerPairs(c.s.memory()) {
+		b.WriteString(p[0] + ":" + p[1] + "\r\n")
+	}
+	c.w.WriteBulk([]byte(b.String()))
 	return true
 }
 
@@ -738,6 +796,7 @@ func (c *connState) memoryPairsSharded(n int) bool {
 		[2]string{"read_cache_invalidations", strconv.FormatUint(rcInval, 10)},
 		[2]string{"coalesced_reads", strconv.FormatUint(coalesced, 10)},
 	)
+	pairs = append(pairs, memoryOwnerPairs(c.s.memory())...)
 	c.w.WriteArrayHeader(2 * len(pairs))
 	for _, p := range pairs {
 		c.w.WriteBulk([]byte(p[0]))

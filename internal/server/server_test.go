@@ -601,6 +601,25 @@ func TestServerCompactAndMemory(t *testing.T) {
 	if after["begin_address"] == "64" {
 		t.Fatal("begin address did not advance past FirstValidAddress")
 	}
+	// Where the memory goes: arenas by owner next to the Go heap, in
+	// MEMORY STATS and in INFO memory alike.
+	for _, k := range []string{"go_heap_bytes", "arena_live_bytes", "arena_log_frames_bytes", "arena_index_bytes", "arena_fold_peak_bytes"} {
+		if v := after[k]; v == "" || v == "0" {
+			t.Fatalf("MEMORY STATS %s = %q, want a byte count", k, v)
+		}
+	}
+	v, err := c.Do([]byte("INFO"), []byte("memory"))
+	if err != nil || v.Kind != resp.BulkString || !bytes.HasPrefix(v.Str, []byte("# Memory\r\n")) {
+		t.Fatalf("INFO memory = %v %v", v, err)
+	}
+	for _, k := range []string{"go_heap_bytes:", "arena_log_frames_bytes:", "arena_fold_peak_bytes:"} {
+		if !bytes.Contains(v.Str, []byte("\r\n"+k)) {
+			t.Fatalf("INFO memory lacks %s: %q", k, v.Str)
+		}
+	}
+	if v, _ := c.Do([]byte("INFO"), []byte("keyspace")); v.Kind != resp.BulkString || len(v.Str) != 0 {
+		t.Fatalf("INFO keyspace = %v, want an empty section", v)
+	}
 	if m := srv.Metrics(); m.CompactRuns == 0 {
 		t.Fatalf("compact_runs not counted: %+v", m)
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -366,4 +367,45 @@ func TestServerShardedSessionProtocol(t *testing.T) {
 	expectErrContains(t, v, err, "exactly one key")
 	v, err = c2.Do([]byte("DEL"), []byte("sk-01"), []byte("SERIAL"), []byte("16"))
 	expectSimple(t, v, err, "ACK 16 1")
+}
+
+// TestServerShardedFoldPeakIsMax: the shards compact independently, so
+// the fold peak MEMORY STATS reports is the largest shard's, not a sum.
+func TestServerShardedFoldPeakIsMax(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	srv, ss, _ := newShardedTestServer(t, 2, Config{Sessions: 2})
+	c := dialT(t, srv)
+	val := bytes.Repeat([]byte("v"), 64)
+	for round := 0; round < 2; round++ {
+		for i := 0; i < 200; i++ {
+			k := []byte(fmt.Sprintf("fp-%03d", i))
+			if v, err := c.Do([]byte("SET"), k, val); err != nil || string(v.Str) != "OK" {
+				t.Fatalf("SET %s: %v %v", k, v, err)
+			}
+		}
+	}
+	peak := func(i int) uint64 { return ss.Shard(i).MemoryMetrics().FoldPeak }
+	testutil.WaitUntil(t, 5*time.Second, func() bool {
+		for i := range ss.NumShards() {
+			ss.Shard(i).Log().ShiftReadOnlyToTail()
+		}
+		if v, err := c.Do([]byte("COMPACT")); err != nil || v.Kind != resp.Integer {
+			t.Fatalf("COMPACT = %v %v", v, err)
+		}
+		return peak(0) > 0 && peak(1) > 0
+	}, "both shards to compact")
+
+	v, err := c.Do([]byte("MEMORY"), []byte("STATS"))
+	if err != nil || v.Kind != resp.Array {
+		t.Fatalf("MEMORY STATS = %v %v", v, err)
+	}
+	got := ""
+	for i := 0; i+1 < len(v.Elems); i += 2 {
+		if string(v.Elems[i].Str) == "arena_fold_peak_bytes" {
+			got = string(v.Elems[i+1].Str)
+		}
+	}
+	if want := strconv.FormatUint(max(peak(0), peak(1)), 10); got != want {
+		t.Fatalf("arena_fold_peak_bytes = %q, want the larger shard's %s (shards %d, %d)", got, want, peak(0), peak(1))
+	}
 }

@@ -48,6 +48,19 @@ for procs in 1 2; do
 done
 GOOS=darwin GOARCH=arm64 go vet ./internal/device/
 
+# Arena lifetimes, without the race detector: the race build keeps arena
+# memory on the Go heap, where a use after free goes unnoticed, while here
+# it faults. Log.Close with flush writes still delayed or torn inside a
+# device.Faulty, Store.Close with a session open, Grow retiring a table
+# under readers' guards and unguarded walks, the compaction fold against a
+# reference map, and the two crash torture matrices, on one and on two
+# processors, repeated.
+# The arena allocator's non-Linux heap fallback must keep compiling.
+for procs in 1 2; do
+	GOMAXPROCS=$procs go test -run 'TestCloseWaits|TestStoreCloseWaits|TestCloseRefusesOpenSessions|TestRetiredTableOutlivesGuards|TestReadersHoldGuardsAcrossGrow|TestWalkPinsRetiredTable|TestCheckpointDuringMetrics|TestMetricsUnderGuardDuringGrow|TestMetricsFromSessionDuringGrow|TestFold|TestCompactCrashTorture|TestCrashRecoveryTorture' -count=5 -timeout 600s ./internal/hlog/ ./internal/index/ ./internal/faster/
+done
+GOOS=darwin GOARCH=arm64 go vet ./internal/arena/
+
 # Compaction's flush wait refreshes its session's guard; without that a
 # read-only shift racing the compaction hung this test.
 go test -run 'TestLinearizableSharded$' -count=200 -timeout 300s ./internal/linearize/
