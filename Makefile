@@ -37,12 +37,14 @@ linearize:
 mutation-gate:
 	$(GO) test -tags mutate -run 'TestMutationGate' -count=1 -v -timeout 600s ./internal/faster/
 
-# Short coverage-guided fuzz of the wire codecs past the committed seed
-# corpora. Crashers land in testdata/fuzz/ and replay as regressions.
+# Short coverage-guided fuzz of the wire codecs and the checkpoint file
+# parsers past the committed seed corpora. Crashers land in testdata/fuzz/
+# and replay as regressions.
 fuzz:
 	$(GO) test -fuzz FuzzReadCommand -fuzztime 30s -run '^$$' ./internal/resp/
 	$(GO) test -fuzz FuzzReadReply -fuzztime 30s -run '^$$' ./internal/resp/
 	$(GO) test -fuzz FuzzVarLenFraming -fuzztime 30s -run '^$$' ./internal/faster/
+	$(GO) test -fuzz FuzzCheckpointFiles -fuzztime 30s -run '^$$' ./internal/faster/
 
 check:
 	./scripts/check.sh

@@ -233,15 +233,16 @@ func main() {
 }
 
 // dumpSessions implements `faster-cli sessions <checkpoint-dir>`: the
-// committed session table as a recovered store would answer it. Sharded
-// checkpoint directories (manifest over per-shard generations) merge
-// each GUID's per-shard frontiers to the max acked serial.
+// committed session table as a recovered store would answer it. Every
+// checkpoint directory holds per-shard generations under one manifest
+// (a flat store is one shard); each GUID's frontier is the max acked
+// serial over shards.
 func dumpSessions(dir string) {
 	if dir == "" {
 		fmt.Fprintln(os.Stderr, "usage: faster-cli sessions <checkpoint-dir>")
 		os.Exit(2)
 	}
-	states, err := faster.ReadShardedCheckpointSessions(dir)
+	states, err := faster.ReadCheckpointSessions(dir)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "faster-cli: %v\n", err)
 		os.Exit(1)

@@ -1,13 +1,15 @@
 package faster
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
+	"sort"
+	"sync"
 
 	"repro/internal/hlog"
 	"repro/internal/index"
@@ -28,34 +30,50 @@ import (
 // affected entry to its newest record; the result is a consistent index
 // as of t2.
 //
-// The checkpoint directory holds "meta.ckpt" (the bracket addresses) and
-// one fuzzy index image per checkpoint generation, "index.<t1>.ckpt",
-// named by the t1 the meta records — so a meta always identifies exactly
-// the image captured with it.
+// Every checkpoint, of a flat Store or of a ShardedStore at any shard
+// count, has one layout (a flat Store is a one-shard ensemble):
 //
-// Checkpoints are crash-atomic: the index image is staged as .tmp, fsynced
-// and renamed into place (dir fsync), and only then does the meta commit
-// by rename — meta.ckpt rotates to meta.prev, meta.ckpt.tmp renames over
-// meta.ckpt, dir fsync. The meta rename is the single commit point: a
-// crash anywhere leaves either the new meta (whose index image is already
-// durable), the old meta, or no current meta with the old one intact as
-// meta.prev. Recover tries meta.ckpt first and falls back to meta.prev on
-// any read/CRC/magic failure; stale index generations are garbage-
-// collected on the next successful checkpoint.
+//	dir/manifest.ckpt            the commit: seq and every shard's t1
+//	dir/manifest.prev            the previous commit
+//	dir/gen-<seq>/shard-<i>/
+//	    index.ckpt               the fuzzy index image
+//	    sessions.ckpt            the session table (absent when empty)
+//	    meta.ckpt                t1, t2, Begin, the table's length and CRC
+//
+// The manifest.ckpt rename is the only commit point. Nothing references a
+// generation directory before its manifest does, so its files are written
+// in place and fsynced, then each shard directory, the generation
+// directory and dir are fsynced. Only then is manifest.ckpt.tmp written
+// and fsynced, a readable manifest.ckpt rotated to manifest.prev, the
+// tmp renamed over manifest.ckpt and dir fsynced. A crash anywhere leaves
+// the old manifest in force. A generation's seq is one past the newest
+// readable manifest, so a failed attempt's partial directory is reused
+// (cleared first) by the next checkpoint; generations no manifest names
+// are removed after each commit. Concurrent checkpoints into one
+// directory are not supported.
+//
+// Recovery is all-or-nothing per generation: manifest.ckpt's generation
+// loads only if every shard's meta, session table and index image check
+// out against it; otherwise the whole ensemble recovers manifest.prev's.
+// Mixing generations across shards would tear the global serial barrier
+// (sharded.go).
 //
 // The exactly-once session table (sessiontable.go) rides the same
 // protocol: its snapshot is captured under the table's cut lock
-// immediately before t2, staged as "sessions.<t1>.ckpt" with an fsync
-// and rename, and referenced from the meta by length and CRC — so the
-// meta rename atomically commits the index image, the log bracket and
-// the session frontiers as one generation. A meta whose session table is
-// missing, short or corrupt is treated as torn and recovery falls back
-// to meta.prev; a crash between the session-table rename and the meta
-// rename leaves the old generation in force, whose (lower) frontiers
-// match the recovered log prefix, so retried clients re-apply exactly
-// the operations recovery discarded.
+// immediately before t2 and referenced from the shard's meta by length
+// and CRC, so the manifest rename commits the index image, the log
+// bracket and the session frontiers as one generation. A torn table
+// fails its generation, and the previous one's (lower) frontiers match
+// the log prefix recovered with them, so retried clients re-apply
+// exactly the operations recovery discarded.
 
-const metaMagic uint64 = 0xFA57E2C0FFEE0001
+const (
+	metaMagic     uint64 = 0xFA57E2C0FFEE0001
+	manifestMagic uint64 = 0xFA57E2C05A4DED01
+)
+
+// manifestNames lists the manifests recovery tries, newest first.
+var manifestNames = [...]string{"manifest.ckpt", "manifest.prev"}
 
 // CheckpointInfo describes a completed checkpoint.
 type CheckpointInfo struct {
@@ -69,20 +87,153 @@ type CheckpointInfo struct {
 // It runs without quiescing the store: concurrent operations proceed, and
 // their effects either fall below t2 (captured) or land after it. The
 // calling goroutine must not hold a session.
-//
-// The body is split into prepare/cut/finish phases so a sharded
-// coordinator (sharded.go) can hold every shard's cut lock across all
-// the cuts — a single global serial barrier — while the expensive
-// prepare and finish phases still run per shard in parallel.
 func (s *Store) Checkpoint(dir string) (CheckpointInfo, error) {
-	prep, err := s.checkpointPrepare(dir)
+	_, infos, err := checkpoint([]*Store{s}, dir)
 	if err != nil {
 		return CheckpointInfo{}, err
 	}
-	s.sessions.cutMu.Lock()
-	sessPayload, sessSnaps, t2 := s.checkpointCut()
-	s.sessions.cutMu.Unlock()
-	return s.checkpointFinish(prep, sessPayload, sessSnaps, t2)
+	return infos[0], nil
+}
+
+func genDirName(seq uint64) string { return fmt.Sprintf("gen-%06d", seq) }
+func shardDirName(i int) string    { return fmt.Sprintf("shard-%03d", i) }
+func shardGenDir(dir string, seq uint64, i int) string {
+	return filepath.Join(dir, genDirName(seq), shardDirName(i))
+}
+
+// checkpoint writes one generation of stores (shard i into
+// gen-<seq>/shard-<i>/) and commits it by the manifest rename. The
+// prepare and finish phases run per shard in parallel; the serial cuts
+// are taken under one global barrier, every shard's cut lock held at
+// once.
+func checkpoint(stores []*Store, dir string) (uint64, []CheckpointInfo, error) {
+	n := len(stores)
+	cur, curErr := readManifest(filepath.Join(dir, manifestNames[0]))
+	prev, _ := readManifest(filepath.Join(dir, manifestNames[1]))
+	seq := max(cur.seq, prev.seq) + 1
+	genDir := filepath.Join(dir, genDirName(seq))
+	if err := os.RemoveAll(genDir); err != nil {
+		return 0, nil, err
+	}
+
+	// Phase 1 — prepare: the [Begin, t1) bracket and the index images.
+	preps := make([]ckptPrep, n)
+	if err := inParallel(n, "checkpoint prepare", func(i int) (err error) {
+		preps[i], err = stores[i].checkpointPrepare(shardGenDir(dir, seq, i))
+		return err
+	}); err != nil {
+		return 0, nil, err
+	}
+
+	// Phase 2 — the global serial barrier: acquire every shard's cut
+	// lock in ascending order (stamped windows acquire in the same
+	// order, so no hold-and-wait cycle exists), cut all shards, release.
+	// While all locks are held no stamped window is open anywhere, so
+	// the set of committed serials is a per-connection prefix and every
+	// cut covers exactly that prefix's records on its shard.
+	payloads := make([][]byte, n)
+	snaps := make([][]sessSnap, n)
+	t2s := make([]hlog.Address, n)
+	for _, s := range stores {
+		s.sessions.cutMu.Lock()
+	}
+	for i, s := range stores {
+		payloads[i], snaps[i], t2s[i] = s.checkpointCut()
+	}
+	for i := n - 1; i >= 0; i-- {
+		stores[i].sessions.cutMu.Unlock()
+	}
+
+	// Phase 3 — finish: flush to t2, write the session table and meta.
+	infos := make([]CheckpointInfo, n)
+	if err := inParallel(n, "checkpoint", func(i int) (err error) {
+		infos[i], err = stores[i].checkpointFinish(preps[i], payloads[i], t2s[i])
+		return err
+	}); err != nil {
+		return 0, nil, err
+	}
+
+	if mutationsEnabled && mutSkipShardFsync() {
+		// The seeded bug: one shard's generation meta was never fsynced
+		// and the crash the manifest survived tore it. Tear the
+		// highest-index shard that checkpointed session frontiers (the
+		// shard whose regression the exactly-once checker can see).
+		victim := n - 1
+		for i := n - 1; i >= 0; i-- {
+			if len(payloads[i]) > sessHeaderLen {
+				victim = i
+				break
+			}
+		}
+		tearShardMeta(filepath.Join(shardGenDir(dir, seq, victim), "meta.ckpt"))
+	}
+
+	// Phase 4 — commit. Every shard's bracket must be covered by its
+	// durable log, and the generation's directory entries durable,
+	// before the manifest may name it.
+	man := manifest{seq: seq, t1s: make([]hlog.Address, n)}
+	for i, info := range infos {
+		if flushed := stores[i].log.FlushedUntilAddress(); !(info.Begin <= info.T1 && info.T1 <= info.T2 && info.T2 <= flushed) {
+			return 0, nil, fmt.Errorf("faster: shard %d checkpoint bracket Begin %#x T1 %#x T2 %#x outruns the flushed log %#x",
+				i, info.Begin, info.T1, info.T2, flushed)
+		}
+		man.t1s[i] = info.T1
+	}
+	if err := syncDir(genDir); err != nil {
+		return 0, nil, err
+	}
+	if err := syncDir(dir); err != nil {
+		return 0, nil, err
+	}
+	manPath := filepath.Join(dir, manifestNames[0])
+	if err := writeFileSync(manPath+".tmp", man.encode()); err != nil {
+		return 0, nil, err
+	}
+	if curErr == nil {
+		if err := os.Rename(manPath, filepath.Join(dir, manifestNames[1])); err != nil {
+			return 0, nil, err
+		}
+	}
+	if err := os.Rename(manPath+".tmp", manPath); err != nil {
+		return 0, nil, err
+	}
+	if err := syncDir(dir); err != nil {
+		return 0, nil, err
+	}
+
+	for i, s := range stores {
+		// The committed generation pins recovery at its Begin: device
+		// truncations deferred because they would have outrun the
+		// previous checkpoint's Begin can catch up to this one now.
+		// Best-effort — a failure here is retried by the next truncation
+		// or checkpoint from the monotone watermark.
+		s.ckptBegin.Store(infos[i].Begin)
+		_ = s.log.ApplyDeviceTruncation(infos[i].Begin)
+		s.sessions.markDurable(snaps[i])
+	}
+	gcGenerations(dir)
+	return seq, infos, nil
+}
+
+// inParallel runs fn for every shard at once and returns the error of
+// the lowest shard that failed.
+func inParallel(n int, what string, fn func(i int) error) error {
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = fn(i)
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			return fmt.Errorf("faster: shard %d %s: %w", i, what, err)
+		}
+	}
+	return nil
 }
 
 // ckptPrep carries checkpoint state between the prepare and finish
@@ -90,12 +241,10 @@ func (s *Store) Checkpoint(dir string) (CheckpointInfo, error) {
 type ckptPrep struct {
 	dir       string
 	begin, t1 hlog.Address
-	indexTmp  string
-	indexPath string
 }
 
 // checkpointPrepare validates the store, captures the [Begin, t1)
-// bracket and stages the fuzzy index image. No locks are held.
+// bracket and writes the fuzzy index image into dir. No locks are held.
 func (s *Store) checkpointPrepare(dir string) (ckptPrep, error) {
 	if s.log.Mode() == hlog.ModeInMemory {
 		return ckptPrep{}, errors.New("faster: in-memory stores cannot checkpoint (no device)")
@@ -123,9 +272,7 @@ func (s *Store) checkpointPrepare(dir string) (ckptPrep, error) {
 	// bytes in [Begin, shifted-begin) remain readable for recovery.
 	begin := s.log.BeginAddress()
 	t1 := s.log.TailAddress()
-	indexPath := filepath.Join(dir, indexFileName(t1))
-	indexTmp := indexPath + ".tmp"
-	f, err := os.Create(indexTmp)
+	f, err := os.Create(filepath.Join(dir, "index.ckpt"))
 	if err != nil {
 		return ckptPrep{}, err
 	}
@@ -140,7 +287,7 @@ func (s *Store) checkpointPrepare(dir string) (ckptPrep, error) {
 	if err := f.Close(); err != nil {
 		return ckptPrep{}, err
 	}
-	return ckptPrep{dir: dir, begin: begin, t1: t1, indexTmp: indexTmp, indexPath: indexPath}, nil
+	return ckptPrep{dir: dir, begin: begin, t1: t1}, nil
 }
 
 // writeIndexCheckpoint serializes the fuzzy index image with read-cache
@@ -183,77 +330,36 @@ func (s *Store) checkpointCut() ([]byte, []sessSnap, hlog.Address) {
 	return sessPayload, sessSnaps, t2
 }
 
-// checkpointFinish waits for durability of the cut and commits the
-// generation: index rename, session table, meta rotation. No locks are
-// held; the flush wait is the slow part and runs fully concurrent with
-// foreground operations.
-func (s *Store) checkpointFinish(prep ckptPrep, sessPayload []byte, sessSnaps []sessSnap, t2 hlog.Address) (CheckpointInfo, error) {
-	dir, begin, t1 := prep.dir, prep.begin, prep.t1
-	indexTmp, indexPath := prep.indexTmp, prep.indexPath
+// checkpointFinish waits for durability of the cut and writes the
+// shard's session table and meta, then fsyncs its directory. No locks
+// are held; the flush wait is the slow part and runs fully concurrent
+// with foreground operations.
+func (s *Store) checkpointFinish(prep ckptPrep, sessPayload []byte, t2 hlog.Address) (CheckpointInfo, error) {
 	// The safe read-only shift needs every session to refresh; the log's
 	// wait loop drains trigger actions for us. No guard is held here.
 	if err := s.log.WaitUntilFlushed(t2, nil); err != nil {
 		return CheckpointInfo{}, fmt.Errorf("faster: flush to t2: %w", err)
 	}
-
-	// Publish the index image under its final name before the meta can
-	// reference it; the dir fsync orders the two commits on disk.
-	if err := os.Rename(indexTmp, indexPath); err != nil {
-		return CheckpointInfo{}, err
-	}
-	meta := ckptMeta{CheckpointInfo: CheckpointInfo{T1: t1, T2: t2, Begin: begin}}
+	meta := ckptMeta{CheckpointInfo: CheckpointInfo{T1: prep.t1, T2: t2, Begin: prep.begin}}
 	if len(sessPayload) > sessHeaderLen { // at least one entry
 		meta.sessLen = uint64(len(sessPayload))
 		meta.sessCRC = sessCRC(sessPayload)
-		if err := writeSessionTable(filepath.Join(dir, sessionsFileName(t1)), sessPayload); err != nil {
+		if mutationsEnabled && mutSkipSerialFsync() {
+			// The seeded bug: the table skipped its fsync and the crash
+			// took its tail.
+			sessPayload = tornSessionPayload(sessPayload)
+		}
+		if err := writeFileSync(filepath.Join(prep.dir, "sessions.ckpt"), sessPayload); err != nil {
 			return CheckpointInfo{}, err
 		}
 	}
-	if err := syncDir(dir); err != nil {
+	if err := writeFileSync(filepath.Join(prep.dir, "meta.ckpt"), meta.encode()); err != nil {
 		return CheckpointInfo{}, err
 	}
-
-	info := meta.CheckpointInfo
-	metaTmp := filepath.Join(dir, "meta.ckpt.tmp")
-	if err := writeMeta(metaTmp, meta); err != nil {
+	if err := syncDir(prep.dir); err != nil {
 		return CheckpointInfo{}, err
 	}
-	metaPath := filepath.Join(dir, "meta.ckpt")
-	if _, err := os.Stat(metaPath); err == nil {
-		if err := os.Rename(metaPath, filepath.Join(dir, "meta.prev")); err != nil {
-			return CheckpointInfo{}, err
-		}
-	} else if !os.IsNotExist(err) {
-		return CheckpointInfo{}, err
-	}
-	if err := os.Rename(metaTmp, metaPath); err != nil {
-		return CheckpointInfo{}, err
-	}
-	if err := syncDir(dir); err != nil {
-		return CheckpointInfo{}, err
-	}
-	// The committed meta pins recovery at info.Begin: device truncations
-	// deferred because they would have outrun the previous checkpoint's
-	// Begin can catch up to this one now. Best-effort — a failure here is
-	// retried by the next truncation or checkpoint from the monotone
-	// watermark.
-	s.ckptBegin.Store(info.Begin)
-	_ = s.log.ApplyDeviceTruncation(info.Begin)
-	s.sessions.markDurable(sessSnaps)
-	gcIndexGenerations(dir)
-	return info, nil
-}
-
-// indexFileName names the fuzzy index image of the checkpoint generation
-// bracketed from t1.
-func indexFileName(t1 hlog.Address) string {
-	return fmt.Sprintf("index.%016x.ckpt", t1)
-}
-
-// sessionsFileName names the session table of the checkpoint generation
-// bracketed from t1.
-func sessionsFileName(t1 hlog.Address) string {
-	return fmt.Sprintf("sessions.%016x.ckpt", t1)
+	return meta.CheckpointInfo, nil
 }
 
 // sessHeaderLen is the size of an empty serialized session table (magic
@@ -261,89 +367,25 @@ func sessionsFileName(t1 hlog.Address) string {
 // written to disk.
 const sessHeaderLen = 16
 
-// writeSessionTable stages the serialized session table: write to .tmp,
-// fsync, rename into place. The caller's dir fsync and the meta's
-// length+CRC reference make the rename part of the checkpoint's single
-// commit. Under the skip-serial-fsync mutation the fsync is elided and
-// the staged bytes lose their tail — the seeded bug the linearize
-// mutation gate proves red.
-func writeSessionTable(path string, payload []byte) error {
-	if mutationsEnabled && mutSkipSerialFsync() {
-		payload = tornSessionPayload(payload)
-	}
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
+// writeFileSync creates path holding data and fsyncs it.
+func writeFileSync(path string, data []byte) error {
+	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(payload); err != nil {
+	if _, err := f.Write(data); err != nil {
 		f.Close()
 		return err
 	}
-	if !(mutationsEnabled && mutSkipSerialFsync()) {
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	if err := f.Close(); err != nil {
+	if err := f.Sync(); err != nil {
+		f.Close()
 		return err
 	}
-	return os.Rename(tmp, path)
+	return f.Close()
 }
 
-// readSessionTable loads and verifies a checkpoint's session table
-// against the length and CRC its meta recorded. Under the
-// skip-serial-fsync mutation verification is elided (the naive reader),
-// letting a torn table load as a shorter one.
-func readSessionTable(path string, wantLen uint64, wantCRC uint32) ([]SessionState, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	if !(mutationsEnabled && mutSkipSerialFsync()) {
-		if uint64(len(raw)) != wantLen {
-			return nil, fmt.Errorf("faster: session table %d bytes, meta records %d", len(raw), wantLen)
-		}
-		if sessCRC(raw) != wantCRC {
-			return nil, errors.New("faster: session table crc mismatch")
-		}
-	}
-	return parseSessionTable(raw)
-}
-
-// gcIndexGenerations removes index images and session tables no meta
-// references anymore — best-effort cleanup after a committed checkpoint;
-// failures are ignored (an orphaned image costs space, never
-// correctness).
-func gcIndexGenerations(dir string) {
-	keep := map[string]bool{}
-	for _, m := range []string{"meta.ckpt", "meta.prev"} {
-		if meta, err := readMeta(filepath.Join(dir, m)); err == nil {
-			keep[indexFileName(meta.T1)] = true
-			keep[sessionsFileName(meta.T1)] = true
-		}
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return
-	}
-	for _, e := range entries {
-		name := e.Name()
-		if keep[name] {
-			continue
-		}
-		gen := (len(name) > 6 && name[:6] == "index.") ||
-			(len(name) > 9 && name[:9] == "sessions.")
-		stale := (gen && (filepath.Ext(name) == ".ckpt" || filepath.Ext(name) == ".tmp")) ||
-			name == "meta.ckpt.tmp"
-		if stale {
-			os.Remove(filepath.Join(dir, name))
-		}
-	}
-}
-
-// syncDir fsyncs a directory so the renames inside it are durable.
+// syncDir fsyncs a directory so the entries created inside it are
+// durable.
 func syncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
@@ -353,159 +395,279 @@ func syncDir(dir string) error {
 	return d.Sync()
 }
 
-// ckptMeta is the on-disk checkpoint meta: the public bracket plus the
-// session-table reference. Legacy 40-byte metas (pre-session-table) read
-// back with sessLen == 0.
+// gcGenerations removes generation directories no manifest references —
+// best-effort cleanup after a committed checkpoint; failures are ignored
+// (an orphaned generation costs space, never correctness).
+func gcGenerations(dir string) {
+	keep := map[string]bool{}
+	for _, name := range manifestNames {
+		if man, err := readManifest(filepath.Join(dir, name)); err == nil {
+			keep[genDirName(man.seq)] = true
+		}
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return
+	}
+	for _, e := range entries {
+		name := e.Name()
+		if e.IsDir() && len(name) > 4 && name[:4] == "gen-" && !keep[name] {
+			os.RemoveAll(filepath.Join(dir, name))
+		}
+	}
+}
+
+// sealWords encodes words little-endian followed by their CRC-32 as one
+// more word: the format of both the meta and the manifest.
+func sealWords(words ...uint64) []byte {
+	b := make([]byte, 0, 8*(len(words)+1))
+	for _, w := range words {
+		b = binary.LittleEndian.AppendUint64(b, w)
+	}
+	return binary.LittleEndian.AppendUint64(b, uint64(crc32.ChecksumIEEE(b)))
+}
+
+// openWords checks raw's CRC trailer and leading magic and returns the
+// words between them. Nothing is sized from the contents.
+func openWords(raw []byte, magic uint64, what string) ([]uint64, error) {
+	if len(raw) < 16 || len(raw)%8 != 0 {
+		return nil, fmt.Errorf("faster: bad %s size %d", what, len(raw))
+	}
+	body := raw[:len(raw)-8]
+	if binary.LittleEndian.Uint64(raw[len(body):]) != uint64(crc32.ChecksumIEEE(body)) {
+		return nil, fmt.Errorf("faster: %s crc mismatch", what)
+	}
+	if binary.LittleEndian.Uint64(body) != magic {
+		return nil, fmt.Errorf("faster: %s bad magic", what)
+	}
+	words := make([]uint64, len(body)/8-1)
+	for i := range words {
+		words[i] = binary.LittleEndian.Uint64(body[8+8*i:])
+	}
+	return words, nil
+}
+
+// ckptMeta is one shard's generation meta: the public bracket plus the
+// session-table reference.
 type ckptMeta struct {
 	CheckpointInfo
 	sessLen uint64
 	sessCRC uint32
 }
 
-func writeMeta(path string, meta ckptMeta) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	w := bufio.NewWriter(f)
-	crc := crc32.NewIEEE()
-	put := func(v uint64) {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], v)
-		w.Write(b[:])
-		crc.Write(b[:])
-	}
-	put(metaMagic)
-	put(meta.T1)
-	put(meta.T2)
-	put(meta.Begin)
-	put(meta.sessLen)
-	put(uint64(meta.sessCRC))
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(crc.Sum32()))
-	w.Write(b[:])
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	return f.Sync()
+func (m ckptMeta) encode() []byte {
+	return sealWords(metaMagic, m.T1, m.T2, m.Begin, m.sessLen, uint64(m.sessCRC))
 }
 
-func readMeta(path string) (ckptMeta, error) {
-	raw, err := os.ReadFile(path)
+// parseMeta parses a meta. A CRC-valid meta whose bracket violates
+// Begin ≤ T1 ≤ T2 is torn: no writer commits one.
+func parseMeta(raw []byte) (ckptMeta, error) {
+	w, err := openWords(raw, metaMagic, "checkpoint meta")
 	if err != nil {
 		return ckptMeta{}, err
 	}
-	if len(raw) != 40 && len(raw) != 56 {
+	if len(w) != 5 || w[4] > math.MaxUint32 {
 		return ckptMeta{}, errors.New("faster: bad checkpoint meta size")
 	}
-	body := raw[:len(raw)-8]
-	crc := crc32.ChecksumIEEE(body)
-	if binary.LittleEndian.Uint64(raw[len(raw)-8:]) != uint64(crc) {
-		return ckptMeta{}, errors.New("faster: checkpoint meta crc mismatch")
+	m := ckptMeta{CheckpointInfo: CheckpointInfo{T1: w[0], T2: w[1], Begin: w[2]}, sessLen: w[3], sessCRC: uint32(w[4])}
+	if !(m.Begin <= m.T1 && m.T1 <= m.T2) {
+		return ckptMeta{}, fmt.Errorf("faster: checkpoint meta bracket Begin %#x T1 %#x T2 %#x out of order", m.Begin, m.T1, m.T2)
 	}
-	if binary.LittleEndian.Uint64(raw) != metaMagic {
-		return ckptMeta{}, errors.New("faster: checkpoint meta bad magic")
-	}
-	meta := ckptMeta{CheckpointInfo: CheckpointInfo{
-		T1:    binary.LittleEndian.Uint64(raw[8:]),
-		T2:    binary.LittleEndian.Uint64(raw[16:]),
-		Begin: binary.LittleEndian.Uint64(raw[24:]),
-	}}
-	if len(raw) == 56 {
-		meta.sessLen = binary.LittleEndian.Uint64(raw[32:])
-		meta.sessCRC = uint32(binary.LittleEndian.Uint64(raw[40:]))
-	}
-	return meta, nil
+	return m, nil
 }
 
-// loadCheckpointPair reads a meta file, the index image it references,
-// and the session table it references (empty when the generation
-// persisted none). A missing, short or corrupt session table fails the
-// whole generation — the caller falls back to the previous one.
-func loadCheckpointPair(dir, metaName string) (CheckpointInfo, *index.Index, []SessionState, error) {
-	meta, err := readMeta(filepath.Join(dir, metaName))
+// manifest is the commit record: the generation's seq and each shard's
+// T1, which its meta must repeat.
+type manifest struct {
+	seq uint64
+	t1s []hlog.Address
+}
+
+func (m manifest) encode() []byte {
+	return sealWords(append([]uint64{manifestMagic, m.seq, uint64(len(m.t1s))}, m.t1s...)...)
+}
+
+func parseManifest(raw []byte) (manifest, error) {
+	w, err := openWords(raw, manifestMagic, "manifest")
 	if err != nil {
-		return CheckpointInfo{}, nil, nil, err
+		return manifest{}, err
 	}
-	var sess []SessionState
-	if meta.sessLen > 0 {
-		sess, err = readSessionTable(filepath.Join(dir, sessionsFileName(meta.T1)), meta.sessLen, meta.sessCRC)
-		if err != nil {
-			return CheckpointInfo{}, nil, nil, fmt.Errorf("faster: session table recovery: %w", err)
+	if len(w) < 2 || w[1] != uint64(len(w)-2) {
+		return manifest{}, errors.New("faster: manifest shard count mismatch")
+	}
+	return manifest{seq: w[0], t1s: w[2:]}, nil
+}
+
+// readManifest reads and parses a manifest file; on any error it returns
+// the zero manifest (seq 0).
+func readManifest(path string) (manifest, error) {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return manifest{}, err
+	}
+	return parseManifest(raw)
+}
+
+// readShard reads shard i of man's generation: its meta, which must
+// repeat the manifest's T1, and its session table, verified against the
+// length and CRC the meta records. Under the skip-serial-fsync mutation
+// verification is elided (the naive reader), letting a torn table load
+// as a shorter one.
+func readShard(dir string, man manifest, i int) (ckptMeta, []SessionState, error) {
+	sdir := shardGenDir(dir, man.seq, i)
+	raw, err := os.ReadFile(filepath.Join(sdir, "meta.ckpt"))
+	if err != nil {
+		return ckptMeta{}, nil, err
+	}
+	meta, err := parseMeta(raw)
+	if err != nil {
+		return ckptMeta{}, nil, err
+	}
+	if meta.T1 != man.t1s[i] {
+		return ckptMeta{}, nil, fmt.Errorf("faster: shard %d meta T1 %#x, manifest records %#x", i, meta.T1, man.t1s[i])
+	}
+	if meta.sessLen == 0 {
+		return meta, nil, nil
+	}
+	raw, err = os.ReadFile(filepath.Join(sdir, "sessions.ckpt"))
+	if err != nil {
+		return ckptMeta{}, nil, err
+	}
+	if !(mutationsEnabled && mutSkipSerialFsync()) {
+		if uint64(len(raw)) != meta.sessLen {
+			return ckptMeta{}, nil, fmt.Errorf("faster: session table %d bytes, meta records %d", len(raw), meta.sessLen)
+		}
+		if sessCRC(raw) != meta.sessCRC {
+			return ckptMeta{}, nil, errors.New("faster: session table crc mismatch")
 		}
 	}
-	f, err := os.Open(filepath.Join(dir, indexFileName(meta.T1)))
+	sess, err := parseSessionTable(raw)
 	if err != nil {
-		return CheckpointInfo{}, nil, nil, err
+		return ckptMeta{}, nil, err
+	}
+	return meta, sess, nil
+}
+
+// recoverShard reopens shard i of man's generation from its files and
+// cfg's device.
+func recoverShard(cfg Config, dir string, man manifest, i int) (*Store, error) {
+	meta, sess, err := readShard(dir, man, i)
+	if err != nil {
+		return nil, err
+	}
+	f, err := os.Open(filepath.Join(shardGenDir(dir, man.seq, i), "index.ckpt"))
+	if err != nil {
+		return nil, err
 	}
 	idx, err := index.ReadCheckpoint(f)
 	f.Close()
 	if err != nil {
-		return CheckpointInfo{}, nil, nil, fmt.Errorf("faster: index recovery: %w", err)
+		return nil, fmt.Errorf("faster: index recovery: %w", err)
 	}
-	return meta.CheckpointInfo, idx, sess, nil
+	return recoverFrom(cfg, meta.CheckpointInfo, idx, sess)
 }
 
-// loadCheckpoint loads the newest recoverable checkpoint: the current meta
-// if it and its index image are intact, else the previous generation kept
-// as meta.prev (a crash can tear at most the in-flight generation).
-func loadCheckpoint(dir string) (CheckpointInfo, *index.Index, []SessionState, error) {
-	info, idx, sess, err := loadCheckpointPair(dir, "meta.ckpt")
-	if err == nil {
-		return info, idx, sess, nil
+// recoverGeneration reopens every shard of man's generation, or none.
+func recoverGeneration(dir string, man manifest, n int, shardCfg func(int) Config) ([]*Store, error) {
+	if len(man.t1s) != n {
+		return nil, fmt.Errorf("faster: manifest has %d shards, config %d", len(man.t1s), n)
 	}
-	if pinfo, pidx, psess, perr := loadCheckpointPair(dir, "meta.prev"); perr == nil {
-		return pinfo, pidx, psess, nil
+	stores := make([]*Store, 0, n)
+	for i := range n {
+		s, err := recoverShard(shardCfg(i), dir, man, i)
+		if err != nil {
+			for _, s := range stores {
+				s.Close()
+			}
+			return nil, fmt.Errorf("faster: shard %d of generation %d: %w", i, man.seq, err)
+		}
+		stores = append(stores, s)
 	}
-	return CheckpointInfo{}, nil, nil, err
+	return stores, nil
 }
 
-// ReadCheckpointSessions reads the committed session table of the
-// newest readable checkpoint generation in dir without opening the log
-// — the offline view `faster-cli sessions` prints for operators
-// deciding which clients may resume. A torn or corrupt current
-// generation falls back to meta.prev, mirroring Recover's meta
-// preference (Recover additionally requires the generation's index
-// image, so in the rare case of a torn index the two can disagree by
-// one generation). A nil slice with nil error means the generation
+// recoverStores reopens the n shards of the newest generation in dir
+// that recovers whole: manifest.ckpt's, else manifest.prev's.
+func recoverStores(dir string, n int, shardCfg func(int) Config) ([]*Store, error) {
+	var firstErr error
+	for _, name := range manifestNames {
+		man, err := readManifest(filepath.Join(dir, name))
+		if err == nil {
+			var stores []*Store
+			if stores, err = recoverGeneration(dir, man, n, shardCfg); err == nil {
+				return stores, nil
+			}
+		}
+		if firstErr == nil {
+			firstErr = err
+		}
+	}
+	return nil, fmt.Errorf("faster: recovery: %w", firstErr)
+}
+
+// ReadCheckpointSessions reads the committed exactly-once session state
+// of the newest generation in dir whose every shard's table checks out,
+// without opening the log — the offline view `faster-cli sessions`
+// prints for operators deciding which clients may resume. Per GUID it
+// reports the connection frontier, the maximum acked serial over shards,
+// sorted by GUID. Recover additionally requires the generation's index
+// images, so in the rare case of a torn image the two can disagree by
+// one generation. An empty result with nil error means the generation
 // checkpointed no sessions.
 func ReadCheckpointSessions(dir string) ([]SessionState, error) {
-	read := func(metaName string) ([]SessionState, error) {
-		meta, err := readMeta(filepath.Join(dir, metaName))
+	var firstErr error
+	for _, name := range manifestNames {
+		out, err := readSessions(dir, name)
+		if err == nil {
+			return out, nil
+		}
+		if firstErr == nil {
+			firstErr = err
+		}
+	}
+	return nil, firstErr
+}
+
+func readSessions(dir, manifestName string) ([]SessionState, error) {
+	man, err := readManifest(filepath.Join(dir, manifestName))
+	if err != nil {
+		return nil, err
+	}
+	byGUID := map[string]SessionState{}
+	for i := range man.t1s {
+		_, states, err := readShard(dir, man, i)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("faster: shard %d sessions: %w", i, err)
 		}
-		if meta.sessLen == 0 {
-			return nil, nil
+		for _, st := range states {
+			if cur, ok := byGUID[st.GUID]; !ok || st.Acked > cur.Acked {
+				byGUID[st.GUID] = st
+			}
 		}
-		return readSessionTable(filepath.Join(dir, sessionsFileName(meta.T1)), meta.sessLen, meta.sessCRC)
 	}
-	sess, err := read("meta.ckpt")
-	if err == nil {
-		return sess, nil
+	out := make([]SessionState, 0, len(byGUID))
+	for _, st := range byGUID {
+		out = append(out, st)
 	}
-	if psess, perr := read("meta.prev"); perr == nil {
-		return psess, nil
-	}
-	return nil, err
+	sort.Slice(out, func(i, j int) bool { return out[i].GUID < out[j].GUID })
+	return out, nil
 }
 
 // Recover opens a store from a checkpoint directory and the device that
 // holds the log contents. cfg plays the same role as in Open; its Device
 // must contain the flushed log (for the built-in device types, reopen the
 // same file or reuse the same Mem device). A torn or corrupt current
-// checkpoint falls back to the previous generation (meta.prev).
+// generation falls back to the previous one (manifest.prev).
 func Recover(cfg Config, dir string) (*Store, error) {
-	info, idx, sess, err := loadCheckpoint(dir)
+	stores, err := recoverStores(dir, 1, func(int) Config { return cfg })
 	if err != nil {
 		return nil, err
 	}
-	return recoverFrom(cfg, info, idx, sess)
+	return stores[0], nil
 }
 
 // recoverFrom opens a store from an already-loaded checkpoint
-// generation (shared by Recover and the sharded per-shard recovery).
+// generation.
 func recoverFrom(cfg Config, info CheckpointInfo, idx *index.Index, sess []SessionState) (*Store, error) {
 	if err := cfg.setDefaults(); err != nil {
 		return nil, err

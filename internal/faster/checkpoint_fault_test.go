@@ -52,41 +52,19 @@ func checkpointTwice(t *testing.T, dir string) (Config, CheckpointInfo, Checkpoi
 // these tests): RecoverTo resumes allocation on a fresh page above t2.
 func pageUp(addr uint64) uint64 { return (addr + (1 << 12) - 1) &^ uint64(1<<12-1) }
 
-func TestTornMetaFallsBackToPreviousCheckpoint(t *testing.T) {
-	dir := t.TempDir()
-	cfg, infoA, infoB := checkpointTwice(t, dir)
-
-	// Intact directory: recovery picks the newest generation.
+// recoversA asserts that dir recovers checkpoint A of checkpointTwice:
+// its tail, its keys, and none of phase B's.
+func recoversA(t *testing.T, cfg Config, dir string, infoA CheckpointInfo) {
+	t.Helper()
 	r, err := Recover(cfg, dir)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("fallback recovery: %v", err)
 	}
-	if got := r.Log().TailAddress(); got != pageUp(infoB.T2) {
-		t.Fatalf("intact recovery tail = %#x, want t2 of checkpoint B rounded up %#x", got, pageUp(infoB.T2))
-	}
-	r.Close()
-
-	// Tear the current meta (CRC mismatch): recovery must fall back to
-	// meta.prev instead of failing outright.
-	metaPath := filepath.Join(dir, "meta.ckpt")
-	raw, err := os.ReadFile(metaPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[8] ^= 0xFF
-	if err := os.WriteFile(metaPath, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	r2, err := Recover(cfg, dir)
-	if err != nil {
-		t.Fatalf("recovery with torn meta: %v", err)
-	}
-	defer r2.Close()
-	if got := r2.Log().TailAddress(); got != pageUp(infoA.T2) {
+	defer r.Close()
+	if got := r.Log().TailAddress(); got != pageUp(infoA.T2) {
 		t.Fatalf("fallback recovery tail = %#x, want t2 of checkpoint A rounded up %#x", got, pageUp(infoA.T2))
 	}
-	rs := r2.StartSession()
+	rs := r.StartSession()
 	defer rs.Close()
 	for i := uint64(0); i < 500; i += 31 {
 		got, st := readU64(t, rs, key(i))
@@ -101,35 +79,106 @@ func TestTornMetaFallsBackToPreviousCheckpoint(t *testing.T) {
 	}
 }
 
+// genMeta is the meta of checkpointTwice's generation seq (one shard).
+func genMeta(dir string, seq uint64) string {
+	return filepath.Join(shardGenDir(dir, seq, 0), "meta.ckpt")
+}
+
+func TestTornMetaFallsBackToPreviousCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	cfg, infoA, infoB := checkpointTwice(t, dir)
+
+	// Intact directory: recovery picks the newest generation.
+	r, err := Recover(cfg, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Log().TailAddress(); got != pageUp(infoB.T2) {
+		t.Fatalf("intact recovery tail = %#x, want t2 of checkpoint B rounded up %#x", got, pageUp(infoB.T2))
+	}
+	r.Close()
+
+	// Tear the current generation's meta (CRC mismatch): recovery must
+	// fall back to manifest.prev's generation instead of failing outright.
+	raw, err := os.ReadFile(genMeta(dir, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[8] ^= 0xFF
+	if err := os.WriteFile(genMeta(dir, 2), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	recoversA(t, cfg, dir, infoA)
+}
+
+// TestMetaBracketOutOfOrderFallsBack: a CRC-valid meta whose bracket
+// breaks Begin ≤ T1 ≤ T2 is torn — no writer commits one — so recovery
+// falls back to the previous generation.
+func TestMetaBracketOutOfOrderFallsBack(t *testing.T) {
+	dir := t.TempDir()
+	cfg, infoA, infoB := checkpointTwice(t, dir)
+	raw, err := os.ReadFile(genMeta(dir, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta, err := parseMeta(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if meta.CheckpointInfo != infoB {
+		t.Fatalf("generation 2 meta %+v, checkpoint returned %+v", meta.CheckpointInfo, infoB)
+	}
+	meta.T2 = meta.T1 - 1 // T1 > T2; the manifest's T1 still matches
+	if err := os.WriteFile(genMeta(dir, 2), meta.encode(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	recoversA(t, cfg, dir, infoA)
+}
+
+// TestHostileManifestFallsBack: a 32-byte manifest with a valid CRC
+// whose shard count is 1<<61 (8*count wraps to 0 in uint64) is rejected
+// without allocating, so recovery falls back to manifest.prev; with both
+// manifests hostile it returns an error.
+func TestHostileManifestFallsBack(t *testing.T) {
+	dir := t.TempDir()
+	cfg, infoA, _ := checkpointTwice(t, dir)
+	hostile := sealWords(manifestMagic, 2, 1<<61)
+	if err := os.WriteFile(filepath.Join(dir, "manifest.ckpt"), hostile, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	recoversA(t, cfg, dir, infoA)
+
+	if err := os.WriteFile(filepath.Join(dir, "manifest.prev"), hostile, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if r, err := Recover(cfg, dir); err == nil {
+		r.Close()
+		t.Fatal("recovered from two hostile manifests")
+	}
+}
+
 func TestMissingMetaFallsBackToPreviousCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	cfg, infoA, _ := checkpointTwice(t, dir)
 
-	// Simulate a crash between "meta.ckpt -> meta.prev" and
-	// "meta.ckpt.tmp -> meta.ckpt": no current meta at all. (The .prev in
-	// the directory is checkpoint A only after B's commit, so drop B's
-	// meta AND restore A as prev — i.e. just remove meta.ckpt.)
-	if err := os.Remove(filepath.Join(dir, "meta.ckpt")); err != nil {
+	// Simulate a crash before checkpoint B's commit rename, after the
+	// rotation: manifest.prev names A, B's generation is whole on disk,
+	// but its manifest is still manifest.ckpt.tmp. A stays in force.
+	man := filepath.Join(dir, "manifest.ckpt")
+	if err := os.Rename(man, man+".tmp"); err != nil {
 		t.Fatal(err)
 	}
-	r, err := Recover(cfg, dir)
-	if err != nil {
-		t.Fatalf("recovery with missing meta: %v", err)
-	}
-	defer r.Close()
-	if got := r.Log().TailAddress(); got != pageUp(infoA.T2) {
-		t.Fatalf("fallback recovery tail = %#x, want %#x", got, pageUp(infoA.T2))
-	}
+	recoversA(t, cfg, dir, infoA)
 }
 
 func TestCheckpointGCKeepsReferencedIndexImages(t *testing.T) {
 	dir := t.TempDir()
-	_, infoA, infoB := checkpointTwice(t, dir)
+	checkpointTwice(t, dir)
 
 	for _, want := range []string{
-		indexFileName(infoA.T1), // referenced by meta.prev
-		indexFileName(infoB.T1), // referenced by meta.ckpt
-		"meta.ckpt", "meta.prev",
+		filepath.Join(genDirName(1), shardDirName(0), "index.ckpt"), // named by manifest.prev
+		filepath.Join(genDirName(2), shardDirName(0), "index.ckpt"), // named by manifest.ckpt
+		"manifest.ckpt", "manifest.prev",
 	} {
 		if _, err := os.Stat(filepath.Join(dir, want)); err != nil {
 			t.Fatalf("checkpoint file %s missing: %v", want, err)

@@ -56,3 +56,33 @@ func FuzzVarLenFraming(f *testing.F) {
 		VarLenCounter(raw)
 	})
 }
+
+// FuzzCheckpointFiles feeds arbitrary bytes to the parsers of the three
+// checkpoint files recovery reads before it trusts a generation: the
+// manifest, a shard's meta and its session table. Each must accept or
+// reject the bytes without panicking and without allocating by a count
+// it read; what they accept must re-encode to the same bytes.
+func FuzzCheckpointFiles(f *testing.F) {
+	f.Add(sealWords(manifestMagic, 2, 1<<61)) // 8*count wraps to 0
+	f.Add(binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil, sessMagic), 1<<60))
+	f.Add(manifest{seq: 3, t1s: []uint64{64, 4096}}.encode())
+	f.Add(ckptMeta{CheckpointInfo: CheckpointInfo{T1: 64, T2: 128}, sessLen: 40, sessCRC: 7}.encode())
+	f.Add(sealWords(metaMagic, 128, 64, 0, 0, 0))      // T1 > T2
+	f.Add(sealWords(metaMagic, 64, 128, 0, 40, 1<<32)) // CRC word past 32 bits
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		if m, err := parseManifest(raw); err == nil && !bytes.Equal(m.encode(), raw) {
+			t.Fatalf("manifest %+v re-encodes differently", m)
+		}
+		if m, err := parseMeta(raw); err == nil {
+			if !(m.Begin <= m.T1 && m.T1 <= m.T2) {
+				t.Fatalf("meta bracket %+v accepted out of order", m.CheckpointInfo)
+			}
+			if !bytes.Equal(m.encode(), raw) {
+				t.Fatalf("meta %+v re-encodes differently", m)
+			}
+		}
+		if states, err := parseSessionTable(raw); err == nil && len(states)*sessMinEntry > len(raw) {
+			t.Fatalf("%d session entries from %d bytes", len(states), len(raw))
+		}
+	})
+}

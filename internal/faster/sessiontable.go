@@ -429,6 +429,10 @@ func (s *Store) SessionStates() []SessionState {
 // sessMagic heads the serialized session table.
 const sessMagic uint64 = 0xFA57E2C05E550001
 
+// sessMinEntry is the smallest serialized entry: GUID length, acked,
+// updated time and reply length, with an empty GUID and reply.
+const sessMinEntry = 4 + 8 + 8 + 4
+
 // sessSnap is one entry's state captured under the cut lock, kept so the
 // checkpoint can raise durable frontiers after its meta commits.
 type sessSnap struct {
@@ -523,7 +527,9 @@ func parseSessionTable(payload []byte) ([]SessionState, error) {
 		return nil, errors.New("faster: session table bad magic")
 	}
 	count := binary.LittleEndian.Uint64(hdr[8:])
-	out := make([]SessionState, 0, count)
+	// The count comes from the file: preallocate no more entries than
+	// the bytes left could hold.
+	out := make([]SessionState, 0, min(count, uint64(len(rd)/sessMinEntry)))
 	for i := uint64(0); i < count; i++ {
 		var st SessionState
 		ok := false

@@ -230,33 +230,42 @@ func TestSessionTableCheckpointRecover(t *testing.T) {
 }
 
 // TestSerialTableCrashMatrix reconstructs every crash state the
-// checkpoint commit sequence can leave behind — in particular a kill
-// between the session-table rename and the meta rename — and verifies
-// recovery never double-applies a retried operation.
+// checkpoint commit sequence can leave behind — a kill after the
+// generation's session table but before its meta, a kill before the
+// manifest rename, and a committed generation whose table is torn or
+// missing — and verifies recovery never double-applies a retried
+// operation.
 func TestSerialTableCrashMatrix(t *testing.T) {
 	type crashPoint struct {
 		name string
 		// mangle turns a directory holding two committed generations into
 		// the crash state under test.
-		mangle func(t *testing.T, dir string, gen2T1 uint64)
+		mangle func(t *testing.T, dir string)
 	}
+	gen2 := func(dir, name string) string { return filepath.Join(shardGenDir(dir, 2, 0), name) }
 	points := []crashPoint{
-		{"between-sessions-and-meta", func(t *testing.T, dir string, gen2T1 uint64) {
-			// The gen2 session table and index are in place but the meta
-			// rename never happened: meta.ckpt is still gen1.
-			prev := filepath.Join(dir, "meta.prev")
-			cur := filepath.Join(dir, "meta.ckpt")
-			if err := os.Remove(cur); err != nil {
+		{"between-sessions-and-meta", func(t *testing.T, dir string) {
+			// gen2's session table and index are written but its meta is
+			// not, so no manifest was renamed: manifest.ckpt is still gen1.
+			if err := os.Remove(gen2(dir, "meta.ckpt")); err != nil {
 				t.Fatal(err)
 			}
-			if err := os.Rename(prev, cur); err != nil {
+			if err := os.Rename(filepath.Join(dir, "manifest.prev"), filepath.Join(dir, "manifest.ckpt")); err != nil {
 				t.Fatal(err)
 			}
 		}},
-		{"torn-session-table", func(t *testing.T, dir string, gen2T1 uint64) {
+		{"before-manifest-rename", func(t *testing.T, dir string) {
+			// gen2 is whole on disk and manifest.ckpt already rotated to
+			// manifest.prev, but gen2's manifest never left its tmp name.
+			man := filepath.Join(dir, "manifest.ckpt")
+			if err := os.Rename(man, man+".tmp"); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"torn-session-table", func(t *testing.T, dir string) {
 			// gen2 committed but its session table lost a tail page: the
 			// meta's CRC check must reject it and fall back to gen1.
-			p := filepath.Join(dir, sessionsFileName(gen2T1))
+			p := gen2(dir, "sessions.ckpt")
 			raw, err := os.ReadFile(p)
 			if err != nil {
 				t.Fatal(err)
@@ -265,8 +274,8 @@ func TestSerialTableCrashMatrix(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
-		{"missing-session-table", func(t *testing.T, dir string, gen2T1 uint64) {
-			if err := os.Remove(filepath.Join(dir, sessionsFileName(gen2T1))); err != nil {
+		{"missing-session-table", func(t *testing.T, dir string) {
+			if err := os.Remove(gen2(dir, "sessions.ckpt")); err != nil {
 				t.Fatal(err)
 			}
 		}},
@@ -298,15 +307,14 @@ func TestSerialTableCrashMatrix(t *testing.T) {
 				submitSerial(t, sess, k, serial, 1)
 			}
 			sess.Park()
-			info2, err := s.Checkpoint(dir) // gen2: frontier 9
-			if err != nil {
+			if _, err := s.Checkpoint(dir); err != nil { // gen2: frontier 9
 				t.Fatal(err)
 			}
 			sess.Unpark()
 			sess.Close()
 			s.Close()
 
-			pt.mangle(t, dir, info2.T1)
+			pt.mangle(t, dir)
 
 			r, err := Recover(cfg, dir)
 			if err != nil {
@@ -503,12 +511,17 @@ func TestSessionTableSerializeRoundTrip(t *testing.T) {
 	if len(empty) != sessHeaderLen {
 		t.Fatalf("empty table payload %d bytes, want %d", len(empty), sessHeaderLen)
 	}
+	// A hostile count is an error, never an allocation of its size.
+	hostile := binary.LittleEndian.AppendUint64(append([]byte(nil), empty[:8]...), 1<<60)
+	if _, err := parseSessionTable(hostile); err == nil {
+		t.Fatal("16-byte table claiming 1<<60 entries parsed")
+	}
 }
 
 // TestReadCheckpointSessions exercises the offline session-table reader
 // behind `faster-cli sessions`: it must print the committed generation
-// without a log device and fall back to meta.prev when the current
-// generation's table is torn.
+// without a log device and fall back to manifest.prev's generation when
+// the current generation's table is torn.
 func TestReadCheckpointSessions(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := openTestStore(t, Config{})
@@ -521,15 +534,13 @@ func TestReadCheckpointSessions(t *testing.T) {
 		submitSerial(t, sess, key(1), serial, 10)
 	}
 	sess.Park()
-	info1, err := s.Checkpoint(dir)
-	if err != nil {
+	if _, err := s.Checkpoint(dir); err != nil {
 		t.Fatal(err)
 	}
 	sess.Unpark()
 	submitSerial(t, sess, key(1), 4, 10)
 	sess.Park()
-	info2, err := s.Checkpoint(dir)
-	if err != nil {
+	if _, err := s.Checkpoint(dir); err != nil {
 		t.Fatal(err)
 	}
 	sess.Unpark()
@@ -544,10 +555,7 @@ func TestReadCheckpointSessions(t *testing.T) {
 
 	// Tear the newest generation's table: the reader must fall back to
 	// the previous generation, like Recover does.
-	if info1.T1 == info2.T1 {
-		t.Fatalf("checkpoints share t1=%#x; cannot tear one generation", info1.T1)
-	}
-	name := filepath.Join(dir, sessionsFileName(info2.T1))
+	name := filepath.Join(shardGenDir(dir, 2, 0), "sessions.ckpt")
 	raw, err := os.ReadFile(name)
 	if err != nil {
 		t.Fatal(err)

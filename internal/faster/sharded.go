@@ -1,11 +1,8 @@
 package faster
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"os"
 	"path/filepath"
 	"sort"
 	"sync"
@@ -15,7 +12,6 @@ import (
 	"strings"
 
 	"repro/internal/device"
-	"repro/internal/hlog"
 	"repro/internal/metrics"
 	"repro/internal/xhash"
 )
@@ -38,7 +34,8 @@ import (
 //     global serial barrier (see Checkpoint below).
 //
 //   - Checkpoints. Each generation is a directory of per-shard
-//     checkpoints committed atomically by a top-level manifest. The
+//     checkpoints committed atomically by a top-level manifest
+//     (checkpoint.go, which a flat Store shares as one shard). The
 //     serial cuts of all shards are taken while holding every shard's
 //     cut lock (in ascending shard order, the same order stamped windows
 //     acquire them), so no serial can commit on one shard between two
@@ -125,7 +122,6 @@ type ShardedStore struct {
 	// key space to different shards.
 	stale     *shardRing
 	routeTick atomic.Uint64
-	ckptSeq   atomic.Uint64
 }
 
 // OpenSharded opens cfg.Shards independent stores and the routing ring.
@@ -669,10 +665,8 @@ func (sess *ShardedSession) SerialAbort() {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded checkpoint: per-shard generations under one manifest
+// Sharded checkpoint: one generation of every shard under one manifest
 // ---------------------------------------------------------------------------
-
-const manifestMagic uint64 = 0xFA57E2C05A4DED01
 
 // ShardedCheckpointInfo describes a committed sharded checkpoint.
 type ShardedCheckpointInfo struct {
@@ -682,228 +676,19 @@ type ShardedCheckpointInfo struct {
 	Shards []CheckpointInfo
 }
 
-type manifest struct {
-	seq uint64
-	t1s []hlog.Address
-}
-
-func genDirName(seq uint64) string { return fmt.Sprintf("gen-%06d", seq) }
-func shardDirName(i int) string    { return fmt.Sprintf("shard-%03d", i) }
-func shardGenDir(dir string, seq uint64, i int) string {
-	return filepath.Join(dir, genDirName(seq), shardDirName(i))
-}
-
 // Checkpoint writes one consistent generation: every shard checkpoints
 // into dir/gen-<seq>/shard-<i>/, all serial cuts are taken under a
 // single global barrier (every shard's cut lock held at once, acquired
 // in ascending shard order), and the generation commits atomically by
-// the manifest rename. A crash anywhere before that rename leaves the
-// previous manifest in force — a consistent, if older, ensemble.
-//
-// With one shard the store delegates to the flat single-store layout,
-// so -shards 1 deployments stay bit-compatible with unsharded ones.
+// the manifest rename (checkpoint.go). A crash anywhere before that
+// rename leaves the previous manifest in force — a consistent, if older,
+// ensemble.
 func (ss *ShardedStore) Checkpoint(dir string) (ShardedCheckpointInfo, error) {
-	n := len(ss.shards)
-	if n == 1 {
-		info, err := ss.shards[0].Checkpoint(dir)
-		if err != nil {
-			return ShardedCheckpointInfo{}, err
-		}
-		return ShardedCheckpointInfo{Shards: []CheckpointInfo{info}}, nil
-	}
-	seq := ss.ckptSeq.Add(1)
-	genDir := filepath.Join(dir, genDirName(seq))
-	// A failed earlier attempt may have left a partial generation with
-	// this sequence; recovery never reads uncommitted generations, so
-	// clearing it is safe.
-	if err := os.RemoveAll(genDir); err != nil {
+	seq, infos, err := checkpoint(ss.shards, dir)
+	if err != nil {
 		return ShardedCheckpointInfo{}, err
 	}
-
-	// Phase 1 — parallel per-shard prepare (index images). No locks.
-	preps := make([]ckptPrep, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			preps[i], errs[i] = ss.shards[i].checkpointPrepare(shardGenDir(dir, seq, i))
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return ShardedCheckpointInfo{}, fmt.Errorf("faster: shard %d checkpoint prepare: %w", i, err)
-		}
-	}
-
-	// Phase 2 — the global serial barrier: acquire every shard's cut
-	// lock in ascending order (stamped windows acquire in the same
-	// order, so no hold-and-wait cycle exists), cut all shards, release.
-	// While all locks are held no stamped window is open anywhere, so
-	// the set of committed serials is a per-connection prefix and every
-	// cut covers exactly that prefix's records on its shard.
-	payloads := make([][]byte, n)
-	snaps := make([][]sessSnap, n)
-	t2s := make([]hlog.Address, n)
-	for i := 0; i < n; i++ {
-		ss.shards[i].sessions.cutMu.Lock()
-	}
-	for i := 0; i < n; i++ {
-		payloads[i], snaps[i], t2s[i] = ss.shards[i].checkpointCut()
-	}
-	for i := n - 1; i >= 0; i-- {
-		ss.shards[i].sessions.cutMu.Unlock()
-	}
-
-	// Phase 3 — parallel per-shard finish (flush waits, meta commits).
-	infos := make([]CheckpointInfo, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			infos[i], errs[i] = ss.shards[i].checkpointFinish(preps[i], payloads[i], snaps[i], t2s[i])
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return ShardedCheckpointInfo{}, fmt.Errorf("faster: shard %d checkpoint: %w", i, err)
-		}
-	}
-
-	if mutationsEnabled && mutSkipShardFsync() {
-		// The seeded bug: one shard's generation meta was never fsynced
-		// and the crash the manifest survived tore it. Tear the
-		// highest-index shard that checkpointed session frontiers (the
-		// shard whose regression the exactly-once checker can see).
-		victim := n - 1
-		for i := n - 1; i >= 0; i-- {
-			if len(payloads[i]) > sessHeaderLen {
-				victim = i
-				break
-			}
-		}
-		tearShardMeta(filepath.Join(shardGenDir(dir, seq, victim), "meta.ckpt"))
-	}
-
-	// Phase 4 — manifest commit: tmp + fsync, rotate manifest.ckpt →
-	// manifest.prev, rename, dir fsync. The rename is the single commit
-	// point for the whole generation.
-	man := manifest{seq: seq, t1s: make([]hlog.Address, n)}
-	for i, info := range infos {
-		man.t1s[i] = info.T1
-	}
-	manTmp := filepath.Join(dir, "manifest.ckpt.tmp")
-	if err := writeManifest(manTmp, man); err != nil {
-		return ShardedCheckpointInfo{}, err
-	}
-	manPath := filepath.Join(dir, "manifest.ckpt")
-	if _, err := os.Stat(manPath); err == nil {
-		if err := os.Rename(manPath, filepath.Join(dir, "manifest.prev")); err != nil {
-			return ShardedCheckpointInfo{}, err
-		}
-	} else if !os.IsNotExist(err) {
-		return ShardedCheckpointInfo{}, err
-	}
-	if err := os.Rename(manTmp, manPath); err != nil {
-		return ShardedCheckpointInfo{}, err
-	}
-	if err := syncDir(dir); err != nil {
-		return ShardedCheckpointInfo{}, err
-	}
-	gcGenerations(dir)
 	return ShardedCheckpointInfo{Seq: seq, Shards: infos}, nil
-}
-
-func writeManifest(path string, man manifest) error {
-	var buf []byte
-	put := func(v uint64) {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], v)
-		buf = append(buf, b[:]...)
-	}
-	put(manifestMagic)
-	put(man.seq)
-	put(uint64(len(man.t1s)))
-	for _, t1 := range man.t1s {
-		put(uint64(t1))
-	}
-	put(uint64(crc32.ChecksumIEEE(buf)))
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-func readManifest(path string) (manifest, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return manifest{}, err
-	}
-	if len(raw) < 32 || len(raw)%8 != 0 {
-		return manifest{}, errors.New("faster: bad manifest size")
-	}
-	body := raw[:len(raw)-8]
-	if binary.LittleEndian.Uint64(raw[len(raw)-8:]) != uint64(crc32.ChecksumIEEE(body)) {
-		return manifest{}, errors.New("faster: manifest crc mismatch")
-	}
-	if binary.LittleEndian.Uint64(raw) != manifestMagic {
-		return manifest{}, errors.New("faster: manifest bad magic")
-	}
-	man := manifest{seq: binary.LittleEndian.Uint64(raw[8:])}
-	count := binary.LittleEndian.Uint64(raw[16:])
-	if uint64(len(raw)) != 32+8*count {
-		return manifest{}, errors.New("faster: manifest shard count mismatch")
-	}
-	man.t1s = make([]hlog.Address, count)
-	for i := range man.t1s {
-		man.t1s[i] = hlog.Address(binary.LittleEndian.Uint64(raw[24+8*i:]))
-	}
-	return man, nil
-}
-
-// gcGenerations removes generation directories no manifest references —
-// best-effort, after a committed checkpoint.
-func gcGenerations(dir string) {
-	keep := map[string]bool{}
-	for _, m := range []string{"manifest.ckpt", "manifest.prev"} {
-		if man, err := readManifest(filepath.Join(dir, m)); err == nil {
-			keep[genDirName(man.seq)] = true
-		}
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return
-	}
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() && len(name) > 4 && name[:4] == "gen-" && !keep[name] {
-			os.RemoveAll(filepath.Join(dir, name))
-		}
-	}
-}
-
-// recoverWithInfo is Recover exposing the recovered generation's
-// bracket, so a sharded recovery can verify each shard landed on the
-// generation its manifest names.
-func recoverWithInfo(cfg Config, dir string) (*Store, CheckpointInfo, error) {
-	info, idx, sess, err := loadCheckpoint(dir)
-	if err != nil {
-		return nil, CheckpointInfo{}, err
-	}
-	s, err := recoverFrom(cfg, info, idx, sess)
-	return s, info, err
 }
 
 // RecoverSharded reopens a sharded store from its manifest. Recovery is
@@ -914,22 +699,7 @@ func recoverWithInfo(cfg Config, dir string) (*Store, CheckpointInfo, error) {
 // each shard independently falls back (prev generation, then empty),
 // silently mixing generations.
 func RecoverSharded(cfg ShardedConfig, dir string) (*ShardedStore, error) {
-	n := cfg.Shards
-	if n <= 0 {
-		n = 1
-	}
-	if n == 1 {
-		c := cfg.Base
-		if cfg.NewDevice != nil {
-			c.Device = cfg.NewDevice(0)
-		}
-		s, err := Recover(c, dir)
-		if err != nil {
-			return nil, err
-		}
-		return NewShardedFromStores([]*Store{s})
-	}
-
+	n := max(cfg.Shards, 1)
 	shardCfg := func(i int) Config {
 		c := cfg.Base
 		c.ReadCacheBytes = cfg.Base.ReadCacheBytes / uint64(n)
@@ -938,104 +708,45 @@ func RecoverSharded(cfg ShardedConfig, dir string) (*ShardedStore, error) {
 		}
 		return c
 	}
-
+	load := recoverStores
 	if mutationsEnabled && mutSkipShardFsync() {
-		return recoverShardedNaive(cfg, dir, shardCfg)
+		load = recoverShardsNaive
 	}
-
-	man, manErr := readManifest(filepath.Join(dir, "manifest.ckpt"))
-	var lastErr error
-	if manErr == nil {
-		if ss, err := recoverGeneration(cfg, dir, man, shardCfg); err == nil {
-			return ss, nil
-		} else {
-			lastErr = err
-		}
-	} else {
-		lastErr = manErr
-	}
-	if pman, perr := readManifest(filepath.Join(dir, "manifest.prev")); perr == nil {
-		if ss, err := recoverGeneration(cfg, dir, pman, shardCfg); err == nil {
-			return ss, nil
-		} else if lastErr == nil {
-			lastErr = err
-		}
-	}
-	return nil, fmt.Errorf("faster: sharded recovery: %w", lastErr)
-}
-
-// recoverGeneration loads every shard of one manifest generation,
-// verifying each shard recovered the T1 the manifest recorded.
-func recoverGeneration(cfg ShardedConfig, dir string, man manifest, shardCfg func(int) Config) (*ShardedStore, error) {
-	n := cfg.Shards
-	if int(len(man.t1s)) != n {
-		return nil, fmt.Errorf("faster: manifest has %d shards, config %d", len(man.t1s), n)
-	}
-	stores := make([]*Store, 0, n)
-	closeAll := func() {
-		for _, s := range stores {
-			s.Close()
-		}
-	}
-	for i := 0; i < n; i++ {
-		s, info, err := recoverWithInfo(shardCfg(i), shardGenDir(dir, man.seq, i))
-		if err != nil {
-			closeAll()
-			return nil, fmt.Errorf("faster: shard %d of generation %d: %w", i, man.seq, err)
-		}
-		if info.T1 != man.t1s[i] {
-			s.Close()
-			closeAll()
-			return nil, fmt.Errorf("faster: shard %d recovered T1 %#x, manifest records %#x", i, info.T1, man.t1s[i])
-		}
-		stores = append(stores, s)
-	}
-	ss, err := NewShardedFromStores(stores)
+	stores, err := load(dir, n, shardCfg)
 	if err != nil {
-		closeAll()
 		return nil, err
 	}
-	ss.ckptSeq.Store(man.seq)
-	return ss, nil
+	return NewShardedFromStores(stores)
 }
 
-// recoverShardedNaive is the seeded skip-shard-fsync reader: each shard
+// recoverShardsNaive is the seeded skip-shard-fsync reader: each shard
 // independently tries the current generation, then the previous, then
 // comes up empty — mixing generations across shards, which silently
 // reverts one shard's acked frontiers and data while the connection
 // frontier (max over shards) stays high. The exactly-once checker
 // refutes the resulting double-applies and lost updates.
-func recoverShardedNaive(cfg ShardedConfig, dir string, shardCfg func(int) Config) (*ShardedStore, error) {
-	n := cfg.Shards
-	man, err := readManifest(filepath.Join(dir, "manifest.ckpt"))
-	if err != nil {
-		return nil, err
+func recoverShardsNaive(dir string, n int, shardCfg func(int) Config) ([]*Store, error) {
+	var mans []manifest
+	for _, name := range manifestNames {
+		if man, err := readManifest(filepath.Join(dir, name)); err == nil && len(man.t1s) == n {
+			mans = append(mans, man)
+		}
 	}
-	pman, havePrev := manifest{}, false
-	if m, err := readManifest(filepath.Join(dir, "manifest.prev")); err == nil {
-		pman, havePrev = m, true
+	if len(mans) == 0 {
+		return nil, errors.New("faster: no manifest")
 	}
 	stores := make([]*Store, 0, n)
-	var maxSeq uint64
-	for i := 0; i < n; i++ {
-		s, _, err := recoverWithInfo(shardCfg(i), shardGenDir(dir, man.seq, i))
-		if err == nil {
-			if man.seq > maxSeq {
-				maxSeq = man.seq
-			}
-			stores = append(stores, s)
-			continue
-		}
-		if havePrev {
-			if s, _, err := recoverWithInfo(shardCfg(i), shardGenDir(dir, pman.seq, i)); err == nil {
-				if pman.seq > maxSeq {
-					maxSeq = pman.seq
-				}
-				stores = append(stores, s)
-				continue
+	for i := range n {
+		var s *Store
+		err := errors.New("faster: no generation")
+		for _, man := range mans {
+			if s, err = recoverShard(shardCfg(i), dir, man, i); err == nil {
+				break
 			}
 		}
-		s, err = Open(shardCfg(i))
+		if err != nil {
+			s, err = Open(shardCfg(i))
+		}
 		if err != nil {
 			for _, st := range stores {
 				st.Close()
@@ -1044,50 +755,7 @@ func recoverShardedNaive(cfg ShardedConfig, dir string, shardCfg func(int) Confi
 		}
 		stores = append(stores, s)
 	}
-	ss, err := NewShardedFromStores(stores)
-	if err != nil {
-		for _, st := range stores {
-			st.Close()
-		}
-		return nil, err
-	}
-	ss.ckptSeq.Store(maxSeq)
-	return ss, nil
-}
-
-// ReadShardedCheckpointSessions aggregates the committed exactly-once
-// session state of a sharded checkpoint directory: per GUID, the
-// connection frontier (max acked over shards) of the manifest's
-// generation — the offline view `faster-cli sessions` prints. Falls
-// back to the flat single-store layout when no manifest exists.
-func ReadShardedCheckpointSessions(dir string) ([]SessionState, error) {
-	man, err := readManifest(filepath.Join(dir, "manifest.ckpt"))
-	if err != nil {
-		if m, perr := readManifest(filepath.Join(dir, "manifest.prev")); perr == nil {
-			man = m
-		} else {
-			return ReadCheckpointSessions(dir)
-		}
-	}
-	byGUID := map[string]SessionState{}
-	for i := range man.t1s {
-		states, err := ReadCheckpointSessions(shardGenDir(dir, man.seq, i))
-		if err != nil {
-			return nil, fmt.Errorf("faster: shard %d sessions: %w", i, err)
-		}
-		for _, st := range states {
-			cur, ok := byGUID[st.GUID]
-			if !ok || st.Acked > cur.Acked {
-				byGUID[st.GUID] = st
-			}
-		}
-	}
-	out := make([]SessionState, 0, len(byGUID))
-	for _, st := range byGUID {
-		out = append(out, st)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].GUID < out[j].GUID })
-	return out, nil
+	return stores, nil
 }
 
 // ---------------------------------------------------------------------------

@@ -303,10 +303,11 @@ func TestShardedCheckpointRecoverRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if r.ckptSeq.Load() != 2 {
-		t.Fatalf("recovered seq %d, want 2", r.ckptSeq.Load())
-	}
 	verifyShardedSums(t, r, shardedSums(40))
+	// The generation sequence continues from the recovered manifest.
+	if info, err := r.Checkpoint(dir); err != nil || info.Seq != 3 {
+		t.Fatalf("checkpoint after recovery: seq %d, %v; want seq 3", info.Seq, err)
+	}
 
 	sess := r.StartSession()
 	defer sess.Close()
@@ -319,7 +320,7 @@ func TestShardedCheckpointRecoverRoundTrip(t *testing.T) {
 	}
 
 	// The offline sessions view agrees with the live rebind.
-	states, err := ReadShardedCheckpointSessions(dir)
+	states, err := ReadCheckpointSessions(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,11 +354,6 @@ func TestShardedManifestFallbackConsistentPrefix(t *testing.T) {
 	}
 	if err := os.WriteFile(metaPath, raw[:len(raw)-8], 0o644); err != nil {
 		t.Fatal(err)
-	}
-	// The per-shard meta.prev fallback inside the gen dir must not save
-	// gen 2 either (each gen dir holds exactly one generation).
-	if _, err := os.Stat(filepath.Join(shardGenDir(dir, 2, 1), "meta.prev")); err == nil {
-		t.Fatal("gen dir unexpectedly holds a meta.prev")
 	}
 
 	r, err := RecoverSharded(shardedTestConfig(4, Config{}, devs), dir)
@@ -424,6 +420,9 @@ func TestShardedPerShardHealthIsolation(t *testing.T) {
 	}
 }
 
+// TestShardedSingleShardCheckpointLayoutCompat: a one-shard ShardedStore
+// and a flat Store write the same layout, so each recovers the other's
+// directory, and the generation sequence runs on across them.
 func TestShardedSingleShardCheckpointLayoutCompat(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	dir := t.TempDir()
@@ -434,26 +433,44 @@ func TestShardedSingleShardCheckpointLayoutCompat(t *testing.T) {
 		sess.Upsert(key(i), u64(i))
 	}
 	sess.Close()
-	if _, err := ss.Checkpoint(dir); err != nil {
-		t.Fatal(err)
+	if info, err := ss.Checkpoint(dir); err != nil || info.Seq != 1 {
+		t.Fatalf("sharded checkpoint: seq %d, %v", info.Seq, err)
 	}
 	ss.Close()
 
-	// One shard uses the flat layout: plain Recover must read it.
-	if _, err := os.Stat(filepath.Join(dir, "meta.ckpt")); err != nil {
-		t.Fatalf("single-shard checkpoint did not use the flat layout: %v", err)
-	}
-	cfg := shardedTestConfig(1, Config{}, devs).Base
+	// A flat Recover reads the one-shard ensemble's generation...
+	scfg := shardedTestConfig(1, Config{}, devs)
+	cfg := scfg.Base
 	cfg.Device = devs[0]
 	s, err := Recover(cfg, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
-	rsess := s.StartSession()
-	defer rsess.Close()
-	if got, st := readU64(t, rsess, key(7)); st != OK || got != 7 {
-		t.Fatalf("recovered key 7 = %d (%v)", got, st)
+	fsess := s.StartSession()
+	if got, st := readU64(t, fsess, key(7)); st != OK || got != 7 {
+		t.Fatalf("flat recovery: key 7 = %d (%v)", got, st)
+	}
+	for i := uint64(51); i <= 60; i++ {
+		fsess.Upsert(key(i), u64(i))
+	}
+	fsess.Close()
+	if _, err := s.Checkpoint(dir); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	if _, err := os.Stat(filepath.Join(shardGenDir(dir, 2, 0), "meta.ckpt")); err != nil {
+		t.Fatalf("flat checkpoint did not write generation 2: %v", err)
+	}
+
+	// ...and RecoverSharded reads the flat store's.
+	r, err := RecoverSharded(scfg, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	verifyShardedSums(t, r, map[uint64]uint64{7: 7, 55: 55})
+	if info, err := r.Checkpoint(dir); err != nil || info.Seq != 3 {
+		t.Fatalf("checkpoint after recovery: seq %d, %v; want seq 3", info.Seq, err)
 	}
 }
 

@@ -117,10 +117,10 @@ done
 FASTER_EXACTLYONCE_SEEDS=100 go test -race -run 'TestExactlyOnceCrashRetryTorture|TestServerChaosSoak/exactlyonce' -count=1 -timeout 600s ./internal/faster/ ./internal/server/
 
 # Session-table crash matrix and the checkpoint/compaction interleaving
-# regression: kills between the table rename and the meta rename (and at
-# the torn/missing-table points) must recover the previous generation's
-# frontier exactly, and a checkpoint racing a compaction must never
-# swallow the compacted prefix.
+# regression: kills after the generation's session table but before its
+# meta, and before the manifest rename (and at the torn/missing-table
+# points), must recover the previous generation's frontier exactly, and a
+# checkpoint racing a compaction must never swallow the compacted prefix.
 go test -race -run 'TestSerialTableCrashMatrix|TestSessionTableCheckpointRecover|TestCheckpointCompactRace' -count=1 ./internal/faster/
 
 # Stall-free pending-I/O gate: io-worker pool lifecycle (leak and drain
@@ -174,11 +174,13 @@ go test -race -run 'TestReadCache|TestIOCoalescedReads|TestCrashRecoveryWarmRead
 # the log buffer (the rest of the gate runs via `make mutation-gate`).
 go test -tags mutate -run 'TestMutationGateSkipSerialFsync|TestMutationGateDroppedReenqueue|TestMutationGateRouteStaleMap|TestMutationGateSkipShardFsync|TestMutationGateSkipCacheInvalidate|TestMutationGateSkipWaitRefresh' -count=1 -timeout 300s ./internal/faster/
 
-# Fuzz smoke over the wire codecs: a few seconds per target beyond the
-# committed seed corpora. `make fuzz` / `make verify` run longer.
+# Fuzz smoke over the wire codecs and the checkpoint file parsers: a few
+# seconds per target beyond the committed seed corpora. `make fuzz` /
+# `make verify` run longer.
 go test -fuzz FuzzReadCommand -fuzztime 5s -run '^$' ./internal/resp/
 go test -fuzz FuzzReadReply -fuzztime 5s -run '^$' ./internal/resp/
 go test -fuzz FuzzVarLenFraming -fuzztime 5s -run '^$' ./internal/faster/
+go test -fuzz FuzzCheckpointFiles -fuzztime 5s -run '^$' ./internal/faster/
 
 # Allocation-regression gate: the uint64 fast paths (Read, Upsert,
 # in-place RMW, ExecBatch) must stay at 0 allocs/op in steady state.

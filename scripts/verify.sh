@@ -30,11 +30,12 @@ go test -race -run 'TestLinearizable' -count=1 -timeout 300s ./internal/lineariz
 # race-detector scheduling would only narrow the windows it needs.
 go test -tags mutate -run 'TestMutationGate' -count=1 -v -timeout 600s ./internal/faster/
 
-# Fuzz smoke: a few seconds per codec target beyond the committed seed
+# Fuzz smoke: a few seconds per codec and checkpoint-parser target beyond the committed seed
 # corpora (the corpora themselves already ran as regressions above).
 go test -fuzz FuzzReadCommand -fuzztime 5s -run '^$' ./internal/resp/
 go test -fuzz FuzzReadReply -fuzztime 5s -run '^$' ./internal/resp/
 go test -fuzz FuzzVarLenFraming -fuzztime 5s -run '^$' ./internal/faster/
+go test -fuzz FuzzCheckpointFiles -fuzztime 5s -run '^$' ./internal/faster/
 
 # Per-package coverage floor: fail if a package regresses below the
 # recorded baseline (scripts/coverage_baseline.txt).
