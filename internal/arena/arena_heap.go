@@ -1,4 +1,4 @@
-//go:build !linux || race
+//go:build !linux || race || !(amd64 || arm64 || riscv64 || loong64 || ppc64 || ppc64le || mips64 || mips64le)
 
 package arena
 

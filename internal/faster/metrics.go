@@ -97,23 +97,28 @@ type MemoryMetrics struct {
 	Index     uint64 // index tables and overflow chunks
 	FoldPeak  uint64 // largest compaction fold so far; freed when Compact returns
 
-	ArenaLive uint64 // process: arena bytes allocated and not freed
-	ArenaPeak uint64 // process: high-water mark of ArenaLive
-	GoHeap    uint64 // process: bytes of Go heap objects, live or not yet swept
+	ArenaLive    uint64 // process: arena bytes allocated and not freed
+	ArenaPeak    uint64 // process: high-water mark of ArenaLive
+	ArenaAdvised uint64 // process: live arena bytes advised for huge pages
+	ArenaHuge    uint64 // process: anonymous memory on huge pages (0 where unknown)
+	GoHeap       uint64 // process: bytes of Go heap objects, live or not yet swept
 }
 
 // MemoryMetrics samples the store's arena owners and the process totals.
-// Unlike Metrics it is cheap: nothing is scanned.
+// Unlike Metrics it scans nothing of the store's; ArenaHuge asks the
+// kernel, which walks the process's mappings.
 func (s *Store) MemoryMetrics() MemoryMetrics {
 	sample := []rmetrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
 	rmetrics.Read(sample)
 	m := MemoryMetrics{
-		LogFrames: s.log.FrameBytes(),
-		ReadCache: s.rc.arenaBytes(),
-		Index:     s.idx.ArenaBytes(),
-		FoldPeak:  s.foldPeak.Load(),
-		ArenaLive: arena.Live(),
-		ArenaPeak: arena.Peak(),
+		LogFrames:    s.log.FrameBytes(),
+		ReadCache:    s.rc.arenaBytes(),
+		Index:        s.idx.ArenaBytes(),
+		FoldPeak:     s.foldPeak.Load(),
+		ArenaLive:    arena.Live(),
+		ArenaPeak:    arena.Peak(),
+		ArenaAdvised: arena.Advised(),
+		ArenaHuge:    arena.HugeBytes(),
 	}
 	if sample[0].Value.Kind() == rmetrics.KindUint64 {
 		m.GoHeap = sample[0].Value.Uint64()
@@ -244,6 +249,8 @@ func (m StoreMetrics) Series() metrics.Series {
 	s["memory.fold_peak_bytes"] = float64(m.Memory.FoldPeak)
 	s["memory.arena_live_bytes"] = float64(m.Memory.ArenaLive)
 	s["memory.arena_peak_bytes"] = float64(m.Memory.ArenaPeak)
+	s["memory.arena_advised_bytes"] = float64(m.Memory.ArenaAdvised)
+	s["memory.arena_huge_bytes"] = float64(m.Memory.ArenaHuge)
 	s["memory.go_heap_bytes"] = float64(m.Memory.GoHeap)
 
 	s["hlog.tail_address"] = float64(m.Log.TailAddress)

@@ -129,6 +129,9 @@ type frame struct {
 	words []uint64 // word view of bytes
 
 	status atomic.Uint32 // frameClosed / frameOpen
+	// used is set by the first open. Only the thread that claims the
+	// frame touches it, after the status load that hands the frame over.
+	used bool
 }
 
 func newFrame(mem []byte) *frame {
@@ -136,9 +139,14 @@ func newFrame(mem []byte) *frame {
 }
 
 // open readies the frame for a new page: zeroed, as record scans expect
-// past the last record.
+// past the last record. Arena memory starts zeroed, so only a frame that
+// held an earlier page is cleared; clearing a fresh one would only fault
+// its memory in ahead of the records.
 func (f *frame) open() {
-	clear(f.words)
+	if f.used {
+		clear(f.words)
+	}
+	f.used = true
 	f.status.Store(frameOpen)
 }
 

@@ -684,3 +684,34 @@ func TestRecoverToRejectsInMemory(t *testing.T) {
 		t.Fatal("RecoverTo on an in-memory log should fail")
 	}
 }
+
+func TestRecycledFrameReadsZeroPastLastRecord(t *testing.T) {
+	// Fill every page with non-zero records for several laps of the ring.
+	// Whenever a record opens a page, everything past it on that page
+	// must read zero, the recycled frames included: a scan stops at the
+	// first zero header.
+	l, em, _ := testLog(t, ModeHybrid, 4, 0.5)
+	g := em.Acquire()
+	defer g.Release()
+	const size = 512
+	opened := 0
+	for lastPage := l.pageOf(l.TailAddress()); opened < 4*4; g.Refresh() {
+		a, err := l.Allocate(size, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		page := l.Slice(a)
+		if l.pageOf(a) != lastPage {
+			lastPage = l.pageOf(a)
+			opened++
+			for i, b := range page[size:] {
+				if b != 0 {
+					t.Fatalf("page %d (lap %d): byte %d past its first record = %#x", lastPage, lastPage/4, size+i, b)
+				}
+			}
+		}
+		for i := range page[:size] {
+			page[i] = 0xff
+		}
+	}
+}

@@ -703,6 +703,7 @@ func (s *Server) memory() faster.MemoryMetrics {
 		sum.Index += m.Index
 		sum.FoldPeak = max(sum.FoldPeak, m.FoldPeak)
 		sum.ArenaLive, sum.ArenaPeak, sum.GoHeap = m.ArenaLive, m.ArenaPeak, m.GoHeap
+		sum.ArenaAdvised, sum.ArenaHuge = m.ArenaAdvised, m.ArenaHuge
 	}
 	return sum
 }
@@ -714,6 +715,8 @@ func memoryOwnerPairs(m faster.MemoryMetrics) [][2]string {
 		{"go_heap_bytes", strconv.FormatUint(m.GoHeap, 10)},
 		{"arena_live_bytes", strconv.FormatUint(m.ArenaLive, 10)},
 		{"arena_peak_bytes", strconv.FormatUint(m.ArenaPeak, 10)},
+		{"arena_advised_bytes", strconv.FormatUint(m.ArenaAdvised, 10)},
+		{"arena_huge_bytes", strconv.FormatUint(m.ArenaHuge, 10)},
 		{"arena_log_frames_bytes", strconv.FormatUint(m.LogFrames, 10)},
 		{"arena_read_cache_bytes", strconv.FormatUint(m.ReadCache, 10)},
 		{"arena_index_bytes", strconv.FormatUint(m.Index, 10)},

@@ -5,10 +5,13 @@ import (
 	"fmt"
 	"net"
 	"net/http/httptest"
+	"os"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/arena"
 	"repro/internal/device"
 	"repro/internal/faster"
 	"repro/internal/resp"
@@ -538,6 +541,39 @@ func TestServerIncrOverflow(t *testing.T) {
 	}
 	if m := srv.Metrics(); m.FailedRejects != 0 || m.ReadonlyRejects != 0 {
 		t.Fatalf("overflow errors tripped the health ladder: %+v", m)
+	}
+}
+
+func TestServerMemoryReportsHugePages(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	srv := newTestServerOver(t, 20, 4, Config{}) // a 4 MiB log ring: a huge block
+	c := dialT(t, srv)
+
+	v, err := c.Do([]byte("MEMORY"), []byte("STATS"))
+	if err != nil || v.Kind != resp.Array || len(v.Elems)%2 != 0 {
+		t.Fatalf("MEMORY STATS = %v %v", v, err)
+	}
+	stats := make(map[string]string, len(v.Elems)/2)
+	for i := 0; i < len(v.Elems); i += 2 {
+		stats[string(v.Elems[i].Str)] = string(v.Elems[i+1].Str)
+	}
+	info, err := c.Do([]byte("INFO"), []byte("memory"))
+	if err != nil || info.Kind != resp.BulkString {
+		t.Fatalf("INFO memory = %v %v", info, err)
+	}
+	for _, k := range []string{"arena_advised_bytes", "arena_huge_bytes"} {
+		if _, err := strconv.ParseUint(stats[k], 10, 64); err != nil {
+			t.Fatalf("MEMORY STATS %s = %q, want a byte count", k, stats[k])
+		}
+		if !bytes.Contains(info.Str, []byte("\r\n"+k+":")) {
+			t.Fatalf("INFO memory lacks %s: %q", k, info.Str)
+		}
+	}
+	// The ring is advised wherever the kernel has transparent huge pages.
+	if _, err := os.Stat("/sys/kernel/mm/transparent_hugepage"); err == nil && arena.OffHeap {
+		if n, _ := strconv.ParseUint(stats["arena_advised_bytes"], 10, 64); n < 4<<20 {
+			t.Fatalf("arena_advised_bytes = %d with a 4 MiB ring open", n)
+		}
 	}
 }
 

@@ -53,13 +53,19 @@ GOOS=darwin GOARCH=arm64 go vet ./internal/device/
 # it faults. Log.Close with flush writes still delayed or torn inside a
 # device.Faulty, Store.Close with a session open, Grow retiring a table
 # under readers' guards and unguarded walks, the compaction fold against a
-# reference map, and the two crash torture matrices, on one and on two
-# processors, repeated.
-# The arena allocator's non-Linux heap fallback must keep compiling.
+# reference map, the two crash torture matrices, and the allocator's own
+# huge-block tests (2 MiB-aligned trimmed mappings, Free rejecting a
+# reslice or a double free against its registry, AnonHugePages rising),
+# on one and on two processors, repeated.
+# The arena allocator's non-Linux and 32-bit Linux heap fallbacks must
+# keep compiling, and so must its raw mmap/munmap/madvise calls on arm64,
+# whose syscall numbers differ from amd64's.
 for procs in 1 2; do
-	GOMAXPROCS=$procs go test -run 'TestCloseWaits|TestStoreCloseWaits|TestCloseRefusesOpenSessions|TestRetiredTableOutlivesGuards|TestReadersHoldGuardsAcrossGrow|TestWalkPinsRetiredTable|TestCheckpointDuringMetrics|TestMetricsUnderGuardDuringGrow|TestMetricsFromSessionDuringGrow|TestFold|TestCompactCrashTorture|TestCrashRecoveryTorture' -count=5 -timeout 600s ./internal/hlog/ ./internal/index/ ./internal/faster/
+	GOMAXPROCS=$procs go test -run 'TestCloseWaits|TestStoreCloseWaits|TestCloseRefusesOpenSessions|TestRetiredTableOutlivesGuards|TestReadersHoldGuardsAcrossGrow|TestWalkPinsRetiredTable|TestCheckpointDuringMetrics|TestMetricsUnderGuardDuringGrow|TestMetricsFromSessionDuringGrow|TestFold|TestCompactCrashTorture|TestCrashRecoveryTorture|TestAllocZeroed|TestHugeBlockBacked|TestFreeRejects' -count=5 -timeout 600s ./internal/arena/ ./internal/hlog/ ./internal/index/ ./internal/faster/
 done
 GOOS=darwin GOARCH=arm64 go vet ./internal/arena/
+GOOS=linux GOARCH=arm64 go vet ./internal/arena/
+GOOS=linux GOARCH=386 go vet ./internal/arena/
 
 # Compaction's flush wait refreshes its session's guard; without that a
 # read-only shift racing the compaction hung this test.
