@@ -117,6 +117,17 @@ func checkpoint(stores []*Store, dir string) (uint64, []CheckpointInfo, error) {
 	}
 
 	// Phase 1 — prepare: the [Begin, t1) bracket and the index images.
+	// Each shard's device truncation is pinned below its Begin sample
+	// until the generation commits or fails.
+	releases := make([]func(), n)
+	for i, s := range stores {
+		releases[i] = s.pinDeviceTruncation()
+	}
+	defer func() {
+		for _, release := range releases {
+			release()
+		}
+	}()
 	preps := make([]ckptPrep, n)
 	if err := inParallel(n, "checkpoint prepare", func(i int) (err error) {
 		preps[i], err = stores[i].checkpointPrepare(shardGenDir(dir, seq, i))
@@ -208,7 +219,8 @@ func checkpoint(stores []*Store, dir string) (uint64, []CheckpointInfo, error) {
 		// Best-effort — a failure here is retried by the next truncation
 		// or checkpoint from the monotone watermark.
 		s.ckptBegin.Store(infos[i].Begin)
-		_ = s.log.ApplyDeviceTruncation(infos[i].Begin)
+		releases[i]()
+		_ = s.log.ApplyDeviceTruncation(s.deviceTruncateLimit(infos[i].Begin))
 		s.sessions.markDurable(snaps[i])
 	}
 	gcGenerations(dir)
@@ -268,8 +280,10 @@ func (s *Store) checkpointPrepare(dir string) (ckptPrep, error) {
 	// that completed before t1 is safe (its copies are below t1 and the
 	// index already points at them), and one that completes after this
 	// sample merely makes our Begin conservative: device truncation is
-	// clamped to the newest committed checkpoint's Begin, so the log
-	// bytes in [Begin, shifted-begin) remain readable for recovery.
+	// held at the pin checkpoint took before this sample until the
+	// generation commits, and at the newest committed checkpoint's Begin
+	// after, so the log bytes in [Begin, shifted-begin) remain readable
+	// for recovery.
 	begin := s.log.BeginAddress()
 	t1 := s.log.TailAddress()
 	f, err := os.Create(filepath.Join(dir, "index.ckpt"))

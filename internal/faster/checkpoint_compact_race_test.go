@@ -118,3 +118,52 @@ func TestCheckpointCompactRace(t *testing.T) {
 		})
 	}
 }
+
+// TestCheckpointPinsDeviceTruncation: while a checkpoint is in flight —
+// its Begin sampled, its generation not yet committed — no truncation may
+// free the device below that Begin, even with no earlier checkpoint to
+// clamp to. Without the pin a compaction that finishes before the
+// checkpoint's commit fsyncs frees the span its recovery must read
+// (TestCheckpointCompactRace under a slow disk).
+func TestCheckpointPinsDeviceTruncation(t *testing.T) {
+	s, err := Open(Config{Ops: SumOps{}, PageBits: 12, BufferPages: 8,
+		IndexBuckets: 1 << 10, Device: device.NewMem(device.MemConfig{})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	sess := s.StartSession()
+	for i := uint64(0); i < 600; i++ {
+		sess.Upsert(key(i), u64(i))
+	}
+	sess.CompletePending(true)
+	s.Log().ShiftReadOnlyToTail()
+	sess.Refresh()
+	sess.Park()
+	defer func() { sess.Unpark(); sess.Close() }()
+
+	begin := s.Log().BeginAddress()
+	page := s.Log().PageSize()
+	cut := s.Log().SafeReadOnlyAddress() &^ (page - 1)
+	if cut < begin+2*page {
+		t.Skipf("only %#x bytes read-only", cut-begin)
+	}
+	// Two checkpoints in flight at the same Begin; the first finishes
+	// (twice: release is idempotent and must not drop the second's pin).
+	first, second := s.pinDeviceTruncation(), s.pinDeviceTruncation()
+	first()
+	first()
+	if err := s.TruncateUntil(begin + page); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Log().TruncatedUntil(); got > begin {
+		t.Fatalf("device truncated to %#x past the in-flight checkpoint's Begin %#x", got, begin)
+	}
+	second()
+	if err := s.TruncateUntil(cut); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Log().TruncatedUntil(); got != cut {
+		t.Fatalf("device truncated to %#x after release, want %#x", got, cut)
+	}
+}

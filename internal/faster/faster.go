@@ -285,10 +285,14 @@ type Store struct {
 
 	// compactMu serializes compactions (manual and background); ckptBegin
 	// is the Begin address of the newest committed checkpoint (0 until
-	// one commits) — device truncation never passes it, so recovery can
-	// always read every address its checkpoint needs (compact.go).
+	// one commits) and ckptPins counts, per address, the checkpoints in
+	// flight that sampled their Begin at or above it — device truncation
+	// passes neither, so recovery can always read every address its
+	// checkpoint needs (compact.go).
 	compactMu sync.Mutex
 	ckptBegin atomic.Uint64
+	pinMu     sync.Mutex
+	ckptPins  map[hlog.Address]int
 	// foldPeak is the largest compaction fold's arena footprint (written
 	// under compactMu).
 	foldPeak atomic.Uint64
@@ -307,9 +311,6 @@ type Store struct {
 
 	// Read cache (readcache.go); nil unless Config.ReadCacheBytes > 0.
 	rc *readCache
-	// Cold-read coalescer (coalesce.go): same-page concurrent cold reads
-	// share one device call. Nil when disabled.
-	co *coalescer
 
 	mx struct {
 		pendingDepth      metrics.Gauge     // I/Os issued and not yet returned to the user
@@ -333,11 +334,6 @@ type Store struct {
 		ioInflight      metrics.Gauge     // operations a worker has issued, not yet resolved
 		ioQueueWait     metrics.Histogram // submit -> worker pickup
 		ioService       metrics.Histogram // worker pickup -> result delivery
-
-		// Cold-read coalescing (coalesce.go): pending reads that attached
-		// to another read's in-flight device call instead of issuing their
-		// own.
-		ioCoalesced metrics.Counter
 	}
 
 	closed  atomic.Bool
@@ -381,11 +377,8 @@ func Open(cfg Config) (*Store, error) {
 	if cfg.CRDT {
 		s.merge = cfg.Ops.(MergeOps)
 	}
-	if cfg.Mode != hlog.ModeInMemory {
-		if cfg.ReadCacheBytes > 0 {
-			s.rc = newReadCache(s, cfg.ReadCacheBytes)
-		}
-		s.co = newCoalescer(s)
+	if cfg.ReadCacheBytes > 0 && cfg.Mode != hlog.ModeInMemory {
+		s.rc = newReadCache(s, cfg.ReadCacheBytes)
 	}
 	if cfg.CompactionThreshold > 0 && cfg.Mode != hlog.ModeInMemory {
 		s.maintStop = make(chan struct{})
@@ -446,14 +439,47 @@ func (s *Store) TruncateUntil(addr hlog.Address) error {
 }
 
 // deviceTruncateLimit clamps a device truncation target to the newest
-// committed checkpoint's Begin (no checkpoint yet = unconstrained):
-// recovery reads the log from its checkpoint's Begin, so storage below
-// that must survive until a newer checkpoint commits.
+// committed checkpoint's Begin (no checkpoint yet = unconstrained) and to
+// every in-flight checkpoint's pin: recovery reads the log from its
+// checkpoint's Begin, so storage below that must survive until a newer
+// checkpoint commits.
 func (s *Store) deviceTruncateLimit(addr hlog.Address) hlog.Address {
 	if cb := s.ckptBegin.Load(); cb != 0 && cb < addr {
-		return cb
+		addr = cb
+	}
+	s.pinMu.Lock()
+	defer s.pinMu.Unlock()
+	for pin := range s.ckptPins {
+		addr = min(addr, pin)
 	}
 	return addr
+}
+
+// pinDeviceTruncation holds device truncation at the current begin
+// address until release is called. A checkpoint pins before it samples
+// its Begin: a truncation that read the pins first had already shifted
+// begin, so the sample lands at or above it; one that reads them after
+// stops at the pin. Without the pin a compaction could free the span
+// below its new begin while a checkpoint whose Begin lies in that span
+// is still writing its meta. release is idempotent.
+func (s *Store) pinDeviceTruncation() (release func()) {
+	s.pinMu.Lock()
+	defer s.pinMu.Unlock()
+	at := s.log.BeginAddress()
+	if s.ckptPins == nil {
+		s.ckptPins = map[hlog.Address]int{}
+	}
+	s.ckptPins[at]++
+	var once sync.Once
+	return func() {
+		once.Do(func() {
+			s.pinMu.Lock()
+			defer s.pinMu.Unlock()
+			if s.ckptPins[at]--; s.ckptPins[at] == 0 {
+				delete(s.ckptPins, at)
+			}
+		})
+	}
 }
 
 // DeviceStoredBytes reports how many bytes the configured device

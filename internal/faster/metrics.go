@@ -48,10 +48,11 @@ type StoreMetrics struct {
 	IOQueueWait     metrics.HistogramSnapshot // submit -> worker pickup
 	IOService       metrics.HistogramSnapshot // pickup -> delivery
 
-	// Read cache (readcache.go) and cold-read coalescing (coalesce.go).
-	// IOCoalescedReads counts pending reads resolved from another read's
-	// block fetch instead of their own device call.
-	ReadCache        ReadCacheMetrics
+	// Read cache (readcache.go).
+	ReadCache ReadCacheMetrics
+	// IOCoalescedReads always reads 0: every cold read issues its own
+	// fetch. It is kept only because the benchmark module (kvbench)
+	// reads it.
 	IOCoalescedReads uint64
 
 	// Compaction activity (compact.go). CompactedBytes over ReclaimedBytes
@@ -154,8 +155,7 @@ func (s *Store) Metrics() StoreMetrics {
 		IOQueueWait:     s.mx.ioQueueWait.Snapshot(),
 		IOService:       s.mx.ioService.Snapshot(),
 
-		ReadCache:        s.rc.metrics(),
-		IOCoalescedReads: s.mx.ioCoalesced.Load(),
+		ReadCache: s.rc.metrics(),
 
 		Compactions:      s.mx.compactions.Load(),
 		CompactedRecords: s.mx.compactedRecords.Load(),
@@ -232,7 +232,6 @@ func (m StoreMetrics) Series() metrics.Series {
 	s["readcache.evictions"] = float64(m.ReadCache.Evictions)
 	s["readcache.invalidations"] = float64(m.ReadCache.Invalidations)
 	s["readcache.bytes"] = float64(m.ReadCache.Bytes)
-	s["io.coalesced_reads"] = float64(m.IOCoalescedReads)
 
 	s["faster.io_submitted"] = float64(m.IOSubmitted)
 	s["faster.io_delivered"] = float64(m.IODelivered)

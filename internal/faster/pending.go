@@ -77,12 +77,6 @@ type PendingOp struct {
 
 	issuedNs   int64 // set by issueIO; feeds the pending-latency histogram
 	deadlineNs int64 // completion deadline (0 = none), stamped from SetOpDeadline
-
-	// noCoalesce forces the individual two-phase read path: set when a
-	// coalesced block read could not serve this op (coalesce.go).
-	noCoalesce bool
-
-	hdr [recHeaderBytes]byte // header-probe buffer (avoids a per-I/O alloc)
 }
 
 // Result reports the completion of a pending operation.
@@ -356,63 +350,66 @@ func (s *Store) readAttempt(addr hlog.Address, buf []byte, deadlineNs int64, fai
 	})
 }
 
-// issueIO starts the asynchronous fetch of the record at op.addr: first
-// the 16-byte header (for the record's size), then the full record. The
-// final callback parks the op on the session's completion queue; no store
-// state is touched from the I/O callback goroutine beyond the health
-// escalation for permanent device loss.
+// firstReadBytes is the span issueIO reads for a cold record: enough for
+// any record of a few KiB in one device call, so a miss costs one read.
+// Longer records take a second read of their exact size.
+const firstReadBytes = 4 << 10
+
+// issueIO starts the asynchronous fetch of the record at op.addr: one read
+// of the span [addr, addr+firstReadBytes), clamped to addr's page end (the
+// device holds every page below the head whole, hlog.RecoverTo included),
+// then — only for a record longer than the span — a second read of the
+// whole record. The final callback parks the op on the session's
+// completion queue; no store state is touched from the I/O callback
+// goroutine beyond the health escalation for permanent device loss.
 func (sess *Session) issueIO(op *PendingOp) {
 	sess.inFlight++
 	sess.s.mx.pendingDepth.Inc()
 	sess.stat.pendingIOs.Add(1)
 	op.issuedNs = time.Now().UnixNano()
 	s := sess.s
-	// Cold-read coalescing: share one block-sized device call with other
-	// pending reads on the same block (coalesce.go). Falls through to the
-	// individual two-phase read when the block is not wholly readable.
-	if s.co != nil && !op.noCoalesce && s.co.tryJoin(sess, op) {
-		return
+	fail := func(err error) {
+		op.err = err
+		// A read below a moving begin address is a truncation race, not a
+		// device failure, and a deadline shed is explicit back-pressure;
+		// only genuine losses feed the health escalation.
+		if op.addr >= s.log.BeginAddress() && !errors.Is(err, ErrOpDeadline) {
+			s.noteReadFailure(err)
+		}
+		sess.completed.push(op)
 	}
-	hdr := op.hdr[:]
-	// The record buffer is allocated on the issuing (session) goroutine —
-	// the device callback below runs elsewhere and must not touch the
-	// session's buffer pool.
-	buf := sess.getIOBuf(0)
-	s.readRetrying(op.addr, hdr, op.deadlineNs, func(err error) {
+	// The buffer is taken on the issuing (session) goroutine — the device
+	// callback below runs elsewhere and must not touch the session's pool.
+	pageEnd := (op.addr | (s.log.PageSize() - 1)) + 1
+	buf := sess.getIOBuf(int(min(pageEnd, op.addr+firstReadBytes) - op.addr))
+	s.readRetrying(op.addr, buf, op.deadlineNs, func(err error) {
 		if err != nil {
-			op.err = err
-			// A read below a moving begin address is a truncation race,
-			// not a device failure, and a deadline shed is explicit
-			// back-pressure; only genuine losses feed the health
-			// escalation.
-			if op.addr >= s.log.BeginAddress() && !errors.Is(err, ErrOpDeadline) {
-				s.noteReadFailure(err)
-			}
-			sess.completed.push(op)
+			fail(err)
 			return
 		}
-		size := probeSize(hdr)
-		if size == 0 || size > maxRecordBytes {
+		size := int(probeSize(buf))
+		switch {
+		case size == 0 || size > maxRecordBytes:
 			op.err = errCorruptRecord
-			sess.completed.push(op)
+		case size <= len(buf):
+			op.buf = buf[:size]
+		default:
+			if cap(buf) >= size {
+				buf = buf[:size]
+			} else {
+				buf = make([]byte, size)
+			}
+			s.readRetrying(op.addr, buf, op.deadlineNs, func(err error) {
+				if err != nil {
+					fail(err)
+					return
+				}
+				op.buf = buf
+				sess.completed.push(op)
+			})
 			return
 		}
-		if cap(buf) >= int(size) {
-			buf = buf[:size]
-		} else {
-			buf = make([]byte, size)
-		}
-		s.readRetrying(op.addr, buf, op.deadlineNs, func(err error) {
-			if err != nil {
-				op.err = err
-				if op.addr >= s.log.BeginAddress() && !errors.Is(err, ErrOpDeadline) {
-					s.noteReadFailure(err)
-				}
-			} else {
-				op.buf = buf
-			}
-			sess.completed.push(op)
-		})
+		sess.completed.push(op)
 	})
 }
 
@@ -537,16 +534,6 @@ func (sess *Session) continueOp(op *PendingOp) (Result, bool) {
 	fail := func(st Status, err error) (Result, bool) {
 		return Result{Kind: op.kind.String(), Key: op.key, Input: op.input,
 			Output: op.output, Status: st, Err: err, Ctx: op.ctx}, true
-	}
-	if op.err == errCoalesceRetry {
-		// The coalesced block read could not serve this op (leader shed on
-		// its own deadline, or the record straddles the block boundary):
-		// re-issue it individually.
-		op.err = nil
-		op.noCoalesce = true
-		sess.ioDone()
-		sess.issueIO(op)
-		return Result{}, false
 	}
 	if op.err != nil {
 		if op.addr < s.log.BeginAddress() {

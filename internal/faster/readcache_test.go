@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"testing"
-	"time"
 
 	"repro/internal/cachesim"
 	"repro/internal/device"
@@ -157,68 +156,6 @@ func TestReadCacheEviction(t *testing.T) {
 		if v, st := rcRead(t, sess, k); st != OK || v != k+1 {
 			t.Fatalf("re-read of key %d = (%d, %v), want (%d, OK)", k, v, st, k+1)
 		}
-	}
-}
-
-// TestIOCoalescedReads: concurrent cold reads whose records share one
-// hlog block must complete through a single device call; the follower
-// joins count on io.coalesced_reads.
-func TestIOCoalescedReads(t *testing.T) {
-	mem := device.NewMem(device.MemConfig{ReadLatency: 2 * time.Millisecond})
-	s, err := Open(Config{
-		Ops: SumOps{}, PageBits: 12, BufferPages: 8,
-		IndexBuckets: 1 << 10, Device: mem,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		s.Close()
-		mem.Close()
-	})
-	sess := s.StartSession()
-	defer sess.Close()
-	spill(t, s, sess, 1500)
-
-	// Keys 200..215 were appended back-to-back (32-byte records), so they
-	// share one 4 KB block far below the head address. Issue all sixteen
-	// reads before draining: the first becomes the block leader, and the
-	// rest attach to its in-flight device read.
-	outs := make([][]byte, 16)
-	pending := 0
-	for i := range outs {
-		outs[i] = make([]byte, 8)
-		st, err := sess.Read(key(uint64(200+i)), nil, outs[i], nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st == Pending {
-			pending++
-		} else if st == OK {
-			if got := binary.LittleEndian.Uint64(outs[i]); got != uint64(200+i+1) {
-				t.Fatalf("resident read of key %d = %d", 200+i, got)
-			}
-		}
-	}
-	if pending < 2 {
-		t.Fatalf("only %d reads went pending; nothing to coalesce (shrink the buffer)", pending)
-	}
-	results := sess.CompletePending(true)
-	if len(results) != pending {
-		t.Fatalf("drained %d results, want %d", len(results), pending)
-	}
-	for _, r := range results {
-		if r.Status != OK || r.Err != nil {
-			t.Fatalf("coalesced read = %v %v", r.Status, r.Err)
-		}
-	}
-	for i := range outs {
-		if got := binary.LittleEndian.Uint64(outs[i]); got != uint64(200+i+1) {
-			t.Fatalf("key %d = %d, want %d", 200+i, got, 200+i+1)
-		}
-	}
-	if m := s.Metrics(); m.IOCoalescedReads == 0 {
-		t.Fatalf("16 same-block pending reads coalesced nothing: %+v", m)
 	}
 }
 

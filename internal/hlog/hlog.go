@@ -941,10 +941,14 @@ func (l *Log) TruncateUntil(addr Address) error {
 func (l *Log) InMemory(addr Address) bool { return addr >= l.head.Load() }
 
 // RecoverTo positions a freshly created log so that all addresses in
-// [begin, tail) live on the device and allocation resumes at the start of
-// the page containing tail (recovery, §6.5). The remainder of the tail
-// page is sacrificed: recovering mid-page would mix pre- and post-crash
-// records in one flush unit. Must be called before any allocation.
+// [begin, tail) live on the device and allocation resumes at the first
+// page boundary at or above tail (recovery, §6.5). The remainder of a
+// mid-page tail's page is sacrificed: recovering mid-page would mix pre-
+// and post-crash records in one flush unit. The device may end at tail,
+// so RecoverTo writes zeros over that remainder: every page below the
+// resume point then reads whole, in this incarnation and every later
+// one, and a read may run to its page end. Must be called before any
+// allocation.
 func (l *Log) RecoverTo(begin, tail Address) error {
 	if l.cfg.Mode == ModeInMemory {
 		return errors.New("hlog: cannot recover an in-memory log")
@@ -953,7 +957,15 @@ func (l *Log) RecoverTo(begin, tail Address) error {
 		return errors.New("hlog: RecoverTo on a used log")
 	}
 	page := l.pageOf(tail)
-	if tail&(l.pageSize-1) != 0 {
+	if off := tail & (l.pageSize - 1); off != 0 {
+		pad := make([]byte, l.pageSize-off)
+		if err := l.cfg.Retry.Do(l.classify, func() error {
+			done := make(chan error, 1)
+			l.dev.WriteAsync(pad, tail, func(err error) { done <- err })
+			return <-done
+		}); err != nil {
+			return fmt.Errorf("hlog: zero the recovered tail page past %#x: %w", tail, err)
+		}
 		page++ // resume on a fresh page
 	}
 	resume := page << l.pageBits

@@ -652,6 +652,14 @@ func TestRecoverToPositionsMarkers(t *testing.T) {
 	if l.FlushedUntilAddress() != resume {
 		t.Fatalf("flushed = %#x, want %#x", l.FlushedUntilAddress(), resume)
 	}
+	// The device holds the rest of the tail page, zeroed, so a read may
+	// run from below the tail to the page end.
+	pad := make([]byte, resume-0x2345)
+	done := make(chan error, 1)
+	dev.ReadAsync(pad, 0x2345, func(err error) { done <- err })
+	if err, zeroed := <-done, bytes.Equal(pad, make([]byte, len(pad))); err != nil || !zeroed {
+		t.Fatalf("device past the recovered tail: err %v, zeroed %v", err, zeroed)
+	}
 	// The log is usable: allocate and wrap several buffers' worth.
 	g := em.Acquire()
 	defer g.Release()

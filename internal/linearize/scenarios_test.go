@@ -385,14 +385,24 @@ func TestLinearizableCompaction(t *testing.T) {
 			compactions := 0
 			// Compact runs off-session (its epoch drain would deadlock
 			// against a parked-nowhere workload session), hence Chaos.
+			// It outlives the workload until a first compaction has
+			// succeeded: on a loaded machine the clients can finish
+			// before one does. The deadline turns a compaction that can
+			// never succeed into the assertion below, not a hang.
 			h, _ := RunWorkload(s, Workload{
 				Clients: 4, Ops: 400, Keys: 32, Seed: seed,
 				PendingBatch: 6,
 				Chaos: func(stop <-chan struct{}) {
+					var giveUp time.Time
 					for {
 						select {
 						case <-stop:
-							return
+							if giveUp.IsZero() {
+								giveUp = time.Now().Add(30 * time.Second)
+							}
+							if compactions > 0 || time.Now().After(giveUp) {
+								return
+							}
 						default:
 						}
 						s.Log().ShiftReadOnlyToTail()

@@ -11,9 +11,9 @@ import (
 	"repro/internal/testutil"
 )
 
-// TestServerColdGetLargeValues reads back, after eviction, a value larger
-// than the 32 KiB coalescer block (its block read cannot hold it, so the
-// fetch re-issues individually) and one of exactly MaxValueBytes, through
+// TestServerColdGetLargeValues reads back, after eviction, a value far
+// larger than the store's first-read span (its fetch takes a second read
+// of the whole record) and one of exactly MaxValueBytes, through
 // the single-command, pipelined-batch and MGET paths. Every buffer on the
 // way is sized from the value, so the exact bytes must come back although
 // no buffer is sized for MaxValueBytes up front.

@@ -641,47 +641,71 @@ func (c *connState) doCompact(args [][]byte) bool {
 }
 
 // doMemory reports the log's space accounting as a flat array of
-// name/value bulk-string pairs (MEMORY or MEMORY STATS). A single-shard
-// server reports the flat store's exact accounting; a sharded one sums
-// the byte and event counters across shards (per-shard addresses do not
-// aggregate) and adds a "shards" pair.
+// name/value bulk-string pairs (MEMORY or MEMORY STATS), summing the byte
+// and event counters over the shards. Log addresses do not aggregate: a
+// single-shard server leads with its addresses and reports its
+// truncated_until, a sharded one leads with a "shards" pair instead.
 func (c *connState) doMemory(args [][]byte) bool {
 	if len(args) > 2 || (len(args) == 2 && commandName(args[1]) != "STATS") {
 		c.w.WriteError("ERR unknown MEMORY subcommand")
 		return true
 	}
-	if n := c.s.store.NumShards(); n > 1 {
-		return c.memoryPairsSharded(n)
+	n := c.s.store.NumShards()
+	var logBytes, stable, mutable, compactions, compacted, reclaimed, truncated, stored uint64
+	var rc faster.ReadCacheMetrics
+	haveStored := false
+	for i := range n {
+		s := c.s.store.Shard(i)
+		l := s.Log()
+		m := s.Metrics()
+		logBytes += l.TailAddress() - l.BeginAddress()
+		stable += m.Log.StableBytes
+		mutable += m.Log.MutableBytes
+		compactions += m.Compactions
+		compacted += m.CompactedBytes
+		reclaimed += m.ReclaimedBytes
+		truncated += m.Log.TruncatedBytes
+		rc.Bytes += m.ReadCache.Bytes
+		rc.Hits += m.ReadCache.Hits
+		rc.Misses += m.ReadCache.Misses
+		rc.Fills += m.ReadCache.Fills
+		rc.Evictions += m.ReadCache.Evictions
+		rc.Invalidations += m.ReadCache.Invalidations
+		if db, ok := s.DeviceStoredBytes(); ok {
+			stored += db
+			haveStored = true
+		}
 	}
-	store := c.s.store.Shard(0)
-	l := store.Log()
-	m := store.Metrics()
-	pairs := [][2]string{
-		{"begin_address", strconv.FormatUint(l.BeginAddress(), 10)},
-		{"head_address", strconv.FormatUint(l.HeadAddress(), 10)},
-		{"safe_read_only_address", strconv.FormatUint(l.SafeReadOnlyAddress(), 10)},
-		{"tail_address", strconv.FormatUint(l.TailAddress(), 10)},
-		{"log_bytes", strconv.FormatUint(l.TailAddress()-l.BeginAddress(), 10)},
-		{"stable_bytes", strconv.FormatUint(m.Log.StableBytes, 10)},
-		{"mutable_bytes", strconv.FormatUint(m.Log.MutableBytes, 10)},
-		{"compactions", strconv.FormatUint(m.Compactions, 10)},
-		{"compacted_bytes", strconv.FormatUint(m.CompactedBytes, 10)},
-		{"reclaimed_bytes", strconv.FormatUint(m.ReclaimedBytes, 10)},
-		{"truncated_until", strconv.FormatUint(m.Log.TruncatedUntil, 10)},
-		{"truncated_bytes", strconv.FormatUint(m.Log.TruncatedBytes, 10)},
+	var pairs [][2]string
+	add := func(name string, v uint64) { pairs = append(pairs, [2]string{name, strconv.FormatUint(v, 10)}) }
+	l := c.s.store.Shard(0).Log()
+	if n == 1 {
+		add("begin_address", l.BeginAddress())
+		add("head_address", l.HeadAddress())
+		add("safe_read_only_address", l.SafeReadOnlyAddress())
+		add("tail_address", l.TailAddress())
+	} else {
+		add("shards", uint64(n))
 	}
-	if stored, ok := store.DeviceStoredBytes(); ok {
-		pairs = append(pairs, [2]string{"device_stored_bytes", strconv.FormatUint(stored, 10)})
+	add("log_bytes", logBytes)
+	add("stable_bytes", stable)
+	add("mutable_bytes", mutable)
+	add("compactions", compactions)
+	add("compacted_bytes", compacted)
+	add("reclaimed_bytes", reclaimed)
+	if n == 1 {
+		add("truncated_until", l.TruncatedUntil())
 	}
-	pairs = append(pairs,
-		[2]string{"read_cache_bytes", strconv.FormatInt(m.ReadCache.Bytes, 10)},
-		[2]string{"read_cache_hits", strconv.FormatUint(m.ReadCache.Hits, 10)},
-		[2]string{"read_cache_misses", strconv.FormatUint(m.ReadCache.Misses, 10)},
-		[2]string{"read_cache_fills", strconv.FormatUint(m.ReadCache.Fills, 10)},
-		[2]string{"read_cache_evictions", strconv.FormatUint(m.ReadCache.Evictions, 10)},
-		[2]string{"read_cache_invalidations", strconv.FormatUint(m.ReadCache.Invalidations, 10)},
-		[2]string{"coalesced_reads", strconv.FormatUint(m.IOCoalescedReads, 10)},
-	)
+	add("truncated_bytes", truncated)
+	if haveStored {
+		add("device_stored_bytes", stored)
+	}
+	pairs = append(pairs, [2]string{"read_cache_bytes", strconv.FormatInt(rc.Bytes, 10)})
+	add("read_cache_hits", rc.Hits)
+	add("read_cache_misses", rc.Misses)
+	add("read_cache_fills", rc.Fills)
+	add("read_cache_evictions", rc.Evictions)
+	add("read_cache_invalidations", rc.Invalidations)
 	pairs = append(pairs, memoryOwnerPairs(c.s.memory())...)
 	c.w.WriteArrayHeader(2 * len(pairs))
 	for _, p := range pairs {
@@ -745,66 +769,6 @@ func (c *connState) doInfo(args [][]byte) bool {
 		b.WriteString(p[0] + ":" + p[1] + "\r\n")
 	}
 	c.w.WriteBulk([]byte(b.String()))
-	return true
-}
-
-// memoryPairsSharded renders the ensemble's aggregated accounting.
-func (c *connState) memoryPairsSharded(n int) bool {
-	var logBytes, stable, mutable, compactions, compacted, reclaimed, truncated, stored uint64
-	var rcHits, rcMisses, rcFills, rcEvict, rcInval, coalesced uint64
-	var rcBytes int64
-	haveStored := false
-	for i := 0; i < n; i++ {
-		s := c.s.store.Shard(i)
-		l := s.Log()
-		m := s.Metrics()
-		logBytes += l.TailAddress() - l.BeginAddress()
-		stable += m.Log.StableBytes
-		mutable += m.Log.MutableBytes
-		compactions += m.Compactions
-		compacted += m.CompactedBytes
-		reclaimed += m.ReclaimedBytes
-		truncated += m.Log.TruncatedBytes
-		rcBytes += m.ReadCache.Bytes
-		rcHits += m.ReadCache.Hits
-		rcMisses += m.ReadCache.Misses
-		rcFills += m.ReadCache.Fills
-		rcEvict += m.ReadCache.Evictions
-		rcInval += m.ReadCache.Invalidations
-		coalesced += m.IOCoalescedReads
-		if db, ok := s.DeviceStoredBytes(); ok {
-			stored += db
-			haveStored = true
-		}
-	}
-	pairs := [][2]string{
-		{"shards", strconv.Itoa(n)},
-		{"log_bytes", strconv.FormatUint(logBytes, 10)},
-		{"stable_bytes", strconv.FormatUint(stable, 10)},
-		{"mutable_bytes", strconv.FormatUint(mutable, 10)},
-		{"compactions", strconv.FormatUint(compactions, 10)},
-		{"compacted_bytes", strconv.FormatUint(compacted, 10)},
-		{"reclaimed_bytes", strconv.FormatUint(reclaimed, 10)},
-		{"truncated_bytes", strconv.FormatUint(truncated, 10)},
-	}
-	if haveStored {
-		pairs = append(pairs, [2]string{"device_stored_bytes", strconv.FormatUint(stored, 10)})
-	}
-	pairs = append(pairs,
-		[2]string{"read_cache_bytes", strconv.FormatInt(rcBytes, 10)},
-		[2]string{"read_cache_hits", strconv.FormatUint(rcHits, 10)},
-		[2]string{"read_cache_misses", strconv.FormatUint(rcMisses, 10)},
-		[2]string{"read_cache_fills", strconv.FormatUint(rcFills, 10)},
-		[2]string{"read_cache_evictions", strconv.FormatUint(rcEvict, 10)},
-		[2]string{"read_cache_invalidations", strconv.FormatUint(rcInval, 10)},
-		[2]string{"coalesced_reads", strconv.FormatUint(coalesced, 10)},
-	)
-	pairs = append(pairs, memoryOwnerPairs(c.s.memory())...)
-	c.w.WriteArrayHeader(2 * len(pairs))
-	for _, p := range pairs {
-		c.w.WriteBulk([]byte(p[0]))
-		c.w.WriteBulk([]byte(p[1]))
-	}
 	return true
 }
 

@@ -2,6 +2,7 @@ package xhash
 
 import (
 	"encoding/binary"
+	"math"
 	"math/bits"
 	"testing"
 	"testing/quick"
@@ -56,23 +57,78 @@ func TestBytesVariableLengths(t *testing.T) {
 	}
 }
 
-// Property: low k bits of the hash are roughly uniform for sequential
-// keys (the index's bucket offset source).
+// Property: the low bits of the hash are uniform for runs of sequential
+// keys (the index's bucket offset source). Each trial hashes 4096
+// sequential keys into 64 buckets and bounds Pearson's chi-square
+// statistic by the p = 1e-6 upper critical value of the chi-square
+// distribution with 63 degrees of freedom (131.37, computed below). A
+// uniform hash fails one trial with probability 1e-6, so a run of 10
+// trials raises a false alarm with probability about 1e-5.
 func TestQuickLowBitsSpread(t *testing.T) {
+	const buckets, perBucket = 64, 64
+	bound := chiSquareCritical(buckets-1, 1e-6)
+	if math.Abs(bound-131.37) > 0.01 {
+		t.Fatalf("chi-square(63) critical value at p=1e-6 = %.3f, want 131.37", bound)
+	}
 	f := func(start uint64) bool {
-		const buckets = 64
 		var counts [buckets]int
-		for i := uint64(0); i < 64*buckets; i++ {
+		for i := uint64(0); i < buckets*perBucket; i++ {
 			counts[Uint64(start+i)%buckets]++
 		}
+		var chi2 float64
 		for _, c := range counts {
-			if c < 32 || c > 96 { // expect 64 +- 50%
-				return false
-			}
+			d := float64(c - perBucket)
+			chi2 += d * d / perBucket
 		}
-		return true
+		return chi2 <= bound
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// chiSquareCritical returns the x with P(X > x) = p for X chi-square
+// distributed with k degrees of freedom, by bisection on chiSquareSF.
+func chiSquareCritical(k int, p float64) float64 {
+	lo, hi := float64(k)+2, 10*float64(k)
+	for range 100 {
+		if mid := (lo + hi) / 2; chiSquareSF(mid, k) > p {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// chiSquareSF returns P(X > x) for X chi-square distributed with k degrees
+// of freedom: the regularized upper incomplete gamma function Q(k/2, x/2),
+// from its continued fraction by the modified Lentz method (Numerical
+// Recipes §6.2; it converges quickly for x > k+2, where it is used here).
+func chiSquareSF(x float64, k int) float64 {
+	const tiny = 1e-300
+	a, z := float64(k)/2, x/2
+	b := z + 1 - a
+	c, d := 1/tiny, 1/b
+	h := d
+	for i := 1.0; i < 1000; i++ {
+		an := -i * (i - a)
+		b += 2
+		d = an*d + b
+		if math.Abs(d) < tiny {
+			d = tiny
+		}
+		c = b + an/c
+		if math.Abs(c) < tiny {
+			c = tiny
+		}
+		d = 1 / d
+		delta := d * c
+		h *= delta
+		if math.Abs(delta-1) < 1e-15 {
+			break
+		}
+	}
+	lg, _ := math.Lgamma(a)
+	return math.Exp(-z+a*math.Log(z)-lg) * h
 }

@@ -39,6 +39,15 @@ for procs in 1 2 8; do
 	GOMAXPROCS=$procs go test -race -count=20 ./internal/hlog/
 done
 
+# The cold-record fetch on one, two and eight processors, repeated under
+# the race detector: one device read per miss (a second only for a record
+# longer than the first-read span), and one read for the last record
+# below a recovered tail that ends mid-page, in that incarnation and the
+# next.
+for procs in 1 2 8; do
+	GOMAXPROCS=$procs go test -race -run 'TestColdReadOneDeviceCall|TestColdReadLongRecord|TestColdReadAfterRecoverPartialPage' -count=20 ./internal/faster/
+done
+
 # The simulated SSD's delivery scheduler on one and on two processors,
 # repeated under the race detector (due-time order, service slots, Close
 # delivering in-flight I/O exactly once), and its non-Linux runtime-timer
@@ -53,7 +62,8 @@ GOOS=darwin GOARCH=arm64 go vet ./internal/device/
 # it faults. Log.Close with flush writes still delayed or torn inside a
 # device.Faulty, Store.Close with a session open, Grow retiring a table
 # under readers' guards and unguarded walks, the compaction fold against a
-# reference map, the two crash torture matrices, and the allocator's own
+# reference map, the two crash torture matrices, the cold-record fetch
+# into pooled session buffers, and the allocator's own
 # huge-block tests (2 MiB-aligned trimmed mappings, Free rejecting a
 # reslice or a double free against its registry, AnonHugePages rising),
 # on one and on two processors, repeated.
@@ -61,7 +71,7 @@ GOOS=darwin GOARCH=arm64 go vet ./internal/device/
 # keep compiling, and so must its raw mmap/munmap/madvise calls on arm64,
 # whose syscall numbers differ from amd64's.
 for procs in 1 2; do
-	GOMAXPROCS=$procs go test -run 'TestCloseWaits|TestStoreCloseWaits|TestCloseRefusesOpenSessions|TestRetiredTableOutlivesGuards|TestReadersHoldGuardsAcrossGrow|TestWalkPinsRetiredTable|TestCheckpointDuringMetrics|TestMetricsUnderGuardDuringGrow|TestMetricsFromSessionDuringGrow|TestFold|TestCompactCrashTorture|TestCrashRecoveryTorture|TestAllocZeroed|TestHugeBlockBacked|TestFreeRejects' -count=5 -timeout 600s ./internal/arena/ ./internal/hlog/ ./internal/index/ ./internal/faster/
+	GOMAXPROCS=$procs go test -run 'TestCloseWaits|TestStoreCloseWaits|TestCloseRefusesOpenSessions|TestRetiredTableOutlivesGuards|TestReadersHoldGuardsAcrossGrow|TestWalkPinsRetiredTable|TestCheckpointDuringMetrics|TestMetricsUnderGuardDuringGrow|TestMetricsFromSessionDuringGrow|TestFold|TestCompactCrashTorture|TestCrashRecoveryTorture|TestColdReadOneDeviceCall|TestColdReadLongRecord|TestColdReadAfterRecoverPartialPage|TestAllocZeroed|TestHugeBlockBacked|TestFreeRejects' -count=5 -timeout 600s ./internal/arena/ ./internal/hlog/ ./internal/index/ ./internal/faster/
 done
 GOOS=darwin GOARCH=arm64 go vet ./internal/arena/
 GOOS=linux GOARCH=arm64 go vet ./internal/arena/
@@ -127,7 +137,7 @@ FASTER_EXACTLYONCE_SEEDS=100 go test -race -run 'TestExactlyOnceCrashRetryTortur
 # meta, and before the manifest rename (and at the torn/missing-table
 # points), must recover the previous generation's frontier exactly, and a
 # checkpoint racing a compaction must never swallow the compacted prefix.
-go test -race -run 'TestSerialTableCrashMatrix|TestSessionTableCheckpointRecover|TestCheckpointCompactRace' -count=1 ./internal/faster/
+go test -race -run 'TestSerialTableCrashMatrix|TestSessionTableCheckpointRecover|TestCheckpointCompactRace|TestCheckpointPinsDeviceTruncation' -count=1 ./internal/faster/
 
 # Stall-free pending-I/O gate: io-worker pool lifecycle (leak and drain
 # assertions, deadline/queue-full sheds, seeded chaos soak) and the
@@ -161,12 +171,12 @@ go test -race -run 'TestLinearizableSharded|TestLinearizableExactlyOnceSharded' 
 go test -race -run TestShardedCrashTorture -count=1 -timeout 300s ./internal/faster/
 go test -race -run 'TestServerSharded' -count=1 ./internal/server/
 
-# Read-cache gate: fill/hit/invalidation/eviction correctness, the
-# coalesced cold-read counter, warm-cache checkpoint/crash recovery
+# Read-cache gate: fill/hit/invalidation/eviction correctness,
+# warm-cache checkpoint/crash recovery
 # (tagged index entries must map back to hlog addresses), and the CLOCK
 # simulator validation, under the race detector. The linearize tier above
 # already picks up TestLinearizableReadCache via its TestLinearizable run.
-go test -race -run 'TestReadCache|TestIOCoalescedReads|TestCrashRecoveryWarmReadCache' -count=1 -timeout 300s ./internal/faster/
+go test -race -run 'TestReadCache|TestCrashRecoveryWarmReadCache' -count=1 -timeout 300s ./internal/faster/
 
 # Mutation-gate seeds: the torn, unsynced session table must be flagged
 # by the dedup-aware linearize model, a dropped pending-I/O re-enqueue
