@@ -1,6 +1,7 @@
 package faster
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"sync/atomic"
@@ -212,4 +213,21 @@ func (s *Store) recordAt(addr hlog.Address) (record, bool) {
 		return record{}, false
 	}
 	return parseRecordHeader(b, atomic.LoadUint64(s.headerPtr(addr)))
+}
+
+// headMatch is the first step of the in-memory hit paths (DESIGN §9): an
+// atomic load of the header word at addr, the lengths word and a key
+// compare, with no record decode. It returns the record's value when the
+// record holds key and its header carries none of the flags in reject.
+// The caller must hold epoch protection, have checked addr >= head and
+// addr >= begin (a truncated record would be served), and have ruled out
+// a read-cache address.
+func (s *Store) headMatch(key []byte, addr hlog.Address, reject uint64) ([]byte, bool) {
+	b := s.log.Slice(addr)
+	if atomic.LoadUint64(AtomicU64(b))&reject != 0 || int(binary.LittleEndian.Uint32(b[8:])) != len(key) ||
+		!bytes.Equal(b[recHeaderBytes:recHeaderBytes+len(key)], key) {
+		return nil, false
+	}
+	v := recHeaderBytes + pad8(len(key))
+	return b[v : v+int(binary.LittleEndian.Uint32(b[12:]))], true
 }

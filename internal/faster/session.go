@@ -261,6 +261,13 @@ func (sess *Session) readAt(key, input, output []byte, ctx any, entry index.Entr
 		if addr == hlog.InvalidAddress {
 			return NotFound, nil
 		}
+	} else if addr >= s.log.HeadAddress() && addr >= s.log.BeginAddress() {
+		// The in-memory hit path: a live chain head that holds key
+		// unflagged serves the read with no walk; anything else, a head
+		// below a truncation included, takes the walk.
+		if v, ok := s.headMatch(key, addr, flagInvalid|flagTombstone|flagDelta); ok {
+			return sess.readValue(key, input, output, addr, v)
+		}
 	}
 	if addr < s.log.BeginAddress() {
 		if isCacheAddr(raw) {
@@ -280,16 +287,10 @@ func (sess *Session) readAt(key, input, output []byte, ctx any, entry index.Entr
 		if rec.tombstone() {
 			return NotFound, nil
 		}
-		output = sess.outFor(output, len(rec.value))
 		if rec.delta() {
-			return sess.readReconcile(key, input, output, ctx, raw, laddr, rec)
+			return sess.readReconcile(key, input, sess.outFor(output, len(rec.value)), ctx, raw, laddr, rec)
 		}
-		if laddr < s.log.SafeReadOnlyAddress() {
-			s.ops.SingleReader(key, rec.value, input, output)
-		} else {
-			s.ops.ConcurrentReader(key, rec.value, input, output)
-		}
-		return OK, nil
+		return sess.readValue(key, input, output, laddr, rec.value)
 	}
 	if laddr == hlog.InvalidAddress {
 		return NotFound, nil
@@ -310,6 +311,20 @@ func (sess *Session) readAt(key, input, output []byte, ctx any, entry index.Entr
 	op.entryAddr = raw
 	sess.issueIO(op)
 	return Pending, nil
+}
+
+// readValue serves a read from the in-memory value of the record at addr:
+// SingleReader below the safe read-only offset, where no writer can reach
+// the record, and ConcurrentReader above it.
+func (sess *Session) readValue(key, input, output []byte, addr hlog.Address, value []byte) (Status, error) {
+	s := sess.s
+	output = sess.outFor(output, len(value))
+	if addr < s.log.SafeReadOnlyAddress() {
+		s.ops.SingleReader(key, value, input, output)
+	} else {
+		s.ops.ConcurrentReader(key, value, input, output)
+	}
+	return OK, nil
 }
 
 // readReconcile handles a CRDT read whose newest record is a delta: it
@@ -467,6 +482,20 @@ func (sess *Session) rmwInternal(key, input []byte, ctx any, h uint64) (Status, 
 
 	for {
 		entry, raw := s.idx.FindOrCreateEntry(h)
+		if raw != hlog.InvalidAddress && raw >= s.log.ReadOnlyAddress() && raw >= s.log.BeginAddress() && !isCacheAddr(raw) {
+			// The chain head is mutable and live and, if it holds key
+			// unflagged, updates in place with no walk; anything else, a
+			// head below a truncation included, takes the walk.
+			if v, ok := s.headMatch(key, raw, flagInvalid|flagTombstone|flagDelta|flagSealed); ok {
+				if debugAssert() {
+					s.assertInPlaceRMW(raw)
+				}
+				if s.ops.InPlaceUpdater(key, v, input) {
+					sess.stat.inPlace.Add(1)
+					return OK, nil
+				}
+			}
+		}
 		chainHead, crec, cached, stale := s.splitProbe(raw)
 		if stale {
 			continue
@@ -522,10 +551,7 @@ func (sess *Session) rmwInternal(key, input []byte, ctx any, h uint64) (Status, 
 			case laddr >= ro && !rec.sealed():
 				// Mutable region: update in place (Table 2).
 				if debugAssert() {
-					if fi := s.log.FlushIssuedAddress(); laddr < fi {
-						panic(fmt.Sprintf("in-place RMW at %#x below flush-issued %#x (ro=%#x sro=%#x)",
-							laddr, fi, ro, sro))
-					}
+					s.assertInPlaceRMW(laddr)
 				}
 				if s.ops.InPlaceUpdater(key, rec.value, input) {
 					sess.stat.inPlace.Add(1)
@@ -608,6 +634,15 @@ func (sess *Session) rmwInternal(key, input []byte, ctx any, h uint64) (Status, 
 			sess.issueIO(op)
 			return Pending, nil
 		}
+	}
+}
+
+// assertInPlaceRMW panics if an in-place RMW targets a record whose page
+// flush was already issued: the update could miss the durable image.
+func (s *Store) assertInPlaceRMW(laddr hlog.Address) {
+	if fi := s.log.FlushIssuedAddress(); laddr < fi {
+		panic(fmt.Sprintf("in-place RMW at %#x below flush-issued %#x (ro=%#x sro=%#x)",
+			laddr, fi, s.log.ReadOnlyAddress(), s.log.SafeReadOnlyAddress()))
 	}
 }
 

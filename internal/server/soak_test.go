@@ -268,6 +268,11 @@ func soakStallFree(t *testing.T) {
 	testutil.WaitUntil(t, 5*time.Second,
 		func() bool { return srv.Metrics().IOAsync > 0 },
 		"cold GET to be re-routed through the io-worker pool")
+	// IOAsync counts the hand-off; the miss is in flight only once an
+	// io-worker has issued it to the device.
+	testutil.WaitUntil(t, 5*time.Second,
+		func() bool { return store.Metrics().IOInflight > 0 },
+		"an io-worker to issue the cold GET to the device")
 
 	// The stall detector proper: while the miss is in flight, no server
 	// handler goroutine may be inside the store's pending-completion or

@@ -48,6 +48,19 @@ for procs in 1 2 8; do
 	GOMAXPROCS=$procs go test -race -run 'TestColdReadOneDeviceCall|TestColdReadLongRecord|TestColdReadAfterRecoverPartialPage' -count=20 ./internal/faster/
 done
 
+# The in-memory hit path on one, two and eight processors, repeated under
+# the race detector: a chain head that holds the key unflagged serves Read
+# and in-place RMW with no walk, and every other head (tombstoned,
+# invalid, sealed, delta, another key's, read-only, cache-tagged, or an
+# updater that declines) falls through to the walk with the same answer,
+# Stats and record layout. A head below a truncation that passed records
+# still in memory falls through too: the walk drops the dangling entry.
+# The in-store ledger benchmark must keep compiling and running.
+for procs in 1 2 8; do
+	GOMAXPROCS=$procs go test -race -run 'TestHeadMatchFallThrough' -count=20 ./internal/faster/
+done
+go test -run '^$' -bench EmbeddedLedger -benchtime 1x ./internal/faster/
+
 # The simulated SSD's delivery scheduler on one and on two processors,
 # repeated under the race detector (due-time order, service slots, Close
 # delivering in-flight I/O exactly once), and its non-Linux runtime-timer
