@@ -1,6 +1,6 @@
 // Package arena allocates the store's large pointer-free structures —
-// log page frames, read-cache frames, index tables and overflow chunks,
-// simulated-device extents and the compaction fold — outside the Go heap.
+// log page frames, read-cache frames, index tables and overflow chunks
+// and simulated-device extents — outside the Go heap.
 //
 // The collector sizes its heap goal from the live heap: a 64 MiB log
 // buffer held as a Go slice lets 64 MiB of unrelated garbage pile up

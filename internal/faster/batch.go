@@ -151,7 +151,6 @@ func (sess *Session) ExecBatch(ops []BatchOp) error {
 func (sess *Session) batchStart(ops []BatchOp) {
 	n := len(ops)
 	sess.totalOps += uint64(n)
-	sess.stat.operations.Add(uint64(n))
 	var reads, upserts, rmws, deletes uint64
 	for i := range ops {
 		switch ops[i].Kind {

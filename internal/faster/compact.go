@@ -1,6 +1,7 @@
 package faster
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"time"
@@ -10,27 +11,28 @@ import (
 
 // Log compaction (the "Roll To Tail" garbage collection of Appendix C,
 // grown into an online operation): Compact scans the stable prefix
-// [BeginAddress, until), finds each key whose newest version still lives
-// below the cut, copies that version to the tail (CASing the index entry
-// forward exactly like a lost-update-free RCU), and then truncates the
-// prefix under the epoch-safe protocol in hlog. Unlike the paper's
-// administrative sketch, this version runs concurrently with reads, RMWs
-// and pending I/O, and in bounded memory — one log address and one copy
-// of the key per key in the prefix, held outside the Go heap (fold.go),
-// plus one page, never a copy of the live values:
+// [BeginAddress, until) once, copies each live record to the tail (CASing
+// the index entry forward exactly like a lost-update-free RCU), and then
+// truncates the prefix under the epoch-safe protocol in hlog. Liveness is
+// F2's lookup rule: a record is live exactly when its key's index chain
+// reaches the record's address before any newer version of the key.
+// Unlike the paper's administrative sketch, this version runs
+// concurrently with reads, RMWs and pending I/O, and in bounded memory —
+// one page, never a copy of the live values, nothing per key:
 //
-//   - a copy is published only if no newer version of the key exists in
-//     the chain span above the cut — verified in memory when the span is
-//     resident, or via an asynchronous span descent (opCompact) when part
-//     of it was already evicted, mirroring the RMW verify protocol;
+//   - a copy is published only if the chain reaches the record without
+//     meeting a newer version of the key — verified in memory when the
+//     span above it is resident, or via an asynchronous span descent
+//     (opCompact) when part of it was already evicted, mirroring the RMW
+//     verify protocol;
 //   - a lost index CAS re-verifies only the span that appeared since
 //     (addresses are monotone, so the re-check converges);
 //   - the prefix is truncated only after the copies are durably flushed,
 //     and the device range is freed only up to the newest committed
 //     checkpoint's Begin (recovery must never need truncated storage).
 //
-// Keys whose newest below-cut state is a tombstone are simply dropped:
-// the delete dies with the prefix. CRDT delta chains are not supported —
+// Tombstones are never copied: a key whose newest version is a tombstone
+// in the prefix dies with it. CRDT delta chains are not supported —
 // a delta below the cut cannot be copied without reconciling the whole
 // chain — so compaction refuses delta records.
 
@@ -40,8 +42,9 @@ type CompactStats struct {
 	// their total record size (the write amplification numerator).
 	Copied      int
 	CopiedBytes uint64
-	// Skipped counts candidate keys that needed no copy (superseded above
-	// the cut, or deleted since the scan).
+	// Skipped counts scanned non-tombstone records that needed no copy:
+	// superseded by a newer version of their key (in the prefix or above
+	// it), or left off the chain because the key died.
 	Skipped int
 	// ReclaimedBytes is the log span logically reclaimed: until minus the
 	// begin address the run started from. Device bytes actually freed can
@@ -78,71 +81,23 @@ func (s *Store) Compact(until hlog.Address) (CompactStats, error) {
 		return stats, fmt.Errorf("faster: compact until %#x beyond safe read-only %#x", until, safeRO)
 	}
 
-	// Both scans walk the prefix one page at a time on the driver's own
+	// The scan walks the prefix one page at a time on the driver's own
 	// session guard and one reusable page buffer. The guard is refreshed
-	// per page and is the only guard the driver holds, so no scan ever
+	// per page and is the only guard the driver holds, so the scan never
 	// pins the epoch while the session appends (Allocate waits for every
 	// guard to refresh).
+	//
+	// Each page's records are copied into a reusable arena before any of
+	// them is checked: a resident page is only valid until the guard's
+	// next refresh, and appending refreshes it. The prefix is immutable
+	// (until is at most the safe read-only address, and compactMu
+	// excludes other truncations), so a copied record still matches the
+	// log when compactKey checks it. Copies race concurrent writers
+	// through the ordinary append/CAS protocol, so a record superseded
+	// mid-flight is simply skipped.
 	sess := s.StartSession()
 	defer sess.Close()
 	pageBuf := make([]byte, s.log.PageSize())
-	walk := func(fn func(ScanRecord) bool, afterPage func() error) error {
-		for addr := begin; addr < until; {
-			next, cont, err := s.scanPage(sess.g, addr, until, pageBuf, false, fn)
-			if err != nil || !cont {
-				return err
-			}
-			if afterPage != nil {
-				if err := afterPage(); err != nil {
-					return err
-				}
-			}
-			addr = next
-		}
-		return nil
-	}
-
-	// Phase 1: fold the doomed prefix into the address of each key's
-	// newest below-cut version — no value bytes are kept. Log order is
-	// version order for a single key, so last-seen wins and a tombstone
-	// erases the key.
-	live := newFold()
-	defer live.free()
-	var scanErr error
-	err := walk(func(r ScanRecord) bool {
-		if r.Delta {
-			scanErr = errCompactDelta
-			return false
-		}
-		if r.Tombstone {
-			live.tombstone(hashKey(r.Key), r.Key)
-			return true
-		}
-		if len(r.Value) > maxCompactValue {
-			scanErr = fmt.Errorf("faster: compact: record at %#x value %d bytes exceeds limit %d",
-				r.Address, len(r.Value), maxCompactValue)
-			return false
-		}
-		live.set(hashKey(r.Key), r.Key, r.Address)
-		return true
-	}, nil)
-	s.foldPeak.Store(max(s.foldPeak.Load(), live.peak))
-	if err == nil {
-		err = scanErr
-	}
-	if err != nil {
-		return stats, err
-	}
-
-	// Phase 2: walk the prefix again and roll each candidate — the record
-	// the fold kept for its key — forward. The prefix is immutable (until
-	// is at most the safe read-only address, and compactMu excludes other
-	// truncations), so the second walk meets the same records as the
-	// first. A page's candidates are copied into a reusable arena before
-	// any of them appends: a resident page is only valid until the guard's
-	// next refresh, and appending refreshes it. Copies race concurrent
-	// writers through the ordinary append/CAS protocol, so a candidate
-	// superseded mid-flight is simply skipped.
 	var opErr error
 	tally := func(results []Result) {
 		for _, res := range results {
@@ -162,19 +117,39 @@ func (s *Store) Compact(until hlog.Address) (CompactStats, error) {
 			}
 		}
 	}
-	type candidate struct{ key, val []byte }
+	type candidate struct {
+		key, val []byte
+		addr     hlog.Address
+	}
 	var cands []candidate
 	arena := make([]byte, 0, s.log.PageSize())
-	err = walk(func(r ScanRecord) bool {
-		if live.get(hashKey(r.Key), r.Key) == r.Address {
+	var err, scanErr error
+	for addr := begin; addr < until && opErr == nil; {
+		var cont bool
+		addr, cont, err = s.scanPage(sess.g, addr, until, pageBuf, false, func(r ScanRecord) bool {
+			switch {
+			case r.Delta:
+				scanErr = errCompactDelta
+				return false
+			case r.Tombstone:
+				// Nothing to copy: an older version below it meets it
+				// on the chain, and the delete dies with the prefix.
+				return true
+			case len(r.Value) > maxCompactValue:
+				scanErr = fmt.Errorf("faster: compact: record at %#x value %d bytes exceeds limit %d",
+					r.Address, len(r.Value), maxCompactValue)
+				return false
+			}
 			n := len(arena)
 			arena = append(append(arena, r.Key...), r.Value...)
-			cands = append(cands, candidate{arena[n : n+len(r.Key)], arena[n+len(r.Key):]})
+			cands = append(cands, candidate{arena[n : n+len(r.Key)], arena[n+len(r.Key):], r.Address})
+			return true
+		})
+		if err != nil || !cont {
+			break
 		}
-		return true
-	}, func() error {
 		for _, c := range cands {
-			sess.compactKey(c.key, c.val, until, &stats)
+			sess.compactKey(c.key, c.val, c.addr, &stats)
 			if sess.inFlight >= 32 {
 				tally(sess.CompletePending(true))
 			}
@@ -183,18 +158,14 @@ func (s *Store) Compact(until hlog.Address) (CompactStats, error) {
 			}
 		}
 		cands, arena = cands[:0], arena[:0]
-		return opErr
-	})
-	tally(sess.CompletePending(true))
-	if err == nil {
-		err = opErr
 	}
-	if err != nil {
+	tally(sess.CompletePending(true))
+	if err = cmp.Or(err, scanErr, opErr); err != nil {
 		return stats, err
 	}
 
-	// Phase 3: make the copies durable before destroying their sources,
-	// then truncate. A poisoned tail aborts here with the prefix intact.
+	// Make the copies durable before destroying their sources, then
+	// truncate. A poisoned tail aborts here with the prefix intact.
 	t := s.log.ShiftReadOnlyToTail()
 	if err := s.log.WaitUntilFlushed(t, sess.g); err != nil {
 		return stats, err
@@ -216,17 +187,19 @@ func (s *Store) Compact(until hlog.Address) (CompactStats, error) {
 	return stats, nil
 }
 
-// compactKey rolls one candidate forward: skip if the index chain already
-// supersedes it (a version of the key at or above the cut), copy-append
-// otherwise. When part of the span [until, head) was evicted before it
+// compactKey rolls the scanned record (key, val) at address a forward if
+// it is live: the key's index chain must reach a before any newer version
+// of the key. A newer version (even a tombstone) or a chain that skips a
+// (the entry was released and recreated, so the key died) means the copy
+// is not needed. When part of the span above a was evicted before it
 // could be checked in memory, the check continues asynchronously as an
 // opCompact descent and the result is tallied from CompletePending.
-func (sess *Session) compactKey(key, val []byte, until hlog.Address, stats *CompactStats) {
+func (sess *Session) compactKey(key, val []byte, a hlog.Address, stats *CompactStats) {
 	s := sess.s
 	h := hashKey(key)
 	for {
 		sess.opStart()
-		entry, cur, ok := s.idx.FindEntry(h)
+		_, cur, ok := s.idx.FindEntry(h)
 		if !ok {
 			stats.Skipped++ // deleted since the scan (entry released)
 			return
@@ -236,33 +209,21 @@ func (sess *Session) compactKey(key, val []byte, until hlog.Address, stats *Comp
 		// strand the cache with no durable backing): trace the underlying
 		// hlog chain, and publish with the raw address as the CAS
 		// expectation (which drops the cached copy, RCU-style).
-		chain, _, cached, stale := s.splitProbe(cur)
+		chain, _, _, stale := s.splitProbe(cur)
 		if stale {
 			continue
 		}
-		if !cached && chain < s.log.BeginAddress() {
-			entry.CompareAndDelete(cur)
+		laddr, _, found := s.traceBack(key, chain, maxAddr(s.log.HeadAddress(), a+1))
+		switch {
+		case found || laddr < a:
+			// Superseded, or a is not on the chain (InvalidAddress, a
+			// chain that ended or dropped below begin, is below a too).
 			stats.Skipped++
 			return
-		}
-		laddr, _, found := s.traceBack(key, chain, maxAddr(s.log.HeadAddress(), until))
-		if found {
-			stats.Skipped++ // superseded at or above the cut
-			return
-		}
-		if laddr == hlog.InvalidAddress {
-			// The chain ended (or dropped below begin) without reaching
-			// the scanned version: the entry was released and recreated,
-			// which only happens once the key is dead. Copying would
-			// resurrect a delete.
-			stats.Skipped++
-			return
-		}
-		if laddr < until {
-			// The resident span above the cut is clean: the scanned value
-			// is the key's newest version. Publish the copy against the
-			// observed chain head; a lost CAS means a concurrent append
-			// landed, so re-examine from the index.
+		case laddr == a:
+			// The record is the key's newest version. Publish the copy
+			// against the observed chain head; a lost CAS means a
+			// concurrent append landed, so re-examine from the index.
 			_, st, err := sess.appendRecord(h, key, cur, chain, hlog.InvalidAddress, 0, len(val), func(dst record) {
 				copy(dst.value, val)
 			})
@@ -278,13 +239,13 @@ func (sess *Session) compactKey(key, val []byte, until hlog.Address, stats *Comp
 			}
 			continue
 		}
-		// laddr is inside [until, head): that part of the chain was
-		// evicted, so whether a newer version of the key exists there can
-		// only be answered from storage. Descend asynchronously, on a copy
-		// of the value: the caller reuses val's memory for the next page.
+		// laddr is inside (a, head): that part of the chain was evicted,
+		// so whether a newer version of the key exists there can only be
+		// answered from storage. Descend asynchronously, on a copy of the
+		// value: the caller reuses val's memory for the next page.
 		op := sess.newPendingOp(opCompact, key, nil, nil, nil)
 		op.compactVal = append([]byte(nil), val...)
-		op.verifyStop = until - 1 // clean once the descent passes below the cut
+		op.verifyStop = a
 		op.verifyCur = cur
 		op.addr = laddr
 		sess.issueIO(op)
@@ -305,11 +266,11 @@ func (sess *Session) completedCompactError(key []byte, err error) {
 }
 
 // republishCompact publishes (or abandons) a compaction copy after its
-// span check: the descent from op.addr found no version of the key above
-// the cut, so the copy is still current — unless the index entry moved
-// since, in which case only the newly appeared span needs checking
-// (mirroring publishFetched's protocol, including the switch back to an
-// asynchronous descent when that span was evicted too).
+// span check: the descent from op.addr reached the record without meeting
+// a newer version of the key, so the copy is still current — unless the
+// index entry moved since, in which case only the newly appeared span
+// needs checking (mirroring publishFetched's protocol, including the
+// switch back to an asynchronous descent when that span was evicted too).
 func (sess *Session) republishCompact(op *PendingOp) (Result, bool) {
 	s := sess.s
 	finish := func(st Status, err error) (Result, bool) {
@@ -352,20 +313,18 @@ func (sess *Session) republishCompact(op *PendingOp) (Result, bool) {
 		if !ok {
 			return finish(NotFound, nil) // entry released: key dead
 		}
-		nchain, _, ncached, nstale := s.splitProbe(cur)
+		nchain, _, _, nstale := s.splitProbe(cur)
 		if nstale {
 			chainHead = cur
 			continue
 		}
-		if !ncached && nchain < s.log.BeginAddress() {
-			return finish(NotFound, nil) // entry released: key dead
+		// The same rule as compactKey's, with the verified head prev in
+		// place of the record.
+		laddr, _, found := s.traceBack(op.key, nchain, maxAddr(s.log.HeadAddress(), prev+1))
+		if found || laddr < prev {
+			return finish(NotFound, nil) // superseded, or the key died
 		}
-		floor := maxAddr(s.log.HeadAddress(), prev+1)
-		laddr, _, found := s.traceBack(op.key, nchain, floor)
-		if found {
-			return finish(NotFound, nil) // superseded while verifying
-		}
-		if laddr != hlog.InvalidAddress && laddr > prev {
+		if laddr > prev {
 			// The new span was partially evicted: verify it on storage.
 			if op.buf != nil {
 				sess.putIOBuf(op.buf)

@@ -3,16 +3,19 @@ package faster
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"maps"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/arena"
 	"repro/internal/device"
+	"repro/internal/hlog"
 	"repro/internal/retry"
 	"repro/internal/testutil"
 )
@@ -547,9 +550,9 @@ func checkBlobs(t *testing.T, sess *Session, n uint64, size int, want func(i uin
 }
 
 // TestCompactAllocatesPerKeyNotPerValue bounds compaction's heap use: the
-// fold keeps one log address per live key and the copy phase reuses one
-// page of scratch, so the bytes allocated across a pass over 10 k live
-// 4 KiB values stay far below the 40 MiB of values it copies forward.
+// pass reuses one page of scratch and keeps nothing per key, so the bytes
+// allocated across a pass over 10 k live 4 KiB values stay far below the
+// 40 MiB of values it copies forward.
 func TestCompactAllocatesPerKeyNotPerValue(t *testing.T) {
 	const (
 		n    = 10_000
@@ -693,4 +696,377 @@ func TestCompactDescentOwnsValue(t *testing.T) {
 		}
 		return 1
 	})
+}
+
+// varKey is a variable-length key, so keys of many sizes share pages and
+// a length or offset slip shows as a mismatch.
+func varKey(i int) []byte {
+	return []byte(fmt.Sprintf("var-%d-%s", i, strings.Repeat("x", i%23)))
+}
+
+// TestCompactManyKeysMatchesReference compacts a prefix of 150 k keys of
+// many lengths written in several versions, with tombstones and keys
+// re-added after deletion. Some keys are then superseded or deleted above
+// the cut. The copied count must equal what a reference map predicts,
+// every other non-tombstone record in the prefix must count as skipped,
+// and every key must read back as the reference says once the prefix is
+// gone: a live record the compaction misses is truncated away.
+func TestCompactManyKeysMatchesReference(t *testing.T) {
+	if testing.Short() {
+		t.Skip("large compaction")
+	}
+	s, _ := openTestStore(t, Config{PageBits: 16, BufferPages: 8, IndexBuckets: 1 << 16})
+	sess := s.StartSession()
+	defer sess.Close()
+
+	const n = 150_000
+	ref := make(map[int]uint64, n) // absent: deleted
+	upsert := func(i int, v uint64) {
+		if st, err := sess.Upsert(varKey(i), u64(v)); st != OK || err != nil {
+			t.Fatalf("upsert %d: %v %v", i, st, err)
+		}
+		ref[i] = v
+	}
+	del := func(i int) {
+		if st, err := sess.Delete(varKey(i)); err != nil || (st != OK && st != NotFound) {
+			t.Fatalf("delete %d: %v %v", i, st, err)
+		}
+		delete(ref, i)
+	}
+	// Each key gets all its versions before the next key starts.
+	for i := 0; i < n; i++ {
+		for round := uint64(0); round < 3; round++ {
+			switch {
+			case round == 1 && i%7 == 0:
+				del(i) // deleted in the middle version...
+			case round == 2 && i%7 == 0 && i%14 != 0:
+				// ...and stays deleted, or is re-added here.
+			default:
+				upsert(i, uint64(i)*10+round)
+			}
+		}
+		if i%11 == 0 {
+			del(i) // newest version in the prefix is a tombstone
+		}
+	}
+	sess.CompletePending(true)
+
+	// Everything so far is the prefix. Push it below the safe read-only
+	// address with filler keys the prefix never saw. Skipped counts
+	// records, so count the prefix's (in-place updates made fewer records
+	// than upserts).
+	cut := s.Log().TailAddress()
+	records := 0
+	if err := s.Scan(ScanOptions{To: cut}, func(r ScanRecord) bool {
+		if !r.Tombstone {
+			records++
+		}
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for f := 0; s.Log().SafeReadOnlyAddress() < cut; f++ {
+		if st, _ := sess.Upsert(varKey(n+f), u64(1)); st != OK {
+			t.Fatal("filler upsert failed")
+		}
+	}
+	atCut := make(map[int]bool, len(ref))
+	for i := range ref {
+		atCut[i] = true
+	}
+
+	// Above the cut: supersede some live keys, delete others.
+	for i := 0; i < n; i += 13 {
+		upsert(i, 1<<40+uint64(i))
+	}
+	for i := 0; i < n; i += 17 {
+		del(i)
+	}
+	sess.CompletePending(true)
+	wantCopied := 0
+	for i := range atCut {
+		if i%13 != 0 && i%17 != 0 {
+			wantCopied++
+		}
+	}
+	wantSkipped := records - wantCopied
+
+	sess.Park()
+	stats, err := s.Compact(cut)
+	sess.Unpark()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Copied != wantCopied || stats.Skipped != wantSkipped {
+		t.Fatalf("copied %d skipped %d, reference predicts %d and %d",
+			stats.Copied, stats.Skipped, wantCopied, wantSkipped)
+	}
+
+	for i := 0; i < n; i++ {
+		got, st := readU64(t, sess, varKey(i))
+		want, live := ref[i]
+		switch {
+		case live && (st != OK || got != want):
+			t.Fatalf("key %d = (%d, %v), want (%d, OK)", i, got, st, want)
+		case !live && st != NotFound:
+			t.Fatalf("deleted key %d = (%d, %v), want NotFound", i, got, st)
+		}
+	}
+}
+
+// TestCompactReadsPrefixOnce compacts an evicted prefix of 100 k keys with
+// no other traffic: every record is its key's only version, so each is
+// judged live from the index alone, and the device bytes read during
+// Compact are the prefix itself, read once.
+func TestCompactReadsPrefixOnce(t *testing.T) {
+	s, mem := openTestStore(t, Config{PageBits: 16, BufferPages: 8, IndexBuckets: 1 << 15})
+	sess := s.StartSession()
+	defer sess.Close()
+	const n = 100_000
+	for i := uint64(0); i < n; i++ {
+		if st, err := sess.Upsert(key(i), u64(i)); st != OK {
+			t.Fatalf("upsert key %d: %v %v", i, st, err)
+		}
+	}
+	cut := s.Log().ShiftReadOnlyToTail()
+	for f := uint64(n); s.Log().HeadAddress() < cut; f++ {
+		if st, err := sess.Upsert(key(f), u64(f)); st != OK {
+			t.Fatalf("filler upsert: %v %v", st, err)
+		}
+	}
+	begin := s.Log().BeginAddress()
+	sess.Park()
+	read := mem.Stats().BytesRead
+	stats, err := s.Compact(cut)
+	read = mem.Stats().BytesRead - read
+	sess.Unpark()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Copied != n || stats.Skipped != 0 {
+		t.Fatalf("copied %d skipped %d, want %d and 0", stats.Copied, stats.Skipped, n)
+	}
+	prefix := cut - begin
+	t.Logf("read %d device bytes for a %d-byte prefix (%.2fx)", read, prefix, float64(read)/float64(prefix))
+	if 100*read > 105*prefix {
+		t.Fatalf("compaction read %d device bytes for a %d-byte prefix: more than one pass", read, prefix)
+	}
+	for i := uint64(0); i < n; i += 997 {
+		if got, st := readU64(t, sess, key(i)); st != OK || got != i {
+			t.Fatalf("key %d = (%d, %v), want (%d, OK)", i, got, st, i)
+		}
+	}
+}
+
+// liveWriter drives one TestCompactLookupLiveness case: it writes through a
+// session and keeps the reference state each key should read back.
+type liveWriter struct {
+	t    *testing.T
+	s    *Store
+	sess *Session
+	ref  map[uint64]uint64 // absent: deleted or never written
+	keys map[uint64]bool   // every key written
+}
+
+func (w *liveWriter) upsert(i, v uint64) {
+	w.t.Helper()
+	if st, err := w.sess.Upsert(key(i), u64(v)); st != OK {
+		w.t.Fatalf("upsert key %d: %v %v", i, st, err)
+	}
+	w.ref[i], w.keys[i] = v, true
+}
+
+func (w *liveWriter) del(i uint64) {
+	w.t.Helper()
+	if st, err := w.sess.Delete(key(i)); err != nil || (st != OK && st != NotFound) {
+		w.t.Fatalf("delete key %d: %v %v", i, st, err)
+	}
+	delete(w.ref, i)
+	w.keys[i] = true
+}
+
+// seal makes everything written so far read-only, so the next version of
+// any key appends a record instead of updating in place.
+func (w *liveWriter) seal() hlog.Address {
+	a := w.s.Log().ShiftReadOnlyToTail()
+	w.sess.Refresh()
+	return a
+}
+
+// TestCompactLookupLiveness pins the lookup rule: a record in the prefix is
+// copied exactly when its key's chain reaches it before any newer version
+// of the key, and every other non-tombstone record counts as skipped. Each
+// case runs with the whole log resident and with all of it evicted, so
+// both the in-memory check and the device descent decide.
+func TestCompactLookupLiveness(t *testing.T) {
+	cases := []struct {
+		name            string
+		cfg             Config
+		prefix, above   func(w *liveWriter)
+		copied, skipped int
+		err             error
+	}{{
+		name: "versions in the prefix",
+		prefix: func(w *liveWriter) {
+			for v := uint64(1); v <= 4; v++ {
+				for i := uint64(0); i < 10; i++ {
+					w.upsert(i, v)
+				}
+				w.seal()
+			}
+		},
+		copied: 10, skipped: 30,
+	}, {
+		name: "newest prefix version is a tombstone",
+		prefix: func(w *liveWriter) {
+			for v := uint64(1); v <= 3; v++ {
+				for i := uint64(0); i < 10; i++ {
+					w.upsert(i, v)
+				}
+				w.seal()
+			}
+			for i := uint64(0); i < 10; i += 2 {
+				w.del(i)
+			}
+			w.seal()
+			for i := uint64(0); i < 10; i += 4 {
+				w.upsert(i, 9) // re-added after the delete
+			}
+		},
+		copied: 5 + 3, skipped: 30 - 5,
+	}, {
+		name: "newest version above the cut",
+		prefix: func(w *liveWriter) {
+			for v := uint64(1); v <= 2; v++ {
+				for i := uint64(0); i < 10; i++ {
+					w.upsert(i, v)
+				}
+				w.seal()
+			}
+		},
+		above: func(w *liveWriter) {
+			for i := uint64(0); i < 10; i += 2 {
+				w.upsert(i, 3)
+			}
+			for i := uint64(0); i < 10; i += 3 {
+				w.del(i)
+			}
+		},
+		copied: 3, skipped: 20 - 3, // keys 1, 5 and 7 live on at their prefix version
+	}, {
+		name: "two keys on one entry",
+		cfg:  Config{TagBits: 1, IndexBuckets: 16},
+		prefix: func(w *liveWriter) {
+			a := uint64(1)
+			w.upsert(a, 1)
+			b := w.sharer(a)
+			w.upsert(b, 1)
+			w.seal()
+			w.upsert(a, 2)
+			w.seal()
+			w.upsert(b, 2)
+			w.upsert(a, 3)
+			w.seal()
+		},
+		above: func(w *liveWriter) {
+			for b := range w.keys {
+				if b != 1 {
+					w.upsert(b, 3)
+				}
+			}
+		},
+		copied: 1, skipped: 4,
+	}, {
+		name: "CRDT delta after live records",
+		cfg:  Config{CRDT: true},
+		prefix: func(w *liveWriter) {
+			// More than a page of live records, so copies are made
+			// before the scan meets the delta.
+			for i := uint64(0); i < 300; i++ {
+				w.upsert(i, 1)
+			}
+			w.seal()
+			k := key(5)
+			raw := chainHead(w.t, w.s, k)
+			if st, err := w.sess.rmwAppendDelta(hashKey(k), k, u64(3), raw, raw); st != statusDone || err != nil {
+				w.t.Fatalf("append delta: %v %v", st, err)
+			}
+			w.ref[5] = 4
+		},
+		err: errCompactDelta,
+	}}
+	for _, tc := range cases {
+		for _, evict := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/evicted=%v", tc.name, evict), func(t *testing.T) {
+				s, _ := openTestStore(t, tc.cfg)
+				sess := s.StartSession()
+				defer sess.Close()
+				w := &liveWriter{t: t, s: s, sess: sess, ref: map[uint64]uint64{}, keys: map[uint64]bool{}}
+				begin := s.Log().BeginAddress()
+				tc.prefix(w)
+				cut := w.seal()
+				if tc.above != nil {
+					tc.above(w)
+				}
+				top := w.seal()
+				if evict {
+					for f := uint64(1 << 20); s.Log().HeadAddress() < top; f++ {
+						if st, err := sess.Upsert(key(f), u64(f)); st != OK {
+							t.Fatalf("filler upsert: %v %v", st, err)
+						}
+					}
+				} else if s.Log().HeadAddress() > begin {
+					t.Fatalf("head %#x passed begin %#x: the log did not stay resident", s.Log().HeadAddress(), begin)
+				}
+				sess.Park()
+				issued := s.Metrics().PendingIssued
+				stats, err := s.Compact(cut)
+				descents := s.Metrics().PendingIssued - issued
+				sess.Unpark()
+				if evict != (descents > 0) && tc.err == nil {
+					t.Fatalf("%d descents with evicted=%v: the case did not take the path it names", descents, evict)
+				}
+				if tc.err != nil {
+					if !errors.Is(err, tc.err) {
+						t.Fatalf("compact err = %v, want %v", err, tc.err)
+					}
+					if got := s.Log().BeginAddress(); got != begin {
+						t.Fatalf("begin moved to %#x after an aborted compaction, want %#x", got, begin)
+					}
+				} else {
+					if err != nil {
+						t.Fatal(err)
+					}
+					if stats.Copied != tc.copied || stats.Skipped != tc.skipped {
+						t.Fatalf("copied %d skipped %d, want %d and %d", stats.Copied, stats.Skipped, tc.copied, tc.skipped)
+					}
+				}
+				for i := range w.keys {
+					got, st := readU64(t, sess, key(i))
+					want, live := w.ref[i]
+					switch {
+					case live && (st != OK || got != want):
+						t.Fatalf("key %d = (%d, %v), want (%d, OK)", i, got, st, want)
+					case !live && st != NotFound:
+						t.Fatalf("deleted key %d = (%d, %v), want NotFound", i, got, st)
+					}
+				}
+			})
+		}
+	}
+}
+
+// sharer returns a key other than key(i) whose hash maps to key(i)'s index
+// entry, so the two keys' versions interleave on one chain. key(i) must be
+// the only key written so far.
+func (w *liveWriter) sharer(i uint64) uint64 {
+	w.t.Helper()
+	head := chainHead(w.t, w.s, key(i))
+	for j := i + 1; j < 1<<20; j++ {
+		if _, a, ok := w.s.idx.FindEntry(hashKey(key(j))); ok && a == head {
+			return j
+		}
+	}
+	w.t.Fatalf("no key shares key %d's index entry", i)
+	return 0
 }

@@ -42,19 +42,21 @@ func openCompactBenchStore(tb testing.TB, n uint64, gens int) (*Store, *device.M
 
 // BenchmarkCompaction times a full copy-forward pass over a stable
 // region that is ~75% dead versions and reports the space economics:
-// bytes reclaimed, live bytes rewritten, and the resulting write
-// amplification (copied/reclaimed — lower is better).
+// bytes reclaimed, live bytes rewritten, the resulting write
+// amplification (copied/reclaimed — lower is better), and what the pass
+// read from the device: its bytes, and the chain descents among them.
 func BenchmarkCompaction(b *testing.B) {
-	var reclaimed, copied float64
+	var reclaimed, copied, read, descents float64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		s, _ := openCompactBenchStore(b, 4096, 4)
+		s, dev := openCompactBenchStore(b, 4096, 4)
 		cut := s.Log().SafeReadOnlyAddress()
 		if cut <= s.Log().BeginAddress() {
 			b.Fatal("no stable region to compact")
 		}
+		bytesRead, issued := dev.Stats().BytesRead, s.Metrics().PendingIssued
 		b.StartTimer()
 		stats, err := s.Compact(cut)
 		b.StopTimer()
@@ -63,11 +65,15 @@ func BenchmarkCompaction(b *testing.B) {
 		}
 		reclaimed += float64(stats.ReclaimedBytes)
 		copied += float64(stats.CopiedBytes)
+		read += float64(dev.Stats().BytesRead - bytesRead)
+		descents += float64(s.Metrics().PendingIssued - issued)
 		b.StartTimer()
 	}
 	b.StopTimer()
 	b.ReportMetric(reclaimed/float64(b.N), "reclaimed-B/op")
 	b.ReportMetric(copied/float64(b.N), "copied-B/op")
+	b.ReportMetric(read/float64(b.N), "read-B/op")
+	b.ReportMetric(descents/float64(b.N), "descents/op")
 	if reclaimed > 0 {
 		b.ReportMetric(copied/reclaimed, "write-amp")
 	}

@@ -181,7 +181,7 @@ func (c *Config) setDefaults() error {
 // Stats aggregates store-level counters. Fuzzy and pending counters feed
 // the Fig 12b / Fig 13 experiments.
 type Stats struct {
-	Operations   uint64 // completed user operations
+	Operations   uint64 // user operations: reads, upserts, RMWs and deletes
 	FuzzyRMWs    uint64 // RMWs deferred because the record was fuzzy
 	PendingIOs   uint64 // operations that went to storage
 	DeltaRecords uint64 // CRDT delta records appended
@@ -201,7 +201,6 @@ type Stats struct {
 // are monotone, so aggregation sums every block ever handed out (the
 // registry is bounded by the peak number of concurrent sessions).
 type sessionStats struct {
-	operations   atomic.Uint64
 	reads        atomic.Uint64
 	upserts      atomic.Uint64
 	rmws         atomic.Uint64
@@ -213,14 +212,14 @@ type sessionStats struct {
 	fuzzyRMWs    atomic.Uint64
 	deltaRecords atomic.Uint64
 	pendingIOs   atomic.Uint64
-	_            [128 - 12*8]byte // round up to two cache lines
+	_            [128 - 11*8]byte // round up to two cache lines
 }
 
 // statTotals is the sum of every sessionStats block.
 type statTotals struct {
-	operations, reads, upserts, rmws, deletes uint64
-	inPlace, appends, rcuCopies, failedCAS    uint64
-	fuzzyRMWs, deltaRecords, pendingIOs       uint64
+	reads, upserts, rmws, deletes          uint64
+	inPlace, appends, rcuCopies, failedCAS uint64
+	fuzzyRMWs, deltaRecords, pendingIOs    uint64
 }
 
 func (s *Store) acquireSessionStats() *sessionStats {
@@ -248,7 +247,6 @@ func (s *Store) sumStats() statTotals {
 	blocks := s.statsAll
 	s.statsMu.Unlock()
 	for _, b := range blocks {
-		t.operations += b.operations.Load()
 		t.reads += b.reads.Load()
 		t.upserts += b.upserts.Load()
 		t.rmws += b.rmws.Load()
@@ -293,9 +291,6 @@ type Store struct {
 	ckptBegin atomic.Uint64
 	pinMu     sync.Mutex
 	ckptPins  map[hlog.Address]int
-	// foldPeak is the largest compaction fold's arena footprint (written
-	// under compactMu).
-	foldPeak atomic.Uint64
 
 	// sessions is the exactly-once session table (sessiontable.go):
 	// per-GUID serial frontiers, persisted with every checkpoint.
@@ -407,7 +402,7 @@ func (s *Store) Epoch() *epoch.Manager { return s.em }
 func (s *Store) Stats() Stats {
 	t := s.sumStats()
 	return Stats{
-		Operations:   t.operations,
+		Operations:   t.reads + t.upserts + t.rmws + t.deletes,
 		FuzzyRMWs:    t.fuzzyRMWs,
 		PendingIOs:   t.pendingIOs,
 		DeltaRecords: t.deltaRecords,

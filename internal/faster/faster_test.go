@@ -482,6 +482,19 @@ func TestStatsProgression(t *testing.T) {
 	if st.Appends == 0 {
 		t.Fatal("no appends counted")
 	}
+	// Compaction is not a user operation: its index checks and copies
+	// leave the count alone.
+	s.Log().ShiftReadOnlyToTail()
+	sess.Refresh()
+	sess.Park()
+	cs, err := s.Compact(s.Log().SafeReadOnlyAddress())
+	sess.Unpark()
+	if err != nil || cs.Copied != 100 {
+		t.Fatalf("compact: %+v %v, want 100 copies", cs, err)
+	}
+	if got := s.Stats().Operations; got != 100 {
+		t.Fatalf("Operations after Compact = %d, want 100", got)
+	}
 }
 
 func TestPendingResultCarriesContext(t *testing.T) {

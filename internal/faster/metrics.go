@@ -96,7 +96,6 @@ type MemoryMetrics struct {
 	LogFrames uint64 // hlog page frames
 	ReadCache uint64 // read-cache frames
 	Index     uint64 // index tables and overflow chunks
-	FoldPeak  uint64 // largest compaction fold so far; freed when Compact returns
 
 	ArenaLive    uint64 // process: arena bytes allocated and not freed
 	ArenaPeak    uint64 // process: high-water mark of ArenaLive
@@ -115,7 +114,6 @@ func (s *Store) MemoryMetrics() MemoryMetrics {
 		LogFrames:    s.log.FrameBytes(),
 		ReadCache:    s.rc.arenaBytes(),
 		Index:        s.idx.ArenaBytes(),
-		FoldPeak:     s.foldPeak.Load(),
 		ArenaLive:    arena.Live(),
 		ArenaPeak:    arena.Peak(),
 		ArenaAdvised: arena.Advised(),
@@ -245,7 +243,6 @@ func (m StoreMetrics) Series() metrics.Series {
 	s["memory.log_frames_bytes"] = float64(m.Memory.LogFrames)
 	s["memory.read_cache_bytes"] = float64(m.Memory.ReadCache)
 	s["memory.index_bytes"] = float64(m.Memory.Index)
-	s["memory.fold_peak_bytes"] = float64(m.Memory.FoldPeak)
 	s["memory.arena_live_bytes"] = float64(m.Memory.ArenaLive)
 	s["memory.arena_peak_bytes"] = float64(m.Memory.ArenaPeak)
 	s["memory.arena_advised_bytes"] = float64(m.Memory.ArenaAdvised)

@@ -650,10 +650,13 @@ func (sess *Session) followChain(op *PendingOp, next hlog.Address) (Result, bool
 		return sess.republishVerified(op)
 	}
 	if op.kind == opCompact && next <= op.verifyStop {
-		// The descent passed below the compaction cut without meeting the
-		// key: nothing above the cut supersedes the scanned copy. (This
-		// also covers a chain that ended or dropped below begin — both
-		// are below the cut.)
+		// The descent reached the scanned record without meeting the key:
+		// nothing newer supersedes it. A chain that passes below it (or
+		// ends, or drops below begin) skipped it: the entry was released
+		// and recreated, so the key died and the copy is not needed.
+		if next < op.verifyStop {
+			return Result{Kind: op.kind.String(), Key: op.key, Status: NotFound, Ctx: op.ctx}, true
+		}
 		return sess.republishCompact(op)
 	}
 	if next != hlog.InvalidAddress && next < s.log.BeginAddress() {
@@ -718,11 +721,6 @@ func (sess *Session) chainExhausted(op *PendingOp) (Result, bool) {
 		return sess.republishVerified(op)
 	}
 	switch op.kind {
-	case opCompact:
-		// Defensive: the verifyStop check in followChain normally catches
-		// the end of a compaction span; treat a fall-through as the span
-		// proving clean.
-		return sess.republishCompact(op)
 	case opRead:
 		return Result{Kind: op.kind.String(), Key: op.key, Input: op.input,
 			Output: op.output, Status: NotFound, Ctx: op.ctx}, true

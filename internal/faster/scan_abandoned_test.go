@@ -12,7 +12,7 @@ import (
 // abandonSlot must lay it out as a full, sized invalid record: a scan
 // that cannot size a record treats the rest of the page as padding, so
 // an unsized slot would silently hide every record after it from
-// compaction's fold, checkpoint replay, and RebuildIndex — losing those
+// compaction's scan, checkpoint replay, and RebuildIndex — losing those
 // keys' newest versions once the log is truncated.
 func TestScanSkipsAbandonedSlot(t *testing.T) {
 	s, _ := openTestStore(t, Config{})

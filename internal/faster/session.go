@@ -155,7 +155,6 @@ func (sess *Session) FuzzyOps() (fuzzy, total uint64) {
 // and counters.
 func (sess *Session) opStart() {
 	sess.totalOps++
-	sess.stat.operations.Add(1)
 	sess.opsSince++
 	if sess.opsSince >= sess.s.cfg.RefreshInterval {
 		sess.opsSince = 0
@@ -724,7 +723,7 @@ func (s *Store) sourceEvicted(srcAddr hlog.Address) bool {
 // abandonSlot lays a freshly allocated, never-published slot out as a
 // full invalid record. A bare invalid flag is not enough: on an
 // otherwise-zero slot the key length stays 0, which log scans
-// (compaction's fold, checkpoint replay, RebuildIndex) read as
+// (compaction's scan, checkpoint replay, RebuildIndex) read as
 // end-of-page padding — silently dropping every record after it in the
 // page, and with it any key whose newest version sat there. Writing the
 // full sized layout keeps the slot skippable but walkable. The slot is

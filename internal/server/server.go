@@ -715,9 +715,8 @@ func (c *connState) doMemory(args [][]byte) bool {
 	return true
 }
 
-// memory sums the shards' arena owners and takes the largest fold peak
-// (the shards compact independently); the process-wide figures are taken
-// once.
+// memory sums the shards' arena owners; the process-wide figures are
+// taken once.
 func (s *Server) memory() faster.MemoryMetrics {
 	var sum faster.MemoryMetrics
 	for i := range s.store.NumShards() {
@@ -725,7 +724,6 @@ func (s *Server) memory() faster.MemoryMetrics {
 		sum.LogFrames += m.LogFrames
 		sum.ReadCache += m.ReadCache
 		sum.Index += m.Index
-		sum.FoldPeak = max(sum.FoldPeak, m.FoldPeak)
 		sum.ArenaLive, sum.ArenaPeak, sum.GoHeap = m.ArenaLive, m.ArenaPeak, m.GoHeap
 		sum.ArenaAdvised, sum.ArenaHuge = m.ArenaAdvised, m.ArenaHuge
 	}
@@ -744,7 +742,6 @@ func memoryOwnerPairs(m faster.MemoryMetrics) [][2]string {
 		{"arena_log_frames_bytes", strconv.FormatUint(m.LogFrames, 10)},
 		{"arena_read_cache_bytes", strconv.FormatUint(m.ReadCache, 10)},
 		{"arena_index_bytes", strconv.FormatUint(m.Index, 10)},
-		{"arena_fold_peak_bytes", strconv.FormatUint(m.FoldPeak, 10)},
 	}
 }
 

@@ -639,7 +639,7 @@ func TestServerCompactAndMemory(t *testing.T) {
 	}
 	// Where the memory goes: arenas by owner next to the Go heap, in
 	// MEMORY STATS and in INFO memory alike.
-	for _, k := range []string{"go_heap_bytes", "arena_live_bytes", "arena_log_frames_bytes", "arena_index_bytes", "arena_fold_peak_bytes"} {
+	for _, k := range []string{"go_heap_bytes", "arena_live_bytes", "arena_log_frames_bytes", "arena_index_bytes"} {
 		if v := after[k]; v == "" || v == "0" {
 			t.Fatalf("MEMORY STATS %s = %q, want a byte count", k, v)
 		}
@@ -648,7 +648,7 @@ func TestServerCompactAndMemory(t *testing.T) {
 	if err != nil || v.Kind != resp.BulkString || !bytes.HasPrefix(v.Str, []byte("# Memory\r\n")) {
 		t.Fatalf("INFO memory = %v %v", v, err)
 	}
-	for _, k := range []string{"go_heap_bytes:", "arena_log_frames_bytes:", "arena_fold_peak_bytes:"} {
+	for _, k := range []string{"go_heap_bytes:", "arena_log_frames_bytes:"} {
 		if !bytes.Contains(v.Str, []byte("\r\n"+k)) {
 			t.Fatalf("INFO memory lacks %s: %q", k, v.Str)
 		}

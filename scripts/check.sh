@@ -74,9 +74,9 @@ GOOS=darwin GOARCH=arm64 go vet ./internal/device/
 # memory on the Go heap, where a use after free goes unnoticed, while here
 # it faults. Log.Close with flush writes still delayed or torn inside a
 # device.Faulty, Store.Close with a session open, Grow retiring a table
-# under readers' guards and unguarded walks, the compaction fold against a
-# reference map, the two crash torture matrices, the cold-record fetch
-# into pooled session buffers, and the allocator's own
+# under readers' guards and unguarded walks, compaction's one pass over the
+# prefix and its lookup liveness rule, the two crash torture matrices, the
+# cold-record fetch into pooled session buffers, and the allocator's own
 # huge-block tests (2 MiB-aligned trimmed mappings, Free rejecting a
 # reslice or a double free against its registry, AnonHugePages rising),
 # on one and on two processors, repeated.
@@ -84,7 +84,7 @@ GOOS=darwin GOARCH=arm64 go vet ./internal/device/
 # keep compiling, and so must its raw mmap/munmap/madvise calls on arm64,
 # whose syscall numbers differ from amd64's.
 for procs in 1 2; do
-	GOMAXPROCS=$procs go test -run 'TestCloseWaits|TestStoreCloseWaits|TestCloseRefusesOpenSessions|TestRetiredTableOutlivesGuards|TestReadersHoldGuardsAcrossGrow|TestWalkPinsRetiredTable|TestCheckpointDuringMetrics|TestMetricsUnderGuardDuringGrow|TestMetricsFromSessionDuringGrow|TestFold|TestCompactCrashTorture|TestCrashRecoveryTorture|TestColdReadOneDeviceCall|TestColdReadLongRecord|TestColdReadAfterRecoverPartialPage|TestAllocZeroed|TestHugeBlockBacked|TestFreeRejects' -count=5 -timeout 600s ./internal/arena/ ./internal/hlog/ ./internal/index/ ./internal/faster/
+	GOMAXPROCS=$procs go test -run 'TestCloseWaits|TestStoreCloseWaits|TestCloseRefusesOpenSessions|TestRetiredTableOutlivesGuards|TestReadersHoldGuardsAcrossGrow|TestWalkPinsRetiredTable|TestCheckpointDuringMetrics|TestMetricsUnderGuardDuringGrow|TestMetricsFromSessionDuringGrow|TestCompactReadsPrefixOnce|TestCompactLookupLiveness|TestCompactCrashTorture|TestCrashRecoveryTorture|TestColdReadOneDeviceCall|TestColdReadLongRecord|TestColdReadAfterRecoverPartialPage|TestAllocZeroed|TestHugeBlockBacked|TestFreeRejects' -count=5 -timeout 600s ./internal/arena/ ./internal/hlog/ ./internal/index/ ./internal/faster/
 done
 GOOS=darwin GOARCH=arm64 go vet ./internal/arena/
 GOOS=linux GOARCH=arm64 go vet ./internal/arena/
