@@ -27,6 +27,12 @@ import (
 //     request with ErrOpDeadline and keeps tracking the orphaned store
 //     completion so it can be dropped when (if) it lands.
 //
+// A shed is final. The worker that sheds a request is the goroutine that
+// continues it, and a continuation or fuzzy re-execution of an op whose
+// deadline has passed, or whose shed was delivered, completes with
+// ErrOpDeadline before any append or CAS: a shed RMW never applies, so a
+// caller may treat the shed as "not applied" and resend.
+//
 // Neither shed touches the health ladder: deadline and admission sheds
 // are back-pressure, not device failures.
 
@@ -113,9 +119,8 @@ func (s *Store) SubmitRead(key, input []byte, deadline time.Time, ctx any, done 
 }
 
 // SubmitRMW hands a read-modify-write to the io-worker pool; see
-// SubmitRead for the delivery contract. A deadline-shed RMW may or may
-// not apply — the update can still publish after the shed fires — which
-// is the same indeterminacy a crashed connection always had.
+// SubmitRead for the delivery contract. A deadline-shed RMW never
+// applies: no continuation of it publishes after its deadline.
 func (s *Store) SubmitRMW(key, input []byte, deadline time.Time, ctx any, done func(Result)) error {
 	return s.submitIO(opRMW, key, input, deadline, ctx, done)
 }
@@ -279,7 +284,6 @@ func (w *ioWorker) pickup(r *ioRequest) {
 		p.free.Put(r)
 		return
 	}
-	sess.opDeadlineNs = r.deadlineNs
 	var st Status
 	var err error
 	if r.kind == opRMW {
@@ -287,7 +291,6 @@ func (w *ioWorker) pickup(r *ioRequest) {
 	} else {
 		st, err = sess.Read(r.key, r.input, nil, r)
 	}
-	sess.opDeadlineNs = 0
 	if st == Pending {
 		p.s.mx.ioInflight.Inc()
 		w.live = append(w.live, r)

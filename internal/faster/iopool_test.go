@@ -215,6 +215,61 @@ func TestIOPoolDeadlineShed(t *testing.T) {
 	}
 }
 
+// TestIOPoolShedRMWNeverApplies pins the final-shed contract: an RMW the
+// pool delivered as ErrOpDeadline never applies, neither when its device
+// read lands after the shed (cold) nor when its fuzzy-region deferral
+// could re-execute after the shed (fuzzy), so a caller may resend it.
+func TestIOPoolShedRMWNeverApplies(t *testing.T) {
+	// shed submits +41 under a 50 ms deadline and waits for its shed.
+	shed := func(t *testing.T, s *Store, k []byte) {
+		t.Helper()
+		r := newSubmitResult()
+		if err := s.SubmitRMW(k, u64(41), time.Now().Add(50*time.Millisecond), nil, r.done); err != nil {
+			t.Fatal(err)
+		}
+		if res := r.wait(t, 3*time.Second); res.Status != Err || !errors.Is(res.Err, ErrOpDeadline) {
+			t.Fatalf("rmw = %v %v, want ErrOpDeadline", res.Status, res.Err)
+		}
+	}
+	t.Run("cold", func(t *testing.T) {
+		testutil.CheckGoroutines(t)
+		s, faulty, cold := openSpillStore(t)
+		faulty.InjectLatency(300*time.Millisecond, 0)
+		shed(t, s, key(cold))
+		testutil.WaitUntil(t, 5*time.Second, func() bool { return s.Metrics().IOInflight == 0 },
+			"the shed RMW's device read to land")
+		faulty.InjectLatency(0, 0)
+		sess := s.StartSession()
+		defer sess.Close()
+		if got, st := readU64(t, sess, key(cold)); st != OK || got != cold+1 {
+			t.Fatalf("key after shed RMW = %d %v, want %d (the shed applied)", got, st, cold+1)
+		}
+	})
+	t.Run("fuzzy", func(t *testing.T) {
+		testutil.CheckGoroutines(t)
+		s, _ := openTestStore(t, Config{})
+		holder := s.StartSession()
+		defer holder.Close()
+		if st, err := holder.Upsert(key(1), u64(7)); st != OK || err != nil {
+			t.Fatalf("upsert: %v %v", st, err)
+		}
+		// The holder does not refresh, so the safe read-only offset stays
+		// behind the shift: the record sits in the fuzzy region and the
+		// worker's RMW defers until the deadline sheds it.
+		s.Log().ShiftReadOnlyToTail()
+		shed(t, s, key(1))
+		holder.Refresh() // the deferral could now copy-update
+		testutil.WaitUntil(t, 5*time.Second, func() bool { return s.Metrics().IOInflight == 0 },
+			"the worker to retire the shed deferral")
+		if s.Stats().FuzzyRMWs == 0 {
+			t.Fatal("the RMW never deferred in the fuzzy region")
+		}
+		if got, st := readU64(t, holder, key(1)); st != OK || got != 7 {
+			t.Fatalf("key after shed RMW = %d %v, want 7 (the shed applied)", got, st)
+		}
+	})
+}
+
 // TestIOPoolQueueFullSheds fills the bounded admission queue (worker
 // wedged inside a device call via a blocking hook) and checks overflow
 // sheds explicitly with ErrIOQueueFull, again without touching health.

@@ -76,7 +76,22 @@ type PendingOp struct {
 	compactVal []byte
 
 	issuedNs   int64 // set by issueIO; feeds the pending-latency histogram
-	deadlineNs int64 // completion deadline (0 = none), stamped from SetOpDeadline
+	deadlineNs int64 // completion deadline (0 = none): its io-pool request's
+}
+
+// expired reports whether op must complete with ErrOpDeadline instead of
+// continuing: its deadline has passed, or the io-pool already delivered
+// its shed. The second test reads no clock: the worker sheds and
+// continues on one goroutine, so once a shed is out no later
+// continuation of the op can apply, whatever a later clock read says.
+func (op *PendingOp) expired() bool {
+	if op.deadlineNs == 0 {
+		return false
+	}
+	if r, ok := op.ctx.(*ioRequest); ok && r.delivered {
+		return true
+	}
+	return time.Now().UnixNano() >= op.deadlineNs
 }
 
 // Result reports the completion of a pending operation.
@@ -239,7 +254,9 @@ func (sess *Session) newPendingOp(kind opKind, key, input, output []byte, ctx an
 		op = &PendingOp{}
 	}
 	op.kind, op.output, op.ctx = kind, output, ctx
-	op.deadlineNs = sess.opDeadlineNs
+	if r, ok := ctx.(*ioRequest); ok {
+		op.deadlineNs = r.deadlineNs // only io-pool requests carry one
+	}
 	op.key = append([]byte(nil), key...)
 	if input != nil {
 		op.input = append(op.input[:0], input...)
@@ -290,9 +307,10 @@ func (sess *Session) ioDone() {
 	sess.s.mx.pendingDepth.Dec()
 }
 
-// ErrOpDeadline marks a pending operation that shed because its per-op
-// completion deadline (Session.SetOpDeadline / Submit deadline) expired
-// while the record fetch was outstanding. It wraps
+// ErrOpDeadline marks a pending operation that shed because its
+// io-pool deadline expired before it completed. A shed operation never
+// applies: a continuation past its deadline stops before any append or
+// CAS (PendingOp.expired). It wraps
 // context.DeadlineExceeded, and deliberately bypasses both the retry
 // budget and the health ladder: a deadline is caller impatience, not
 // device degradation.
@@ -483,28 +501,22 @@ func (sess *Session) completePass(results []Result) []Result {
 		retries := sess.retries
 		sess.retries = nil
 		for _, op := range retries {
-			if mutationsEnabled && mutDroppedReenqueue() {
+			st, err := OK, error(nil)
+			switch {
+			case mutationsEnabled && mutDroppedReenqueue():
 				// Seeded bug: the deferral is acknowledged OK without
 				// ever re-executing — an applied-but-lost RMW.
-				results = append(results, Result{
-					Kind: op.kind.String(), Key: op.key, Input: op.input,
-					Status: OK, Ctx: op.ctx,
-				})
-				sess.recycleOp(op)
-				continue
-			}
-			// Re-execution happens under the op's own deadline: a
-			// worker session interleaves many callers' ops, so the
-			// session-level stamp is restored afterwards.
-			saved := sess.opDeadlineNs
-			sess.opDeadlineNs = op.deadlineNs
-			st, err := sess.rmwInternal(op.key, op.input, op.ctx, hashKey(op.key))
-			sess.opDeadlineNs = saved
-			if st == Pending {
-				// Re-queued (still fuzzy, or now on storage) as a
-				// fresh op; this one is done with.
-				sess.recycleOp(op)
-				continue
+			case op.expired():
+				// A shed is final: the deferral never re-executes.
+				st, err = Err, ErrOpDeadline
+			default:
+				st, err = sess.rmwInternal(op.key, op.input, op.ctx, hashKey(op.key))
+				if st == Pending {
+					// Re-queued (still fuzzy, or now on storage) as a
+					// fresh op; this one is done with.
+					sess.recycleOp(op)
+					continue
+				}
 			}
 			results = append(results, Result{
 				Kind: op.kind.String(), Key: op.key, Input: op.input,
@@ -534,6 +546,10 @@ func (sess *Session) continueOp(op *PendingOp) (Result, bool) {
 	fail := func(st Status, err error) (Result, bool) {
 		return Result{Kind: op.kind.String(), Key: op.key, Input: op.input,
 			Output: op.output, Status: st, Err: err, Ctx: op.ctx}, true
+	}
+	if op.expired() {
+		// A shed is final: stop before any append or CAS.
+		return fail(Err, ErrOpDeadline)
 	}
 	if op.err != nil {
 		if op.addr < s.log.BeginAddress() {
@@ -618,10 +634,7 @@ func (sess *Session) resumeTruncated(op *PendingOp) (Result, bool) {
 		// restart the read from scratch.
 		sess.releaseAcc(op.acc)
 		op.acc = nil
-		saved := sess.opDeadlineNs
-		sess.opDeadlineNs = op.deadlineNs
 		st, err := sess.readInternal(op.key, op.input, op.output, op.ctx, hashKey(op.key))
-		sess.opDeadlineNs = saved
 		if st == Pending {
 			sess.ioDone()
 			return Result{}, false
@@ -887,10 +900,7 @@ func (sess *Session) publishFetched(h uint64, op *PendingOp, old record, chainHe
 
 // reissueRMW re-executes a lost-CAS RMW via the normal path.
 func (sess *Session) reissueRMW(op *PendingOp) (Result, bool) {
-	saved := sess.opDeadlineNs
-	sess.opDeadlineNs = op.deadlineNs
 	st, err := sess.rmwInternal(op.key, op.input, op.ctx, hashKey(op.key))
-	sess.opDeadlineNs = saved
 	if st == Pending {
 		sess.ioDone()
 		return Result{}, false

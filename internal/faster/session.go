@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/epoch"
 	"repro/internal/hlog"
@@ -59,12 +58,6 @@ type Session struct {
 	// goroutine driving it never waits on device I/O — the caller reroutes
 	// the miss to the io-worker pool (SubmitRead/SubmitRMW).
 	residentOnly bool
-	// opDeadlineNs stamps new pending ops with a completion deadline
-	// (SetOpDeadline); 0 means none. The deadline propagates through the
-	// pending read-retry chain down to device calls: once it expires the
-	// op sheds with ErrOpDeadline instead of burning retry budget or
-	// tripping the health ladder.
-	opDeadlineNs int64
 	// ownOutputs marks an io-worker session: its reads carry no caller
 	// buffer, each output is allocated by outFor and handed to the Result.
 	// owned is the buffer of the read that last completed synchronously.
@@ -91,19 +84,6 @@ func (sess *Session) outFor(output []byte, n int) []byte {
 // hit instead of issuing asynchronous work on this session. Operations
 // already pending are unaffected.
 func (sess *Session) SetResidentOnly(on bool) { sess.residentOnly = on }
-
-// SetOpDeadline sets the completion deadline stamped onto operations
-// issued after this call; the zero time clears it. An op whose deadline
-// expires while it waits on storage completes with Status Err and an
-// error wrapping context.DeadlineExceeded (see ErrOpDeadline), without
-// feeding the health ladder.
-func (sess *Session) SetOpDeadline(t time.Time) {
-	if t.IsZero() {
-		sess.opDeadlineNs = 0
-		return
-	}
-	sess.opDeadlineNs = t.UnixNano()
-}
 
 // ErrSessionClosed is returned by operations on a closed session.
 var ErrSessionClosed = errors.New("faster: session closed")

@@ -359,13 +359,6 @@ func (sess *ShardedSession) SetResidentOnly(on bool) {
 	}
 }
 
-// SetOpDeadline applies to every shard session.
-func (sess *ShardedSession) SetOpDeadline(t time.Time) {
-	for _, sub := range sess.subs {
-		sub.SetOpDeadline(t)
-	}
-}
-
 // Refresh is a no-op: idle sub-sessions are parked (pinning nothing),
 // and the active one refreshes itself on the flat store's cadence.
 func (sess *ShardedSession) Refresh() {}

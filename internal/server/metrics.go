@@ -5,7 +5,7 @@ import (
 )
 
 // serverMetrics instruments the front-end's robustness surface: every
-// shed, eviction, retirement and drain is counted so that overload
+// shed, eviction and drain is counted so that overload
 // behaviour is observable, not anecdotal.
 type serverMetrics struct {
 	connsAccepted     metrics.Counter
@@ -20,11 +20,10 @@ type serverMetrics struct {
 	overloadSheds   metrics.Counter // -OVERLOADED replies (semaphore/session)
 	readonlyRejects metrics.Counter // -READONLY replies
 	failedRejects   metrics.Counter // -FAILED sheds
-	pendingTimeouts metrics.Counter // ops past OpTimeout
+	pendingTimeouts metrics.Counter // slots left unresolved (-TIMEOUT)
 
-	sessionsRetired metrics.Counter // sessions pulled from rotation
-	inflightDepth   metrics.Gauge   // commands executing right now
-	compactRuns     metrics.Counter // COMPACT commands accepted
+	inflightDepth metrics.Gauge   // commands executing right now
+	compactRuns   metrics.Counter // COMPACT commands accepted
 
 	ioAsync         metrics.Counter // misses re-routed through the io-worker pool
 	ioShedTimeouts  metrics.Counter // -TIMEOUT deadline sheds (explicit, ladder-neutral)
@@ -52,10 +51,8 @@ type Metrics struct {
 	FailedRejects   uint64
 	PendingTimeouts uint64
 
-	SessionsRetired   uint64
-	SessionsAbandoned int64
-	InflightDepth     int64
-	CompactRuns       uint64
+	InflightDepth int64
+	CompactRuns   uint64
 
 	IOAsync         uint64
 	IOShedTimeouts  uint64
@@ -82,8 +79,6 @@ func (s *Server) Metrics() Metrics {
 		ReadonlyRejects:   s.mx.readonlyRejects.Load(),
 		FailedRejects:     s.mx.failedRejects.Load(),
 		PendingTimeouts:   s.mx.pendingTimeouts.Load(),
-		SessionsRetired:   s.mx.sessionsRetired.Load(),
-		SessionsAbandoned: s.abandoned.Load(),
 		InflightDepth:     s.mx.inflightDepth.Load(),
 		CompactRuns:       s.mx.compactRuns.Load(),
 		IOAsync:           s.mx.ioAsync.Load(),
@@ -111,8 +106,6 @@ func (m Metrics) Series() metrics.Series {
 		"server.readonly_rejects":   float64(m.ReadonlyRejects),
 		"server.failed_rejects":     float64(m.FailedRejects),
 		"server.pending_timeouts":   float64(m.PendingTimeouts),
-		"server.sessions_retired":   float64(m.SessionsRetired),
-		"server.sessions_abandoned": float64(m.SessionsAbandoned),
 		"server.inflight_depth":     float64(m.InflightDepth),
 		"server.compact_runs":       float64(m.CompactRuns),
 		"server.io_async":           float64(m.IOAsync),

@@ -40,10 +40,10 @@
 //     "-READONLY" while reads keep serving; with the store Failed, data
 //     commands are shed with "-FAILED" and the connection is closed.
 //   - Graceful drain: Close (or SIGTERM in cmd/faster-server) stops
-//     accepting, lets in-flight commands finish under a deadline, drains
-//     every pooled session via CompletePendingTimeout, and optionally
-//     takes a final checkpoint — provably leak-free (the chaos soak
-//     asserts zero leaked goroutines under -race).
+//     accepting, lets in-flight commands finish under a deadline, closes
+//     every pooled session (resident-only, so none holds pending I/O),
+//     and optionally takes a final checkpoint — provably leak-free (the
+//     chaos soak asserts zero leaked goroutines under -race).
 //
 // Every data command takes one path: decode → plan → admit → execute →
 // resolve → encode. A pipelined burst is decoded as a window; the planner
@@ -54,8 +54,9 @@
 // ShardedSession.ExecBatch, which splits it into concurrent per-shard
 // sub-batches. The session and token go back to their pools before the
 // slots that missed memory are resolved through the shards' io-worker
-// pools; the replies are then encoded in command order through one
-// renderer. INCRBY is the paper's RMW with faster.VarLenOps counter
+// pools — stamped windows included, so there is one miss path; the
+// replies are then encoded in command order through one renderer.
+// INCRBY is the paper's RMW with faster.VarLenOps counter
 // semantics (the store must be opened with Ops: faster.VarLenOps{}): one
 // atomic step that reports the value it produced. PING/ECHO/QUIT/COMMAND
 // cover interop. Values are framed server-side with faster.VarLenEncode.
@@ -72,11 +73,13 @@
 // gap error, and a connection whose GUID was re-bound elsewhere gets
 // -FENCED. After a crash the client re-issues SESSION, reads the
 // recovered frontier from the reply, and resends everything above it —
-// each retried op applies exactly once. Stamped SETs share windows; a
-// window commits its serial run in order and stops acking at the first
-// failed op, so the client's resend-from-frontier rule stays sufficient
-// (uncommitted SET re-application is idempotent; a stamped DEL or INCRBY
-// is always a window of its own).
+// each retried op applies exactly once. A stamped op that replies
+// -TIMEOUT was shed at its deadline and never applies, so it is resent
+// the same way. Stamped SETs share windows; a window commits its serial
+// run in order and stops acking at the first failed op, so the client's
+// resend-from-frontier rule stays sufficient (uncommitted SET
+// re-application is idempotent; a stamped DEL or INCRBY is always a
+// window of its own).
 package server
 
 import (
@@ -123,8 +126,9 @@ type Config struct {
 	// AcquireTimeout bounds the wait for a pooled session (default
 	// 100ms); on expiry the request is shed with -OVERLOADED.
 	AcquireTimeout time.Duration
-	// OpTimeout bounds one command window's storage I/O, in-session
-	// pending completions and io-pool misses alike (default 5s).
+	// OpTimeout bounds one command window's io-pool misses (default 5s):
+	// a miss unresolved at the deadline replies -TIMEOUT and never
+	// applies.
 	OpTimeout time.Duration
 	// DrainTimeout bounds the graceful drain in Close (default 10s).
 	DrainTimeout time.Duration
@@ -185,7 +189,7 @@ func (c *Config) setDefaults() {
 }
 
 // ErrDrainTimeout reports that graceful drain hit its deadline and had
-// to force-close connections or abandon session drains.
+// to force-close connections.
 var ErrDrainTimeout = errors.New("server: graceful drain exceeded its deadline")
 
 // Server is a running front-end.
@@ -205,8 +209,6 @@ type Server struct {
 	draining  atomic.Bool
 	closeOnce sync.Once
 	closeErr  error
-
-	abandoned atomic.Int64 // sessions whose pendings never drained
 
 	mx serverMetrics
 }
@@ -585,33 +587,6 @@ func (s *Server) acquireSession() (sess *faster.ShardedSession, shed, down bool)
 	}
 }
 
-// retireSession handles a session whose pending operations outlived the
-// per-op deadline: it is pulled from rotation and drained off the hot
-// path; if the drain completes the session rejoins the pool, otherwise
-// it is abandoned (counted — its epoch slot is lost until restart, which
-// is the correct trade against a handler goroutine wedged forever).
-func (s *Server) retireSession(sess *faster.ShardedSession) {
-	s.mx.sessionsRetired.Inc()
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		defer func() {
-			if r := recover(); r != nil {
-				s.mx.panics.Inc()
-				s.abandoned.Add(1)
-			}
-		}()
-		if _, err := sess.CompletePendingTimeout(2 * s.cfg.OpTimeout); err == nil {
-			s.sessions <- sess
-			return
-		}
-		// Abandoned: never Close (it would block on the wedged op). Its
-		// shard sub-sessions are parked between operations, so the dead
-		// session pins no epoch and stalls nobody's flushes or evictions.
-		s.abandoned.Add(1)
-	}()
-}
-
 // doCompact runs a log compaction over every shard's stable region and
 // replies with the total log bytes reclaimed. The command runs on the
 // connection goroutine without a pooled session (each shard's Compact
@@ -907,7 +882,7 @@ func wrongArity(op byte) error {
 // writeErr renders an error reply: the one table from store errors to
 // RESP replies. Deadline and admission sheds from the io-worker pool are
 // explicit, counted replies — back-pressure, not silent drops — and
-// deliberately do not retire sessions or feed the health ladder.
+// deliberately do not feed the health ladder.
 func (c *connState) writeErr(err error) {
 	mx := &c.s.mx
 	var re replyError
@@ -1230,7 +1205,9 @@ func failSlots(ops []faster.BatchOp, err error) {
 // returns both before resolving the slots that missed memory through the
 // io-worker pool, so a window of cold misses holds nothing hot traffic
 // needs: only this connection waits, which RESP's in-order replies
-// require anyway.
+// require anyway. A window holding a stamped command admits its serials
+// before it runs and commits them once its misses are resolved, so its
+// shard windows span the pool wait (DESIGN.md §11).
 func (c *connState) execute() {
 	s := c.s
 	select {
@@ -1256,55 +1233,38 @@ func (c *connState) execute() {
 	start := time.Now()
 	released := false
 	defer func() {
-		if !released { // panic backstop: the session's state is unknown
-			s.release(sess, false)
+		if !released {
+			// Panic backstop: the session's state is unknown, so it is
+			// closed and a fresh one takes its place in the pool.
+			sess.Close()
+			sess = s.store.StartSession()
+			sess.SetResidentOnly(true)
+			s.release(sess)
 		}
 	}()
-	healthy := c.run(sess, start)
+	stamped := c.admitSerials()
+	c.exec(sess)
 	released = true
-	s.release(sess, healthy)
+	s.release(sess)
 	c.resolve()
+	if stamped {
+		c.commitSerials()
+	}
 	s.mx.cmdLatency.Observe(time.Since(start))
 }
 
-// release returns a window's session and admission token to their pools;
-// a session whose pendings outlived the op deadline is retired instead.
-func (s *Server) release(sess *faster.ShardedSession, healthy bool) {
-	if healthy {
-		s.sessions <- sess
-	} else {
-		s.retireSession(sess)
-	}
+// release returns a window's session and admission token to their pools.
+func (s *Server) release(sess *faster.ShardedSession) {
+	s.sessions <- sess
 	<-s.inflight
 	s.mx.inflightDepth.Dec()
-}
-
-// run executes the window on a pooled session; false means the session
-// must be retired. A window holding a stamped command admits its serials
-// in command order inside the shard session windows (DESIGN.md §11) and
-// runs with blocking I/O allowed under the op deadline: the serial window
-// must not stay open across an out-of-band pool completion, so its slots
-// complete Pending in-session, and a wedged device sheds them with
-// -TIMEOUT (serial retryable, health ladder untouched).
-func (c *connState) run(sess *faster.ShardedSession, start time.Time) bool {
-	if !c.admitSerials() {
-		return c.exec(sess)
-	}
-	sess.SetResidentOnly(false)
-	sess.SetOpDeadline(start.Add(c.s.cfg.OpTimeout))
-	healthy := c.exec(sess)
-	sess.SetOpDeadline(time.Time{})
-	sess.SetResidentOnly(true)
-	c.commitSerials(healthy)
-	return healthy
 }
 
 // exec runs the window's slots through the session's one ExecBatch, then
 // re-reads any value too large for its pooled slot buffer into an
 // exact-size one (rare path; the allocation is the price of not sizing
-// every slot for the largest value). false means pending slots outlived
-// the op deadline (they render -TIMEOUT).
-func (c *connState) exec(sess *faster.ShardedSession) bool {
+// every slot for the largest value).
+func (c *connState) exec(sess *faster.ShardedSession) {
 	ops := c.bops
 	for rereads := false; len(ops) > 0; rereads = true {
 		if err := sess.ExecBatch(ops); err != nil {
@@ -1315,9 +1275,6 @@ func (c *connState) exec(sess *faster.ShardedSession) bool {
 				dst := &c.bops[ops[i].Ctx.(int)]
 				dst.Status, dst.Err, dst.Output = ops[i].Status, ops[i].Err, ops[i].Output
 			}
-		}
-		if !c.completePending(sess) {
-			return false
 		}
 		c.redo = c.redo[:0]
 		for i := range c.bops {
@@ -1332,26 +1289,6 @@ func (c *connState) exec(sess *faster.ShardedSession) bool {
 		}
 		ops = c.redo
 	}
-	return true
-}
-
-// completePending drains the slots a stamped window left Pending.
-func (c *connState) completePending(sess *faster.ShardedSession) bool {
-	pending := false
-	for i := range c.bops {
-		pending = pending || c.bops[i].Status == faster.Pending
-	}
-	if !pending {
-		return true
-	}
-	results, err := sess.CompletePendingTimeout(c.s.cfg.OpTimeout)
-	if err != nil {
-		return false
-	}
-	for i := range results {
-		c.complete(&results[i])
-	}
-	return true
 }
 
 // complete lands an asynchronous result in the slot its Ctx names: the
@@ -1498,10 +1435,11 @@ func (c *connState) admitSerials() bool {
 // commits: later serials cannot ack (Commit is strictly sequential) and
 // reply -RETRY, so the client's resend-from-frontier rule re-applies
 // exactly the uncommitted suffix — safe because only idempotent SETs
-// share a window with other stamped commands. Uncommitted admissions
-// roll back as each window closes.
-func (c *connState) commitSerials(healthy bool) {
-	committing := healthy
+// share a window with other stamped commands, and a stamped miss shed at
+// its deadline never applies. Uncommitted admissions roll back as each
+// window closes.
+func (c *connState) commitSerials() {
+	committing := true
 	for i := range c.plans {
 		p := &c.plans[i]
 		if p.serial == 0 || p.err != nil || p.verdict != faster.SerialApply {
@@ -1739,39 +1677,20 @@ func (s *Server) drain() error {
 
 	// Phase 2: evict remaining connections (idle readers unblock with an
 	// error; slow writers hit their write deadline) and wait for every
-	// handler and retirer goroutine.
+	// handler goroutine.
 	s.closeConns()
 	s.wg.Wait()
 
-	// Phase 3: drain the session pool. Every handler has exited, so all
-	// live sessions are in the channel; each is completed under the
-	// remaining deadline and closed.
-	drained := 0
-	for {
-		select {
-		case sess := <-s.sessions:
-			left := time.Until(deadline)
-			if left < 100*time.Millisecond {
-				left = 100 * time.Millisecond
-			}
-			if _, derr := sess.CompletePendingTimeout(left); derr != nil {
-				s.abandoned.Add(1)
-				if err == nil {
-					err = ErrDrainTimeout
-				}
-				continue // do not Close: it would block on the wedged op
-			}
-			sess.Close()
-			drained++
-		default:
-			goto donePool
-		}
+	// Phase 3: close the session pool. Every handler has exited, so every
+	// session is in the channel, and a resident-only session never holds
+	// pending I/O.
+	for len(s.sessions) > 0 {
+		(<-s.sessions).Close()
 	}
-donePool:
 
-	// Phase 4: optional final checkpoint — only when the write path is
-	// alive and no abandoned session can pin the epoch.
-	if s.cfg.CheckpointDir != "" && s.store.Health() <= faster.Degraded && s.abandoned.Load() == 0 {
+	// Phase 4: optional final checkpoint, only while the write path is
+	// alive.
+	if s.cfg.CheckpointDir != "" && s.store.Health() <= faster.Degraded {
 		if _, cerr := s.store.Checkpoint(s.cfg.CheckpointDir); cerr != nil && err == nil {
 			err = fmt.Errorf("server: drain checkpoint: %w", cerr)
 		}

@@ -1,10 +1,14 @@
 package server
 
 import (
+	"bytes"
+	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/resp"
+	"repro/internal/testutil"
 )
 
 // expectSimple asserts a +simple-string reply with the exact body.
@@ -147,5 +151,51 @@ func TestServerStampedBatchPrefixCommit(t *testing.T) {
 	c2 := dialT(t, srv)
 	if v, err := c2.Do([]byte("SESSION"), []byte("prefix-client")); err != nil || v.Int != 2 {
 		t.Fatalf("frontier after window = %+v %v, want :2", v, err)
+	}
+}
+
+// TestServerStampedTimeoutAppliesOnce: a stamped INCRBY whose cold miss
+// outlives OpTimeout replies -TIMEOUT and never applies, so the frontier
+// stays put and the client's resend of the same serial applies it
+// exactly once, even after the slow device read has landed.
+func TestServerStampedTimeoutAppliesOnce(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	srv, ss, faulties := newShardedTestServer(t, 1, Config{OpTimeout: 200 * time.Millisecond})
+	c := dialT(t, srv)
+	c.Timeout = 5 * time.Second
+	if v, err := c.Do([]byte("INCRBY"), []byte("ctr"), []byte("1")); err != nil || v.Int != 1 {
+		t.Fatalf("INCRBY ctr 1 = %+v %v", v, err)
+	}
+	filler := bytes.Repeat([]byte("f"), 512)
+	for i := 0; ss.Shard(0).Log().HeadAddress() == 0 || i < 200; i++ {
+		if v, err := c.Do([]byte("SET"), []byte(fmt.Sprintf("filler-%d", i)), filler); err != nil || string(v.Str) != "OK" {
+			t.Fatalf("filler SET = %+v %v", v, err)
+		}
+	}
+	if v, err := c.Do([]byte("SESSION"), []byte("timeout-client")); err != nil || v.Int != 0 {
+		t.Fatalf("SESSION = %+v %v, want :0", v, err)
+	}
+
+	faulties[0].InjectLatency(350*time.Millisecond, 0)
+	before := ss.Shard(0).Stats().PendingIOs
+	v, err := c.Do([]byte("INCRBY"), []byte("ctr"), []byte("5"), []byte("SERIAL"), []byte("1"))
+	expectErrContains(t, v, err, "TIMEOUT")
+	if ss.Shard(0).Stats().PendingIOs == before {
+		t.Fatal("the stamped INCRBY did not miss memory: ctr was not cold")
+	}
+	if v, err := c.Do([]byte("SESSION"), []byte("timeout-client")); err != nil || v.Int != 0 {
+		t.Fatalf("frontier after -TIMEOUT = %+v %v, want :0", v, err)
+	}
+
+	// Let the slow read land (and anything that would apply it run), then
+	// resend the serial on a device back at full speed.
+	time.Sleep(500 * time.Millisecond)
+	testutil.WaitUntil(t, 5*time.Second, func() bool { return ss.Shard(0).Metrics().IOInflight == 0 },
+		"the shed miss's device read to land")
+	faulties[0].InjectLatency(0, 0)
+	v, err = c.Do([]byte("INCRBY"), []byte("ctr"), []byte("5"), []byte("SERIAL"), []byte("1"))
+	expectSimple(t, v, err, "ACK 1 6")
+	if v, err := c.Do([]byte("INCRBY"), []byte("ctr"), []byte("0")); err != nil || v.Int != 6 {
+		t.Fatalf("counter = %+v %v, want :6", v, err)
 	}
 }

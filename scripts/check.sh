@@ -141,9 +141,10 @@ done
 # Exactly-once torture: 100 seeded crash/retry schedules against the
 # durable session table (duplicate deliveries, lost acks, mid-run
 # checkpoints, recovery) plus the flaky-network chaos client against the
-# RESP front-end, all under the race detector. Zero double-applies and
+# RESP front-end, and a stamped INCRBY shed with -TIMEOUT whose resend
+# must apply once, all under the race detector. Zero double-applies and
 # zero lost acknowledgements are the acceptance bar.
-FASTER_EXACTLYONCE_SEEDS=100 go test -race -run 'TestExactlyOnceCrashRetryTorture|TestServerChaosSoak/exactlyonce' -count=1 -timeout 600s ./internal/faster/ ./internal/server/
+FASTER_EXACTLYONCE_SEEDS=100 go test -race -run 'TestExactlyOnceCrashRetryTorture|TestServerChaosSoak/exactlyonce|TestServerStampedTimeoutAppliesOnce' -count=1 -timeout 600s ./internal/faster/ ./internal/server/
 
 # Session-table crash matrix and the checkpoint/compaction interleaving
 # regression: kills after the generation's session table but before its
@@ -153,18 +154,24 @@ FASTER_EXACTLYONCE_SEEDS=100 go test -race -run 'TestExactlyOnceCrashRetryTortur
 go test -race -run 'TestSerialTableCrashMatrix|TestSessionTableCheckpointRecover|TestCheckpointCompactRace|TestCheckpointPinsDeviceTruncation' -count=1 ./internal/faster/
 
 # Stall-free pending-I/O gate: io-worker pool lifecycle (leak and drain
-# assertions, deadline/queue-full sheds, seeded chaos soak) and the
-# server-side stall detector (no session goroutine may block in device
-# calls on the miss path), under the race detector.
-go test -race -run 'TestIOPool|TestServerChaosSoak/stallfree' -count=1 -timeout 300s ./internal/faster/ ./internal/server/
+# assertions, deadline/queue-full sheds, a shed RMW that never applies
+# after its read lands or its fuzzy deferral could re-run, seeded chaos
+# soak) and the server-side stall detector (no session goroutine may
+# block in device calls on the miss path, stamped windows included),
+# under the race detector.
+go test -race -run 'TestIOPool|TestIOPoolShedRMWNeverApplies|TestServerChaosSoak/stallfree' -count=1 -timeout 300s ./internal/faster/ ./internal/server/
 
 # Miss-path contract on one and on two processors: the io-pool lifecycle,
 # the completion-driven worker (no pass while a read is in flight, done
-# exactly once; repeated, since it is a scheduling property) and the
+# exactly once; repeated, since it is a scheduling property), the final
+# deadline shed in the store and on the wire (repeated: a shed that races
+# its own continuation is a scheduling property too) and the
 # heap-bytes-per-cold-read bound.
 for procs in 1 2; do
 	GOMAXPROCS=$procs go test -run 'IOPool|IOWorker|ColdRead|Submit' -count=1 -timeout 300s ./internal/faster/
 	GOMAXPROCS=$procs go test -race -run TestIOWorkerCompletionDriven -count=20 ./internal/faster/
+	GOMAXPROCS=$procs go test -race -run TestIOPoolShedRMWNeverApplies -count=20 ./internal/faster/
+	GOMAXPROCS=$procs go test -race -run TestServerStampedTimeoutAppliesOnce -count=20 ./internal/server/
 done
 
 # Open-loop SLO smoke: constant-arrival-rate load over a larger-than-
