@@ -21,12 +21,12 @@ import (
 // one page, never a copy of the live values, nothing per key:
 //
 //   - a copy is published only if the chain reaches the record without
-//     meeting a newer version of the key — verified in memory when the
-//     span above it is resident, or via an asynchronous span descent
-//     (opCompact) when part of it was already evicted, mirroring the RMW
-//     verify protocol;
-//   - a lost index CAS re-verifies only the span that appeared since
-//     (addresses are monotone, so the re-check converges);
+//     meeting a newer version of the key: publishVerified with the
+//     record's address as its stop, the one verified publish an RMW
+//     completed from storage uses too. The span above the record is
+//     checked in memory when resident, or by an asynchronous span check
+//     (opCompact) when part of it was already evicted, and a lost index
+//     CAS re-checks only the span that appeared since;
 //   - the prefix is truncated only after the copies are durably flushed,
 //     and the device range is freed only up to the newest committed
 //     checkpoint's Begin (recovery must never need truncated storage).
@@ -149,7 +149,7 @@ func (s *Store) Compact(until hlog.Address) (CompactStats, error) {
 			break
 		}
 		for _, c := range cands {
-			sess.compactKey(c.key, c.val, c.addr, &stats)
+			opErr = sess.compactKey(c.key, c.val, c.addr, &stats)
 			if sess.inFlight >= 32 {
 				tally(sess.CompletePending(true))
 			}
@@ -188,157 +188,30 @@ func (s *Store) Compact(until hlog.Address) (CompactStats, error) {
 }
 
 // compactKey rolls the scanned record (key, val) at address a forward if
-// it is live: the key's index chain must reach a before any newer version
-// of the key. A newer version (even a tombstone) or a chain that skips a
-// (the entry was released and recreated, so the key died) means the copy
-// is not needed. When part of the span above a was evicted before it
-// could be checked in memory, the check continues asynchronously as an
-// opCompact descent and the result is tallied from CompletePending.
-func (sess *Session) compactKey(key, val []byte, a hlog.Address, stats *CompactStats) {
-	s := sess.s
-	h := hashKey(key)
-	for {
-		sess.opStart()
-		_, cur, ok := s.idx.FindEntry(h)
-		if !ok {
-			stats.Skipped++ // deleted since the scan (entry released)
-			return
-		}
-		// The entry may point at a read-cache copy. A cached copy is
-		// volatile and must not suppress the copy-forward (truncation would
-		// strand the cache with no durable backing): trace the underlying
-		// hlog chain, and publish with the raw address as the CAS
-		// expectation (which drops the cached copy, RCU-style).
-		chain, _, _, stale := s.splitProbe(cur)
-		if stale {
-			continue
-		}
-		laddr, _, found := s.traceBack(key, chain, maxAddr(s.log.HeadAddress(), a+1))
-		switch {
-		case found || laddr < a:
-			// Superseded, or a is not on the chain (InvalidAddress, a
-			// chain that ended or dropped below begin, is below a too).
-			stats.Skipped++
-			return
-		case laddr == a:
-			// The record is the key's newest version. Publish the copy
-			// against the observed chain head; a lost CAS means a
-			// concurrent append landed, so re-examine from the index.
-			_, st, err := sess.appendRecord(h, key, cur, chain, hlog.InvalidAddress, 0, len(val), func(dst record) {
-				copy(dst.value, val)
-			})
-			if err != nil {
-				// Tally as a failed pending result so the driver aborts.
-				sess.completedCompactError(key, err)
-				return
-			}
-			if st == statusDone {
-				stats.Copied++
-				stats.CopiedBytes += uint64(recordSize(len(key), len(val)))
-				return
-			}
-			continue
-		}
-		// laddr is inside (a, head): that part of the chain was evicted,
-		// so whether a newer version of the key exists there can only be
-		// answered from storage. Descend asynchronously, on a copy of the
-		// value: the caller reuses val's memory for the next page.
+// it is live: publishVerified with stop a. A superseded record is skipped.
+// When part of the chain above a was evicted before it could be checked
+// in memory, the check continues asynchronously as an opCompact span
+// check, on the op's own copy of val (the caller reuses val's memory for
+// the next page), and its result is tallied from CompletePending.
+func (sess *Session) compactKey(key, val []byte, a hlog.Address, stats *CompactStats) error {
+	sess.opStart()
+	st, sp, err := sess.publishVerified(hashKey(key), key, a, len(val), func(dst record) {
+		copy(dst.value, val)
+	})
+	switch {
+	case err != nil:
+		return err
+	case st == statusDone:
+		stats.Copied++
+		stats.CopiedBytes += uint64(recordSize(len(key), len(val)))
+	case st == statusRetry:
+		stats.Skipped++
+	default:
 		op := sess.newPendingOp(opCompact, key, nil, nil, nil)
-		op.compactVal = append([]byte(nil), val...)
-		op.verifyStop = a
-		op.verifyCur = cur
-		op.addr = laddr
-		sess.issueIO(op)
-		return
+		op.val = append([]byte(nil), val...)
+		sess.checkSpan(op, sp)
 	}
-}
-
-// completedCompactError surfaces a synchronous append failure through the
-// same Result channel the asynchronous path uses, so the driver's tally
-// sees every failure uniformly.
-func (sess *Session) completedCompactError(key []byte, err error) {
-	op := sess.newPendingOp(opCompact, key, nil, nil, nil)
-	op.err = err
-	sess.inFlight++ // consumed by the completePending drain
-	sess.s.mx.pendingDepth.Inc()
-	op.issuedNs = time.Now().UnixNano()
-	sess.completed.push(op)
-}
-
-// republishCompact publishes (or abandons) a compaction copy after its
-// span check: the descent from op.addr reached the record without meeting
-// a newer version of the key, so the copy is still current — unless the
-// index entry moved since, in which case only the newly appeared span
-// needs checking (mirroring publishFetched's protocol, including the
-// switch back to an asynchronous descent when that span was evicted too).
-func (sess *Session) republishCompact(op *PendingOp) (Result, bool) {
-	s := sess.s
-	finish := func(st Status, err error) (Result, bool) {
-		res := Result{Kind: "compact", Key: op.key, Status: st, Err: err, Ctx: op.ctx}
-		if st == OK {
-			res.ValueLen = len(op.compactVal)
-		}
-		return res, true
-	}
-	h := hashKey(op.key)
-	chainHead := op.verifyCur
-	for {
-		// chainHead is the raw index-entry address; it may point at a
-		// read-cache copy, in which case the appended record's prev must be
-		// the underlying hlog chain head (a cached copy never supersedes
-		// the scanned value — it mirrors the newest hlog version, which the
-		// span check just proved is the scanned one).
-		expect := chainHead
-		prev, _, _, stale := s.splitProbe(chainHead)
-		if stale {
-			_, cur, ok := s.idx.FindEntry(h)
-			if !ok {
-				return finish(NotFound, nil) // entry released: key dead
-			}
-			chainHead = cur
-			continue
-		}
-		_, st, err := sess.appendRecord(h, op.key, expect, prev, hlog.InvalidAddress, 0, len(op.compactVal), func(dst record) {
-			copy(dst.value, op.compactVal)
-		})
-		if err != nil {
-			return finish(Err, err)
-		}
-		if st == statusDone {
-			return finish(OK, nil)
-		}
-		// Lost the CAS: check only the span that appeared above our
-		// verified head.
-		_, cur, ok := s.idx.FindEntry(h)
-		if !ok {
-			return finish(NotFound, nil) // entry released: key dead
-		}
-		nchain, _, _, nstale := s.splitProbe(cur)
-		if nstale {
-			chainHead = cur
-			continue
-		}
-		// The same rule as compactKey's, with the verified head prev in
-		// place of the record.
-		laddr, _, found := s.traceBack(op.key, nchain, maxAddr(s.log.HeadAddress(), prev+1))
-		if found || laddr < prev {
-			return finish(NotFound, nil) // superseded, or the key died
-		}
-		if laddr > prev {
-			// The new span was partially evicted: verify it on storage.
-			if op.buf != nil {
-				sess.putIOBuf(op.buf)
-				op.buf = nil
-			}
-			op.verifyStop = prev
-			op.verifyCur = cur
-			op.addr = laddr
-			sess.ioDone()
-			sess.issueIO(op)
-			return Result{}, false
-		}
-		chainHead = cur
-	}
+	return nil
 }
 
 // maintInterval is how often the background maintainer samples the log.

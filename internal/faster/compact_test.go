@@ -1070,3 +1070,41 @@ func (w *liveWriter) sharer(i uint64) uint64 {
 	w.t.Fatalf("no key shares key %d's index entry", i)
 	return 0
 }
+
+// TestCompactReportsAppendFailure makes a compaction copy fail: every
+// device write reaching past the tail Compact starts from fails
+// permanently, so once the copies wrap the buffer an Allocate meets the
+// poisoned tail. Compact must report that failure, leave the prefix in
+// place, and every key must still read its value.
+func TestCompactReportsAppendFailure(t *testing.T) {
+	const n = 6000
+	s, faulty := openFaultyStore(t)
+	sess := s.StartSession()
+	defer sess.Close()
+	spill(t, s, sess, n)
+	cut := s.Log().ShiftReadOnlyToTail()
+	sess.Refresh()
+	tail := s.Log().TailAddress()
+	faulty.SetHook(func(op device.Op, off uint64, length int) error {
+		if op == device.OpWrite && off+uint64(length) > tail {
+			return device.ErrInjectedPermanent
+		}
+		return nil
+	})
+	begin := s.Log().BeginAddress()
+	sess.Park()
+	stats, err := s.Compact(cut)
+	sess.Unpark()
+	t.Logf("compact: %d copied, %d skipped: %v", stats.Copied, stats.Skipped, err)
+	if !errors.Is(err, hlog.ErrPoisoned) && !errors.Is(err, ErrReadOnly) {
+		t.Fatalf("Compact = %v, want an error wrapping hlog.ErrPoisoned or ErrReadOnly", err)
+	}
+	if got := s.Log().BeginAddress(); got != begin {
+		t.Fatalf("begin moved %#x -> %#x after a failed compaction", begin, got)
+	}
+	for i := uint64(0); i < n; i++ {
+		if got, st := readU64(t, sess, key(i)); st != OK || got != i+1 {
+			t.Fatalf("key %d = %d %v, want %d OK", i, got, st, i+1)
+		}
+	}
+}

@@ -67,13 +67,6 @@ type ioRequest struct {
 	delivered   bool // worker-local: done already fired (completion or shed)
 }
 
-func (r *ioRequest) kindString() string {
-	if r.kind == opRMW {
-		return "rmw"
-	}
-	return "read"
-}
-
 type ioPool struct {
 	s    *Store
 	reqs chan *ioRequest
@@ -205,7 +198,7 @@ func (p *ioPool) fail(r *ioRequest, err error) {
 		return
 	}
 	r.delivered = true
-	res := Result{Kind: r.kindString(), Key: r.key, Input: r.input,
+	res := Result{Kind: r.kind.String(), Key: r.key, Input: r.input,
 		Status: Err, Err: err, Ctx: r.ctx}
 	r.key, r.input = nil, nil
 	r.done(res)
@@ -296,7 +289,7 @@ func (w *ioWorker) pickup(r *ioRequest) {
 		w.live = append(w.live, r)
 		return
 	}
-	res := Result{Kind: r.kindString(), Key: r.key, Input: r.input,
+	res := Result{Kind: r.kind.String(), Key: r.key, Input: r.input,
 		Status: st, Err: err, Ctx: r.ctx}
 	if st == OK && r.kind == opRead {
 		res.Output, res.ValueLen = sess.owned, len(sess.owned)

@@ -16,7 +16,11 @@ import (
 // lives on storage (Read, RMW), or an RMW hit the fuzzy region and must be
 // retried after the safe read-only offset catches up. Each pending
 // operation carries a context that resumes it; completions are queued per
-// session and drained by CompletePending, exactly as in §2.5.
+// session and drained by CompletePending, exactly as in §2.5. An RMW
+// completed from storage publishes its copy through publishVerified, the
+// same lookup rule a compaction copy uses; when the span it must re-check
+// has left memory, the op continues as a span check: a descent of that
+// span (verifyHead set) on the same continuation machinery.
 
 // opKind identifies how a pending operation resumes.
 type opKind int
@@ -24,24 +28,19 @@ type opKind int
 const (
 	opRead      opKind = iota // storage read, deliver value
 	opReadMerge               // CRDT reconcile continuing down the chain
-	opRMW                     // storage read, then copy-update at the tail
+	opRMW                     // storage read, then a verified copy-update
 	opRMWRetry                // fuzzy-region deferral, re-execute
-	opRMWVerify               // verify no newer version in an evicted span
 	opCompact                 // compaction span check (compact.go)
 )
 
+// String names the operation an op belongs to, whatever phase it is in:
+// Result.Kind.
 func (k opKind) String() string {
 	switch k {
-	case opRead:
+	case opRead, opReadMerge:
 		return "read"
-	case opReadMerge:
-		return "read-merge"
-	case opRMW:
+	case opRMW, opRMWRetry:
 		return "rmw"
-	case opRMWRetry:
-		return "rmw-retry"
-	case opRMWVerify:
-		return "rmw-verify"
 	case opCompact:
 		return "compact"
 	default:
@@ -58,22 +57,21 @@ type PendingOp struct {
 	ctx    any
 
 	addr      hlog.Address // record currently being fetched
-	entryAddr hlog.Address // chain head observed when the RMW issued
+	entryAddr hlog.Address // index entry observed when the op issued
 	acc       []byte       // CRDT merge accumulator
 	buf       []byte       // completed read buffer
 	err       error
 
-	// RMW span verification (see publishFetched): the fetched old
-	// record's buffer, the span floor, and the chain head to republish
-	// against once the span is verified clean.
-	fetchedBuf []byte
-	verifyStop hlog.Address
-	verifyCur  hlog.Address
-
-	// compactVal is the value a compaction descent (opCompact) will copy
-	// forward if its span proves clean: the op's own copy, since the
-	// Compact driver reuses its page arena while the descent runs.
-	compactVal []byte
+	// A verified publish (publishVerified) re-checks only what appeared
+	// above stop: an RMW's chain head when its fetch issued, a compaction
+	// candidate's address. verifyHead is nonzero while the op is a span
+	// check, a descent of (stop, verifyHead] on storage. val is the version
+	// the op copies forward: a compaction candidate's value (the op's own
+	// copy, since the Compact driver reuses its page arena) or an RMW's
+	// fetched old value, nil when the key had none.
+	stop       hlog.Address
+	verifyHead hlog.Address
+	val        []byte
 
 	issuedNs   int64 // set by issueIO; feeds the pending-latency histogram
 	deadlineNs int64 // completion deadline (0 = none): its io-pool request's
@@ -94,9 +92,16 @@ func (op *PendingOp) expired() bool {
 	return time.Now().UnixNano() >= op.deadlineNs
 }
 
+// result is op's completion with status st; done is always true, so a
+// continuation can return it directly.
+func (op *PendingOp) result(st Status, err error) (Result, bool) {
+	return Result{Kind: op.kind.String(), Key: op.key, Input: op.input,
+		Output: op.output, Status: st, Err: err, Ctx: op.ctx}, true
+}
+
 // Result reports the completion of a pending operation.
 type Result struct {
-	// Kind is "read", "read-merge", "rmw", "rmw-retry" or "compact".
+	// Kind names the operation: "read", "rmw" or "compact".
 	Kind string
 	// Key is the operation's key (the session's owned copy).
 	Key []byte
@@ -518,10 +523,8 @@ func (sess *Session) completePass(results []Result) []Result {
 					continue
 				}
 			}
-			results = append(results, Result{
-				Kind: op.kind.String(), Key: op.key, Input: op.input,
-				Status: st, Err: err, Ctx: op.ctx,
-			})
+			res, _ := op.result(st, err)
+			results = append(results, res)
 			sess.recycleOp(op)
 		}
 	}
@@ -543,19 +546,15 @@ func (sess *Session) completePass(results []Result) []Result {
 // false when the op re-issued another I/O (following the chain).
 func (sess *Session) continueOp(op *PendingOp) (Result, bool) {
 	s := sess.s
-	fail := func(st Status, err error) (Result, bool) {
-		return Result{Kind: op.kind.String(), Key: op.key, Input: op.input,
-			Output: op.output, Status: st, Err: err, Ctx: op.ctx}, true
-	}
 	if op.expired() {
 		// A shed is final: stop before any append or CAS.
-		return fail(Err, ErrOpDeadline)
+		return op.result(Err, ErrOpDeadline)
 	}
 	if op.err != nil {
 		if op.addr < s.log.BeginAddress() {
 			return sess.resumeTruncated(op)
 		}
-		return fail(Err, op.err)
+		return op.result(Err, op.err)
 	}
 	rec, ok := parseRecord(op.buf)
 	if !ok {
@@ -564,7 +563,7 @@ func (sess *Session) continueOp(op *PendingOp) (Result, bool) {
 			// error (file devices only move a watermark); same race.
 			return sess.resumeTruncated(op)
 		}
-		return fail(Err, errCorruptRecord)
+		return op.result(Err, errCorruptRecord)
 	}
 
 	if rec.invalid() || !bytes.Equal(rec.key, op.key) {
@@ -575,7 +574,7 @@ func (sess *Session) continueOp(op *PendingOp) (Result, bool) {
 	switch op.kind {
 	case opRead:
 		if rec.tombstone() {
-			return fail(NotFound, nil)
+			return op.result(NotFound, nil)
 		}
 		op.output = sess.outFor(op.output, len(rec.value))
 		if rec.delta() && s.merge != nil {
@@ -594,31 +593,32 @@ func (sess *Session) continueOp(op *PendingOp) (Result, bool) {
 			// a competing fill) moved the entry meanwhile.
 			s.rc.fill(sess.g, hashKey(op.key), op.key, rec.value, op.entryAddr)
 		}
-		res, done := fail(OK, nil)
+		res, done := op.result(OK, nil)
 		res.ValueLen = len(rec.value)
 		return res, done
 
 	case opReadMerge:
 		if rec.tombstone() {
 			copy(op.output, op.acc)
-			return fail(OK, nil)
+			return op.result(OK, nil)
 		}
 		return sess.mergeAndDescend(op, rec)
 
-	case opRMW:
-		return sess.completeRMWAfterFetch(op, rec)
-
-	case opRMWVerify:
-		// The span record matched our key (checked above): a newer
-		// version exists, so the fetched value is stale.
-		return sess.reissueRMW(op)
-
-	case opCompact:
-		// A version of the key exists above the cut (even a tombstone
-		// supersedes the scanned copy): the candidate is stale, skip it.
-		return fail(NotFound, nil)
+	case opRMW, opCompact:
+		if op.verifyHead != 0 {
+			// A span check met a version of the key above the verified
+			// head (even a tombstone): the copy is superseded.
+			return sess.supersede(op)
+		}
+		// The RMW's fetch found the key's newest version at or below its
+		// stop: copy-update it, or start over from the initial value if
+		// it is a tombstone.
+		if !rec.tombstone() {
+			op.val = rec.value
+		}
+		return sess.publishOp(op)
 	}
-	return fail(Err, errCorruptRecord)
+	return op.result(Err, errCorruptRecord)
 }
 
 // resumeTruncated re-executes an operation whose storage fetch was
@@ -642,13 +642,12 @@ func (sess *Session) resumeTruncated(op *PendingOp) (Result, bool) {
 		if st == OK && sess.ownOutputs {
 			op.output = sess.owned
 		}
-		return Result{Kind: op.kind.String(), Key: op.key, Input: op.input,
-			Output: op.output, Status: st, Err: err, Ctx: op.ctx}, true
+		return op.result(st, err)
 	case opCompact:
-		// The span being verified was truncated out from under the
-		// descent; re-verify against the current index state.
-		return sess.republishCompact(op)
-	default: // opRMW, opRMWRetry, opRMWVerify
+		// The span being checked was truncated out from under the
+		// descent: verify everything above the candidate again.
+		return sess.publishOp(op)
+	default: // opRMW, opRMWRetry
 		return sess.reissueRMW(op)
 	}
 }
@@ -657,20 +656,16 @@ func (sess *Session) resumeTruncated(op *PendingOp) (Result, bool) {
 // chain is exhausted.
 func (sess *Session) followChain(op *PendingOp, next hlog.Address) (Result, bool) {
 	s := sess.s
-	if op.kind == opRMWVerify && next <= op.verifyStop {
-		// Span verified clean on storage: republish against the head we
-		// observed when the verification started.
-		return sess.republishVerified(op)
-	}
-	if op.kind == opCompact && next <= op.verifyStop {
-		// The descent reached the scanned record without meeting the key:
-		// nothing newer supersedes it. A chain that passes below it (or
-		// ends, or drops below begin) skipped it: the entry was released
-		// and recreated, so the key died and the copy is not needed.
-		if next < op.verifyStop {
-			return Result{Kind: op.kind.String(), Key: op.key, Status: NotFound, Ctx: op.ctx}, true
+	if op.verifyHead != 0 && next <= op.stop {
+		// The span check reached its stop without meeting the key: publish
+		// again with the span's head as the verified one. A chain that
+		// passes below stop (or ends) skipped it: the entry was released
+		// and recreated, so the key died.
+		if next < op.stop {
+			return sess.supersede(op)
 		}
-		return sess.republishCompact(op)
+		op.stop, op.verifyHead = op.verifyHead, 0
+		return sess.publishOp(op)
 	}
 	if next != hlog.InvalidAddress && next < s.log.BeginAddress() {
 		// The chain descends below the begin address: a truncation (or a
@@ -694,7 +689,7 @@ func (sess *Session) followChain(op *PendingOp, next hlog.Address) (Result, bool
 		return sess.chainExhausted(op)
 	}
 	op.addr = next
-	if op.buf != nil && (op.fetchedBuf == nil || &op.buf[0] != &op.fetchedBuf[0]) {
+	if op.buf != nil {
 		sess.putIOBuf(op.buf)
 	}
 	op.buf = nil
@@ -703,70 +698,25 @@ func (sess *Session) followChain(op *PendingOp, next hlog.Address) (Result, bool
 	return Result{}, false
 }
 
-// republishVerified retries a publish whose candidate span proved free of
-// newer versions of the op's key.
-func (sess *Session) republishVerified(op *PendingOp) (Result, bool) {
-	finish := func(st Status, err error) (Result, bool) {
-		return Result{Kind: "rmw", Key: op.key, Input: op.input,
-			Status: st, Err: err, Ctx: op.ctx}, true
-	}
-	rec, ok := parseRecord(op.fetchedBuf)
-	if !ok {
-		return finish(Err, errCorruptRecord)
-	}
-	op.kind = opRMW
-	st, err := sess.publishFetched(hashKey(op.key), op, rec, op.verifyCur)
-	switch st {
-	case statusDone:
-		return finish(OK, err)
-	case statusPendingIO:
-		sess.ioDone()
-		return Result{}, false
-	default:
-		return sess.reissueRMW(op)
-	}
-}
-
 // chainExhausted finishes an op whose key turned out not to exist.
 func (sess *Session) chainExhausted(op *PendingOp) (Result, bool) {
-	if op.kind == opRMWVerify {
-		// The whole chain below the span floor ended: span clean.
-		return sess.republishVerified(op)
-	}
 	switch op.kind {
 	case opRead:
-		return Result{Kind: op.kind.String(), Key: op.key, Input: op.input,
-			Output: op.output, Status: NotFound, Ctx: op.ctx}, true
+		return op.result(NotFound, nil)
 	case opReadMerge:
 		copy(op.output, op.acc)
-		return Result{Kind: op.kind.String(), Key: op.key, Input: op.input,
-			Output: op.output, Status: OK, Ctx: op.ctx}, true
-	case opRMW:
-		// Key absent below the fetch point: CREATE_RECORD with the
-		// initial value (Alg 4), through the same verified-publish path
-		// as fetched values — the chain head may have moved during the
-		// descent, and only a new version of THIS key should force a
-		// restart. A synthesized tombstone stands in for the (absent)
-		// old record, making the publish take the initial-value branch.
-		h := hashKey(op.key)
-		tomb := make([]byte, recordSize(len(op.key), 0))
-		writeRecord(tomb, 0, flagTombstone, op.key, 0)
-		op.fetchedBuf = tomb
-		rec, _ := parseRecord(tomb)
-		st, err := sess.publishFetched(h, op, rec, op.entryAddr)
-		switch st {
-		case statusDone:
-			return Result{Kind: op.kind.String(), Key: op.key, Input: op.input,
-				Status: OK, Err: err, Ctx: op.ctx}, true
-		case statusPendingIO:
-			sess.ioDone() // the verify fetch re-incremented
-			return Result{}, false
-		default:
-			return sess.reissueRMW(op)
+		return op.result(OK, nil)
+	case opRMW, opCompact:
+		if op.verifyHead != 0 {
+			// The span check passed below its stop: the key died.
+			return sess.supersede(op)
 		}
+		// Key absent below the fetch point: CREATE_RECORD with the initial
+		// value (Alg 4), through the same verified publish as a fetched
+		// value (op.val is nil).
+		return sess.publishOp(op)
 	}
-	return Result{Kind: op.kind.String(), Key: op.key, Input: op.input,
-		Status: Err, Err: errCorruptRecord, Ctx: op.ctx}, true
+	return op.result(Err, errCorruptRecord)
 }
 
 // mergeAndDescend folds rec into the accumulator and continues down the
@@ -776,135 +726,127 @@ func (sess *Session) mergeAndDescend(op *PendingOp, rec record) (Result, bool) {
 	s.merge.Merge(op.key, rec.value, op.acc)
 	if !rec.delta() {
 		copy(op.output, op.acc)
-		return Result{Kind: op.kind.String(), Key: op.key, Input: op.input,
-			Output: op.output, Status: OK, Ctx: op.ctx}, true
+		return op.result(OK, nil)
 	}
 	return sess.followChain(op, rec.prev())
 }
 
-// completeRMWAfterFetch finishes an RMW whose old value arrived from
-// storage. There is deliberately no "chain head moved, refetch" check
-// here: the publish path verifies any records appended above the
-// fetch-time head (in memory, or via an on-disk span check) and restarts
-// only when a newer version of the op's key actually exists — a naive
-// refetch rule live-locks against a tag-colliding hot key whose appends
-// always outpace this op's two-I/O descent.
-func (sess *Session) completeRMWAfterFetch(op *PendingOp, rec record) (Result, bool) {
-	finish := func(st Status, err error) (Result, bool) {
-		return Result{Kind: op.kind.String(), Key: op.key, Input: op.input,
-			Status: st, Err: err, Ctx: op.ctx}, true
-	}
-	h := hashKey(op.key)
-	chainHead := op.entryAddr
-	// Publish the update computed from the fetched value. The old value
-	// lives in op.buf (session-owned memory). Publishing must tolerate
-	// the chain head moving under us: when a tag-colliding hot key keeps
-	// appending, a naive retry-by-refetch loop starves (each retry costs
-	// two I/Os while the hot sibling appends from memory). Instead,
-	// verify in memory that no newer version of OUR key appeared and
-	// re-CAS against the new head.
-	op.fetchedBuf = op.buf
-	st, err := sess.publishFetched(h, op, rec, chainHead)
-	switch st {
-	case statusDone:
-		return finish(OK, err)
-	case statusPendingIO:
-		sess.ioDone() // the verify fetch re-incremented
-		return Result{}, false
-	default:
-		return sess.reissueRMW(op)
-	}
-}
-
-// publishFetched appends the RMW result for a value fetched from storage,
-// CASing the index entry. On a lost CAS it checks, purely in memory,
-// whether the span of records added above the fetch point contains a
-// newer version of the op's key: if not, the fetched value is still
-// current and the publish retries against the new chain head; if it does
-// (or the span is unverifiable because it was already evicted), the
-// caller must re-execute the RMW.
-func (sess *Session) publishFetched(h uint64, op *PendingOp, old record, chainHead hlog.Address) (internalStatus, error) {
+// publishOp publishes a pending copy-forward through publishVerified: an
+// RMW completed from storage (a copy-update of op.val, or the initial
+// value when op.val is nil) or a compaction copy of op.val. There is
+// deliberately no "chain head moved, refetch" rule for the RMW: the
+// publish re-checks only the records above the op's stop and restarts
+// only when a newer version of the key exists.
+func (sess *Session) publishOp(op *PendingOp) (Result, bool) {
 	s := sess.s
-	haveOld := !old.tombstone()
+	old := op.val
+	var valueLen int
+	var fill func(dst record)
+	switch {
+	case op.kind == opCompact:
+		valueLen, fill = len(old), func(dst record) { copy(dst.value, old) }
+	case old != nil:
+		valueLen = s.ops.CopyValueLen(op.key, old, op.input)
+		fill = func(dst record) { s.ops.CopyUpdater(op.key, old, dst.value, op.input) }
+	default:
+		valueLen = s.ops.InitialValueLen(op.key, op.input)
+		fill = func(dst record) { s.ops.InitialUpdater(op.key, dst.value, op.input) }
+	}
+	st, sp, err := sess.publishVerified(hashKey(op.key), op.key, op.stop, valueLen, fill)
+	switch {
+	case err != nil:
+		return op.result(Err, err)
+	case st == statusRetry:
+		return sess.supersede(op)
+	case st == statusDone:
+		res, done := op.result(OK, nil)
+		if op.kind == opCompact {
+			res.ValueLen = valueLen
+		}
+		return res, done
+	}
+	// The new span left memory. val may alias the fetched buffer, so the
+	// op gives the buffer up; the descent reads into a fresh one.
+	op.buf = nil
+	sess.ioDone()
+	sess.checkSpan(op, sp)
+	return Result{}, false
+}
+
+// supersede finishes a copy-forward whose version is no longer the key's
+// newest: a compaction candidate is skipped, an RMW re-executes.
+func (sess *Session) supersede(op *PendingOp) (Result, bool) {
+	if op.kind == opCompact {
+		return op.result(NotFound, nil)
+	}
+	return sess.reissueRMW(op)
+}
+
+// span is a stretch of a key's chain that a verified publish could not
+// check in memory: (stop, head], which left memory at from.
+type span struct{ stop, head, from hlog.Address }
+
+// checkSpan starts op's storage descent of sp.
+func (sess *Session) checkSpan(op *PendingOp, sp span) {
+	op.stop, op.verifyHead, op.addr = sp.stop, sp.head, sp.from
+	sess.issueIO(op)
+}
+
+// publishVerified is F2's lookup rule for a copy-forward: it appends key's
+// version — valueLen bytes written by fill — unless a newer version of key
+// appeared above stop, the chain address that version was verified at. It
+// walks the chain beneath the index entry down to max(head, stop+1). Under
+// a read-cache copy that is the hlog chain the copy mirrors: a cached copy
+// is volatile, never a version of its own, and the CAS over the tagged
+// address drops it, as every writer's CAS does. Where the walk ends
+// decides:
+//
+//   - a version of key, or a walk that ends below stop, means superseded
+//     (statusRetry): the key has a newer version, or its entry was
+//     released and recreated, so it died;
+//   - a walk that ends above stop leaves the span (stop, chain head] on
+//     storage: statusPendingIO, and the caller descends it (checkSpan);
+//   - a walk that ends exactly at stop appends, the CAS expecting the
+//     entry and prev set to the chain head (statusDone).
+//
+// A lost CAS raises stop to the chain head just verified and loops, so
+// each round re-checks only the records appended during the last attempt.
+// That is what converges against a tag-colliding hot key whose appends
+// outpace this publish: a rule that re-verified from the original stop,
+// or re-fetched, would re-walk a span that grows with every lost race and
+// could be evicted before the walk ends.
+func (sess *Session) publishVerified(h uint64, key []byte, stop hlog.Address, valueLen int, fill func(dst record)) (internalStatus, span, error) {
+	s := sess.s
 	for {
-		// chainHead is the raw index-entry address (it may point into the
-		// read cache); the CAS expects it verbatim, while the appended
-		// record's prev must be the underlying hlog chain head.
-		expect := chainHead
-		prev, crec, cached, stale := s.splitProbe(chainHead)
+		_, raw, ok := s.idx.FindEntry(h)
+		if !ok {
+			return statusRetry, span{}, nil
+		}
+		chain, _, _, stale := s.splitProbe(raw)
 		if stale {
-			_, cur := s.idx.FindOrCreateEntry(h)
-			chainHead = cur
 			continue
 		}
-		if cached && !crec.invalid() && bytes.Equal(crec.key, op.key) {
-			// The entry points at a cached copy of OUR key, which is by
-			// construction its newest version. The re-executed RMW takes
-			// the cached fast path (no device read), so this cannot
-			// live-lock.
-			return statusRetry, nil
+		laddr, _, found := s.traceBack(key, chain, maxAddr(s.log.HeadAddress(), stop+1))
+		switch {
+		case found || laddr < stop:
+			return statusRetry, span{}, nil
+		case laddr > stop:
+			return statusPendingIO, span{stop, chain, laddr}, nil
 		}
-		var valueLen int
-		if haveOld {
-			valueLen = s.ops.CopyValueLen(op.key, old.value, op.input)
-		} else {
-			valueLen = s.ops.InitialValueLen(op.key, op.input)
+		_, st, err := sess.appendRecord(h, key, raw, chain, hlog.InvalidAddress, 0, valueLen, fill)
+		if err != nil || st == statusDone {
+			return statusDone, span{}, err
 		}
-		_, st, err := sess.appendRecord(h, op.key, expect, prev, hlog.InvalidAddress, 0, valueLen, func(dst record) {
-			if haveOld {
-				s.ops.CopyUpdater(op.key, old.value, dst.value, op.input)
-			} else {
-				s.ops.InitialUpdater(op.key, dst.value, op.input)
-			}
-		})
-		if err != nil {
-			return statusDone, err
-		}
-		if st == statusDone {
-			return statusDone, nil
-		}
-		// Lost the CAS: inspect the records newer than our observed
-		// head. All of them were appended after the fetch, so they are
-		// at the tail unless already evicted.
-		_, cur := s.idx.FindOrCreateEntry(h)
-		ncur, ccrec, ncached, nstale := s.splitProbe(cur)
-		if nstale {
-			chainHead = cur
-			continue
-		}
-		if ncached && !ccrec.invalid() && bytes.Equal(ccrec.key, op.key) {
-			return statusRetry, nil // a newer cached version of our key
-		}
-		floor := maxAddr(s.log.HeadAddress(), prev+1)
-		laddr, _, found := s.traceBack(op.key, ncur, floor)
-		if found {
-			return statusRetry, nil // a newer version of our key exists
-		}
-		if laddr != hlog.InvalidAddress && laddr > prev {
-			// Part of the span was evicted before we could check it in
-			// memory. Verify the evicted part on storage: this keeps
-			// per-attempt work proportional to the span (the appends
-			// that landed during one publish attempt), where a full
-			// re-descent from the tail can outlive the eviction window
-			// and live-lock against a tag-colliding hot key.
-			op.kind = opRMWVerify
-			op.verifyStop = prev
-			op.verifyCur = cur
-			op.addr = laddr
-			sess.issueIO(op)
-			return statusPendingIO, nil
-		}
-		chainHead = cur
+		stop = chain
 	}
 }
 
-// reissueRMW re-executes a lost-CAS RMW via the normal path.
+// reissueRMW re-executes an RMW via the normal path.
 func (sess *Session) reissueRMW(op *PendingOp) (Result, bool) {
 	st, err := sess.rmwInternal(op.key, op.input, op.ctx, hashKey(op.key))
 	if st == Pending {
 		sess.ioDone()
 		return Result{}, false
 	}
-	return Result{Kind: op.kind.String(), Key: op.key, Input: op.input,
-		Status: st, Err: err, Ctx: op.ctx}, true
+	return op.result(st, err)
 }

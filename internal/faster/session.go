@@ -603,13 +603,16 @@ func (sess *Session) rmwInternal(key, input []byte, ctx any, h uint64) (Status, 
 			return OK, nil
 
 		default:
-			// The chain continues on storage: fetch asynchronously.
+			// The chain continues on storage: fetch asynchronously. The
+			// walk verified everything above laddr up to the chain head,
+			// so the publish re-checks only what appears above that head.
 			if sess.residentOnly {
 				return WouldBlock, nil
 			}
 			op := sess.newPendingOp(opRMW, key, input, nil, ctx)
 			op.addr = laddr
 			op.entryAddr = raw
+			op.stop = chainHead
 			sess.issueIO(op)
 			return Pending, nil
 		}

@@ -533,7 +533,7 @@ func runBatchClient(store Target, clientID int, log *ClientLog, rng *rand.Rand, 
 // finishPending records the completion of an asynchronous operation.
 func finishPending(log *ClientLog, pc *pendingCtx, res faster.Result) {
 	switch res.Kind {
-	case "read", "read-merge":
+	case "read":
 		switch res.Status {
 		case faster.OK:
 			out := res.Output
@@ -546,7 +546,7 @@ func finishPending(log *ClientLog, pc *pendingCtx, res faster.Result) {
 		default:
 			log.Drop(pc.id) // failed read: observed nothing
 		}
-	case "rmw", "rmw-retry", "rmw-verify":
+	case "rmw":
 		if res.Status == faster.OK {
 			log.End(pc.id, KVOutput{})
 		}

@@ -131,11 +131,14 @@ go test -race -run 'TestLinearizable' -count=1 -timeout 300s ./internal/lineariz
 # Space-reclamation gate: compaction correctness (concurrent RMWs,
 # recovery with Begin > 0, crash torture mid-compaction, bounded memory,
 # copies that wrap the log buffer, asynchronous descents owning their
-# values) and the epoch-safe truncation ordering fixes, under the race
-# detector on one and on two processors. A copy phase that appends while
-# a scan pins the epoch hangs; the timeout turns that into a failure.
+# values, a copy whose append fails) and the epoch-safe truncation
+# ordering fixes, plus the one verified publish that compaction copies
+# and RMWs completed from storage share (a cold RMW whose entry moves
+# before it publishes), under the race detector on one and on two
+# processors. A copy phase that appends while a scan pins the epoch
+# hangs; the timeout turns that into a failure.
 for procs in 1 2; do
-	GOMAXPROCS=$procs go test -race -run 'TestCompact|TestBackgroundCompaction|TestTruncate' -count=1 -timeout 300s ./internal/faster/ ./internal/hlog/
+	GOMAXPROCS=$procs go test -race -run 'TestCompact|TestBackgroundCompaction|TestTruncate|TestColdRMWPublish' -count=1 -timeout 300s ./internal/faster/ ./internal/hlog/
 done
 
 # Exactly-once torture: 100 seeded crash/retry schedules against the
