@@ -25,7 +25,6 @@ type FasterOptions struct {
 	BufferPages     int
 	MutableFraction float64
 	TagBits         uint
-	CRDT            bool
 	Device          device.Device // default: Mem
 }
 
@@ -68,7 +67,6 @@ func NewFasterSystem(opt FasterOptions) (*FasterSystem, error) {
 		Mode:            opt.Mode,
 		Device:          dev,
 		Ops:             ops,
-		CRDT:            opt.CRDT && opt.ValueSize == 8,
 		MaxSessions:     512,
 	}
 	s, err := faster.Open(cfg)

@@ -67,9 +67,16 @@ import (
 // the log prefix recovered with them, so retried clients re-apply
 // exactly the operations recovery discarded.
 
+// manifestMagic also names the shard router: a shard's checkpoint holds
+// the keys ShardedStore.shardFor sent it, so a generation written under
+// another router (0xFA57E2C05A4DED01 was the consistent-hash ring) fails
+// to parse rather than load with its keys on the wrong shards. A plain
+// store's generations under the old magic are refused too, on purpose:
+// the magic is the manifest format's one version, and the parser reads
+// exactly one.
 const (
 	metaMagic     uint64 = 0xFA57E2C0FFEE0001
-	manifestMagic uint64 = 0xFA57E2C05A4DED01
+	manifestMagic uint64 = 0xFA57E2C05A4DED02
 )
 
 // manifestNames lists the manifests recovery tries, newest first.

@@ -1,11 +1,14 @@
 package faster
 
 import (
+	"encoding/binary"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/device"
+	"repro/internal/testutil"
 )
 
 // checkpointTwice builds a store with two checkpoint generations: phase A
@@ -138,8 +141,10 @@ func TestMetaBracketOutOfOrderFallsBack(t *testing.T) {
 // TestHostileManifestFallsBack: a 32-byte manifest with a valid CRC
 // whose shard count is 1<<61 (8*count wraps to 0 in uint64) is rejected
 // without allocating, so recovery falls back to manifest.prev; with both
-// manifests hostile it returns an error.
+// manifests hostile it returns an error. Manifests resealed under the
+// previous router's magic are refused too, flat and sharded.
 func TestHostileManifestFallsBack(t *testing.T) {
+	testutil.CheckGoroutines(t)
 	dir := t.TempDir()
 	cfg, infoA, _ := checkpointTwice(t, dir)
 	hostile := sealWords(manifestMagic, 2, 1<<61)
@@ -154,6 +159,65 @@ func TestHostileManifestFallsBack(t *testing.T) {
 	if r, err := Recover(cfg, dir); err == nil {
 		r.Close()
 		t.Fatal("recovered from two hostile manifests")
+	}
+
+	// Generations committed under the consistent-hash ring hold each key
+	// on the ring's shard, not the split's: both manifests, CRC-valid
+	// under the ring's magic, must fail rather than load.
+	dir = t.TempDir()
+	cfg, _, _ = checkpointTwice(t, dir)
+	resealManifests(t, dir, ringManifestMagic)
+	if r, err := Recover(cfg, dir); err == nil || r != nil || !strings.Contains(err.Error(), "bad magic") {
+		if r != nil {
+			r.Close()
+		}
+		t.Fatalf("Recover of ring-router manifests: opened %t, err %v; want nothing opened and bad magic", r != nil, err)
+	}
+
+	sdir := t.TempDir()
+	ss, devs := openTestSharded(t, 4, Config{})
+	for gen := uint64(1); gen <= 2; gen++ {
+		sess := ss.StartSession()
+		for i := uint64(0); i < 100; i++ {
+			sess.Upsert(key(i), u64(gen))
+		}
+		sess.Close()
+		if _, err := ss.Checkpoint(sdir); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ss.Close()
+	resealManifests(t, sdir, ringManifestMagic)
+	if r, err := RecoverSharded(shardedTestConfig(4, Config{}, devs), sdir); err == nil || r != nil || !strings.Contains(err.Error(), "bad magic") {
+		if r != nil {
+			r.Close()
+		}
+		t.Fatalf("RecoverSharded of ring-router manifests: opened %t, err %v; want nothing opened and bad magic", r != nil, err)
+	}
+}
+
+// ringManifestMagic is the manifest magic of generations routed by the
+// consistent-hash ring.
+const ringManifestMagic uint64 = 0xFA57E2C05A4DED01
+
+// resealManifests rewrites both manifests in dir under magic, with a
+// valid CRC.
+func resealManifests(t *testing.T, dir string, magic uint64) {
+	t.Helper()
+	for _, name := range manifestNames {
+		path := filepath.Join(dir, name)
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		words := make([]uint64, len(raw)/8-1) // the last word is the CRC
+		for i := range words {
+			words[i] = binary.LittleEndian.Uint64(raw[8*i:])
+		}
+		words[0] = magic
+		if err := os.WriteFile(path, sealWords(words...), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -34,7 +34,10 @@ import (
 // Tombstones are never copied: a key whose newest version is a tombstone
 // in the prefix dies with it. CRDT delta chains are not supported —
 // a delta below the cut cannot be copied without reconciling the whole
-// chain — so compaction refuses delta records.
+// chain — so compaction refuses delta records: one in the prefix, or one
+// above the cut that is the newest version of a prefix record's key (the
+// record stays live beneath it, and a copy appended above the delta
+// would hide it).
 
 // CompactStats reports one Compact run.
 type CompactStats struct {

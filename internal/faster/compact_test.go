@@ -994,6 +994,26 @@ func TestCompactLookupLiveness(t *testing.T) {
 			w.ref[5] = 4
 		},
 		err: errCompactDelta,
+	}, {
+		// A delta above the cut supersedes nothing: the prefix version
+		// stays live beneath it, so compaction may neither skip nor copy
+		// it.
+		name: "CRDT delta above the cut",
+		cfg:  Config{CRDT: true},
+		prefix: func(w *liveWriter) {
+			for i := uint64(0); i < 10; i++ {
+				w.upsert(i, 1)
+			}
+		},
+		above: func(w *liveWriter) {
+			k := key(5)
+			raw := chainHead(w.t, w.s, k)
+			if st, err := w.sess.rmwAppendDelta(hashKey(k), k, u64(3), raw, raw); st != statusDone || err != nil {
+				w.t.Fatalf("append delta: %v %v", st, err)
+			}
+			w.ref[5] = 4
+		},
+		err: errCompactDelta,
 	}}
 	for _, tc := range cases {
 		for _, evict := range []bool{false, true} {
@@ -1053,6 +1073,49 @@ func TestCompactLookupLiveness(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestCompactRefusesColdCRDTDelta: a cold CRDT RMW appends a delta above
+// its key's base on storage instead of fetching the base. Compacting past
+// the base must refuse rather than count the delta as a newer version:
+// the base would be truncated and the key would read the delta alone (1
+// instead of 11).
+func TestCompactRefusesColdCRDTDelta(t *testing.T) {
+	s, _ := openTestStore(t, Config{CRDT: true, PageBits: 12, BufferPages: 8})
+	sess := s.StartSession()
+	defer sess.Close()
+	k := key(7)
+	if st, err := sess.Upsert(k, u64(10)); st != OK || err != nil {
+		t.Fatalf("upsert: %v %v", st, err)
+	}
+	begin := s.Log().BeginAddress()
+	for i := uint64(0); i < 3000; i++ {
+		if st, err := sess.Upsert(key(1000+i), u64(i)); st != OK || err != nil {
+			t.Fatalf("filler upsert %d: %v %v", i, st, err)
+		}
+	}
+	cut := s.Log().SafeReadOnlyAddress() &^ (s.Log().PageSize() - 1)
+	if cut <= begin+s.Log().PageSize() || s.Log().HeadAddress() <= begin+s.Log().PageSize() {
+		t.Fatalf("cut %#x, head %#x: the base at the first page was not evicted below the cut", cut, s.Log().HeadAddress())
+	}
+	if st, err := sess.RMW(k, u64(1), nil); st != OK || err != nil {
+		t.Fatalf("cold RMW: %v %v, want OK (a delta needs no read)", st, err)
+	}
+	if d := s.Stats().DeltaRecords; d != 1 {
+		t.Fatalf("cold RMW appended %d deltas, want 1", d)
+	}
+	sess.Park()
+	_, err := s.Compact(cut)
+	sess.Unpark()
+	if !errors.Is(err, errCompactDelta) {
+		t.Fatalf("compact err = %v, want %v", err, errCompactDelta)
+	}
+	if got := s.Log().BeginAddress(); got != begin {
+		t.Fatalf("begin moved to %#x after a refused compaction, want %#x", got, begin)
+	}
+	if got, st := readU64(t, sess, k); st != OK || got != 11 {
+		t.Fatalf("after refused compaction: (%d, %v), want (11, OK)", got, st)
 	}
 }
 

@@ -22,7 +22,7 @@ var (
 	mutDouble     atomic.Bool
 	mutSerialSync atomic.Bool
 	mutDropReenq  atomic.Bool
-	mutStaleRing  atomic.Bool
+	mutStaleRoute atomic.Bool
 	mutShardSync  atomic.Bool
 	mutCacheInv   atomic.Bool
 )
@@ -31,7 +31,7 @@ func mutTornWrite() bool        { return mutTorn.Load() }
 func mutDoubleRMW() bool        { return mutDouble.Load() }
 func mutSkipSerialFsync() bool  { return mutSerialSync.Load() }
 func mutDroppedReenqueue() bool { return mutDropReenq.Load() }
-func mutRouteStale() bool       { return mutStaleRing.Load() }
+func mutRouteStale() bool       { return mutStaleRoute.Load() }
 func mutSkipShardFsync() bool   { return mutShardSync.Load() }
 func mutCacheInval() bool       { return mutCacheInv.Load() }
 
@@ -43,11 +43,11 @@ func mutCacheInval() bool       { return mutCacheInv.Load() }
 // of verifying the meta's length and CRC) or "dropped-reenqueue" (a
 // fuzzy-region RMW deferral is acknowledged OK without ever being
 // re-executed — the classic lost-continuation bug in an async I/O path)
-// or "route-stale-map" (a sharded router consults a retained pre-rehash
-// ring for a fraction of lookups, landing keys on the wrong shard) or
-// "skip-shard-fsync" (a sharded manifest commits over one shard whose
-// generation meta was never fsynced — modeled as a torn meta — and
-// recovery falls back per shard instead of per ensemble, mixing
+// or "route-stale-map" (every fourth sharded routing decision splits the
+// hash space as if there were one shard fewer, landing keys on the wrong
+// shard) or "skip-shard-fsync" (a sharded manifest commits over one
+// shard whose generation meta was never fsynced — modeled as a torn meta
+// — and recovery falls back per shard instead of per ensemble, mixing
 // checkpoint generations) or "skip-cache-invalidate" (a write that finds
 // the index entry pointing at a read-cache copy links its new record
 // BEHIND the cached copy instead of republishing the entry, so readers
@@ -64,7 +64,7 @@ func EnableMutation(name string) {
 	case "dropped-reenqueue":
 		mutDropReenq.Store(true)
 	case "route-stale-map":
-		mutStaleRing.Store(true)
+		mutStaleRoute.Store(true)
 	case "skip-shard-fsync":
 		mutShardSync.Store(true)
 	case "skip-cache-invalidate":
@@ -80,7 +80,7 @@ func DisableMutations() {
 	mutDouble.Store(false)
 	mutSerialSync.Store(false)
 	mutDropReenq.Store(false)
-	mutStaleRing.Store(false)
+	mutStaleRoute.Store(false)
 	mutShardSync.Store(false)
 	mutCacheInv.Store(false)
 }

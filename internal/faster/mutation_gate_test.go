@@ -79,7 +79,7 @@ func TestMutationGateBaseline(t *testing.T) {
 		}
 	}
 	// The sharded scenarios' exact configurations must be green with the
-	// bugs off: the mutate build retains the stale ring and the naive
+	// bugs off: the mutate build retains the stale router and the naive
 	// manifest reader as dead code, and neither may leak into routing or
 	// recovery while its switch is down.
 	for _, seed := range []int64{1, 2} {
@@ -377,9 +377,10 @@ func TestMutationGateSkipSerialFsync(t *testing.T) {
 	}
 }
 
-// TestMutationGateRouteStaleMap seeds the route-after-rehash bug: every
-// fourth routing decision consults a retained pre-rehash ring, so a
-// fraction of the key space intermittently lands on the wrong shard. A
+// TestMutationGateRouteStaleMap seeds the stale-router bug: every fourth
+// routing decision splits the hash space as if there were one shard
+// fewer, so a fraction of the key space intermittently lands on the
+// wrong shard. A
 // write routed astray is invisible to correctly-routed reads (and a
 // stale replica resurrects overwritten values), which the KV checker
 // refutes as a lost or time-travelling update.

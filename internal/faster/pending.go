@@ -607,7 +607,11 @@ func (sess *Session) continueOp(op *PendingOp) (Result, bool) {
 	case opRMW, opCompact:
 		if op.verifyHead != 0 {
 			// A span check met a version of the key above the verified
-			// head (even a tombstone): the copy is superseded.
+			// head (even a tombstone): the copy is superseded, unless
+			// the version is a delta, which publishVerified refuses.
+			if rec.delta() {
+				return op.result(Err, errCompactDelta)
+			}
 			return sess.supersede(op)
 		}
 		// The RMW's fetch found the key's newest version at or below its
@@ -804,6 +808,10 @@ func (sess *Session) checkSpan(op *PendingOp, sp span) {
 //   - a version of key, or a walk that ends below stop, means superseded
 //     (statusRetry): the key has a newer version, or its entry was
 //     released and recreated, so it died;
+//   - except a CRDT delta: it supersedes nothing, since reads fold it
+//     with the versions below it, so the copy-forward fails with
+//     errCompactDelta (only compaction meets one: a CRDT RMW never
+//     fetches);
 //   - a walk that ends above stop leaves the span (stop, chain head] on
 //     storage: statusPendingIO, and the caller descends it (checkSpan);
 //   - a walk that ends exactly at stop appends, the CAS expecting the
@@ -826,8 +834,10 @@ func (sess *Session) publishVerified(h uint64, key []byte, stop hlog.Address, va
 		if stale {
 			continue
 		}
-		laddr, _, found := s.traceBack(key, chain, maxAddr(s.log.HeadAddress(), stop+1))
+		laddr, rec, found := s.traceBack(key, chain, maxAddr(s.log.HeadAddress(), stop+1))
 		switch {
+		case found && rec.delta():
+			return statusDone, span{}, errCompactDelta
 		case found || laddr < stop:
 			return statusRetry, span{}, nil
 		case laddr > stop:

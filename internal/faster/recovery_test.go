@@ -298,8 +298,7 @@ func TestCRDTDeltasInFuzzyRegion(t *testing.T) {
 				t.Fatal(err)
 			}
 			if st == Pending {
-				// CRDT mode may still go pending for on-disk records.
-				sess.CompletePending(true)
+				t.Fatalf("CRDT RMW on key %d went Pending; a delta needs no read", i)
 			}
 		}
 	}
@@ -311,6 +310,45 @@ func TestCRDTDeltasInFuzzyRegion(t *testing.T) {
 	}
 	if s.Stats().FuzzyRMWs != 0 {
 		t.Fatalf("CRDT store deferred %d fuzzy RMWs; deltas should have handled them", s.Stats().FuzzyRMWs)
+	}
+}
+
+// TestCRDTColdRMWOverDelta: a CRDT RMW whose key's newest version is a
+// delta on storage appends another delta instead of fetching it. Fetching
+// copy-updated the delta's partial sum as if it were the base (reading 6
+// here instead of 16).
+func TestCRDTColdRMWOverDelta(t *testing.T) {
+	s, _ := openTestStore(t, Config{CRDT: true, PageBits: 12, BufferPages: 8})
+	sess := s.StartSession()
+	defer sess.Close()
+	k := key(7)
+	if st, err := sess.Upsert(k, u64(10)); st != OK || err != nil {
+		t.Fatalf("upsert: %v %v", st, err)
+	}
+	s.Log().ShiftReadOnlyToTail()
+	if st, err := sess.RMW(k, u64(5), nil); st != OK || err != nil {
+		t.Fatalf("fuzzy RMW: %v %v", st, err)
+	}
+	if d := s.Stats().DeltaRecords; d != 1 {
+		t.Fatalf("fuzzy RMW appended %d deltas, want 1", d)
+	}
+	for i := uint64(0); i < 3000; i++ {
+		if st, err := sess.Upsert(key(1000+i), u64(i)); st != OK || err != nil {
+			t.Fatalf("filler upsert %d: %v %v", i, st, err)
+		}
+	}
+	st, err := sess.RMW(k, u64(1), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st == Pending {
+		sess.CompletePending(true)
+	}
+	if got, st := readU64(t, sess, k); st != OK || got != 16 {
+		t.Fatalf("after cold RMW: (%d, %v), want (16, OK)", got, st)
+	}
+	if d := s.Stats().DeltaRecords; d != 2 {
+		t.Fatalf("cold RMW left %d deltas, want 2 (it should append one, not fetch)", d)
 	}
 }
 

@@ -511,9 +511,22 @@ func (sess *Session) rmwInternal(key, input []byte, ctx any, h uint64) (Status, 
 			}
 			return OK, nil
 
-		case found && rec.delta() && s.merge != nil:
-			// A CRDT delta chain is pending reconciliation; appending
-			// another delta keeps RMW latch-free (§6.3).
+		case laddr == hlog.InvalidAddress:
+			// Key absent: insert the initial value.
+			st, err := sess.rmwCreate(h, key, input, raw, chainHead, hlog.InvalidAddress, record{}, false)
+			if err != nil {
+				return Err, err
+			}
+			if st == statusRetry {
+				continue
+			}
+			return OK, nil
+
+		case s.merge != nil && (!found || rec.delta()):
+			// A CRDT delta chain pending reconciliation, or a chain that
+			// continues on storage: a delta needs no read, so appending
+			// one keeps RMW latch-free (§6.3). Reads reconcile it with
+			// whatever lies below.
 			st, err := sess.rmwAppendDelta(h, key, input, raw, chainHead)
 			if err != nil {
 				return Err, err
@@ -590,17 +603,6 @@ func (sess *Session) rmwInternal(key, input []byte, ctx any, h uint64) (Status, 
 				s.setOverwritten(laddr)
 				return OK, nil
 			}
-
-		case laddr == hlog.InvalidAddress:
-			// Key absent: insert the initial value.
-			st, err := sess.rmwCreate(h, key, input, raw, chainHead, hlog.InvalidAddress, record{}, false)
-			if err != nil {
-				return Err, err
-			}
-			if st == statusRetry {
-				continue
-			}
-			return OK, nil
 
 		default:
 			// The chain continues on storage: fetch asynchronously. The

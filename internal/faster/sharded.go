@@ -3,8 +3,8 @@ package faster
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"path/filepath"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,7 +18,7 @@ import (
 
 // Sharding: N fully independent stores — each with its own hash index,
 // HybridLog, epoch domain, io-worker pool and checkpoint generation —
-// behind one facade that routes every key by consistent hashing. Because
+// behind one facade that routes every key by a hash split. Because
 // the shards share nothing, per-shard flushes, compactions, epoch drains
 // and checkpoints never serialize against each other; a poisoned device
 // degrades one shard's health ladder while its siblings keep serving.
@@ -60,71 +60,17 @@ type ShardedConfig struct {
 	NewDevice func(shard int) device.Device
 }
 
-// ringVnodes is the number of virtual nodes each shard contributes to
-// the consistent-hash ring. 64 keeps the per-shard key imbalance within
-// a few percent while the ring stays small enough to search in L1.
-const ringVnodes = 64
-
-// shardRing is an immutable consistent-hash ring: sorted vnode points,
-// each owning the arc that ends at it.
-type shardRing struct {
-	points []uint64
-	owners []int
-}
-
-func buildRing(shards, vnodes int) *shardRing {
-	type pt struct {
-		h     uint64
-		shard int
-	}
-	pts := make([]pt, 0, shards*vnodes)
-	for s := 0; s < shards; s++ {
-		for v := 0; v < vnodes; v++ {
-			pts = append(pts, pt{h: xhash.Uint64(uint64(s)<<20 | uint64(v)<<1 | 1), shard: s})
-		}
-	}
-	sort.Slice(pts, func(i, j int) bool { return pts[i].h < pts[j].h })
-	r := &shardRing{points: make([]uint64, len(pts)), owners: make([]int, len(pts))}
-	for i, p := range pts {
-		r.points[i] = p.h
-		r.owners[i] = p.shard
-	}
-	return r
-}
-
-// shardOf returns the shard owning hash h: the first ring point at or
-// after h, wrapping at the top.
-func (r *shardRing) shardOf(h uint64) int {
-	lo, hi := 0, len(r.points)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if r.points[mid] < h {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo == len(r.points) {
-		lo = 0
-	}
-	return r.owners[lo]
-}
-
 // ShardedStore is the N-shard facade. All methods are safe for
 // concurrent use; sessions (StartSession) carry the usual one-goroutine
 // contract.
 type ShardedStore struct {
 	shards []*Store
-	ring   atomic.Pointer[shardRing]
-	// stale is the pre-rehash ring the route-stale-map mutation consults
-	// (mutate builds only; nil otherwise). Modeling note: doubling the
-	// vnode count is the "rehash" — the stale ring maps a fraction of the
-	// key space to different shards.
-	stale     *shardRing
+	// routeTick counts routing decisions for the route-stale-map
+	// mutation (mutate builds only).
 	routeTick atomic.Uint64
 }
 
-// OpenSharded opens cfg.Shards independent stores and the routing ring.
+// OpenSharded opens cfg.Shards independent stores.
 func OpenSharded(cfg ShardedConfig) (*ShardedStore, error) {
 	n := cfg.Shards
 	if n <= 0 {
@@ -150,7 +96,6 @@ func OpenSharded(cfg ShardedConfig) (*ShardedStore, error) {
 		s.sessions.sparse = n > 1
 		ss.shards = append(ss.shards, s)
 	}
-	ss.initRing()
 	return ss, nil
 }
 
@@ -164,15 +109,7 @@ func NewShardedFromStores(stores []*Store) (*ShardedStore, error) {
 	for _, s := range stores {
 		s.sessions.sparse = len(stores) > 1
 	}
-	ss.initRing()
 	return ss, nil
-}
-
-func (ss *ShardedStore) initRing() {
-	ss.ring.Store(buildRing(len(ss.shards), ringVnodes))
-	if mutationsEnabled && len(ss.shards) > 1 {
-		ss.stale = buildRing(len(ss.shards), ringVnodes/2)
-	}
 }
 
 func (ss *ShardedStore) closeShards() {
@@ -191,19 +128,22 @@ func (ss *ShardedStore) Shard(i int) *Store { return ss.shards[i] }
 // ShardFor returns the shard index owning key.
 func (ss *ShardedStore) ShardFor(key []byte) int { return ss.shardFor(hashKey(key)) }
 
+// shardFor splits the hash space into len(ss.shards) equal ranges of a
+// re-mix of h. The index takes its bucket from h's low bits and its tag
+// from h's top bits; routing on h itself would leave each shard a slice
+// of one of them, so the re-mix decorrelates the shard from both.
 func (ss *ShardedStore) shardFor(h uint64) int {
-	if len(ss.shards) == 1 {
+	n := uint64(len(ss.shards))
+	if n == 1 {
 		return 0
 	}
-	r := ss.ring.Load()
-	if mutationsEnabled && mutRouteStale() && ss.stale != nil {
-		// The seeded route-after-rehash bug: every fourth routing decision
-		// consults the retained pre-rehash ring.
-		if ss.routeTick.Add(1)%4 == 0 {
-			r = ss.stale
-		}
+	if mutationsEnabled && mutRouteStale() && ss.routeTick.Add(1)%4 == 0 {
+		// The seeded stale-router bug: every fourth routing decision
+		// splits as if there were one shard fewer.
+		n--
 	}
-	return r.shardOf(h)
+	hi, _ := bits.Mul64(xhash.Uint64(h), n)
+	return int(hi)
 }
 
 // MaxSessions is the number of concurrent sharded sessions the store

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/device"
 	"repro/internal/hlog"
+	"repro/internal/index"
 	"repro/internal/testutil"
 )
 
@@ -55,28 +57,53 @@ func shardedTestConfig(n int, base Config, devs []*device.Mem) ShardedConfig {
 
 func TestShardedRoutingDeterministic(t *testing.T) {
 	testutil.CheckGoroutines(t)
+	const keys = 400_000
+	const tags = 1 << index.MaxTagBits
+	for _, n := range []int{4, 16} {
+		ss, _ := openTestSharded(t, n, Config{})
+		defer ss.Close()
+		count := make([]int, n)
+		tagSeen := make([][]bool, n)
+		for sh := range tagSeen {
+			tagSeen[sh] = make([]bool, tags)
+		}
+		for i := uint64(0); i < keys; i++ {
+			k := key(i)
+			sh := ss.ShardFor(k)
+			if sh < 0 || sh >= n {
+				t.Fatalf("%d shards: key %d routed to shard %d", n, i, sh)
+			}
+			count[sh]++
+			tagSeen[sh][hashKey(k)>>(64-index.MaxTagBits)] = true
+		}
+		// Balance: each shard holds its share of the keys to within 2 %.
+		mean := float64(keys) / float64(n)
+		for sh, c := range count {
+			if dev := float64(c)/mean - 1; dev < -0.02 || dev > 0.02 {
+				t.Fatalf("%d shards: shard %d holds %d keys, %+.1f%% off the mean %.0f", n, sh, c, 100*dev, mean)
+			}
+		}
+		// Tag space: the shard must not pick its keys by the hash bits the
+		// index uses as the tag, or every key of a shard shares a slice of
+		// the tag space and tags stop telling keys apart. Each shard must
+		// cover 95 % of the distinct tags its key count draws uniformly.
+		for sh, seen := range tagSeen {
+			distinct := 0
+			for _, ok := range seen {
+				if ok {
+					distinct++
+				}
+			}
+			want := tags * (1 - math.Pow(1-1.0/tags, float64(count[sh])))
+			if float64(distinct) < 0.95*want {
+				t.Fatalf("%d shards: shard %d covers %d tag values, want at least 95%% of %.0f", n, sh, distinct, want)
+			}
+		}
+	}
+	// Routing is a pure function of the shard count: a second store
+	// must route identically, or recovery would scatter keys.
 	ss, _ := openTestSharded(t, 4, Config{})
 	defer ss.Close()
-
-	seen := make(map[int]int)
-	for i := uint64(0); i < 4096; i++ {
-		k := key(i)
-		sh := ss.ShardFor(k)
-		if sh < 0 || sh >= 4 {
-			t.Fatalf("key %d routed to shard %d", i, sh)
-		}
-		if again := ss.ShardFor(k); again != sh {
-			t.Fatalf("key %d routed to %d then %d", i, sh, again)
-		}
-		seen[sh]++
-	}
-	for sh := 0; sh < 4; sh++ {
-		if seen[sh] == 0 {
-			t.Fatalf("shard %d owns no keys out of 4096: %v", sh, seen)
-		}
-	}
-	// The ring is a pure function of the shard count: a second store
-	// must route identically, or recovery would scatter keys.
 	ss2, _ := openTestSharded(t, 4, Config{})
 	defer ss2.Close()
 	for i := uint64(0); i < 256; i++ {

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/faster"
 )
@@ -150,7 +152,10 @@ type EOShardedWorkload struct {
 	Serials int
 	// Keys is the key-space size; each serial targets a seeded key in
 	// [1, Keys] (default EOShardedMaxKeys), spreading a session's
-	// serials across shards.
+	// serials across shards. Key k is stored under a key the store
+	// routes to shard (k-1) mod Shards, and each session's first Shards
+	// serials visit every shard once, so Keys and Serials must be at
+	// least the shard count.
 	Keys uint64
 	// Seed makes the schedule, keys and deltas reproducible.
 	Seed int64
@@ -167,7 +172,9 @@ type EOShardedWorkload struct {
 // original keys and deltas — the retry rule an exactly-once client
 // follows — and a final sweep reads every key. The returned history has
 // the second checkpoint's window crash-marked and is ready for Check
-// against EOShardedModel().
+// against EOShardedModel(). The run fails unless every shard's table
+// holds a committed serial the checkpoints made durable: a shard without
+// one has nothing for recovery to lose.
 func RunExactlyOnceSharded(cfg faster.ShardedConfig, dir string, w EOShardedWorkload) ([]Op, error) {
 	if w.Sessions == 0 {
 		w.Sessions = 3
@@ -184,6 +191,10 @@ func RunExactlyOnceSharded(cfg faster.ShardedConfig, dir string, w EOShardedWork
 	if w.Keys > EOShardedMaxKeys {
 		return nil, fmt.Errorf("linearize: %d keys exceeds EOShardedMaxKeys=%d", w.Keys, EOShardedMaxKeys)
 	}
+	n := uint64(max(cfg.Shards, 1))
+	if w.Keys < n || uint64(w.Serials) < n {
+		return nil, fmt.Errorf("linearize: %d keys and %d serials cannot cover %d shards", w.Keys, w.Serials, n)
+	}
 	// Keys and deltas are fixed per (session, serial) up front so the
 	// post-crash retry resends byte-identical operations.
 	keys := make([][]uint64, w.Sessions+1)
@@ -194,6 +205,10 @@ func RunExactlyOnceSharded(cfg faster.ShardedConfig, dir string, w EOShardedWork
 		deltas[i] = make([]uint64, w.Serials+1)
 		for s := 1; s <= w.Serials; s++ {
 			keys[i][s] = drng.Uint64()%w.Keys + 1
+			if uint64(s) <= n {
+				// One of the keys on shard s-1.
+				keys[i][s] = uint64(s) + n*(drng.Uint64()%(w.Keys/n))
+			}
 			deltas[i][s] = drng.Uint64()%9 + 1
 		}
 	}
@@ -202,10 +217,22 @@ func RunExactlyOnceSharded(cfg faster.ShardedConfig, dir string, w EOShardedWork
 	if err != nil {
 		return nil, err
 	}
+	storeKeys := dealKeys(ss, w.Keys)
 	rec := NewRecorder()
+	// covered[j] is set once shard j committed a serial.
+	covered := make([]atomic.Bool, n)
+	allCovered := func() bool {
+		for j := range covered {
+			if !covered[j].Load() {
+				return false
+			}
+		}
+		return true
+	}
 
 	// The chaos goroutine commits generation 1 at roughly a third of the
-	// committed serials' events and generation 2 at roughly two thirds;
+	// committed serials' events and generation 2 at roughly two thirds,
+	// each once every shard has committed a serial;
 	// only the second bracket is crash-marked — recovery lands on it (or
 	// falls whole-ensemble back to generation 1, which the first
 	// checkpoint's own completed bracket covers: everything acked before
@@ -216,7 +243,7 @@ func RunExactlyOnceSharded(cfg faster.ShardedConfig, dir string, w EOShardedWork
 	go func() {
 		total := int64(w.Sessions * w.Serials)
 		wait := func(target int64) bool {
-			for rec.Peek() < target {
+			for rec.Peek() < target || !allCovered() {
 				select {
 				case <-stop:
 					return false
@@ -254,20 +281,21 @@ func RunExactlyOnceSharded(cfg faster.ShardedConfig, dir string, w EOShardedWork
 			}
 			for serial := uint64(1); serial <= uint64(w.Serials); serial++ {
 				k, d := keys[id][serial], deltas[id][serial]
-				if err := submitEOSharded(sess, log, k, id, serial, d, false); err != nil {
+				if err := submitEOSharded(sess, log, storeKeys[k], k, id, serial, d, false); err != nil {
 					errs <- err
 					return
 				}
+				covered[(k-1)%n].Store(true)
 				if rng.Intn(3) == 0 {
 					// Duplicate re-delivery of the serial just acked.
-					if err := submitEOSharded(sess, log, k, id, serial, d, true); err != nil {
+					if err := submitEOSharded(sess, log, storeKeys[k], k, id, serial, d, true); err != nil {
 						errs <- err
 						return
 					}
 				}
 				if rng.Intn(4) == 0 {
 					rk := rng.Uint64()%w.Keys + 1
-					if err := observeEOShardedRead(sess, log, rk); err != nil {
+					if err := observeEOShardedRead(sess, log, storeKeys[rk], rk); err != nil {
 						errs <- err
 						return
 					}
@@ -286,6 +314,12 @@ func RunExactlyOnceSharded(cfg faster.ShardedConfig, dir string, w EOShardedWork
 		ss.Close()
 		return nil, err
 	default:
+	}
+	for i := range ss.NumShards() {
+		if !slices.ContainsFunc(ss.Shard(i).SessionStates(), func(st faster.SessionState) bool { return st.Durable > 0 }) {
+			ss.Close()
+			return nil, fmt.Errorf("linearize: shard %d checkpointed no committed serial", i)
+		}
 	}
 
 	pre := PruneCrashWindow(rec.History(), ckptStart, ckptEnd)
@@ -311,25 +345,40 @@ func RunExactlyOnceSharded(cfg faster.ShardedConfig, dir string, w EOShardedWork
 			return nil, fmt.Errorf("recovered frontier %d for session %d exceeds %d serials issued", frontier, i, w.Serials)
 		}
 		for serial := frontier + 1; serial <= uint64(w.Serials); serial++ {
-			if err := submitEOSharded(sess, post, keys[i][serial], i, serial, deltas[i][serial], false); err != nil {
+			k := keys[i][serial]
+			if err := submitEOSharded(sess, post, storeKeys[k], k, i, serial, deltas[i][serial], false); err != nil {
 				return nil, err
 			}
 		}
 	}
 	sess.Unbind()
 	for k := uint64(1); k <= w.Keys; k++ {
-		if err := observeEOShardedRead(sess, post, k); err != nil {
+		if err := observeEOShardedRead(sess, post, storeKeys[k], k); err != nil {
 			return nil, err
 		}
 	}
 	return append(pre, post.History()...), nil
 }
 
-// submitEOSharded delivers one stamped RMW through the per-key serial
-// protocol: the verdict comes from the key's shard table, the commit
-// closes that shard's stamped window.
-func submitEOSharded(sess *faster.ShardedSession, log *ClientLog, k uint64, session int, serial, delta uint64, dup bool) error {
-	key := u64le(k)
+// dealKeys returns the store key of each model key in [1, keys]: model
+// key k gets a key ss routes to shard (k-1) mod NumShards, whatever the
+// router, so the model keys are dealt evenly over the shards.
+func dealKeys(ss *faster.ShardedStore, keys uint64) [][]byte {
+	out := make([][]byte, keys+1)
+	n := uint64(ss.NumShards())
+	v := uint64(0)
+	for k := uint64(1); k <= keys; k++ {
+		for v++; uint64(ss.ShardFor(u64le(v))) != (k-1)%n; v++ {
+		}
+		out[k] = u64le(v)
+	}
+	return out
+}
+
+// submitEOSharded delivers one stamped RMW of model key k (stored under
+// key) through the per-key serial protocol: the verdict comes from the
+// key's shard table, the commit closes that shard's stamped window.
+func submitEOSharded(sess *faster.ShardedSession, log *ClientLog, key []byte, k uint64, session int, serial, delta uint64, dup bool) error {
 	id := log.Begin(EOInput{Kind: KVRMW, Key: k, Arg: delta, Session: session, Serial: serial, Dup: dup})
 	v, _, err := sess.SerialCheckKey(key, serial)
 	if err != nil {
@@ -357,9 +406,9 @@ func submitEOSharded(sess *faster.ShardedSession, log *ClientLog, k uint64, sess
 	return nil
 }
 
-// observeEOShardedRead records one unstamped read of key k.
-func observeEOShardedRead(sess *faster.ShardedSession, log *ClientLog, k uint64) error {
-	key := u64le(k)
+// observeEOShardedRead records one unstamped read of model key k, stored
+// under key.
+func observeEOShardedRead(sess *faster.ShardedSession, log *ClientLog, key []byte, k uint64) error {
 	out := make([]byte, 8)
 	id := log.Begin(EOInput{Kind: KVRead, Key: k})
 	st, err := sess.Read(key, nil, out, nil)

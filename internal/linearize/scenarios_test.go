@@ -569,7 +569,7 @@ func TestLinearizableSharded(t *testing.T) {
 			cfg, ss := openScenarioSharded(t, shards, seed, faster.Config{
 				Mode:        hlog.ModeHybrid,
 				PageBits:    9, // 512-byte pages: records spill to storage fast
-				BufferPages: 4,
+				BufferPages: 2,
 			})
 
 			rec := NewRecorder()
@@ -583,7 +583,7 @@ func TestLinearizableSharded(t *testing.T) {
 			compactions := 0
 			RecordWorkloadTarget(ShardedTarget{ss}, rec, Workload{
 				// Four shards split the data: the per-shard volume must
-				// still overflow each shard's 4-page buffer.
+				// still overflow each shard's 2-page buffer.
 				Clients: 4, Ops: 400, Keys: keys, Seed: seed,
 				Batch: 7, PendingBatch: 6,
 				// The shift keeps every shard flushing and evicting even
