@@ -3,6 +3,9 @@
 // §7.2.4 Redis-style pipelining comparison, and the §7.3 log-bandwidth
 // probe) as printed tables. Scales are configurable; defaults are laptop
 // sized. See EXPERIMENTS.md for the mapping to the paper's figures.
+// Every run opens with an environment header (cores, GOMAXPROCS, Go
+// version, commit, transparent huge page modes) that the tables' numbers
+// depend on.
 //
 // Usage:
 //
@@ -13,7 +16,11 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"runtime"
+	"runtime/debug"
+	"strings"
 	"time"
 
 	"repro/internal/bench"
@@ -29,6 +36,7 @@ func main() {
 		metrics  = flag.Bool("metrics", false, "dump the store metrics report after each FASTER cell")
 	)
 	flag.Parse()
+	printEnv(os.Stdout)
 
 	o := bench.Options{
 		Keys:        *keys,
@@ -65,4 +73,38 @@ func main() {
 		run("netvs", func() error { return bench.NetVsRedis(o, 10, nil) })
 	}
 	run("bw", func() error { _, err := bench.LogBandwidth(o); return err })
+}
+
+// printEnv writes the environment header: the machine and build that
+// every table below it was measured on.
+func printEnv(w io.Writer) {
+	rev, modified := "unknown", "unknown"
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			switch s.Key {
+			case "vcs.revision":
+				rev = s.Value
+			case "vcs.modified":
+				modified = s.Value
+			}
+		}
+	}
+	fmt.Fprintf(w, "# cpus=%d gomaxprocs=%d go=%s\n", runtime.NumCPU(), runtime.GOMAXPROCS(0), runtime.Version())
+	fmt.Fprintf(w, "# vcs.revision=%s vcs.modified=%s\n", rev, modified)
+	fmt.Fprintf(w, "# thp.enabled=%s thp.defrag=%s\n", thpMode("enabled"), thpMode("defrag"))
+}
+
+// thpMode returns the bracketed (selected) transparent huge page mode in
+// /sys/kernel/mm/transparent_hugepage/name, or "unknown".
+func thpMode(name string) string {
+	b, err := os.ReadFile("/sys/kernel/mm/transparent_hugepage/" + name)
+	if err != nil {
+		return "unknown"
+	}
+	_, rest, _ := strings.Cut(string(b), "[")
+	mode, _, ok := strings.Cut(rest, "]")
+	if !ok {
+		return "unknown"
+	}
+	return mode
 }

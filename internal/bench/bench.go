@@ -1,8 +1,8 @@
-// Package bench is the shared benchmark harness behind cmd/faster-bench
-// and the repository-level bench_test.go: it drives YCSB workloads
-// (§7.1) against FASTER and the baseline systems with a uniform adapter
-// interface, measuring throughput the way the paper does — N workers
-// issuing operations for a fixed duration, counting completions.
+// Package bench is the benchmark harness behind cmd/faster-bench: it
+// drives YCSB workloads (§7.1) against FASTER and the baseline systems
+// with a uniform adapter interface, measuring throughput the way the
+// paper does — N workers issuing operations for a fixed duration,
+// counting completions.
 package bench
 
 import (
@@ -40,11 +40,8 @@ type System interface {
 type RunConfig struct {
 	// Threads is the worker count.
 	Threads int
-	// Duration is the measurement window (time-based runs).
+	// Duration is the measurement window.
 	Duration time.Duration
-	// TotalOps, when nonzero, runs a fixed operation count instead of a
-	// fixed duration (deterministic; used by testing.B benches).
-	TotalOps int
 	// Workload supplies keys and op kinds; cloned per worker.
 	Workload *ycsb.Workload
 	// ValueSize is the payload size (8 or 100 in the paper).
@@ -81,9 +78,9 @@ func (r Result) String() string {
 		r.System, r.Threads, r.Workload, r.ValueSz, r.Mops())
 }
 
-// Preload inserts every key in the workload's key space with a zero
+// preload inserts every key in the workload's key space with a zero
 // value of the configured size.
-func Preload(sys System, keys uint64, valueSize int, threads int) {
+func preload(sys System, keys uint64, valueSize int, threads int) {
 	if threads < 1 {
 		threads = 1
 	}
@@ -114,20 +111,13 @@ func Preload(sys System, keys uint64, valueSize int, threads int) {
 // Run measures sys under cfg.
 func Run(sys System, cfg RunConfig, label string) Result {
 	if cfg.Preload {
-		Preload(sys, cfg.Workload.KeySpace(), cfg.ValueSize, cfg.Threads)
+		preload(sys, cfg.Workload.KeySpace(), cfg.ValueSize, cfg.Threads)
 	}
 	var (
 		stop    atomic.Bool
 		totalOp atomic.Uint64
 		wg      sync.WaitGroup
 	)
-	opsPerWorker := 0
-	if cfg.TotalOps > 0 {
-		opsPerWorker = cfg.TotalOps / cfg.Threads
-		if opsPerWorker == 0 {
-			opsPerWorker = 1
-		}
-	}
 	start := time.Now()
 	for t := 0; t < cfg.Threads; t++ {
 		wg.Add(1)
@@ -142,14 +132,8 @@ func Run(sys System, cfg RunConfig, label string) Result {
 				val[i] = byte(id)
 			}
 			var done uint64
-			for {
-				if opsPerWorker > 0 {
-					if done >= uint64(opsPerWorker) {
-						break
-					}
-				} else if done&255 == 0 && stop.Load() {
-					break
-				}
+			// The stop flag is read once every 256 operations.
+			for done&255 != 0 || !stop.Load() {
 				op := wl.Next()
 				switch op.Kind {
 				case ycsb.OpRead:
@@ -165,9 +149,7 @@ func Run(sys System, cfg RunConfig, label string) Result {
 			totalOp.Add(done)
 		}(t)
 	}
-	if opsPerWorker == 0 {
-		time.AfterFunc(cfg.Duration, func() { stop.Store(true) })
-	}
+	time.AfterFunc(cfg.Duration, func() { stop.Store(true) })
 	wg.Wait()
 	elapsed := time.Since(start)
 	return Result{

@@ -22,20 +22,6 @@ func tinyOptions(buf *bytes.Buffer) Options {
 	}
 }
 
-func TestRunCountsOps(t *testing.T) {
-	sys := NewShardmapSystem(1000)
-	defer sys.Close()
-	wl := ycsb.NewWorkload(ycsb.NewUniform(1000, 1), ycsb.Mix50R50BU, 1)
-	res := Run(sys, RunConfig{Threads: 2, TotalOps: 10_000, Workload: wl,
-		ValueSize: 8, Preload: true, RMWInputs: ycsb.InputArray()}, "50:50")
-	if res.Ops != 10_000 {
-		t.Fatalf("Ops = %d, want 10000", res.Ops)
-	}
-	if res.Mops() <= 0 {
-		t.Fatal("throughput not positive")
-	}
-}
-
 func TestAllSystemsRunAllMixes(t *testing.T) {
 	o := Options{Keys: 500, Duration: 10 * time.Millisecond, MaxThreads: 2, Seed: 1}
 	o.defaults()

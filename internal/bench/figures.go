@@ -233,7 +233,7 @@ func Fig10(o Options) ([]Fig10Row, error) {
 	recBytes := uint64(16 + 8 + ((valueSize + 7) &^ 7))
 	dataset := o.Keys * recBytes
 	var rows []Fig10Row
-	fmt.Fprintf(o.Out, "\n--- Fig 10: throughput vs memory budget (dataset=%d MB) ---\n", dataset>>20)
+	fmt.Fprintf(o.Out, "\n--- Fig 10: throughput vs memory budget (dataset=%d KiB) ---\n", dataset>>10)
 	for _, m := range []struct {
 		label string
 		mix   ycsb.Mix
@@ -260,7 +260,7 @@ func Fig10(o Options) ([]Fig10Row, error) {
 			fsys.Close()
 			row := Fig10Row{Result: res, BudgetBytes: budget, DiskReads: reads}
 			rows = append(rows, row)
-			fmt.Fprintf(o.Out, "%s  budget=%4dMB diskReads=%d\n", res, budget>>20, reads)
+			fmt.Fprintf(o.Out, "%s  budget=%gx (%d KiB) diskReads=%d\n", res, frac, budget>>10, reads)
 
 			// LSM with the same nominal budget.
 			lsys, err := NewLSMSystem(int(budget), "")
@@ -273,7 +273,7 @@ func Fig10(o Options) ([]Fig10Row, error) {
 				RMWInputs: ycsb.InputArray(), Seed: o.Seed}, m.label)
 			lsys.Close()
 			rows = append(rows, Fig10Row{Result: res2, BudgetBytes: budget})
-			fmt.Fprintf(o.Out, "%s  budget=%4dMB\n", res2, budget>>20)
+			fmt.Fprintf(o.Out, "%s  budget=%gx (%d KiB)\n", res2, frac, budget>>10)
 		}
 	}
 	return rows, nil

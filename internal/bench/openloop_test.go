@@ -161,12 +161,13 @@ func TestOpenLoopSmoke(t *testing.T) {
 		chaos.Completed, chaos.ShedTimeout, chaos.ShedOverload, chaos.Errors)
 }
 
-// BenchmarkOpenLoopSLO emits the BENCH_07 SLO curves: one no-chaos run
+// BenchmarkOpenLoopSLO prints the open-loop SLO curves: one no-chaos run
 // and one run under 100 ms periodic device latency spikes, reporting
 // exact hot/cold percentiles and the full shed accounting as custom
-// units (cmd/benchreport lands them in "extra"). Run via
-// `make bench-openloop` (-benchtime 1x: each phase is one fixed-length
-// constant-rate schedule, not an iteration loop).
+// units. Run it with -benchtime 1x: each phase is one fixed-length
+// constant-rate schedule, not an iteration loop.
+//
+//	go test -run '^$' -bench OpenLoopSLO -benchtime 1x ./internal/bench/
 func BenchmarkOpenLoopSLO(b *testing.B) {
 	for _, tc := range []struct {
 		name  string

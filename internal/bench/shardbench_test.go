@@ -1,8 +1,10 @@
 package bench
 
-// Shard-scaling benchmarks behind `make bench-shard` (BENCH_08.json).
+// Shard-scaling benchmarks:
 //
-// The tentpole claim is that N shards give N independent io-pools,
+//	go test -run '^$' -bench 'ShardedBatch.*U64' -benchmem -cpu 1,2 ./internal/bench/
+//
+// The claim is that N shards give N independent io-pools,
 // flushers, and epoch domains, so device-bound work scales with the
 // shard count even when a single shard's pipeline would saturate. To
 // measure that rather than raw CPU (the scaling story must hold on a
@@ -19,8 +21,8 @@ package bench
 //     1-shard case spin on backpressure and starve its own flusher on
 //     a small host, measuring the scheduler instead of the store).
 //
-// Acceptance (ISSUE 9): 16-shard read throughput >= 2x single-shard at
-// -cpu 16, batch 64.
+// The bar it was built to: 16-shard read throughput >= 2x single-shard
+// at -cpu 16, batch 64.
 
 import (
 	"encoding/binary"

@@ -113,6 +113,11 @@ done
 go build -C kvbench -o /dev/null ./...
 go test -C kvbench ./...
 
+# The paper-figure path end to end at toy scale: faster-bench's main, its
+# environment header and every figure sweep (`make figures` runs them at
+# the scales EXPERIMENTS.md reports).
+go run ./cmd/faster-bench -fig all -keys 2000 -duration 20ms -threads 2 >/dev/null
+
 # Crash/torn-write torture matrix: fixed seeds, 100 crash points, race
 # detector on (the fault-domain hardening acceptance gate).
 FASTER_TORTURE_POINTS=100 go test -race -run TestCrashRecoveryTorture -count=1 ./internal/faster/
@@ -180,8 +185,8 @@ done
 # Open-loop SLO smoke: constant-arrival-rate load over a larger-than-
 # memory store, no-chaos vs 100ms device latency spikes — hot (resident)
 # p999 must ride through the chaos while cold misses slow, with exact
-# shed accounting and the health ladder untouched. `make bench-openloop`
-# emits the full BENCH_07.json curves.
+# shed accounting and the health ladder untouched. BenchmarkOpenLoopSLO
+# in the same package prints the full curves.
 go test -race -run TestOpenLoopSmoke -count=1 -timeout 300s ./internal/bench/
 
 # Sharded-store gate: the sharded linearizability matrix (cross-shard
