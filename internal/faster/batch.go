@@ -45,10 +45,6 @@ type BatchOp struct {
 	Err    error
 }
 
-// ErrBatchShape is returned by the typed batch helpers when the
-// parallel slices disagree in length.
-var ErrBatchShape = errors.New("faster: batch slices have mismatched lengths")
-
 var errBadBatchKind = errors.New("faster: invalid BatchKind")
 
 // batchAppend is one planned record of a batched upsert run: probed in
@@ -63,10 +59,6 @@ type batchAppend struct {
 	size      uint32
 	addr      hlog.Address // assigned when carved; invalid once its publish CAS lost
 }
-
-// batchSlot is the context the typed batch helpers attach to pending
-// slots; a named type keeps it from colliding with caller contexts.
-type batchSlot int
 
 // ExecBatch executes ops back-to-back with batch-amortized bookkeeping:
 // the keys are all hashed up front, the epoch check and operation
@@ -150,7 +142,6 @@ func (sess *Session) ExecBatch(ops []BatchOp) error {
 // atomic add per counter, however large the batch.
 func (sess *Session) batchStart(ops []BatchOp) {
 	n := len(ops)
-	sess.totalOps += uint64(n)
 	var reads, upserts, rmws, deletes uint64
 	for i := range ops {
 		switch ops[i].Kind {
@@ -423,86 +414,4 @@ func (sess *Session) publishChunk(run []BatchOp, chunk []batchAppend, total uint
 			op.Status, op.Err = sess.upsertInternal(op.Key, op.Value, p.h)
 		}
 	}
-}
-
-// takeBatchOps returns the session's reusable BatchOp scratch slice.
-func (sess *Session) takeBatchOps(n int) []BatchOp {
-	if cap(sess.batchOps) < n {
-		sess.batchOps = make([]BatchOp, n)
-	}
-	return sess.batchOps[:n]
-}
-
-// ReadBatch reads keys[i] into outputs[i] as one batch and blocks until
-// every read has a final status (draining pending I/O). statuses, if
-// non-nil, receives each slot's outcome; with a nil statuses the first
-// non-OK/NotFound outcome is returned as the error.
-func (sess *Session) ReadBatch(keys, outputs [][]byte, statuses []Status) error {
-	if len(keys) != len(outputs) || (statuses != nil && len(statuses) != len(keys)) {
-		return ErrBatchShape
-	}
-	ops := sess.takeBatchOps(len(keys))
-	for i := range keys {
-		ops[i] = BatchOp{Kind: BatchRead, Key: keys[i], Output: outputs[i], Ctx: batchSlot(i)}
-	}
-	if err := sess.ExecBatch(ops); err != nil {
-		return err
-	}
-	pending := 0
-	for i := range ops {
-		if ops[i].Status == Pending {
-			pending++
-		}
-	}
-	for pending > 0 {
-		results := sess.CompletePending(true)
-		matched := 0
-		for _, r := range results {
-			if slot, ok := r.Ctx.(batchSlot); ok && int(slot) < len(ops) {
-				ops[slot].Status, ops[slot].Err = r.Status, r.Err
-				matched++
-			}
-		}
-		pending -= matched
-		if matched == 0 {
-			break // nothing of ours left in flight
-		}
-	}
-	return sess.finishTyped(ops, statuses)
-}
-
-// UpsertBatch writes values[i] under keys[i] as one batch (sharing tail
-// reservations for the appends). statuses, if non-nil, receives each
-// slot's outcome; with a nil statuses the first failure is returned.
-func (sess *Session) UpsertBatch(keys, values [][]byte, statuses []Status) error {
-	if len(keys) != len(values) || (statuses != nil && len(statuses) != len(keys)) {
-		return ErrBatchShape
-	}
-	ops := sess.takeBatchOps(len(keys))
-	for i := range keys {
-		ops[i] = BatchOp{Kind: BatchUpsert, Key: keys[i], Value: values[i]}
-	}
-	if err := sess.ExecBatch(ops); err != nil {
-		return err
-	}
-	return sess.finishTyped(ops, statuses)
-}
-
-// finishTyped copies per-op outcomes out of the scratch ops and clears
-// the retained references.
-func (sess *Session) finishTyped(ops []BatchOp, statuses []Status) error {
-	var firstErr error
-	for i := range ops {
-		if statuses != nil {
-			statuses[i] = ops[i].Status
-		}
-		if firstErr == nil && ops[i].Err != nil {
-			firstErr = ops[i].Err
-		}
-		ops[i] = BatchOp{}
-	}
-	if statuses != nil {
-		return nil
-	}
-	return firstErr
 }

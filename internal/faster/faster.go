@@ -316,7 +316,7 @@ type Store struct {
 		compactedRecords  metrics.Counter   // live records copied forward
 		compactedBytes    metrics.Counter   // bytes re-appended by compaction
 		reclaimedBytes    metrics.Counter   // log bytes logically reclaimed (begin advances)
-		sessionBinds      metrics.Counter   // BindSession attaches/resumes
+		sessionBinds      metrics.Counter   // per-shard bindings (ShardedStore.BindSession)
 		serialReplays     metrics.Counter   // duplicate serials answered from the saved reply
 		serialFenced      metrics.Counter   // stale/gap/superseded serial submissions rejected
 

@@ -79,20 +79,24 @@ func TestHotPathZeroAlloc(t *testing.T) {
 	check("RMW", func() { sess.RMW(key, val, nil) })
 
 	// Serial-stamped ops ride the same fast path: the full exactly-once
-	// bracket (admission check, op, commit with reply capture) must not
-	// touch the heap either once the reply buffer has reached capacity.
-	if _, err := sess.Bind("hot-path"); err != nil {
+	// bracket through the token (window, admission check, op, commit with
+	// reply capture) must not touch the heap either once the reply buffer
+	// has reached capacity.
+	tok, _, _, err := (&ShardedStore{shards: []*Store{s}}).BindSession("hot-path")
+	if err != nil {
 		t.Fatalf("bind: %v", err)
 	}
 	var serial uint64
 	stamped := func(f func()) func() {
 		return func() {
 			serial++
-			if v, _, err := sess.SerialCheck(serial); v != SerialApply || err != nil {
-				t.Fatalf("serial %d: %v %v", serial, v, err)
+			tok.WindowEnter(0)
+			if v, _ := tok.Check(0, serial); v != SerialApply {
+				t.Fatalf("serial %d: %v", serial, v)
 			}
 			f()
-			sess.SerialCommit(serial, out)
+			tok.Commit(0, serial, out)
+			tok.WindowExit()
 		}
 	}
 	warmStamped := stamped(func() { sess.Upsert(key, val) })
@@ -180,52 +184,6 @@ func TestExecBatchMixed(t *testing.T) {
 	}
 }
 
-// TestTypedBatches covers ReadBatch/UpsertBatch including the
-// statuses-slice and nil-statuses forms.
-func TestTypedBatches(t *testing.T) {
-	s := openHotStore(t)
-	sess := s.StartSession()
-	defer sess.Close()
-
-	const n = 32
-	keys := make([][]byte, n)
-	vals := make([][]byte, n)
-	outs := make([][]byte, n)
-	for i := range keys {
-		keys[i] = make([]byte, 8)
-		binary.LittleEndian.PutUint64(keys[i], uint64(9000+i))
-		vals[i] = make([]byte, 8)
-		binary.LittleEndian.PutUint64(vals[i], uint64(i+1))
-		outs[i] = make([]byte, 8)
-	}
-	statuses := make([]Status, n)
-	if err := sess.UpsertBatch(keys, vals, statuses); err != nil {
-		t.Fatal(err)
-	}
-	for i, st := range statuses {
-		if st != OK {
-			t.Fatalf("upsert %d: %v", i, st)
-		}
-	}
-	if err := sess.ReadBatch(keys, outs, statuses); err != nil {
-		t.Fatal(err)
-	}
-	for i := range outs {
-		if statuses[i] != OK || binary.LittleEndian.Uint64(outs[i]) != uint64(i+1) {
-			t.Fatalf("read %d: %v value %d", i, statuses[i], binary.LittleEndian.Uint64(outs[i]))
-		}
-	}
-	// Absent keys report NotFound; with nil statuses that is not an error.
-	missing := [][]byte{[]byte("nope-key")}
-	mout := [][]byte{make([]byte, 8)}
-	if err := sess.ReadBatch(missing, mout, nil); err != nil {
-		t.Fatalf("ReadBatch nil statuses: %v", err)
-	}
-	if err := sess.ReadBatch(keys, outs[:1], nil); err != ErrBatchShape {
-		t.Fatalf("shape mismatch: %v, want ErrBatchShape", err)
-	}
-}
-
 func openHotHybrid(t *testing.T) *Store {
 	t.Helper()
 	s, err := Open(Config{
@@ -308,19 +266,23 @@ func openBenchStore(tb testing.TB) *Store {
 	tb.Cleanup(func() { s.Close() })
 	preload := s.StartSession()
 	const chunk = 256
-	keys := make([][]byte, chunk)
-	vals := make([][]byte, chunk)
+	ops := make([]BatchOp, chunk)
 	backing := make([]byte, 8*chunk)
 	one := make([]byte, 8)
 	binary.LittleEndian.PutUint64(one, 1)
 	for k := uint64(0); k < benchKeys; k += chunk {
-		for j := 0; j < chunk; j++ {
+		for j := range ops {
 			kb := backing[j*8 : j*8+8]
 			binary.LittleEndian.PutUint64(kb, k+uint64(j)+1)
-			keys[j], vals[j] = kb, one
+			ops[j] = BatchOp{Kind: BatchUpsert, Key: kb, Value: one}
 		}
-		if err := preload.UpsertBatch(keys, vals, nil); err != nil {
+		if err := preload.ExecBatch(ops); err != nil {
 			tb.Fatal(err)
+		}
+		for j := range ops {
+			if ops[j].Status != OK {
+				tb.Fatalf("preload key %d: %v %v", k+uint64(j)+1, ops[j].Status, ops[j].Err)
+			}
 		}
 	}
 	preload.Close()

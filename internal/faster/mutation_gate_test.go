@@ -122,19 +122,19 @@ func TestMutationGateBaseline(t *testing.T) {
 			},
 			NewDevice: func(i int) device.Device { return devs[i] },
 		}
-		eh, err := linearize.RunExactlyOnceSharded(cfg, t.TempDir(), linearize.EOShardedWorkload{
+		eh, err := linearize.RunExactlyOnce(cfg, t.TempDir(), linearize.EOWorkload{
 			Sessions: 3, Serials: 16, Seed: seed,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		er := linearize.Check(linearize.EOShardedModel(), eh, 10*time.Second)
+		er := linearize.Check(linearize.EOModel(), eh, 10*time.Second)
 		for _, d := range devs {
 			d.Close()
 		}
 		if er.Outcome != linearize.Ok {
 			t.Fatalf("sharded exactly-once baseline (mutations off) not linearizable (outcome %v):\n%s",
-				er.Outcome, linearize.Format(linearize.EOShardedModel(), er.Counterexample))
+				er.Outcome, linearize.Format(linearize.EOModel(), er.Counterexample))
 		}
 	}
 
@@ -354,16 +354,16 @@ func TestMutationGateSkipSerialFsync(t *testing.T) {
 		if time.Since(start) > budget {
 			t.Fatalf("seeded bug NOT detected within %v (%d schedules) — the harness lost its teeth", budget, seed-1)
 		}
-		cfg := faster.Config{
+		cfg := faster.ShardedConfig{Shards: 1, Base: faster.Config{
 			Mode:         hlog.ModeHybrid,
 			PageBits:     12,
 			BufferPages:  8,
 			IndexBuckets: 1 << 9,
 			Device:       device.NewMem(device.MemConfig{}),
 			Ops:          faster.SumOps{},
-		}
+		}}
 		h, err := linearize.RunExactlyOnce(cfg, t.TempDir(), linearize.EOWorkload{
-			Sessions: 3, Serials: 12, Seed: seed,
+			Sessions: 3, Serials: 12, Keys: 1, Seed: seed,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -453,19 +453,19 @@ func TestMutationGateSkipShardFsync(t *testing.T) {
 			},
 			NewDevice: func(i int) device.Device { return devs[i] },
 		}
-		h, err := linearize.RunExactlyOnceSharded(cfg, t.TempDir(), linearize.EOShardedWorkload{
+		h, err := linearize.RunExactlyOnce(cfg, t.TempDir(), linearize.EOWorkload{
 			Sessions: 3, Serials: 16, Seed: seed,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := linearize.Check(linearize.EOShardedModel(), h, 10*time.Second)
+		r := linearize.Check(linearize.EOModel(), h, 10*time.Second)
 		for _, d := range devs {
 			d.Close()
 		}
 		if r.Outcome == linearize.Illegal {
 			t.Logf("seeded bug detected on schedule %d (%d states explored)\nminimized counterexample:\n%s",
-				seed, r.States, linearize.Format(linearize.EOShardedModel(), r.Counterexample))
+				seed, r.States, linearize.Format(linearize.EOModel(), r.Counterexample))
 			return
 		}
 	}

@@ -25,10 +25,6 @@ type Session struct {
 	retries   []*PendingOp    // fuzzy-region deferrals (§6.3)
 	inFlight  int             // issued I/Os not yet returned to the user
 
-	// Per-session counters (aggregated into store stats lazily would
-	// cost atomics; these feed the Fig 12b/13 fuzzy-rate measurements).
-	fuzzyOps  uint64
-	totalOps  uint64
 	spinDebug uint64 // test instrumentation
 
 	// Pooled scratch for the slow paths. The session is single-goroutine,
@@ -44,14 +40,8 @@ type Session struct {
 	batchHash  []uint64
 	batchPlan  []batchAppend
 	batchDefer []int
-	batchOps   []BatchOp
 	batchEntry []index.Entry
 	batchAddr  []hlog.Address
-
-	// token is the session's durable exactly-once binding (sessiontable.go);
-	// nil until Bind. Serial-stamped mutating ops run through
-	// SerialCheck/SerialCommit against it.
-	token *SessionToken
 
 	// residentOnly makes storage misses (and fuzzy-region deferrals)
 	// return WouldBlock instead of going Pending on this session, so the
@@ -105,7 +95,6 @@ func (sess *Session) Close() error {
 		return nil
 	}
 	sess.CompletePending(true)
-	sess.Unbind()
 	sess.closed = true
 	sess.g.Release()
 	sess.s.releaseSessionStats(sess.stat)
@@ -126,15 +115,9 @@ func (sess *Session) Park() { sess.g.Park() }
 // Unpark rejoins the current epoch after a Park.
 func (sess *Session) Unpark() { sess.g.Unpark() }
 
-// FuzzyOps returns (fuzzy, total) operation counts for this session.
-func (sess *Session) FuzzyOps() (fuzzy, total uint64) {
-	return sess.fuzzyOps, sess.totalOps
-}
-
-// opStart performs the per-operation bookkeeping: periodic refresh (§2.5)
-// and counters.
+// opStart performs the per-operation bookkeeping: the periodic refresh
+// (§2.5).
 func (sess *Session) opStart() {
-	sess.totalOps++
 	sess.opsSince++
 	if sess.opsSince >= sess.s.cfg.RefreshInterval {
 		sess.opsSince = 0
@@ -586,7 +569,6 @@ func (sess *Session) rmwInternal(key, input []byte, ctx any, h uint64) (Status, 
 				if sess.residentOnly {
 					return WouldBlock, nil
 				}
-				sess.fuzzyOps++
 				sess.stat.fuzzyRMWs.Add(1)
 				op := sess.newPendingOp(opRMWRetry, key, input, nil, ctx)
 				sess.retries = append(sess.retries, op)

@@ -22,14 +22,17 @@ import (
 // below the recovered frontier is applied (exactly once), everything
 // above it is gone and safe to re-submit.
 //
-// Dedup and fencing follow from the frontier:
+// Dedup and fencing follow from the frontier. ShardedToken (sharded.go)
+// applies the rule once per connection, over the whole serial stream;
+// each shard's table here sees only the ascending subsequence of the
+// serials its keys receive, so it fences owners and keeps that
+// subsequence strictly ascending, nothing more:
 //
 //   - serial == frontier+1: fresh — execute, then commit;
-//   - serial == frontier:   duplicate of the newest committed operation —
-//     replay the saved reply, never re-execute;
-//   - serial <  frontier:   stale — fenced with an explicit error (the
-//     reply for it is long gone, so replay is impossible and silent
-//     re-execution would double-apply);
+//   - serial <= frontier:   a duplicate — replay the saved reply when it
+//     is the newest committed serial on its key's shard, else stale,
+//     fenced with an explicit error (the reply for it is gone, so replay
+//     is impossible and silent re-execution would double-apply);
 //   - serial >  frontier+1: a gap — the client skipped a serial, fenced.
 //
 // The correctness hinge is the cut: a checkpoint must record, per
@@ -47,7 +50,7 @@ import (
 // is bounded by the snapshot plus one read-only shift — no flush waits
 // happen under the lock.
 //
-// Single ownership per GUID is enforced by fencing tokens: BindSession
+// Single ownership per GUID is enforced by fencing tokens: binding
 // bumps the entry's owner, and stamped calls from a superseded token
 // report SerialFenced without executing. Bind waits for the previous
 // owner's in-flight stamped window to close first, so a fenced zombie
@@ -62,17 +65,17 @@ const (
 	// SerialApply admits a fresh serial (frontier+1): execute the
 	// operation, then commit it with the rendered reply.
 	SerialApply SerialVerdict = iota
-	// SerialReplay marks a duplicate of the newest committed serial: the
-	// saved reply must be returned verbatim and the operation must NOT be
-	// re-executed.
+	// SerialReplay marks a duplicate of the newest serial committed on its
+	// key's shard: the saved reply must be returned verbatim and the
+	// operation must NOT be re-executed.
 	SerialReplay
-	// SerialStale fences a serial below the frontier (and not the newest):
-	// its reply is no longer retained and re-execution would double-apply.
+	// SerialStale fences any other duplicate: its reply is no longer
+	// retained and re-execution would double-apply.
 	SerialStale
 	// SerialGap fences a serial that skips ahead of frontier+1.
 	SerialGap
-	// SerialFenced rejects a token superseded by a newer BindSession for
-	// the same GUID.
+	// SerialFenced rejects a token superseded by a newer binding of the
+	// same GUID.
 	SerialFenced
 )
 
@@ -92,10 +95,6 @@ func (v SerialVerdict) String() string {
 		return fmt.Sprintf("SerialVerdict(%d)", int(v))
 	}
 }
-
-// ErrNotBound is returned by serial operations on a session with no
-// bound GUID.
-var ErrNotBound = errors.New("faster: session not bound to a durable GUID")
 
 // maxGUIDLen bounds client-chosen GUIDs.
 const maxGUIDLen = 128
@@ -121,7 +120,7 @@ type sessionEntry struct {
 	guid string
 	mu   sync.Mutex
 
-	owner   uint64 // fencing token of the newest BindSession
+	owner   uint64 // fencing token of the newest binding
 	issued  uint64 // highest serial admitted for execution
 	acked   uint64 // highest serial whose operation completed (the frontier)
 	durable uint64 // highest frontier covered by a committed checkpoint
@@ -137,13 +136,6 @@ type sessionTable struct {
 	// Checkpoint holds it exclusive across [snapshot, t2 capture].
 	cutMu sync.RWMutex
 
-	// sparse relaxes serial admission from strictly-successive to
-	// strictly-ascending. A sharded store routes each stamped operation
-	// to its key's shard, so one shard's table observes an ascending
-	// subsequence of a connection's serial stream — jumps are normal, and
-	// gap detection moves up to the facade, which sees the whole stream.
-	sparse bool
-
 	mu      sync.Mutex
 	entries map[string]*sessionEntry
 }
@@ -152,25 +144,25 @@ func newSessionTable() *sessionTable {
 	return &sessionTable{entries: make(map[string]*sessionEntry)}
 }
 
-// SessionToken is the capability a bound client holds for stamping
-// serials. Exactly one goroutine may drive a token, mirroring Session.
-type SessionToken struct {
-	s        *Store
-	e        *sessionEntry
-	owner    uint64
-	inWindow bool
+// sessionToken is one shard table's capability for a bound GUID. The
+// stream rule lives in ShardedToken (sharded.go), which owns one of these
+// per shard; the table behind it only fences owners and keeps its serials
+// strictly ascending. Exactly one goroutine may drive a token.
+type sessionToken struct {
+	s     *Store
+	e     *sessionEntry
+	owner uint64
 }
 
-// BindSession attaches to (or creates) the durable exactly-once entry
-// for guid and fences any previous owner. It returns the capability
-// token, the session's acked frontier, and a copy of the frontier
-// operation's saved reply (nil when the session is new). The caller now
-// owns the serial stream: frontier+1 is the next fresh serial.
+// bindSession attaches to (or creates) the durable exactly-once entry
+// for guid on this shard and fences any previous owner. It returns the
+// shard's token, its acked serial and a copy of that serial's saved
+// reply (nil when the session is new).
 //
 // Bind waits for a previous owner's in-flight stamped window to close
-// (bounded by one operation), so the returned frontier covers every
-// operation any prior owner applied.
-func (s *Store) BindSession(guid string) (*SessionToken, uint64, []byte, error) {
+// (bounded by one operation), so the returned serial covers every
+// operation any prior owner applied on this shard.
+func (s *Store) bindSession(guid string) (*sessionToken, uint64, []byte, error) {
 	if err := validateGUID(guid); err != nil {
 		return nil, 0, nil, err
 	}
@@ -187,15 +179,15 @@ func (s *Store) BindSession(guid string) (*SessionToken, uint64, []byte, error) 
 		e.mu.Lock()
 		if e.issued == e.acked {
 			e.owner++
-			tok := &SessionToken{s: s, e: e, owner: e.owner}
-			frontier := e.acked
+			tok := &sessionToken{s: s, e: e, owner: e.owner}
+			acked := e.acked
 			var reply []byte
 			if len(e.lastReply) > 0 {
 				reply = append([]byte(nil), e.lastReply...)
 			}
 			e.mu.Unlock()
 			s.mx.sessionBinds.Inc()
-			return tok, frontier, reply, nil
+			return tok, acked, reply, nil
 		}
 		// The previous owner is mid-operation; taking over now would
 		// leave its applied-but-uncommitted serial outside the frontier.
@@ -208,27 +200,13 @@ func (s *Store) BindSession(guid string) (*SessionToken, uint64, []byte, error) 
 	}
 }
 
-// GUID returns the bound session GUID.
-func (tok *SessionToken) GUID() string { return tok.e.guid }
+// enter opens the shard's stamped window: it holds the checkpoint cut
+// shared until exit.
+func (tok *sessionToken) enter() { tok.s.sessions.cutMu.RLock() }
 
-// WindowEnter opens a stamped window: Check/Commit calls must happen
-// inside one. The window holds the store's checkpoint cut shared-locked,
-// so it must be kept tight — admission, execution (including pending-I/O
-// completion), commit — and must not span client round-trips.
-func (tok *SessionToken) WindowEnter() {
-	if tok.inWindow {
-		panic("faster: nested SessionToken window")
-	}
-	tok.s.sessions.cutMu.RLock()
-	tok.inWindow = true
-}
-
-// WindowExit closes the window. Serials admitted but never committed
-// (failed operations) are rolled back so the client can retry them.
-func (tok *SessionToken) WindowExit() {
-	if !tok.inWindow {
-		panic("faster: WindowExit outside a window")
-	}
+// exit closes the window. Serials admitted but never committed (failed
+// operations) are rolled back so the client can retry them.
+func (tok *sessionToken) exit() {
 	// Under mu: a token fenced by a newer binding still exits its window
 	// while the new owner commits to the same entry.
 	e := tok.e
@@ -237,67 +215,52 @@ func (tok *SessionToken) WindowExit() {
 		e.issued = e.acked
 	}
 	e.mu.Unlock()
-	tok.inWindow = false
 	tok.s.sessions.cutMu.RUnlock()
 }
 
-// Check classifies serial. On SerialApply the serial is admitted: the
-// caller must execute the operation and Commit it (or exit the window to
-// roll the admission back). On SerialReplay the returned bytes are a
-// copy of the saved reply.
-func (tok *SessionToken) Check(serial uint64) (SerialVerdict, []byte) {
-	if !tok.inWindow {
-		panic("faster: SessionToken.Check outside a window")
-	}
+// check classifies serial on this shard's table. next says the stream
+// rule found serial to be the connection's next serial: the table admits
+// it if it ascends past every serial the table admitted. Any other serial
+// is a re-delivery: SerialReplay with a copy of the saved reply when it
+// is this table's newest committed serial, SerialStale otherwise.
+func (tok *sessionToken) check(serial uint64, next bool) (SerialVerdict, []byte) {
 	e := tok.e
 	e.mu.Lock()
-	if e.owner != tok.owner {
+	switch {
+	case e.owner != tok.owner:
 		e.mu.Unlock()
 		tok.s.mx.serialFenced.Inc()
 		return SerialFenced, nil
-	}
-	sparse := tok.s.sessions.sparse
-	switch {
-	case serial == e.issued+1 || (sparse && serial > e.issued):
+	case next && serial > e.issued:
 		e.issued = serial
 		e.mu.Unlock()
 		return SerialApply, nil
-	case serial == e.acked && serial > 0 && e.issued == e.acked:
+	case !next && serial > 0 && serial == e.acked && e.issued == e.acked:
 		reply := append([]byte(nil), e.lastReply...)
 		e.mu.Unlock()
 		tok.s.mx.serialReplays.Inc()
 		return SerialReplay, reply
-	case serial <= e.issued:
-		e.mu.Unlock()
-		tok.s.mx.serialFenced.Inc()
-		return SerialStale, nil
 	default:
 		e.mu.Unlock()
 		tok.s.mx.serialFenced.Inc()
-		return SerialGap, nil
+		return SerialStale, nil
 	}
 }
 
-// Commit marks serial's operation complete and saves its rendered reply
-// for replay. Serials commit in admission order; committing out of order
-// or without admission panics (a protocol bug, not a runtime condition).
-// Returns false if the token was fenced mid-window (cannot happen while
-// Bind honors the in-flight wait; kept as a hard failure signal).
-func (tok *SessionToken) Commit(serial uint64, reply []byte) bool {
-	if !tok.inWindow {
-		panic("faster: SessionToken.Commit outside a window")
-	}
+// commit marks the admitted serial's operation complete and saves its
+// rendered reply for replay. Committing a serial at or below the table's
+// acked one, or one it never admitted, panics (a protocol bug, not a
+// runtime condition). Returns false if the token was fenced mid-window
+// (cannot happen while bind honors the in-flight wait; kept as a hard
+// failure signal).
+func (tok *sessionToken) commit(serial uint64, reply []byte) bool {
 	e := tok.e
 	e.mu.Lock()
 	if e.owner != tok.owner {
 		e.mu.Unlock()
 		return false
 	}
-	ordered := serial == e.acked+1
-	if tok.s.sessions.sparse {
-		ordered = serial > e.acked
-	}
-	if !ordered || serial > e.issued {
+	if serial <= e.acked || serial > e.issued {
 		e.mu.Unlock()
 		panic(fmt.Sprintf("faster: commit of serial %d with acked %d issued %d", serial, e.acked, e.issued))
 	}
@@ -306,81 +269,6 @@ func (tok *SessionToken) Commit(serial uint64, reply []byte) bool {
 	e.updatedUnix = time.Now().Unix()
 	e.mu.Unlock()
 	return true
-}
-
-// Release closes any open window. The entry itself is durable state and
-// outlives the token.
-func (tok *SessionToken) Release() {
-	if tok.inWindow {
-		tok.WindowExit()
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Session convenience layer: a faster.Session bound to a GUID stamps its
-// mutating operations through these helpers.
-// ---------------------------------------------------------------------------
-
-// Bind attaches the session to the durable exactly-once entry for guid
-// and returns the acked frontier (see Store.BindSession). Any previous
-// binding of this session is released.
-func (sess *Session) Bind(guid string) (uint64, error) {
-	tok, frontier, _, err := sess.s.BindSession(guid)
-	if err != nil {
-		return 0, err
-	}
-	if sess.token != nil {
-		sess.token.Release()
-	}
-	sess.token = tok
-	return frontier, nil
-}
-
-// Token exposes the session's bound capability (nil when unbound).
-func (sess *Session) Token() *SessionToken { return sess.token }
-
-// Unbind releases the session's durable binding.
-func (sess *Session) Unbind() {
-	if sess.token != nil {
-		sess.token.Release()
-		sess.token = nil
-	}
-}
-
-// SerialCheck classifies serial for the bound GUID and, on SerialApply,
-// opens the stamped window the following operation runs in. The caller
-// must then execute the operation and call SerialCommit (success) or
-// SerialAbort (failure). Non-apply verdicts leave no window open.
-func (sess *Session) SerialCheck(serial uint64) (SerialVerdict, []byte, error) {
-	if sess.token == nil {
-		return SerialFenced, nil, ErrNotBound
-	}
-	if !sess.token.inWindow {
-		sess.token.WindowEnter()
-	}
-	v, reply := sess.token.Check(serial)
-	if v != SerialApply {
-		sess.token.WindowExit()
-	}
-	return v, reply, nil
-}
-
-// SerialCommit commits an admitted serial with its rendered reply and
-// closes the stamped window.
-func (sess *Session) SerialCommit(serial uint64, reply []byte) {
-	sess.token.Commit(serial, reply)
-	if sess.token.inWindow {
-		sess.token.WindowExit()
-	}
-}
-
-// SerialAbort rolls back an admitted serial whose operation failed
-// before applying, closing the stamped window; the client may retry the
-// same serial.
-func (sess *Session) SerialAbort() {
-	if sess.token != nil && sess.token.inWindow {
-		sess.token.WindowExit()
-	}
 }
 
 // ---------------------------------------------------------------------------

@@ -13,43 +13,61 @@ import (
 	"repro/internal/device"
 )
 
-// submitSerial drives one serial-stamped RMW add through the full
-// protocol: check, execute (draining pending I/O), read back, commit the
-// rendered reply. It returns the verdict and the reply bytes (the
-// counter value after the op, or the saved reply on replay).
-func submitSerial(t testing.TB, sess *Session, k []byte, serial, delta uint64) (SerialVerdict, []byte) {
+// bindFlat binds guid on s served as a one-shard ensemble, the shape a
+// flat store gets exactly-once in.
+func bindFlat(t testing.TB, s *Store, guid string) (*ShardedToken, uint64) {
 	t.Helper()
-	v, reply, err := sess.SerialCheck(serial)
+	tok, frontier, _, err := (&ShardedStore{shards: []*Store{s}}).BindSession(guid)
 	if err != nil {
-		t.Fatalf("SerialCheck(%d): %v", serial, err)
+		t.Fatalf("BindSession(%q): %v", guid, err)
 	}
+	return tok, frontier
+}
+
+// stamped runs one stamped operation on shard through tok the way the
+// RESP front-end does: open the shard's window, check serial, and on
+// SerialApply run do and commit the reply it renders. It returns the
+// verdict and the reply (the saved one on replay).
+func stamped(tok *ShardedToken, shard int, serial uint64, do func() []byte) (SerialVerdict, []byte) {
+	tok.WindowEnter(shard)
+	defer tok.WindowExit()
+	v, reply := tok.Check(shard, serial)
 	if v != SerialApply {
 		return v, reply
 	}
-	st, err := sess.RMW(k, u64(delta), nil)
-	if err != nil {
-		sess.SerialAbort()
-		t.Fatalf("RMW serial %d: %v", serial, err)
-	}
-	if st == Pending {
-		for _, r := range sess.CompletePending(true) {
-			if r.Kind == "rmw" && r.Status != OK {
-				sess.SerialAbort()
-				t.Fatalf("pending RMW serial %d: %v %v", serial, r.Status, r.Err)
-			}
+	reply = do()
+	tok.Commit(shard, serial, reply)
+	return v, reply
+}
+
+// submitSerial drives one serial-stamped RMW add on a flat store
+// through the full protocol: check, execute (draining pending I/O), read
+// back, commit the rendered reply. It returns the verdict and the reply
+// bytes (the counter value after the op, or the saved reply on replay).
+func submitSerial(t testing.TB, tok *ShardedToken, sess *Session, k []byte, serial, delta uint64) (SerialVerdict, []byte) {
+	t.Helper()
+	return stamped(tok, 0, serial, func() []byte {
+		st, err := sess.RMW(k, u64(delta), nil)
+		if err != nil {
+			t.Fatalf("RMW serial %d: %v", serial, err)
 		}
-		st = OK
-	}
-	if st != OK {
-		sess.SerialAbort()
-		t.Fatalf("RMW serial %d: %v", serial, st)
-	}
-	out := make([]byte, 8)
-	if rst, _ := sess.Read(k, nil, out, nil); rst == Pending {
-		sess.CompletePending(true)
-	}
-	sess.SerialCommit(serial, out)
-	return SerialApply, out
+		if st == Pending {
+			for _, r := range sess.CompletePending(true) {
+				if r.Kind == "rmw" && r.Status != OK {
+					t.Fatalf("pending RMW serial %d: %v %v", serial, r.Status, r.Err)
+				}
+			}
+			st = OK
+		}
+		if st != OK {
+			t.Fatalf("RMW serial %d: %v", serial, st)
+		}
+		out := make([]byte, 8)
+		if rst, _ := sess.Read(k, nil, out, nil); rst == Pending {
+			sess.CompletePending(true)
+		}
+		return out
+	})
 }
 
 func TestSerialLifecycle(t *testing.T) {
@@ -57,17 +75,14 @@ func TestSerialLifecycle(t *testing.T) {
 	sess := s.StartSession()
 	defer sess.Close()
 
-	if _, _, err := sess.SerialCheck(1); err != ErrNotBound {
-		t.Fatalf("unbound SerialCheck err = %v, want ErrNotBound", err)
-	}
-	frontier, err := sess.Bind("client-a")
-	if err != nil || frontier != 0 {
-		t.Fatalf("Bind = (%d, %v), want (0, nil)", frontier, err)
+	tok, frontier := bindFlat(t, s, "client-a")
+	if frontier != 0 {
+		t.Fatalf("BindSession frontier = %d, want 0", frontier)
 	}
 
 	k := key(77)
 	for serial := uint64(1); serial <= 5; serial++ {
-		if v, _ := submitSerial(t, sess, k, serial, 10); v != SerialApply {
+		if v, _ := submitSerial(t, tok, sess, k, serial, 10); v != SerialApply {
 			t.Fatalf("serial %d: verdict %v, want APPLY", serial, v)
 		}
 	}
@@ -76,7 +91,7 @@ func TestSerialLifecycle(t *testing.T) {
 	}
 
 	// Duplicate of the newest serial: replayed, not re-executed.
-	v, reply := submitSerial(t, sess, k, 5, 10)
+	v, reply := submitSerial(t, tok, sess, k, 5, 10)
 	if v != SerialReplay || binary.LittleEndian.Uint64(reply) != 50 {
 		t.Fatalf("duplicate serial 5: (%v, %x), want (REPLAY, 50)", v, reply)
 	}
@@ -84,22 +99,24 @@ func TestSerialLifecycle(t *testing.T) {
 		t.Fatalf("replay re-executed: counter %d, want 50", got)
 	}
 	// Older serials are fenced; skipping ahead is fenced.
-	if v, _ := submitSerial(t, sess, k, 3, 10); v != SerialStale {
+	if v, _ := submitSerial(t, tok, sess, k, 3, 10); v != SerialStale {
 		t.Fatalf("serial 3: verdict %v, want STALE", v)
 	}
-	if v, _ := submitSerial(t, sess, k, 9, 10); v != SerialGap {
+	if v, _ := submitSerial(t, tok, sess, k, 9, 10); v != SerialGap {
 		t.Fatalf("serial 9: verdict %v, want GAP", v)
 	}
 	if got, _ := readU64(t, sess, k); got != 50 {
 		t.Fatalf("fenced serials mutated state: counter %d, want 50", got)
 	}
 
-	// A failed (aborted) serial can be retried.
-	if v, _, _ := sess.SerialCheck(6); v != SerialApply {
+	// A failed serial — admitted, its window closed without a commit —
+	// can be retried.
+	tok.WindowEnter(0)
+	if v, _ := tok.Check(0, 6); v != SerialApply {
 		t.Fatal("serial 6 not admitted")
 	}
-	sess.SerialAbort()
-	if v, _ := submitSerial(t, sess, k, 6, 1); v != SerialApply {
+	tok.WindowExit()
+	if v, _ := submitSerial(t, tok, sess, k, 6, 1); v != SerialApply {
 		t.Fatalf("retry of aborted serial 6: verdict %v, want APPLY", v)
 	}
 	if got, _ := readU64(t, sess, k); got != 51 {
@@ -116,23 +133,21 @@ func TestBindFencesPreviousOwner(t *testing.T) {
 	s, _ := openTestStore(t, Config{})
 	old := s.StartSession()
 	defer old.Close()
-	if _, err := old.Bind("shared"); err != nil {
-		t.Fatal(err)
-	}
-	submitSerial(t, old, key(1), 1, 5)
+	oldTok, _ := bindFlat(t, s, "shared")
+	submitSerial(t, oldTok, old, key(1), 1, 5)
 
 	// A reconnecting client takes over the GUID; it sees the frontier the
 	// old owner committed, and the old owner's next stamped op is fenced.
 	fresh := s.StartSession()
 	defer fresh.Close()
-	frontier, err := fresh.Bind("shared")
-	if err != nil || frontier != 1 {
-		t.Fatalf("takeover Bind = (%d, %v), want (1, nil)", frontier, err)
+	freshTok, frontier := bindFlat(t, s, "shared")
+	if frontier != 1 {
+		t.Fatalf("takeover BindSession frontier = %d, want 1", frontier)
 	}
-	if v, _, _ := old.SerialCheck(2); v != SerialFenced {
+	if v, _ := submitSerial(t, oldTok, old, key(1), 2, 5); v != SerialFenced {
 		t.Fatalf("old owner serial 2: verdict %v, want FENCED", v)
 	}
-	if v, _ := submitSerial(t, fresh, key(1), 2, 5); v != SerialApply {
+	if v, _ := submitSerial(t, freshTok, fresh, key(1), 2, 5); v != SerialApply {
 		t.Fatalf("new owner serial 2: verdict %v, want APPLY", v)
 	}
 	if got, _ := readU64(t, fresh, key(1)); got != 10 {
@@ -142,15 +157,14 @@ func TestBindFencesPreviousOwner(t *testing.T) {
 
 func TestGUIDValidation(t *testing.T) {
 	s, _ := openTestStore(t, Config{})
-	sess := s.StartSession()
-	defer sess.Close()
+	ss := &ShardedStore{shards: []*Store{s}}
 	for _, bad := range []string{"", "has space", "ctrl\x01byte", string(make([]byte, maxGUIDLen+1))} {
-		if _, err := sess.Bind(bad); err == nil {
-			t.Errorf("Bind(%q) accepted", bad)
+		if _, _, _, err := ss.BindSession(bad); err == nil {
+			t.Errorf("BindSession(%q) accepted", bad)
 		}
 	}
-	if _, err := sess.Bind("ok-guid_1.2:3"); err != nil {
-		t.Errorf("Bind rejected valid guid: %v", err)
+	if _, _, _, err := ss.BindSession("ok-guid_1.2:3"); err != nil {
+		t.Errorf("BindSession rejected valid guid: %v", err)
 	}
 }
 
@@ -168,12 +182,10 @@ func TestSessionTableCheckpointRecover(t *testing.T) {
 		t.Fatal(err)
 	}
 	sess := s.StartSession()
-	if _, err := sess.Bind("client-r"); err != nil {
-		t.Fatal(err)
-	}
+	tok, _ := bindFlat(t, s, "client-r")
 	k := key(42)
 	for serial := uint64(1); serial <= 8; serial++ {
-		submitSerial(t, sess, k, serial, serial)
+		submitSerial(t, tok, sess, k, serial, serial)
 	}
 	sess.Park()
 	if _, err := s.Checkpoint(dir); err != nil {
@@ -182,7 +194,7 @@ func TestSessionTableCheckpointRecover(t *testing.T) {
 	sess.Unpark()
 	// Post-checkpoint serials: applied now, lost by the crash.
 	for serial := uint64(9); serial <= 12; serial++ {
-		submitSerial(t, sess, k, serial, serial)
+		submitSerial(t, tok, sess, k, serial, serial)
 	}
 	if st := s.SessionStates(); st[0].Acked != 12 || st[0].Durable != 8 {
 		t.Fatalf("pre-crash state = %+v, want acked 12 durable 8", st[0])
@@ -197,9 +209,9 @@ func TestSessionTableCheckpointRecover(t *testing.T) {
 	defer r.Close()
 	rs := r.StartSession()
 	defer rs.Close()
-	frontier, err := rs.Bind("client-r")
-	if err != nil || frontier != 8 {
-		t.Fatalf("recovered Bind = (%d, %v), want (8, nil)", frontier, err)
+	rtok, frontier := bindFlat(t, r, "client-r")
+	if frontier != 8 {
+		t.Fatalf("recovered BindSession frontier = %d, want 8", frontier)
 	}
 	// The recovered store holds exactly serials 1..8: 1+2+..+8 = 36.
 	if got, st := readU64(t, rs, k); st != OK || got != 36 {
@@ -207,17 +219,17 @@ func TestSessionTableCheckpointRecover(t *testing.T) {
 	}
 	// Duplicate of the frontier serial replays the saved reply (the
 	// counter as of serial 8) without re-executing.
-	v, reply := submitSerial(t, rs, k, 8, 8)
+	v, reply := submitSerial(t, rtok, rs, k, 8, 8)
 	if v != SerialReplay || binary.LittleEndian.Uint64(reply) != 36 {
 		t.Fatalf("frontier replay = (%v, %x), want (REPLAY, 36)", v, reply)
 	}
 	// Serials below the recovered commit point are fenced explicitly.
-	if v, _ := submitSerial(t, rs, k, 5, 5); v != SerialStale {
+	if v, _ := submitSerial(t, rtok, rs, k, 5, 5); v != SerialStale {
 		t.Fatalf("stale serial verdict %v, want STALE", v)
 	}
 	// The client re-submits the lost suffix; each op applies exactly once.
 	for serial := uint64(9); serial <= 12; serial++ {
-		if v, _ := submitSerial(t, rs, k, serial, serial); v != SerialApply {
+		if v, _ := submitSerial(t, rtok, rs, k, serial, serial); v != SerialApply {
 			t.Fatalf("retry serial %d: verdict %v", serial, v)
 		}
 	}
@@ -291,12 +303,10 @@ func TestSerialTableCrashMatrix(t *testing.T) {
 				t.Fatal(err)
 			}
 			sess := s.StartSession()
-			if _, err := sess.Bind("client-m"); err != nil {
-				t.Fatal(err)
-			}
+			tok, _ := bindFlat(t, s, "client-m")
 			k := key(7)
 			for serial := uint64(1); serial <= 4; serial++ {
-				submitSerial(t, sess, k, serial, 1)
+				submitSerial(t, tok, sess, k, serial, 1)
 			}
 			sess.Park()
 			if _, err := s.Checkpoint(dir); err != nil { // gen1: frontier 4
@@ -304,7 +314,7 @@ func TestSerialTableCrashMatrix(t *testing.T) {
 			}
 			sess.Unpark()
 			for serial := uint64(5); serial <= 9; serial++ {
-				submitSerial(t, sess, k, serial, 1)
+				submitSerial(t, tok, sess, k, serial, 1)
 			}
 			sess.Park()
 			if _, err := s.Checkpoint(dir); err != nil { // gen2: frontier 9
@@ -323,10 +333,7 @@ func TestSerialTableCrashMatrix(t *testing.T) {
 			defer r.Close()
 			rs := r.StartSession()
 			defer rs.Close()
-			frontier, err := rs.Bind("client-m")
-			if err != nil {
-				t.Fatal(err)
-			}
+			rtok, frontier := bindFlat(t, r, "client-m")
 			// Every crash state recovers gen1 (frontier 4, counter 4): the
 			// log cut and the session frontier moved back together.
 			if frontier != 4 {
@@ -338,7 +345,7 @@ func TestSerialTableCrashMatrix(t *testing.T) {
 			// The client retries everything unacked beyond the frontier;
 			// the final count proves nothing double-applied.
 			for serial := frontier + 1; serial <= 9; serial++ {
-				if v, _ := submitSerial(t, rs, k, serial, 1); v != SerialApply {
+				if v, _ := submitSerial(t, rtok, rs, k, serial, 1); v != SerialApply {
 					t.Fatalf("retry serial %d: verdict %v", serial, v)
 				}
 			}
@@ -385,9 +392,7 @@ func TestExactlyOnceCrashRetryTorture(t *testing.T) {
 				t.Fatal(err)
 			}
 			sess := s.StartSession()
-			if _, err := sess.Bind("torture-client"); err != nil {
-				t.Fatal(err)
-			}
+			tok, _ := bindFlat(t, s, "torture-client")
 			k := key(1)
 
 			const totalOps = 60
@@ -404,7 +409,7 @@ func TestExactlyOnceCrashRetryTorture(t *testing.T) {
 			replies := make(map[uint64]uint64) // serial -> acked counter value
 
 			submit := func(serial uint64) {
-				v, reply := submitSerial(t, sess, k, serial, deltas[serial])
+				v, reply := submitSerial(t, tok, sess, k, serial, deltas[serial])
 				switch v {
 				case SerialApply, SerialReplay:
 					got := binary.LittleEndian.Uint64(reply)
@@ -449,10 +454,8 @@ func TestExactlyOnceCrashRetryTorture(t *testing.T) {
 						t.Fatal(err)
 					}
 					sess = s.StartSession()
-					frontier, err := sess.Bind("torture-client")
-					if err != nil {
-						t.Fatal(err)
-					}
+					var frontier uint64
+					tok, frontier = bindFlat(t, s, "torture-client")
 					if frontier > clientAcked {
 						// Server acked ops whose acks the client lost; all of
 						// them are covered by the recovered frontier.
@@ -527,18 +530,16 @@ func TestReadCheckpointSessions(t *testing.T) {
 	s, _ := openTestStore(t, Config{})
 	sess := s.StartSession()
 	defer sess.Close()
-	if _, err := sess.Bind("offline-a"); err != nil {
-		t.Fatal(err)
-	}
+	tok, _ := bindFlat(t, s, "offline-a")
 	for serial := uint64(1); serial <= 3; serial++ {
-		submitSerial(t, sess, key(1), serial, 10)
+		submitSerial(t, tok, sess, key(1), serial, 10)
 	}
 	sess.Park()
 	if _, err := s.Checkpoint(dir); err != nil {
 		t.Fatal(err)
 	}
 	sess.Unpark()
-	submitSerial(t, sess, key(1), 4, 10)
+	submitSerial(t, tok, sess, key(1), 4, 10)
 	sess.Park()
 	if _, err := s.Checkpoint(dir); err != nil {
 		t.Fatal(err)

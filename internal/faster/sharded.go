@@ -27,11 +27,11 @@ import (
 //
 //   - Exactly-once serials. A connection's serial stream scatters over
 //     shards with its keys, so each shard's session table observes an
-//     ascending *subsequence* (sessionTable.sparse); gap detection moves
-//     up to the RESP front-end, which sees the whole stream. The
-//     connection frontier is the maximum acked serial over shards —
-//     sound only because the sharded checkpoint cuts every shard at one
-//     global serial barrier (see Checkpoint below).
+//     ascending *subsequence*; the stream rule lives in ShardedToken,
+//     which sees the whole stream. The connection frontier is the
+//     maximum acked serial over shards — sound only because the sharded
+//     checkpoint cuts every shard at one global serial barrier (see
+//     Checkpoint below).
 //
 //   - Checkpoints. Each generation is a directory of per-shard
 //     checkpoints committed atomically by a top-level manifest
@@ -93,7 +93,6 @@ func OpenSharded(cfg ShardedConfig) (*ShardedStore, error) {
 			ss.closeShards()
 			return nil, fmt.Errorf("faster: open shard %d: %w", i, err)
 		}
-		s.sessions.sparse = n > 1
 		ss.shards = append(ss.shards, s)
 	}
 	return ss, nil
@@ -105,11 +104,7 @@ func NewShardedFromStores(stores []*Store) (*ShardedStore, error) {
 	if len(stores) == 0 {
 		return nil, errors.New("faster: no stores")
 	}
-	ss := &ShardedStore{shards: stores}
-	for _, s := range stores {
-		s.sessions.sparse = len(stores) > 1
-	}
-	return ss, nil
+	return &ShardedStore{shards: stores}, nil
 }
 
 func (ss *ShardedStore) closeShards() {
@@ -242,10 +237,6 @@ type ShardedSession struct {
 	ss   *ShardedStore
 	subs []*Session
 	wake *waker // shared by every sub-session's completion queue
-	stok *ShardedToken
-	// curTok is the token holding the open stamped window during the
-	// SerialCheckKey/SerialCommitKey convenience protocol.
-	curTok *SessionToken
 	// batch scratch, reused across ExecBatch calls
 	groups  [][]BatchOp
 	origIdx [][]int
@@ -281,7 +272,6 @@ func (ss *ShardedStore) StartSession() *ShardedSession {
 // Close closes every per-shard session. Each sub is unparked first:
 // Close drains its pending operations, which needs epoch protection.
 func (sess *ShardedSession) Close() error {
-	sess.Unbind()
 	var firstErr error
 	for _, sub := range sess.subs {
 		sub.Unpark()
@@ -309,9 +299,6 @@ func (sess *ShardedSession) Park() {}
 
 // Unpark mirrors Park.
 func (sess *ShardedSession) Unpark() {}
-
-// Sub exposes the shard-i session (tests, per-shard drains).
-func (sess *ShardedSession) Sub(i int) *Session { return sess.subs[i] }
 
 // SubFor returns the session of the shard owning key.
 func (sess *ShardedSession) SubFor(key []byte) *Session {
@@ -473,128 +460,142 @@ func (sess *ShardedSession) execGroup(sh int) {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded exactly-once serials
+// Exactly-once serials
 // ---------------------------------------------------------------------------
 
-// ShardedToken is one bound GUID's capability across every shard: the
-// serial stream shards with its keys, so each stamped operation runs
-// under the key's shard token. Frontier is the maximum recovered acked
-// serial over shards — the newest serial of the globally-committed
-// prefix (see the barrier argument at the top of the file).
+// ShardedToken is a bound GUID's exactly-once capability, and the one
+// home of the serial stream rule (sessiontable.go). A connection's serial
+// stream scatters over shards with its keys, so each shard's table sees
+// only an ascending subsequence of it; the token sees the whole stream.
+// It keeps the connection's committed frontier and, inside a window, the
+// admission cursor — the next serial the window may admit — and checks
+// every stamped serial against them once:
+//
+//   - serial == cursor: admitted on its shard's table (SerialApply, or
+//     SerialFenced if a newer binding superseded this one);
+//   - serial >  cursor: SerialGap, and no table is touched;
+//   - serial <  cursor: never applied — SerialReplay if it is its
+//     shard's newest committed serial, else SerialStale.
+//
+// A stamped operation runs inside a window (WindowEnter … WindowExit)
+// that brackets admission, execution and commit; the window holds the
+// checkpoint cut of each shard it spans shared-locked, so it must be kept
+// tight and must not span client round-trips. Exactly one goroutine may
+// drive a token.
 type ShardedToken struct {
-	ss   *ShardedStore
-	toks []*SessionToken
+	toks   []*sessionToken
+	open   []bool // shards the current window spans
+	acked  uint64 // the connection's committed frontier
+	cursor uint64 // the next serial the open window admits
+	within bool   // a window is open
 }
 
 // BindSession binds guid on every shard and fences all previous owners.
-// The returned frontier is the connection's resume point: every serial
-// at or below it applied exactly once, everything above is safe to
-// re-submit. The reply is the saved reply of the frontier serial.
+// The returned frontier is the connection's resume point — the maximum
+// acked serial over shards: every serial at or below it applied exactly
+// once, everything above is safe to re-submit. The reply is the saved
+// reply of the frontier serial. A flat store gets exactly-once as a
+// one-shard ensemble.
 func (ss *ShardedStore) BindSession(guid string) (*ShardedToken, uint64, []byte, error) {
-	st := &ShardedToken{ss: ss, toks: make([]*SessionToken, len(ss.shards))}
-	var frontier uint64
+	st := &ShardedToken{toks: make([]*sessionToken, len(ss.shards)), open: make([]bool, len(ss.shards))}
 	var reply []byte
 	for i, s := range ss.shards {
-		tok, acked, rep, err := s.BindSession(guid)
+		tok, acked, rep, err := s.bindSession(guid)
 		if err != nil {
-			for _, t := range st.toks[:i] {
-				t.Release()
-			}
 			return nil, 0, nil, err
 		}
 		st.toks[i] = tok
-		if acked >= frontier {
-			if acked > frontier || rep != nil {
+		if acked >= st.acked {
+			if acked > st.acked || rep != nil {
 				reply = rep
 			}
-			frontier = acked
+			st.acked = acked
 		}
 	}
-	return st, frontier, reply, nil
+	return st, st.acked, reply, nil
 }
 
-// For returns the shard token owning key.
-func (st *ShardedToken) For(key []byte) *SessionToken {
-	return st.toks[st.ss.ShardFor(key)]
+// WindowEnter opens a stamped window over the given shards — every shard
+// a stamped operation of the window routes to; repeats are fine. The
+// shards' cut locks are taken in ascending shard order, the order the
+// sharded checkpoint barrier takes them in, so a window cannot deadlock
+// against a checkpoint.
+func (st *ShardedToken) WindowEnter(shards ...int) {
+	if st.within {
+		panic("faster: nested ShardedToken window")
+	}
+	for _, sh := range shards {
+		st.open[sh] = true
+	}
+	for sh, open := range st.open {
+		if open {
+			st.toks[sh].enter()
+		}
+	}
+	st.within = true
+	st.cursor = st.acked + 1
 }
 
-// Tok returns shard i's token.
-func (st *ShardedToken) Tok(i int) *SessionToken { return st.toks[i] }
+// Check classifies serial, stamped on an operation whose key routes to
+// shard, by the stream rule. On SerialApply the serial is admitted: the
+// caller must execute the operation and Commit it, or close the window
+// to roll the admission back. On SerialReplay the returned bytes are a
+// copy of the saved reply.
+func (st *ShardedToken) Check(shard int, serial uint64) (SerialVerdict, []byte) {
+	if !st.open[shard] {
+		panic("faster: ShardedToken.Check outside its shard's window")
+	}
+	switch {
+	case serial > st.cursor:
+		st.toks[shard].s.mx.serialFenced.Inc()
+		return SerialGap, nil
+	case serial == st.cursor:
+		v, _ := st.toks[shard].check(serial, true)
+		if v == SerialApply {
+			st.cursor++
+		}
+		return v, nil
+	default:
+		return st.toks[shard].check(serial, false)
+	}
+}
 
-// Release closes any open windows on every shard token.
+// Commit marks the admitted serial's operation complete and saves its
+// rendered reply for replay. Serials commit in admission order, one past
+// the frontier each; anything else panics (a protocol bug, not a runtime
+// condition). Returns false if the token was fenced mid-window.
+func (st *ShardedToken) Commit(shard int, serial uint64, reply []byte) bool {
+	if !st.open[shard] || serial != st.acked+1 || serial >= st.cursor {
+		panic(fmt.Sprintf("faster: commit of serial %d on shard %d with frontier %d cursor %d",
+			serial, shard, st.acked, st.cursor))
+	}
+	if !st.toks[shard].commit(serial, reply) {
+		return false
+	}
+	st.acked = serial
+	return true
+}
+
+// WindowExit closes the window. Serials admitted but never committed
+// (failed operations) are rolled back so the client can retry them.
+func (st *ShardedToken) WindowExit() {
+	if !st.within {
+		panic("faster: WindowExit outside a window")
+	}
+	for sh := len(st.open) - 1; sh >= 0; sh-- {
+		if st.open[sh] {
+			st.toks[sh].exit()
+			st.open[sh] = false
+		}
+	}
+	st.within = false
+}
+
+// Release closes any open window. The durable entries outlive the token.
 func (st *ShardedToken) Release() {
-	for _, t := range st.toks {
-		t.Release()
+	if st.within {
+		st.WindowExit()
 	}
-}
-
-// Bind attaches the sharded session to guid on every shard, returning
-// the connection frontier (max acked over shards).
-func (sess *ShardedSession) Bind(guid string) (uint64, error) {
-	tok, frontier, _, err := sess.ss.BindSession(guid)
-	if err != nil {
-		return 0, err
-	}
-	if sess.stok != nil {
-		sess.stok.Release()
-	}
-	sess.stok = tok
-	sess.curTok = nil
-	return frontier, nil
-}
-
-// Token exposes the bound sharded capability (nil when unbound).
-func (sess *ShardedSession) Token() *ShardedToken { return sess.stok }
-
-// Unbind releases the durable binding.
-func (sess *ShardedSession) Unbind() {
-	if sess.stok != nil {
-		sess.stok.Release()
-		sess.stok = nil
-		sess.curTok = nil
-	}
-}
-
-// SerialCheckKey classifies serial under the token of key's shard and,
-// on SerialApply, leaves that shard's stamped window open; the caller
-// must execute the operation on the same key and then call
-// SerialCommitKey or SerialAbort. Note the sparse admission rule:
-// serials ascend per shard but need not be dense — gap detection is the
-// caller's job, because only the caller sees the whole stream.
-func (sess *ShardedSession) SerialCheckKey(key []byte, serial uint64) (SerialVerdict, []byte, error) {
-	if sess.stok == nil {
-		return SerialFenced, nil, ErrNotBound
-	}
-	tok := sess.stok.For(key)
-	if !tok.inWindow {
-		tok.WindowEnter()
-	}
-	v, reply := tok.Check(serial)
-	if v != SerialApply {
-		tok.WindowExit()
-		return v, reply, nil
-	}
-	sess.curTok = tok
-	return v, reply, nil
-}
-
-// SerialCommitKey commits an admitted serial on the open shard window.
-func (sess *ShardedSession) SerialCommitKey(serial uint64, reply []byte) {
-	tok := sess.curTok
-	tok.Commit(serial, reply)
-	if tok.inWindow {
-		tok.WindowExit()
-	}
-	sess.curTok = nil
-}
-
-// SerialAbort rolls back an admitted serial whose operation failed,
-// closing the open shard window; the client may retry the serial.
-func (sess *ShardedSession) SerialAbort() {
-	if sess.curTok != nil && sess.curTok.inWindow {
-		sess.curTok.WindowExit()
-	}
-	sess.curTok = nil
 }
 
 // ---------------------------------------------------------------------------

@@ -179,6 +179,10 @@ func TestShardedBasicOpsAndBatch(t *testing.T) {
 	}
 }
 
+// TestShardedSparseSerialVerdicts checks the stream rule over shards:
+// each shard's table sees an ascending subsequence of the connection's
+// serials, while the token admits only the next serial of the whole
+// stream and never applies a serial below it on any shard.
 func TestShardedSparseSerialVerdicts(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	ss, _ := openTestSharded(t, 4, Config{})
@@ -186,7 +190,8 @@ func TestShardedSparseSerialVerdicts(t *testing.T) {
 
 	sess := ss.StartSession()
 	defer sess.Close()
-	if _, err := sess.Bind("sparse-client"); err != nil {
+	tok, _, _, err := ss.BindSession("sparse-client")
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -199,17 +204,20 @@ func TestShardedSparseSerialVerdicts(t *testing.T) {
 			break
 		}
 	}
-
+	submit := func(k []byte, serial uint64) (SerialVerdict, []byte) {
+		t.Helper()
+		return stamped(tok, ss.ShardFor(k), serial, func() []byte {
+			if st, _ := sess.RMW(k, u64(1), nil); st != OK {
+				t.Fatalf("serial %d rmw: %v", serial, st)
+			}
+			return []byte("ok")
+		})
+	}
 	apply := func(k []byte, serial uint64) {
 		t.Helper()
-		v, _, err := sess.SerialCheckKey(k, serial)
-		if err != nil || v != SerialApply {
-			t.Fatalf("serial %d: verdict %v err %v, want APPLY", serial, v, err)
+		if v, _ := submit(k, serial); v != SerialApply {
+			t.Fatalf("serial %d: verdict %v, want APPLY", serial, v)
 		}
-		if st, _ := sess.RMW(k, u64(1), nil); st != OK {
-			t.Fatalf("serial %d rmw: %v", serial, st)
-		}
-		sess.SerialCommitKey(serial, []byte("ok"))
 	}
 	// Serials 1,2 on shard(k1); 3 on shard(k2); 4 back on shard(k1):
 	// each shard sees an ascending subsequence with jumps.
@@ -219,24 +227,32 @@ func TestShardedSparseSerialVerdicts(t *testing.T) {
 	apply(k1, 4)
 
 	// Duplicate of the newest serial on each shard replays.
-	if v, reply, _ := sess.SerialCheckKey(k1, 4); v != SerialReplay || string(reply) != "ok" {
+	if v, reply := submit(k1, 4); v != SerialReplay || string(reply) != "ok" {
 		t.Fatalf("dup of newest on shard(k1): %v %q", v, reply)
 	}
-	if v, _, _ := sess.SerialCheckKey(k2, 3); v != SerialReplay {
+	if v, _ := submit(k2, 3); v != SerialReplay {
 		t.Fatalf("dup of newest on shard(k2): %v", v)
 	}
-	// Older serials are stale, never re-applied.
-	if v, _, _ := sess.SerialCheckKey(k1, 2); v != SerialStale {
+	// Older serials are stale, never re-applied — also when re-delivered
+	// with a key on a shard that never saw them.
+	if v, _ := submit(k1, 2); v != SerialStale {
 		t.Fatalf("old serial: %v", v)
 	}
-	// A jump forward on a shard is admissible (sparse mode): serial 9
-	// lands on shard(k2) even though that shard last saw 3.
+	if v, _ := submit(k2, 1); v != SerialStale {
+		t.Fatalf("old serial on another shard: %v", v)
+	}
+	// A jump forward is a gap on every shard, even one whose own
+	// subsequence it would extend; once 5..8 commit, 9 applies.
+	if v, _ := submit(k2, 9); v != SerialGap {
+		t.Fatalf("serial 9 after 4: %v, want GAP", v)
+	}
+	for serial := uint64(5); serial <= 8; serial++ {
+		apply(k1, serial)
+	}
 	apply(k2, 9)
 
 	// Frontier reported on rebind is the max acked over shards.
-	sess2 := ss.StartSession()
-	defer sess2.Close()
-	frontier, err := sess2.Bind("sparse-client")
+	_, frontier, _, err := ss.BindSession("sparse-client")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,22 +267,21 @@ func shardedSeedData(t testing.TB, ss *ShardedStore, guid string, from, to uint6
 	t.Helper()
 	sess := ss.StartSession()
 	defer sess.Close()
-	if _, err := sess.Bind(guid); err != nil {
+	tok, _, _, err := ss.BindSession(guid)
+	if err != nil {
 		t.Fatal(err)
 	}
 	for serial := from; serial <= to; serial++ {
 		k := key(serial%5 + 1)
-		v, _, err := sess.SerialCheckKey(k, serial)
-		if err != nil {
-			t.Fatal(err)
-		}
+		v, _ := stamped(tok, ss.ShardFor(k), serial, func() []byte {
+			if st, _ := sess.RMW(k, u64(serial), nil); st != OK {
+				t.Fatalf("serial %d rmw status", serial)
+			}
+			return []byte(fmt.Sprintf("r%d", serial))
+		})
 		if v != SerialApply {
 			t.Fatalf("serial %d: verdict %v", serial, v)
 		}
-		if st, _ := sess.RMW(k, u64(serial), nil); st != OK {
-			t.Fatalf("serial %d rmw status", serial)
-		}
-		sess.SerialCommitKey(serial, []byte(fmt.Sprintf("r%d", serial)))
 	}
 }
 
@@ -336,9 +351,7 @@ func TestShardedCheckpointRecoverRoundTrip(t *testing.T) {
 		t.Fatalf("checkpoint after recovery: seq %d, %v; want seq 3", info.Seq, err)
 	}
 
-	sess := r.StartSession()
-	defer sess.Close()
-	frontier, err := sess.Bind("rt-client")
+	_, frontier, _, err := r.BindSession("rt-client")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,9 +402,7 @@ func TestShardedManifestFallbackConsistentPrefix(t *testing.T) {
 	}
 	defer r.Close()
 	verifyShardedSums(t, r, shardedSums(20))
-	sess := r.StartSession()
-	defer sess.Close()
-	frontier, err := sess.Bind("fb-client")
+	_, frontier, _, err := r.BindSession("fb-client")
 	if err != nil {
 		t.Fatal(err)
 	}

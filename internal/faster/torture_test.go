@@ -367,7 +367,8 @@ func runShardedCrashCase(t *testing.T, seed int64) {
 	victim := victims[int(seed)%len(victims)]
 
 	sess := ss.StartSession()
-	if _, err := sess.Bind("torture-client"); err != nil {
+	tok, _, _, err := ss.BindSession("torture-client")
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -383,28 +384,22 @@ func runShardedCrashCase(t *testing.T, seed int64) {
 	}
 	submit := func(serial uint64) {
 		k := key(keys[serial])
-		v, _, err := sess.SerialCheckKey(k, serial)
-		if err != nil {
-			t.Fatalf("serial %d: %v", serial, err)
-		}
-		if v != SerialApply {
-			// Sparse per-shard tables: a re-delivered serial is Replay
-			// while it is the newest on its shard, Stale once a later
-			// serial has landed there.
-			if v != SerialReplay && v != SerialStale {
-				t.Fatalf("serial %d: verdict %v", serial, v)
+		v, _ := stamped(tok, ss.ShardFor(k), serial, func() []byte {
+			st, rerr := sess.RMW(k, u64(deltas[serial]), nil)
+			if st == Pending {
+				res := drain()
+				st, rerr = res.Status, res.Err
 			}
-			return
+			if st != OK {
+				t.Fatalf("serial %d: rmw failed: %v %v", serial, st, rerr)
+			}
+			return []byte("ACK")
+		})
+		// A re-delivered serial is Replay while it is the newest on its
+		// shard, Stale once a later serial has landed there.
+		if v != SerialApply && v != SerialReplay && v != SerialStale {
+			t.Fatalf("serial %d: verdict %v", serial, v)
 		}
-		st, rerr := sess.RMW(k, u64(deltas[serial]), nil)
-		if st == Pending {
-			res := drain()
-			st, rerr = res.Status, res.Err
-		}
-		if st != OK {
-			t.Fatalf("serial %d: rmw failed: %v %v", serial, st, rerr)
-		}
-		sess.SerialCommitKey(serial, []byte("ACK"))
 	}
 
 	var (
@@ -494,7 +489,7 @@ func runShardedCrashCase(t *testing.T, seed int64) {
 
 	rs := r.StartSession()
 	defer rs.Close()
-	frontier, err := rs.Bind("torture-client")
+	rtok, frontier, _, err := r.BindSession("torture-client")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -506,15 +501,8 @@ func runShardedCrashCase(t *testing.T, seed int64) {
 			frontier, lastCkptAcked, checkpoints)
 	}
 	for serial := frontier + 1; serial <= totalOps; serial++ {
-		submit2 := func() {
-			k := key(keys[serial])
-			v, _, err := rs.SerialCheckKey(k, serial)
-			if err != nil {
-				t.Fatalf("retry serial %d: %v", serial, err)
-			}
-			if v != SerialApply {
-				t.Fatalf("retry serial %d: verdict %v, want Apply above frontier", serial, v)
-			}
+		k := key(keys[serial])
+		v, _ := stamped(rtok, r.ShardFor(k), serial, func() []byte {
 			st, rerr := rs.RMW(k, u64(deltas[serial]), nil)
 			if st == Pending {
 				results, derr := rs.CompletePendingTimeout(10 * time.Second)
@@ -526,11 +514,12 @@ func runShardedCrashCase(t *testing.T, seed int64) {
 			if st != OK {
 				t.Fatalf("retry serial %d: %v %v", serial, st, rerr)
 			}
-			rs.SerialCommitKey(serial, []byte("ACK"))
+			return []byte("ACK")
+		})
+		if v != SerialApply {
+			t.Fatalf("retry serial %d: verdict %v, want Apply above frontier", serial, v)
 		}
-		submit2()
 	}
-	rs.Unbind()
 	for k2 := uint64(1); k2 <= keySpace; k2++ {
 		wantV, ok := want[k2]
 		got, st := readShardedU64(t, rs, k2)

@@ -5,39 +5,51 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/faster"
 )
 
-// Exactly-once model and driver: duplicate-delivery workloads over the
-// store's durable session serials. The sequential specification extends
-// the counter register with one committed-serial frontier per session;
-// a stamped RMW applies iff its serial is the frontier's successor and
-// is a no-op otherwise, so a history in which a retried serial adds its
-// delta twice — or in which a recovered store forgets an acknowledged
-// serial — has no linearization and the checker flags it.
+// Exactly-once model and driver: duplicate-delivery crash/retry
+// workloads over the store's durable session serials. The sequential
+// specification keeps one counter register per key and one
+// committed-serial frontier per session; a stamped RMW applies iff its
+// serial is the frontier's successor and is a no-op otherwise, whatever
+// key it names. A history in which a retried serial adds its delta twice,
+// a duplicate aimed at another key applies there, or a recovered store
+// forgets an acknowledged serial — say a recovery that mixes checkpoint
+// generations across shards, losing one shard's committed serials while
+// the reported frontier says they are durable — has no linearization.
+//
+// The driver runs on a sharded store of any shard count (a flat store is
+// the one-shard case) and makes the token calls the RESP front-end makes.
 
-// EOMaxSessions bounds the stamped sessions a run may use; the model
-// state embeds a fixed-size frontier array so it stays comparable and
-// cheap to fingerprint.
-const EOMaxSessions = 4
+// EOMaxSessions bounds the stamped sessions a run may use and EOMaxKeys
+// its key space; the model state embeds fixed-size arrays so it stays
+// comparable and cheap to fingerprint.
+const (
+	EOMaxSessions = 4
+	EOMaxKeys     = 8
+)
 
 // EOInput is the invocation half of an exactly-once operation. Session
-// is the 1-based stamped session for KVRMW; reads are unstamped
-// (Session 0) and observe the shared counter.
+// is the 1-based stamped session of a KVRMW; reads are unstamped and
+// observe Key's counter. Keys are 1-based and at most EOMaxKeys.
 type EOInput struct {
 	Kind    KVKind
 	Key     uint64
 	Arg     uint64
 	Session int
 	Serial  uint64
-	// Dup marks a deliberate duplicate re-delivery of Serial. The model
-	// does not care (dedup is the specification under test), but the
-	// driver uses it to keep the crash window checkable: an *unacked*
-	// duplicate is provably effect-free — any linearization applying it
-	// could apply the original instead, whose invoke is earlier — so it
-	// can be dropped from the history without changing legality.
+	// Dup marks a deliberate duplicate re-delivery of Serial, which was
+	// acknowledged before the duplicate was sent. The model does not care
+	// (dedup is the specification under test), but the driver uses it to
+	// keep the crash window checkable: the specification gives an
+	// *unacked* duplicate no effect whatever key it names, so it can be
+	// dropped from the history — were it applied, the counter it touched
+	// would show a delta no operation explains.
 	Dup bool
 }
 
@@ -50,47 +62,40 @@ type EOOutput struct {
 	Verdict faster.SerialVerdict
 }
 
-// eoState is the sequential state: the counter register plus each
-// session's committed-serial frontier.
+// eoState is the sequential state: one counter register per key plus
+// each session's committed-serial frontier.
 type eoState struct {
-	exists    bool
-	val       uint64
+	exists    [EOMaxKeys]bool
+	vals      [EOMaxKeys]uint64
 	frontiers [EOMaxSessions]uint64
 }
 
-// EOModel returns the dedup-aware counter specification.
+// EOModel returns the dedup-aware multi-key counter specification.
 func EOModel() Model {
 	return Model{
-		Name: "exactly-once-counter",
+		Name: "exactly-once-counters",
 		Init: func() any { return eoState{} },
 		Step: func(state, input, output any) (bool, any) {
 			st := state.(eoState)
 			in := input.(EOInput)
 			out, observed := output.(EOOutput)
+			ki := int(in.Key) - 1
+			if ki < 0 || ki >= EOMaxKeys {
+				return false, st
+			}
 			switch in.Kind {
 			case KVRead:
 				if !observed {
 					return true, st
 				}
-				if out.Found != st.exists {
+				if out.Found != st.exists[ki] {
 					return false, st
 				}
-				if st.exists && out.Val != st.val {
+				if st.exists[ki] && out.Val != st.vals[ki] {
 					return false, st
 				}
 				return true, st
 			case KVRMW:
-				if in.Session == 0 {
-					// Unstamped RMW: the plain counter transition.
-					ns := st
-					ns.exists = true
-					if st.exists {
-						ns.val = st.val + in.Arg
-					} else {
-						ns.val = in.Arg
-					}
-					return true, ns
-				}
 				si := in.Session - 1
 				if si < 0 || si >= EOMaxSessions {
 					return false, st
@@ -101,10 +106,7 @@ func EOModel() Model {
 					switch out.Verdict {
 					case faster.SerialApply:
 						if dup {
-							// An acknowledged first delivery of a serial
-							// already at or below the frontier is a
-							// double-apply.
-							return false, st
+							return false, st // double-apply
 						}
 					case faster.SerialReplay, faster.SerialStale:
 						if !dup {
@@ -118,17 +120,17 @@ func EOModel() Model {
 					return true, st // duplicate delivery: no effect
 				}
 				if in.Serial > next {
-					// A session submits serials in order and the store
-					// admits only the frontier's successor, so a gap can
-					// never take effect here.
+					// The driver submits serials densely in order and the
+					// token admits only the frontier's successor, so a gap
+					// can never take effect.
 					return false, st
 				}
 				ns := st
-				ns.exists = true
-				if st.exists {
-					ns.val = st.val + in.Arg
+				ns.exists[ki] = true
+				if st.exists[ki] {
+					ns.vals[ki] = st.vals[ki] + in.Arg
 				} else {
-					ns.val = in.Arg
+					ns.vals[ki] = in.Arg
 				}
 				ns.frontiers[si] = in.Serial
 				return true, ns
@@ -138,13 +140,9 @@ func EOModel() Model {
 		},
 		Key: func(state any) string {
 			st := state.(eoState)
-			if !st.exists {
-				return fmt.Sprintf("-/%v", st.frontiers)
-			}
-			return fmt.Sprintf("%d/%v", st.val, st.frontiers)
+			return fmt.Sprintf("%v/%v/%v", st.exists, st.vals, st.frontiers)
 		},
-		// Frontier state is per session but spans keys, so the history is
-		// one partition; drivers keep it small by construction.
+		// Frontiers span keys and keys span shards: one partition.
 		Partition: nil,
 		Describe: func(input, output any) string {
 			in := input.(EOInput)
@@ -162,16 +160,7 @@ func EOModel() Model {
 			}
 			res := "?"
 			if complete {
-				switch out.Verdict {
-				case faster.SerialApply:
-					res = "APPLY"
-				case faster.SerialReplay:
-					res = "REPLAY"
-				case faster.SerialStale:
-					res = "STALE"
-				default:
-					res = fmt.Sprintf("verdict(%d)", out.Verdict)
-				}
+				res = out.Verdict.String()
 			}
 			return fmt.Sprintf("s%d#%d rmw(k%d, +%d) -> %s", in.Session, in.Serial, in.Key, in.Arg, res)
 		},
@@ -184,24 +173,35 @@ type EOWorkload struct {
 	// at most EOMaxSessions).
 	Sessions int
 	// Serials is how many serials each session commits before the crash
-	// (default 12).
+	// (default 16).
 	Serials int
-	// Key is the shared counter every stamped RMW targets (default 1).
-	Key uint64
-	// Seed makes the schedule and deltas reproducible.
+	// Keys is the key-space size; each serial targets a seeded key in
+	// [1, Keys] (default EOMaxKeys), spreading a session's serials across
+	// shards. Key k is stored under a key the store routes to shard
+	// (k-1) mod Shards, and each session's first Shards serials visit
+	// every shard once, so Keys and Serials must be at least the shard
+	// count.
+	Keys uint64
+	// Seed makes the schedule, keys and deltas reproducible.
 	Seed int64
 }
 
-// RunExactlyOnce drives w against a fresh store opened from cfg:
+// RunExactlyOnce drives w against a fresh sharded store opened from cfg:
 // Sessions concurrent stamped clients each commit Serials serials
-// against one shared counter with seeded duplicate re-deliveries and
-// interleaved unstamped reads, a checkpoint to dir fires mid-run, the
-// store crashes (Close) and recovers, each client re-binds its GUID and
-// resubmits every serial above the recovered frontier — the retry rule
-// an exactly-once client follows — and a final read observes the
-// counter. The returned history has the checkpoint window crash-marked
-// and is ready for Check against EOModel().
-func RunExactlyOnce(cfg faster.Config, dir string, w EOWorkload) ([]Op, error) {
+// against per-key counters spread over the shards, with seeded duplicate
+// re-deliveries — a share of them aimed at a different key, as a
+// misbehaving client would send them — and interleaved unstamped reads.
+// Two checkpoints fire mid-run (so recovery has an older generation to
+// fall back to), the store crashes (Close) and recovers from the
+// manifest, each client re-binds its GUID, learns the connection
+// frontier (max acked over shards) and resubmits every serial above it
+// with the original keys and deltas — the retry rule an exactly-once
+// client follows — and a final sweep reads every key. The returned
+// history has the second checkpoint's window crash-marked and is ready
+// for Check against EOModel(). The run fails unless every shard's table
+// holds a committed serial the checkpoints made durable: a shard without
+// one has nothing for recovery to lose.
+func RunExactlyOnce(cfg faster.ShardedConfig, dir string, w EOWorkload) ([]Op, error) {
 	if w.Sessions == 0 {
 		w.Sessions = 3
 	}
@@ -209,49 +209,84 @@ func RunExactlyOnce(cfg faster.Config, dir string, w EOWorkload) ([]Op, error) {
 		return nil, fmt.Errorf("linearize: %d sessions exceeds EOMaxSessions=%d", w.Sessions, EOMaxSessions)
 	}
 	if w.Serials == 0 {
-		w.Serials = 12
+		w.Serials = 16
 	}
-	if w.Key == 0 {
-		w.Key = 1
+	if w.Keys == 0 {
+		w.Keys = EOMaxKeys
 	}
-	// Deltas are fixed per (session, serial) up front so the post-crash
-	// retry resends byte-identical operations, as a real client would.
+	if w.Keys > EOMaxKeys {
+		return nil, fmt.Errorf("linearize: %d keys exceeds EOMaxKeys=%d", w.Keys, EOMaxKeys)
+	}
+	n := uint64(max(cfg.Shards, 1))
+	if w.Keys < n || uint64(w.Serials) < n {
+		return nil, fmt.Errorf("linearize: %d keys and %d serials cannot cover %d shards", w.Keys, w.Serials, n)
+	}
+	// Keys and deltas are fixed per (session, serial) up front so the
+	// post-crash retry resends byte-identical operations.
+	keys := make([][]uint64, w.Sessions+1)
 	deltas := make([][]uint64, w.Sessions+1)
 	drng := rand.New(rand.NewSource(w.Seed ^ 0x5eed))
 	for i := 1; i <= w.Sessions; i++ {
+		keys[i] = make([]uint64, w.Serials+1)
 		deltas[i] = make([]uint64, w.Serials+1)
 		for s := 1; s <= w.Serials; s++ {
+			keys[i][s] = drng.Uint64()%w.Keys + 1
+			if uint64(s) <= n {
+				// One of the keys on shard s-1.
+				keys[i][s] = uint64(s) + n*(drng.Uint64()%(w.Keys/n))
+			}
 			deltas[i][s] = drng.Uint64()%9 + 1
 		}
 	}
 
-	s, err := faster.Open(cfg)
+	ss, err := faster.OpenSharded(cfg)
 	if err != nil {
 		return nil, err
 	}
+	storeKeys := dealKeys(ss, w.Keys)
 	rec := NewRecorder()
-	key := u64le(w.Key)
+	// covered[j] is set once shard j committed a serial.
+	covered := make([]atomic.Bool, n)
+	allCovered := func() bool {
+		for j := range covered {
+			if !covered[j].Load() {
+				return false
+			}
+		}
+		return true
+	}
 
-	// The chaos goroutine checkpoints once the clock shows roughly half
-	// the committed serials' events; if the workload outruns it the
-	// checkpoint still commits after the last op, which only means there
-	// is nothing left to resubmit.
+	// The chaos goroutine commits generation 1 at roughly a third of the
+	// committed serials' events and generation 2 at roughly two thirds,
+	// each once every shard has committed a serial;
+	// only the second bracket is crash-marked — recovery lands on it (or
+	// falls whole-ensemble back to generation 1, which the first
+	// checkpoint's own completed bracket covers: everything acked before
+	// gen 2 began is either in gen 2's cut or resubmitted).
 	var ckptStart, ckptEnd int64
 	ckptDone := make(chan error, 1)
 	stop := make(chan struct{})
 	go func() {
-		target := int64(w.Sessions * w.Serials)
-		for rec.Peek() < target {
-			select {
-			case <-stop:
-				goto checkpoint
-			default:
-				runtime.Gosched()
+		total := int64(w.Sessions * w.Serials)
+		wait := func(target int64) bool {
+			for rec.Peek() < target || !allCovered() {
+				select {
+				case <-stop:
+					return false
+				default:
+					runtime.Gosched()
+				}
 			}
+			return true
 		}
-	checkpoint:
+		wait(total * 2 / 3)
+		if _, err := ss.Checkpoint(dir); err != nil {
+			ckptDone <- err
+			return
+		}
+		wait(total * 4 / 3)
 		ckptStart = rec.Now()
-		_, err := s.Checkpoint(dir)
+		_, err := ss.Checkpoint(dir)
 		ckptEnd = rec.Now()
 		ckptDone <- err
 	}()
@@ -263,27 +298,34 @@ func RunExactlyOnce(cfg faster.Config, dir string, w EOWorkload) ([]Op, error) {
 		go func(id int) {
 			defer clients.Done()
 			rng := rand.New(rand.NewSource(w.Seed*1_000_003 + int64(id)))
-			log := rec.Client(id)
-			sess := s.StartSession()
+			sess := ss.StartSession()
 			defer sess.Close()
-			if _, err := sess.Bind(fmt.Sprintf("eo-%d", id)); err != nil {
+			c, err := bindEOClient(ss, sess, rec.Client(id), storeKeys, id)
+			if err != nil {
 				errs <- err
 				return
 			}
 			for serial := uint64(1); serial <= uint64(w.Serials); serial++ {
-				if err := submitEOSerial(sess, log, key, w.Key, id, serial, deltas[id][serial]); err != nil {
+				k, d := keys[id][serial], deltas[id][serial]
+				if err := c.submit(k, serial, d, false); err != nil {
 					errs <- err
 					return
 				}
+				covered[(k-1)%n].Store(true)
 				if rng.Intn(3) == 0 {
-					// Duplicate re-delivery of the serial just acked.
-					if err := submitEODup(sess, log, key, w.Key, id, serial, deltas[id][serial]); err != nil {
+					// Duplicate re-delivery of the serial just acked; one
+					// in three names a different key.
+					dk := k
+					if w.Keys > 1 && rng.Intn(3) == 0 {
+						dk = (k+rng.Uint64()%(w.Keys-1))%w.Keys + 1
+					}
+					if err := c.submit(dk, serial, d, true); err != nil {
 						errs <- err
 						return
 					}
 				}
 				if rng.Intn(4) == 0 {
-					if err := observeEORead(sess, log, key, w.Key); err != nil {
+					if err := c.read(rng.Uint64()%w.Keys + 1); err != nil {
 						errs <- err
 						return
 					}
@@ -294,105 +336,134 @@ func RunExactlyOnce(cfg faster.Config, dir string, w EOWorkload) ([]Op, error) {
 	clients.Wait()
 	close(stop)
 	if err := <-ckptDone; err != nil {
-		s.Close()
+		ss.Close()
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
 	select {
 	case err := <-errs:
-		s.Close()
+		ss.Close()
 		return nil, err
 	default:
 	}
+	for i := range ss.NumShards() {
+		if !slices.ContainsFunc(ss.Shard(i).SessionStates(), func(st faster.SessionState) bool { return st.Durable > 0 }) {
+			ss.Close()
+			return nil, fmt.Errorf("linearize: shard %d checkpointed no committed serial", i)
+		}
+	}
 
-	// Crash: every acknowledgement at or after the checkpoint began may
-	// or may not sit below the recovered cut. Crash-marked duplicates
-	// and reads are dropped as effect-free, and anything invoked after
-	// the checkpoint returned is discarded for certain — pruning keeps
-	// the checker's memoized search space a product of per-session
-	// serial prefixes instead of 2^(no-op ops). See PruneCrashWindow.
 	pre := PruneCrashWindow(rec.History(), ckptStart, ckptEnd)
-	s.Close()
+	ss.Close() // the "crash": recovery trusts only the manifest
 
-	r, err := faster.Recover(cfg, dir)
+	r, err := faster.RecoverSharded(cfg, dir)
 	if err != nil {
 		return nil, err
 	}
 	defer r.Close()
 
-	// Retry phase: re-bind each GUID, learn the recovered frontier, and
-	// resubmit everything above it with the original deltas.
+	// Retry phase: re-bind each GUID, learn the recovered connection
+	// frontier, and resubmit everything above it.
 	post := rec.Client(100)
 	sess := r.StartSession()
 	defer sess.Close()
 	for i := 1; i <= w.Sessions; i++ {
-		frontier, err := sess.Bind(fmt.Sprintf("eo-%d", i))
+		c, err := bindEOClient(r, sess, post, storeKeys, i)
 		if err != nil {
 			return nil, err
 		}
-		if frontier > uint64(w.Serials) {
-			return nil, fmt.Errorf("recovered frontier %d for session %d exceeds %d serials issued", frontier, i, w.Serials)
+		if c.frontier > uint64(w.Serials) {
+			return nil, fmt.Errorf("recovered frontier %d for session %d exceeds %d serials issued", c.frontier, i, w.Serials)
 		}
-		for serial := frontier + 1; serial <= uint64(w.Serials); serial++ {
-			if err := submitEOSerial(sess, post, key, w.Key, i, serial, deltas[i][serial]); err != nil {
+		for serial := c.frontier + 1; serial <= uint64(w.Serials); serial++ {
+			if err := c.submit(keys[i][serial], serial, deltas[i][serial], false); err != nil {
 				return nil, err
 			}
 		}
 	}
-	sess.Unbind()
-	if err := observeEORead(sess, post, key, w.Key); err != nil {
-		return nil, err
+	reader := eoClient{ss: r, sess: sess, log: post, keys: storeKeys}
+	for k := uint64(1); k <= w.Keys; k++ {
+		if err := reader.read(k); err != nil {
+			return nil, err
+		}
 	}
 	return append(pre, post.History()...), nil
 }
 
-// submitEOSerial delivers one stamped RMW through the serial protocol,
-// recording the invoke before admission and the acknowledgement only
-// once the serial is committed (or classified as a duplicate).
-func submitEOSerial(sess *faster.Session, log *ClientLog, key []byte, k uint64, session int, serial, delta uint64) error {
-	return submitEO(sess, log, key, k, session, serial, delta, false)
-}
-
-// submitEODup re-delivers an already-submitted serial, marked so the
-// driver may prune it from the crash window.
-func submitEODup(sess *faster.Session, log *ClientLog, key []byte, k uint64, session int, serial, delta uint64) error {
-	return submitEO(sess, log, key, k, session, serial, delta, true)
-}
-
-func submitEO(sess *faster.Session, log *ClientLog, key []byte, k uint64, session int, serial, delta uint64, dup bool) error {
-	id := log.Begin(EOInput{Kind: KVRMW, Key: k, Arg: delta, Session: session, Serial: serial, Dup: dup})
-	v, _, err := sess.SerialCheck(serial)
-	if err != nil {
-		return err
+// dealKeys returns the store key of each model key in [1, keys]: model
+// key k gets a key ss routes to shard (k-1) mod NumShards, whatever the
+// router, so the model keys are dealt evenly over the shards.
+func dealKeys(ss *faster.ShardedStore, keys uint64) [][]byte {
+	out := make([][]byte, keys+1)
+	n := uint64(ss.NumShards())
+	v := uint64(0)
+	for k := uint64(1); k <= keys; k++ {
+		for v++; uint64(ss.ShardFor(u64le(v))) != (k-1)%n; v++ {
+		}
+		out[k] = u64le(v)
 	}
+	return out
+}
+
+// eoClient is one stamped session of the driver, bound to the GUID
+// "eo-<id>"; frontier is the connection frontier its binding returned.
+type eoClient struct {
+	ss       *faster.ShardedStore
+	sess     *faster.ShardedSession
+	tok      *faster.ShardedToken
+	frontier uint64
+	log      *ClientLog
+	keys     [][]byte // store key of each model key
+	id       int
+}
+
+func bindEOClient(ss *faster.ShardedStore, sess *faster.ShardedSession, log *ClientLog, keys [][]byte, id int) (*eoClient, error) {
+	tok, frontier, _, err := ss.BindSession(fmt.Sprintf("eo-%d", id))
+	if err != nil {
+		return nil, err
+	}
+	return &eoClient{ss: ss, sess: sess, tok: tok, frontier: frontier, log: log, keys: keys, id: id}, nil
+}
+
+// submit delivers one stamped RMW of model key k the way the RESP
+// front-end runs a stamped command: open the key's shard window, check
+// the serial, execute and commit on SerialApply, close the window. The
+// invoke is recorded before admission, the acknowledgement only once
+// the serial is committed (or classified as a duplicate).
+func (c *eoClient) submit(k, serial, delta uint64, dup bool) error {
+	key := c.keys[k]
+	id := c.log.Begin(EOInput{Kind: KVRMW, Key: k, Arg: delta, Session: c.id, Serial: serial, Dup: dup})
+	shard := c.ss.ShardFor(key)
+	c.tok.WindowEnter(shard)
+	defer c.tok.WindowExit()
+	v, _ := c.tok.Check(shard, serial)
 	if v != faster.SerialApply {
 		if v != faster.SerialReplay && v != faster.SerialStale {
-			return fmt.Errorf("session %d serial %d: unexpected verdict %v", session, serial, v)
+			return fmt.Errorf("session %d serial %d: unexpected verdict %v", c.id, serial, v)
 		}
-		log.End(id, EOOutput{Verdict: v})
+		c.log.End(id, EOOutput{Verdict: v})
 		return nil
 	}
-	st, rerr := sess.RMW(key, u64le(delta), nil)
+	st, rerr := c.sess.RMW(key, u64le(delta), nil)
 	if st == faster.Pending {
-		for _, res := range sess.CompletePending(true) {
+		for _, res := range c.sess.CompletePending(true) {
 			st, rerr = res.Status, res.Err
 		}
 	}
 	if st != faster.OK {
-		sess.SerialAbort()
-		return fmt.Errorf("session %d serial %d: rmw failed: %v %v", session, serial, st, rerr)
+		return fmt.Errorf("session %d serial %d: rmw failed: %v %v", c.id, serial, st, rerr)
 	}
-	sess.SerialCommit(serial, []byte("ACK"))
-	log.End(id, EOOutput{Verdict: faster.SerialApply})
+	c.tok.Commit(shard, serial, []byte("ACK"))
+	c.log.End(id, EOOutput{Verdict: faster.SerialApply})
 	return nil
 }
 
-// observeEORead records one unstamped read of the shared counter.
-func observeEORead(sess *faster.Session, log *ClientLog, key []byte, k uint64) error {
+// read records one unstamped read of model key k.
+func (c *eoClient) read(k uint64) error {
 	out := make([]byte, 8)
-	id := log.Begin(EOInput{Kind: KVRead, Key: k})
-	st, err := sess.Read(key, nil, out, nil)
+	id := c.log.Begin(EOInput{Kind: KVRead, Key: k})
+	st, err := c.sess.Read(c.keys[k], nil, out, nil)
 	if st == faster.Pending {
-		for _, res := range sess.CompletePending(true) {
+		for _, res := range c.sess.CompletePending(true) {
 			st, err = res.Status, res.Err
 			if res.Output != nil {
 				copy(out, res.Output)
@@ -401,10 +472,10 @@ func observeEORead(sess *faster.Session, log *ClientLog, key []byte, k uint64) e
 	}
 	switch st {
 	case faster.OK:
-		log.End(id, EOOutput{Found: true, Val: binary.LittleEndian.Uint64(out)})
+		c.log.End(id, EOOutput{Found: true, Val: binary.LittleEndian.Uint64(out)})
 		return nil
 	case faster.NotFound:
-		log.End(id, EOOutput{})
+		c.log.End(id, EOOutput{})
 		return nil
 	default:
 		return fmt.Errorf("read: %v %v", st, err)

@@ -483,37 +483,77 @@ func TestLinearizableAsyncIO(t *testing.T) {
 	}
 }
 
-// TestLinearizableExactlyOnce is the duplicate-delivery scenario: three
-// stamped sessions hammer one shared counter through the serial
-// protocol with seeded duplicate re-deliveries, a checkpoint races the
-// commits, the store crashes and recovers, and every session resubmits
-// above its recovered frontier — exactly what a retrying client does.
-// The dedup-aware model accepts each delta at most once per serial, so
-// a double-apply (or a lost acknowledgement) has no linearization.
+// checkExactlyOnce runs the exactly-once driver with w over cfg and
+// fails t unless the history linearizes against the dedup-aware model.
+func checkExactlyOnce(t *testing.T, cfg faster.ShardedConfig, w EOWorkload) []Op {
+	t.Helper()
+	h, err := RunExactlyOnce(cfg, t.TempDir(), w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := Check(EOModel(), h, checkBudget)
+	switch r.Outcome {
+	case Illegal:
+		t.Fatalf("history is NOT linearizable (%d states explored)\nminimized counterexample:\n%s",
+			r.States, Format(EOModel(), r.Counterexample))
+	case Unknown:
+		t.Fatalf("checker exceeded its %v budget (longest prefix %d/%d)",
+			checkBudget, r.LongestPrefix, len(h))
+	}
+	t.Logf("history=%d ops, states=%d", len(h), r.States)
+	return h
+}
+
+// misdirectedDups counts the history's duplicate deliveries that name a
+// different key than their serial's first delivery.
+func misdirectedDups(h []Op) int {
+	type stamp struct {
+		session int
+		serial  uint64
+	}
+	first := map[stamp]uint64{}
+	for _, op := range h {
+		if in := op.Input.(EOInput); in.Kind == KVRMW && !in.Dup {
+			first[stamp{in.Session, in.Serial}] = in.Key
+		}
+	}
+	n := 0
+	for _, op := range h {
+		in := op.Input.(EOInput)
+		if k, ok := first[stamp{in.Session, in.Serial}]; ok && in.Dup && k != in.Key {
+			n++
+		}
+	}
+	return n
+}
+
+// TestLinearizableExactlyOnce is the duplicate-delivery scenario on a
+// flat store (a one-shard ensemble): three stamped sessions hammer their
+// counters through the serial protocol with seeded duplicate
+// re-deliveries, checkpoints race the commits, the store crashes and
+// recovers, and every session resubmits above its recovered frontier —
+// exactly what a retrying client does. The dedup-aware model accepts
+// each delta at most once per serial, so a double-apply (or a lost
+// acknowledgement) has no linearization. Each seed runs over one shared
+// counter, then over eight keys, where a share of the duplicates names a
+// different key than their serial's first delivery — a misbehaving
+// client — and must touch no counter; TestLinearizableExactlyOnceSharded
+// runs the same across four shards.
 func TestLinearizableExactlyOnce(t *testing.T) {
 	for _, seed := range seeds {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			cfg := faster.Config{
-				Mode:        hlog.ModeHybrid,
-				PageBits:    12,
-				BufferPages: 8,
-				Device:      device.NewMem(device.MemConfig{}),
-				Ops:         faster.SumOps{},
+			for _, keys := range []uint64{1, EOMaxKeys} {
+				h := checkExactlyOnce(t, faster.ShardedConfig{Shards: 1, Base: faster.Config{
+					Mode:        hlog.ModeHybrid,
+					PageBits:    12,
+					BufferPages: 8,
+					Device:      device.NewMem(device.MemConfig{}),
+					Ops:         faster.SumOps{},
+				}}, EOWorkload{Sessions: 3, Serials: 12, Keys: keys, Seed: seed})
+				if keys > 1 && misdirectedDups(h) == 0 {
+					t.Fatal("no duplicate re-delivery named a different key")
+				}
 			}
-			h, err := RunExactlyOnce(cfg, t.TempDir(), EOWorkload{Sessions: 3, Serials: 12, Seed: seed})
-			if err != nil {
-				t.Fatal(err)
-			}
-			r := Check(EOModel(), h, checkBudget)
-			switch r.Outcome {
-			case Illegal:
-				t.Fatalf("history is NOT linearizable (%d states explored)\nminimized counterexample:\n%s",
-					r.States, Format(EOModel(), r.Counterexample))
-			case Unknown:
-				t.Fatalf("checker exceeded its %v budget (longest prefix %d/%d)",
-					checkBudget, r.LongestPrefix, len(h))
-			}
-			t.Logf("history=%d ops, states=%d", len(h), r.States)
 		})
 	}
 }
@@ -705,11 +745,12 @@ func TestLinearizableSharded(t *testing.T) {
 
 // TestLinearizableExactlyOnceSharded is the sharded duplicate-delivery
 // scenario: stamped sessions scatter their serial streams across shards
-// (each shard's table admitting an ascending subsequence), two sharded
-// checkpoints commit generations mid-run, the ensemble crashes and
-// recovers from the manifest, and every session resubmits above the
-// connection frontier — the max acked serial over shards, sound only
-// because the checkpoint cut every shard at one serial barrier.
+// (each shard's table admitting an ascending subsequence), a share of
+// the duplicates names a key on another shard, two sharded checkpoints
+// commit generations mid-run, the ensemble crashes and recovers from the
+// manifest, and every session resubmits above the connection frontier —
+// the max acked serial over shards, sound only because the checkpoint
+// cut every shard at one serial barrier.
 func TestLinearizableExactlyOnceSharded(t *testing.T) {
 	for _, seed := range seeds {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -719,22 +760,11 @@ func TestLinearizableExactlyOnceSharded(t *testing.T) {
 				PageBits:    12,
 				BufferPages: 8,
 			})
-			ss.Close() // RunExactlyOnceSharded opens its own store over the devices
-
-			h, err := RunExactlyOnceSharded(cfg, t.TempDir(), EOShardedWorkload{Sessions: 3, Serials: 12, Seed: seed})
-			if err != nil {
-				t.Fatal(err)
+			ss.Close() // RunExactlyOnce opens its own store over the devices
+			h := checkExactlyOnce(t, cfg, EOWorkload{Sessions: 3, Serials: 12, Seed: seed})
+			if misdirectedDups(h) == 0 {
+				t.Fatal("no duplicate re-delivery named a different key")
 			}
-			r := Check(EOShardedModel(), h, checkBudget)
-			switch r.Outcome {
-			case Illegal:
-				t.Fatalf("history is NOT linearizable (%d states explored)\nminimized counterexample:\n%s",
-					r.States, Format(EOShardedModel(), r.Counterexample))
-			case Unknown:
-				t.Fatalf("checker exceeded its %v budget (longest prefix %d/%d)",
-					checkBudget, r.LongestPrefix, len(h))
-			}
-			t.Logf("history=%d ops, states=%d", len(h), r.States)
 		})
 	}
 }

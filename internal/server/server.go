@@ -4,7 +4,7 @@
 //
 // The front-end is cluster-aware: it serves a *faster.ShardedStore
 // whose shards are independent stores (own index, log, epoch domain,
-// io-pool and checkpoint generation) behind consistent-hash routing.
+// io-pool and checkpoint generation) behind a hash split of the keys.
 // Single-key commands route to their key's shard; pipelined windows and
 // the multi-key MGET/MSET split into concurrent per-shard sub-batches
 // inside the session facade and rejoin in command order. The health
@@ -68,10 +68,11 @@
 // with a trailing "SERIAL <n>"; serials are issued by the client,
 // starting at frontier+1 and increasing by one. A stamped op that
 // applies replies "+ACK <n> <result>"; re-delivering the frontier serial
-// replays the saved reply without re-executing; serials at or below the
-// frontier are fenced with -STALE, serials that skip ahead with a serial
-// gap error, and a connection whose GUID was re-bound elsewhere gets
-// -FENCED. After a crash the client re-issues SESSION, reads the
+// replays the saved reply without re-executing; other serials at or
+// below the frontier are fenced with -STALE, serials that skip ahead
+// with a serial gap error, and a connection whose GUID was re-bound
+// elsewhere gets -FENCED. The connection's faster.ShardedToken applies
+// that rule. After a crash the client re-issues SESSION, reads the
 // recovered frontier from the reply, and resends everything above it —
 // each retried op applies exactly once. A stamped op that replies
 // -TIMEOUT was shed at its deadline and never applies, so it is resent
@@ -559,7 +560,6 @@ func (c *connState) doSession(args [][]byte) bool {
 	// The frontier is the maximum committed serial across shards; the
 	// barrier inside the sharded checkpoint guarantees the committed
 	// serials form a prefix, so frontier+1 is the next expected serial.
-	c.nextSerial = acked + 1
 	c.w.WriteInt(int64(acked))
 	return true
 }
@@ -826,15 +826,11 @@ type connState struct {
 	iotimer *time.Timer
 
 	// Exactly-once session state: token is the connection's durable
-	// sharded session binding (SESSION <guid>), released on teardown; a
-	// stamped operation runs under its key's shard token. nextSerial is
-	// the connection's stream-wide gap detector — sparse per-shard serial
-	// tables admit any forward serial, so only the connection (which sees
-	// the whole stream) can reject one that skips ahead.
-	token      *faster.ShardedToken
-	nextSerial uint64
-	winOpen    []bool // per-shard open-window marks
-	ackBuf     []byte // scratch for rendering "ACK <serial> <result>" bodies
+	// session binding (SESSION <guid>), released on teardown, and the one
+	// place the serial stream rule is applied.
+	token  *faster.ShardedToken
+	spans  []int  // shards a stamped window's commands route to
+	ackBuf []byte // scratch for rendering "ACK <serial> <result>" bodies
 }
 
 // cmdPlan is one data command of a planned window: its slots are
@@ -1361,53 +1357,29 @@ func (c *connState) resolve() {
 	}
 }
 
-// admitSerials opens the session window of every shard a stamped command
-// routes to and admits the stamped serials in command order. The windows
-// open in ascending shard order — the order the sharded checkpoint
-// barrier takes its write locks in — so a multi-shard window cannot
-// deadlock against a concurrent checkpoint, and stay open across the
-// store batch so a checkpoint cannot cut between an op's record and its
-// commit. The stream-wide gap check lives here on the connection; expect
-// tracks admissions within the window, c.nextSerial advances only on
-// commit. A command its verdict resolves without executing (replay,
-// stale, gap, fenced) loses its slots. Returns whether the window holds
-// a stamped command.
+// admitSerials opens the token's window over every shard a stamped
+// command routes to and admits the stamped serials in command order. The
+// window stays open across the store batch so a checkpoint cannot cut
+// between an op's record and its commit. A command its verdict resolves
+// without executing (replay, stale, gap, fenced) loses its slots.
+// Returns whether the window holds a stamped command.
 func (c *connState) admitSerials() bool {
-	stamped := false
-	for i := range c.plans {
-		stamped = stamped || (c.plans[i].serial > 0 && c.plans[i].err == nil)
-	}
-	if !stamped {
-		return false
-	}
-	if n := c.s.store.NumShards(); len(c.winOpen) != n {
-		c.winOpen = make([]bool, n)
-	}
+	c.spans = c.spans[:0]
 	for i := range c.plans {
 		if p := &c.plans[i]; p.serial > 0 && p.err == nil {
-			c.winOpen[p.shard] = true
+			c.spans = append(c.spans, p.shard)
 		}
 	}
-	for sh, open := range c.winOpen {
-		if open {
-			c.token.Tok(sh).WindowEnter()
-		}
+	if len(c.spans) == 0 {
+		return false
 	}
-	expect, dropped := c.nextSerial, false
+	c.token.WindowEnter(c.spans...)
+	dropped := false
 	for i := range c.plans {
-		p := &c.plans[i]
-		if p.serial == 0 || p.err != nil {
-			continue
+		if p := &c.plans[i]; p.serial > 0 && p.err == nil {
+			p.verdict, p.saved = c.token.Check(p.shard, p.serial)
+			dropped = dropped || p.verdict != faster.SerialApply
 		}
-		if p.serial > expect && len(c.winOpen) > 1 {
-			// Connection-level gap: resolved before the shard token, so no
-			// admission needs rolling back. (A single shard's dense serial
-			// table rejects gaps itself.)
-			p.verdict = faster.SerialGap
-		} else if p.verdict, p.saved = c.token.Tok(p.shard).Check(p.serial); p.verdict == faster.SerialApply {
-			expect = p.serial + 1
-		}
-		dropped = dropped || p.verdict != faster.SerialApply
 	}
 	if dropped {
 		w := 0
@@ -1431,13 +1403,13 @@ func (c *connState) admitSerials() bool {
 }
 
 // commitSerials commits the window's admitted serials in order and closes
-// the shard windows. The first stamped command that failed stops the
-// commits: later serials cannot ack (Commit is strictly sequential) and
-// reply -RETRY, so the client's resend-from-frontier rule re-applies
-// exactly the uncommitted suffix — safe because only idempotent SETs
-// share a window with other stamped commands, and a stamped miss shed at
-// its deadline never applies. Uncommitted admissions roll back as each
-// window closes.
+// the window. The first stamped command that failed stops the commits:
+// later serials cannot ack (commits are strictly sequential) and reply
+// -RETRY, so the client's resend-from-frontier rule re-applies exactly
+// the uncommitted suffix — safe because only idempotent SETs share a
+// window with other stamped commands, and a stamped miss shed at its
+// deadline never applies. Uncommitted admissions roll back as the window
+// closes.
 func (c *connState) commitSerials() {
 	committing := true
 	for i := range c.plans {
@@ -1451,16 +1423,10 @@ func (c *connState) commitSerials() {
 			continue
 		}
 		c.ackBuf = c.appendAck(c.ackBuf[:0], p, n)
-		c.token.Tok(p.shard).Commit(p.serial, c.ackBuf)
-		p.committed = true
-		c.nextSerial = p.serial + 1
+		p.committed = c.token.Commit(p.shard, p.serial, c.ackBuf)
+		committing = p.committed
 	}
-	for sh := len(c.winOpen) - 1; sh >= 0; sh-- {
-		if c.winOpen[sh] {
-			c.token.Tok(sh).WindowExit()
-			c.winOpen[sh] = false
-		}
-	}
+	c.token.WindowExit()
 }
 
 // appendAck renders a committed command's "ACK <serial> <result>" body.

@@ -281,9 +281,9 @@ func TestServerShardedHealthIsolation(t *testing.T) {
 }
 
 // TestServerShardedSessionProtocol drives SESSION/SERIAL across shards:
-// serials scatter over per-shard sparse tables, the connection-level
-// gap check orders the whole stream, stamped batch windows span shards,
-// and a re-binding takeover recovers the max-acked frontier.
+// serials scatter over the per-shard tables, the connection's token
+// orders the whole stream, stamped batch windows span shards, and a
+// re-binding takeover recovers the max-acked frontier.
 func TestServerShardedSessionProtocol(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	srv, _, _ := newShardedTestServer(t, 4, Config{Sessions: 4})
@@ -293,8 +293,8 @@ func TestServerShardedSessionProtocol(t *testing.T) {
 		t.Fatalf("SESSION = %+v %v, want :0", v, err)
 	}
 
-	// Serials 1..8 on distinct keys scatter over the shards' sparse
-	// serial tables; each must ack.
+	// Serials 1..8 on distinct keys scatter over the shards' serial
+	// tables; each must ack.
 	for serial := 1; serial <= 8; serial++ {
 		k := []byte(fmt.Sprintf("sk-%02d", serial))
 		v, err := c.Do([]byte("SET"), k, []byte("v"), []byte("SERIAL"),
@@ -307,9 +307,8 @@ func TestServerShardedSessionProtocol(t *testing.T) {
 	v, err := c.Do([]byte("SET"), []byte("sk-08"), []byte("v"), []byte("SERIAL"), []byte("8"))
 	expectSimple(t, v, err, "ACK 8 OK")
 
-	// Sparse shard tables admit any forward serial, so the stream-wide
-	// gap check lives on the connection: skipping ahead is rejected and
-	// rolled back...
+	// The token checks the whole stream: skipping ahead is rejected
+	// without touching a table...
 	v, err = c.Do([]byte("SET"), []byte("sk-20"), []byte("v"), []byte("SERIAL"), []byte("20"))
 	expectErrContains(t, v, err, "skips")
 	// ...and the next in-order serial still applies cleanly.
@@ -366,4 +365,37 @@ func TestServerShardedSessionProtocol(t *testing.T) {
 	expectErrContains(t, v, err, "exactly one key")
 	v, err = c2.Do([]byte("DEL"), []byte("sk-01"), []byte("SERIAL"), []byte("16"))
 	expectSimple(t, v, err, "ACK 16 1")
+}
+
+// TestServerShardedStaleSerialOtherShard re-delivers an acknowledged
+// serial with a key on another shard than the serials before it (any
+// other key at one shard): the connection must refuse it -STALE without
+// writing, and the stream must go on at the next serial.
+func TestServerShardedStaleSerialOtherShard(t *testing.T) {
+	for _, n := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
+			testutil.CheckGoroutines(t)
+			srv, ss, _ := newShardedTestServer(t, n, Config{Sessions: 2})
+			c := dialT(t, srv)
+			a, b := []byte("a"), []byte("b")
+			for i := 0; n > 1 && ss.ShardFor(b) == ss.ShardFor(a); i++ {
+				b = []byte(fmt.Sprintf("b%d", i))
+			}
+
+			if v, err := c.Do([]byte("SESSION"), []byte("g")); err != nil || v.Int != 0 {
+				t.Fatalf("SESSION = %+v %v, want :0", v, err)
+			}
+			v, err := c.Do([]byte("SET"), a, []byte("v"), []byte("SERIAL"), []byte("1"))
+			expectSimple(t, v, err, "ACK 1 OK")
+			v, err = c.Do([]byte("SET"), a, []byte("v"), []byte("SERIAL"), []byte("2"))
+			expectSimple(t, v, err, "ACK 2 OK")
+			v, err = c.Do([]byte("SET"), b, []byte("x"), []byte("SERIAL"), []byte("1"))
+			expectErrContains(t, v, err, "STALE")
+			if v, err := c.Do([]byte("GET"), b); err != nil || v.Kind != resp.Nil {
+				t.Fatalf("stale serial wrote %q: %+v %v", b, v, err)
+			}
+			v, err = c.Do([]byte("SET"), a, []byte("v"), []byte("SERIAL"), []byte("3"))
+			expectSimple(t, v, err, "ACK 3 OK")
+		})
+	}
 }

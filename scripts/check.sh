@@ -190,13 +190,16 @@ done
 go test -race -run TestOpenLoopSmoke -count=1 -timeout 300s ./internal/bench/
 
 # Sharded-store gate: the sharded linearizability matrix (cross-shard
-# histories and exactly-once replay over 4 shards), the per-shard crash
-# torture (one shard dies and recovers while its siblings serve), the
-# hash split's balance and tag coverage at 4 and 16 shards, a cold CRDT
-# RMW over an on-storage delta, and the cluster-aware RESP front-end
-# (multi-shard fan-out windows, MGET/MSET, per-shard health isolation,
-# session fencing), all under the race detector.
-go test -race -run 'TestLinearizableSharded|TestLinearizableExactlyOnceSharded' -count=1 -timeout 300s ./internal/linearize/
+# histories, and the one exactly-once driver at 1 shard and 1 key, 1
+# shard and 8 keys, and 4 shards, with duplicates misdirected to other
+# keys), the per-shard crash torture (one shard dies and recovers while
+# its siblings serve), the hash split's balance and tag coverage at 4
+# and 16 shards, a cold CRDT RMW over an on-storage delta, and the
+# cluster-aware RESP front-end (multi-shard fan-out windows, MGET/MSET,
+# per-shard health isolation, session fencing, a re-delivered serial on
+# another shard answering -STALE at 1 and 4 shards), all under the race
+# detector.
+go test -race -run 'TestLinearizableSharded|TestLinearizableExactlyOnce' -count=1 -timeout 300s ./internal/linearize/
 go test -race -run 'TestShardedCrashTorture|TestShardedRoutingDeterministic|TestCRDTColdRMWOverDelta' -count=1 -timeout 300s ./internal/faster/
 go test -race -run 'TestServerSharded' -count=1 ./internal/server/
 
