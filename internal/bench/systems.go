@@ -101,10 +101,17 @@ func (f *FasterSystem) NewWorker(int) Worker {
 	return &fasterWorker{sess: f.store.StartSession(), key: make([]byte, 8), in: make([]byte, 8)}
 }
 
+// maxInFlight bounds a FASTER worker's outstanding misses. Below it the
+// worker keeps issuing and drains completions without blocking, as the
+// paper's threads do while their misses are pending; at it the worker
+// waits for all of them.
+const maxInFlight = 32
+
 type fasterWorker struct {
-	sess *faster.Session
-	key  []byte
-	in   []byte
+	sess    *faster.Session
+	key     []byte
+	in      []byte
+	pending int // operations that went Pending and have not completed
 }
 
 func (w *fasterWorker) k(key uint64) []byte {
@@ -112,13 +119,21 @@ func (w *fasterWorker) k(key uint64) []byte {
 	return w.key
 }
 
+// settle counts an operation that went Pending and drains completions.
+func (w *fasterWorker) settle(st faster.Status) {
+	if st == faster.Pending {
+		w.pending++
+	}
+	if w.pending > 0 {
+		w.pending -= len(w.sess.CompletePending(w.pending >= maxInFlight))
+	}
+}
+
+// Read reports a synchronous hit; a read that went Pending completes
+// into out later (out is the caller's scratch).
 func (w *fasterWorker) Read(key uint64, out []byte) bool {
 	st, _ := w.sess.Read(w.k(key), nil, out, nil)
-	if st == faster.Pending {
-		for _, r := range w.sess.CompletePending(true) {
-			st = r.Status
-		}
-	}
+	w.settle(st)
 	return st == faster.OK
 }
 
@@ -129,13 +144,14 @@ func (w *fasterWorker) Upsert(key uint64, value []byte) {
 func (w *fasterWorker) RMW(key uint64, delta uint64) {
 	binary.LittleEndian.PutUint64(w.in, delta)
 	st, _ := w.sess.RMW(w.k(key), w.in, nil)
-	if st == faster.Pending {
-		w.sess.CompletePending(true)
-	}
+	w.settle(st)
 }
 
-func (w *fasterWorker) Finish() { w.sess.CompletePending(true) }
-func (w *fasterWorker) Close()  { w.sess.Close() }
+func (w *fasterWorker) Finish() {
+	w.sess.CompletePending(true)
+	w.pending = 0
+}
+func (w *fasterWorker) Close() { w.sess.Close() }
 
 // FuzzyOps sums (fuzzy, total) across... fuzzy stats are store-level.
 // Exposed here for the Fig 12b/13 experiments.

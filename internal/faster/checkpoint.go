@@ -314,24 +314,29 @@ func (s *Store) checkpointPrepare(dir string) (ckptPrep, error) {
 // writeIndexCheckpoint serializes the fuzzy index image with read-cache
 // redirections resolved: the cache is volatile, so a tagged entry is
 // persisted as the underlying hlog chain head its cached record
-// preserves. Holding rc.mu across the scan freezes fills and evictions
-// (hit-path reads stay lock-free), so every tagged live entry's record is
-// guaranteed dereferenceable — no entry is ever dropped for raciness.
+// preserves. A guard held from each entry's read to its dereference keeps
+// the record's frame from being reopened under the scan; it refreshes
+// only between entries. A tagged entry whose page was already restored is
+// read again: it holds the underlying address by then, or will once its
+// late filler moves it back.
 func (s *Store) writeIndexCheckpoint(f *os.File) error {
 	if s.rc == nil {
 		return s.idx.WriteCheckpoint(f)
 	}
-	s.rc.mu.Lock()
-	defer s.rc.mu.Unlock()
+	g := s.em.Acquire()
+	defer g.Release()
+	n := 0
 	return s.idx.WriteCheckpointMapped(f, func(addr uint64) (uint64, bool) {
+		if n++; n%256 == 0 {
+			// The next entry is read after this refresh, and this one's
+			// address needs no dereference.
+			g.Refresh()
+		}
 		if !isCacheAddr(addr) {
 			return addr, true
 		}
 		rec, ok := s.rc.recordAt(addr)
 		if !ok {
-			// Unreachable while rc.mu is held (eviction restores every
-			// live entry before the offset drops below head); dropping the
-			// entry is the conservative recovery answer if it ever fires.
 			return 0, false
 		}
 		return uint64(rec.prev()), true

@@ -118,11 +118,13 @@ type Config struct {
 
 	// ReadCacheBytes, when > 0, enables the latch-free record read cache
 	// (readcache.go): cold reads completed from storage are copied into a
-	// small in-memory circular log and the index entry is redirected to
-	// the cached copy, so repeated reads of the same cold record skip the
-	// device. The cache is volatile — checkpoints and recovery never
-	// depend on it — and sized to roughly this many bytes. Ignored by
-	// in-memory stores (nothing is ever cold).
+	// second, small append-only hlog.Log and the index entry is redirected
+	// to the cached copy, so repeated reads of the same cold record skip
+	// the device. The cache is volatile — checkpoints and recovery never
+	// depend on it. Its pages are 512 B to 64 KiB, at least 4 where the
+	// budget allows, and the budget rounds down to a power-of-two number
+	// of them (4 MiB and 8 MiB are exact). Ignored by in-memory stores
+	// (nothing is ever cold).
 	ReadCacheBytes uint64
 
 	// ReadRetry bounds retries of pending record reads; the zero value
@@ -182,7 +184,7 @@ func (c *Config) setDefaults() error {
 // the Fig 12b / Fig 13 experiments.
 type Stats struct {
 	Operations   uint64 // user operations: reads, upserts, RMWs and deletes
-	FuzzyRMWs    uint64 // RMWs deferred because the record was fuzzy
+	FuzzyRMWs    uint64 // RMWs deferred because the record was fuzzy, once each
 	PendingIOs   uint64 // operations that went to storage
 	DeltaRecords uint64 // CRDT delta records appended
 	InPlace      uint64 // updates applied in place
@@ -373,7 +375,10 @@ func Open(cfg Config) (*Store, error) {
 		s.merge = cfg.Ops.(MergeOps)
 	}
 	if cfg.ReadCacheBytes > 0 && cfg.Mode != hlog.ModeInMemory {
-		s.rc = newReadCache(s, cfg.ReadCacheBytes)
+		if s.rc, err = newReadCache(s, cfg.ReadCacheBytes); err != nil {
+			log.Close()
+			return nil, err
+		}
 	}
 	if cfg.CompactionThreshold > 0 && cfg.Mode != hlog.ModeInMemory {
 		s.maintStop = make(chan struct{})
@@ -520,8 +525,8 @@ func (s *Store) Close() error {
 		return fmt.Errorf("%w: %d registered", ErrSessionsOpen, n)
 	}
 	// With no guard left every pending epoch action is safe: this runs
-	// them all, including read-cache frame clears and the free of an index
-	// table retired by Grow, before the memory they touch goes away.
+	// them all, including frame closes and the free of an index table
+	// retired by Grow, before the memory they touch goes away.
 	for s.em.PendingActions() > 0 {
 		s.em.Drain()
 	}

@@ -1,10 +1,8 @@
 package faster
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"net/http"
 	rmetrics "runtime/metrics"
 
 	"repro/internal/arena"
@@ -17,7 +15,7 @@ import (
 
 // StoreMetrics is a point-in-time snapshot of every instrumented layer of
 // the store. It is the typed view; Series flattens it into named scalar
-// series for the JSON endpoint and text reports.
+// series for the server's JSON endpoint and text reports.
 type StoreMetrics struct {
 	// Store-level operation counters.
 	Reads     uint64
@@ -329,15 +327,4 @@ func (m StoreMetrics) Series() metrics.Series {
 func (s *Store) WriteReport(w io.Writer) error {
 	_, err := io.WriteString(w, s.Metrics().Series().Format())
 	return err
-}
-
-// MetricsHandler returns an http.Handler that serves the flattened metric
-// series as a JSON object, for wiring into any mux.
-func (s *Store) MetricsHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(s.Metrics().Series())
-	})
 }

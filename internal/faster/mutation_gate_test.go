@@ -154,7 +154,7 @@ func TestMutationGateBaseline(t *testing.T) {
 			t.Fatal(err)
 		}
 		h, _ := linearize.RunWorkload(s, linearize.Workload{
-			Clients: 6, Ops: 60, Keys: 2, Seed: seed,
+			Clients: 4, Ops: 40, Keys: 2, Seed: seed,
 			ReadPct: 25, UpsertPct: 15, RMWPct: 60, DeletePct: 0,
 			Interleave: func(client, n int) {
 				if n%2 == 0 {
@@ -320,9 +320,9 @@ func TestMutationGateSkipEpochBump(t *testing.T) {
 			t.Fatal(err)
 		}
 		h, _ := linearize.RunWorkload(s, linearize.Workload{
-			// 6*60/2 keys ≈ 180 ops per partition, safely inside the
+			// 4*40/2 keys ≈ 80 ops per partition, safely inside the
 			// checker's 256-op partition limit.
-			Clients: 6, Ops: 60, Keys: 2, Seed: seed,
+			Clients: 4, Ops: 40, Keys: 2, Seed: seed,
 			ReadPct: 25, UpsertPct: 15, RMWPct: 60, DeletePct: 0,
 			// Shift constantly so updates keep straddling the
 			// read-only boundary while other sessions are mid-operation.

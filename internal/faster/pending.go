@@ -515,7 +515,9 @@ func (sess *Session) completePass(results []Result) []Result {
 				// A shed is final: the deferral never re-executes.
 				st, err = Err, ErrOpDeadline
 			default:
+				sess.retrying = true
 				st, err = sess.rmwInternal(op.key, op.input, op.ctx, hashKey(op.key))
+				sess.retrying = false
 				if st == Pending {
 					// Re-queued (still fuzzy, or now on storage) as a
 					// fresh op; this one is done with.

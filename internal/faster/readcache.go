@@ -1,45 +1,49 @@
 package faster
 
 import (
-	"sync"
 	"sync/atomic"
 
-	"repro/internal/arena"
+	"repro/internal/device"
 	"repro/internal/epoch"
 	"repro/internal/hlog"
 	"repro/internal/metrics"
 )
 
-// Read cache (F2 / Deuteronomy 2.0 style): a second, small in-memory
-// circular log sitting between the hash index and the main HybridLog.
-// When a cold read completes from storage, the record is copied into the
-// cache and the index entry is CASed from the hlog chain head to the
-// cached copy, so repeated reads of the same cold record stop paying a
-// device round-trip. The cache is purely an index-level redirection:
+// Read cache (F2 / Deuteronomy 2.0 style): a second, small HybridLog
+// sitting between the hash index and the main one. When a cold read
+// completes from storage, the record is appended to the cache log and the
+// index entry is CASed from the main log's chain head to the cached copy,
+// so repeated reads of the same cold record stop paying a device
+// round-trip. The cache is purely an index-level redirection:
 //
-//   - Cache addresses are tagged with bit 47 (cacheAddrBit). The hlog
-//     never reaches 2^47 bytes, so tagged addresses are disjoint from log
+//   - The cache log is an append-only hlog.Log over a Null device on the
+//     store's epoch manager: fills allocate latch-free at its tail, and
+//     page turns, frame reuse and their epoch waits are the log's own.
+//   - Cache addresses are tagged with bit 47 (cacheAddrBit). The main log
+//     never reaches 2^47 bytes, so tagged addresses are disjoint from its
 //     addresses while still fitting the index's 48-bit address field.
-//   - A cached record's prev field holds the hlog address the entry
+//   - A cached record's prev field holds the main-log address the entry
 //     carried before the fill (the chain head). Invalidation is therefore
 //     the ordinary RCU discipline: an upsert/RMW/delete appends at the
 //     tail and CASes the entry from the tagged address to the new record,
 //     which simply drops the cached copy out of the chain. Readers that
 //     miss the cached key (hash collisions) continue at prev.
-//   - Cache addresses live ONLY in index entries. No hlog record ever has
-//     a tagged prev (hlog records are persisted; the cache is volatile),
-//     and checkpoints/recovery strip tagged addresses (checkpoint.go).
+//   - Cache addresses live ONLY in index entries. No main-log record ever
+//     has a tagged prev (those records are persisted; the cache is
+//     volatile), and checkpoints/recovery strip tagged addresses
+//     (checkpoint.go).
 //
-// Eviction is page-at-a-time in FIFO order with a second chance: reads
-// that hit a cached record set flagCacheRef in its header; eviction
-// restores every live entry to its underlying hlog address first, then
-// re-admits referenced records at the cache tail (the CLOCK-approximation
-// that internal/cachesim measured best for zipfian reads). The page's
-// memory is reclaimed epoch-safely: readers dereference cached records
-// under epoch protection, so the frame is zeroed and reused only after
-// every thread has refreshed past the eviction bump. Fills fail fast when
-// the freed frame has not drained yet — the cache is an optimization, and
-// a read that cannot fill is just a normal cold read.
+// Eviction is the cache log's head passing a page, FIFO with a second
+// chance. The log calls restore for the passed range once every thread
+// has drained past the head shift, so every fill on those pages has
+// published or lost its CAS; restore moves each live entry back to its
+// underlying address and only then does the log let the frames close,
+// after one more epoch drain, so a reader that probed a tagged entry
+// before the restore still dereferences it safely under its guard. Reads
+// that hit a cached record set flagCacheRef in its header; restore copies
+// referenced records aside and the next fill re-fills them (the
+// CLOCK-approximation that internal/cachesim measured best for zipfian
+// reads).
 
 // cacheAddrBit tags index-entry addresses that point into the read cache
 // instead of the HybridLog. It is inside the index's AddressMask (bit 47
@@ -50,31 +54,21 @@ const cacheAddrBit = hlog.Address(1) << 47
 // read cache.
 func isCacheAddr(a hlog.Address) bool { return a&cacheAddrBit != 0 }
 
-// readCache is the latch-free record read cache. Reads are lock-free
-// (atomic head check + record decode under epoch protection); fills and
-// evictions serialize on mu, which is fine because a fill already paid a
-// device read and eviction is page-granular.
+// readCache is the record read cache: reads and fills are latch-free.
 type readCache struct {
-	s        *Store
-	pageSize uint64
-	nFrames  uint64
-	mem      []byte     // every frame's memory, one arena block (Store.Close frees it)
-	frames   [][]uint64 // frame memory, word-addressed for atomic headers
-	bytesv   [][]byte   // byte views aliasing frames
-	ready    []atomic.Bool
+	s   *Store
+	log *hlog.Log
 
-	// head is the oldest live virtual offset (page-aligned); offsets below
-	// it are evicted. Grows monotonically; frame = (off/pageSize)%nFrames.
-	head atomic.Uint64
+	// evicted is the end of the last range restore finished. The frames
+	// below it may be reopened as soon as the dereferencing thread's guard
+	// moves on, so a tagged address below it is not dereferenced: its
+	// entry has been restored, or is being undone by a late fill (fill),
+	// and the caller re-probes.
+	evicted atomic.Uint64
 
-	mu   sync.Mutex
-	tail uint64 // next virtual offset to allocate (under mu)
-
-	// Re-admission staging for second-chance eviction (under mu). The
-	// evicted frame's bytes become invalid at reuse, so referenced records
-	// are copied out before the frame is recycled.
-	scratch []byte
-	readmit []readmitRec
+	// readmit hands the referenced records the last restore copied off
+	// its pages to the next fill, which re-fills them.
+	readmit atomic.Pointer[[]readmitRec]
 
 	mx struct {
 		hits          metrics.Counter
@@ -82,45 +76,43 @@ type readCache struct {
 		fills         metrics.Counter
 		evictions     metrics.Counter
 		invalidations metrics.Counter
-		bytes         metrics.Gauge // live cached bytes (tail - head)
 	}
 }
 
-// readmitRec is a second-chance candidate copied off an evicting page.
+// readmitRec is a second-chance candidate copied off an evicted page.
 type readmitRec struct {
 	hash       uint64
 	prev       hlog.Address // restored underlying address (CAS expectation)
-	key, value []byte       // subslices of scratch
+	key, value []byte
 }
 
-// newReadCache sizes a cache of roughly capBytes. Pages shrink from 64 KB
-// until at least 4 frames fit (FIFO over fewer frames evicts too much of
-// the working set at once), with floors of 512-byte pages and 2 frames.
-func newReadCache(s *Store, capBytes uint64) *readCache {
+// newReadCache sizes a cache of at most capBytes. Pages shrink from
+// 64 KB until at least 4 fit (FIFO over fewer pages evicts too much of
+// the working set at once), with a floor of 512-byte pages; the page
+// count is the largest power of two that fits, and at least 2.
+func newReadCache(s *Store, capBytes uint64) (*readCache, error) {
 	pageBits := uint(16)
 	for pageBits > 9 && capBytes>>pageBits < 4 {
 		pageBits--
 	}
-	nFrames := capBytes >> pageBits
-	if nFrames < 2 {
-		nFrames = 2
+	pages := 2
+	for uint64(pages*2) <= capBytes>>pageBits {
+		pages *= 2
 	}
-	rc := &readCache{
-		s:        s,
-		pageSize: 1 << pageBits,
-		nFrames:  nFrames,
-		frames:   make([][]uint64, nFrames),
-		bytesv:   make([][]byte, nFrames),
-		ready:    make([]atomic.Bool, nFrames),
+	rc := &readCache{s: s}
+	log, err := hlog.New(hlog.Config{
+		PageBits:    pageBits,
+		BufferPages: pages,
+		Mode:        hlog.ModeAppendOnly,
+		Device:      device.NewNull(),
+		Epoch:       s.em,
+		OnEvict:     rc.restore,
+	})
+	if err != nil {
+		return nil, err
 	}
-	rc.mem = arena.Alloc(int(nFrames * rc.pageSize))
-	for i := range rc.frames {
-		b := rc.mem[uint64(i)*rc.pageSize : uint64(i+1)*rc.pageSize]
-		rc.bytesv[i] = b
-		rc.frames[i] = arena.View[uint64](b)
-		rc.ready[i].Store(true)
-	}
-	return rc
+	rc.log = log
+	return rc, nil
 }
 
 // arenaBytes reports the cache's frame memory (0 without a cache).
@@ -128,69 +120,39 @@ func (rc *readCache) arenaBytes() uint64 {
 	if rc == nil {
 		return 0
 	}
-	return uint64(len(rc.mem))
+	return rc.log.FrameBytes()
 }
 
-// free releases the frames. Every epoch action that clears one must have
-// run, and no reader may be left.
+// free releases the frames. Every epoch action must have run, and no
+// reader may be left.
 func (rc *readCache) free() {
 	if rc != nil {
-		arena.Free(rc.mem)
+		rc.log.Close()
 	}
-}
-
-func (rc *readCache) frameFor(off uint64) uint64 { return (off / rc.pageSize) % rc.nFrames }
-
-func (rc *readCache) headerPtr(off uint64) *uint64 {
-	return &rc.frames[rc.frameFor(off)][(off%rc.pageSize)/8]
 }
 
 // recordAt decodes the cached record behind the tagged address a. ok is
-// false when the record was evicted between the index probe and this
-// dereference (rare; the caller re-probes). The caller must hold epoch
+// false when a's page was evicted between the index probe and this
+// dereference (the caller re-probes). The caller must hold epoch
 // protection taken before the probe and must not refresh it before the
-// last use of the returned record: frame memory is only reclaimed after
-// an epoch bump drains, so an unrefreshed guard pins the bytes.
+// last use of the returned record.
 func (rc *readCache) recordAt(a hlog.Address) (record, bool) {
 	off := a &^ cacheAddrBit
-	if off < rc.head.Load() {
+	if off < rc.evicted.Load() {
 		return record{}, false
 	}
-	b := rc.bytesv[rc.frameFor(off)][off%rc.pageSize:]
-	rec, ok := parseRecordHeader(b, atomic.LoadUint64(rc.headerPtr(off)))
-	if !ok || rec.invalid() {
-		return record{}, false
-	}
-	return rec, true
+	return parseRecordHeader(rc.log.Slice(off), atomic.LoadUint64(rc.log.Uint64Ptr(off)))
 }
 
 // noteHit counts a successful cached read and marks the record referenced
-// (its second chance at the next eviction).
+// (its second chance at eviction). a came from recordAt under the same
+// guard.
 func (rc *readCache) noteHit(a hlog.Address) {
 	rc.mx.hits.Inc()
-	off := a &^ cacheAddrBit
-	if off < rc.head.Load() {
-		return
-	}
-	p := rc.headerPtr(off)
+	p := rc.log.Uint64Ptr(a &^ cacheAddrBit)
 	for {
 		old := atomic.LoadUint64(p)
-		if old&(flagCacheRef|flagInvalid) != 0 {
-			return
-		}
-		if atomic.CompareAndSwapUint64(p, old, old|flagCacheRef) {
-			return
-		}
-	}
-}
-
-// setInvalid marks the cached record at virtual offset off dead (lost
-// publish CAS); eviction skips it without an index lookup.
-func (rc *readCache) setInvalid(off uint64) {
-	p := rc.headerPtr(off)
-	for {
-		old := atomic.LoadUint64(p)
-		if atomic.CompareAndSwapUint64(p, old, old|flagInvalid) {
+		if old&flagCacheRef != 0 || atomic.CompareAndSwapUint64(p, old, old|flagCacheRef) {
 			return
 		}
 	}
@@ -198,157 +160,109 @@ func (rc *readCache) setInvalid(off uint64) {
 
 // fill copies a record fetched from storage into the cache and republishes
 // the index entry for hash h from expect (the untagged chain head the read
-// observed) to the cached copy. Failure at any step just leaves the cache
-// cold — the read already completed from the fetched buffer. g is the
-// filling session's epoch guard; eviction refreshes it to let the freed
-// frame drain.
+// observed) to the cached copy, then re-fills the records the last
+// eviction gave a second chance. Failure at any step just leaves the
+// cache cold — the read already completed from the fetched buffer. g is
+// the filling session's epoch guard.
 func (rc *readCache) fill(g *epoch.Guard, h uint64, key, value []byte, expect hlog.Address) {
-	size := uint64(recordSize(len(key), len(value)))
-	if size > rc.pageSize {
-		return
+	rc.insert(g, h, key, value, expect)
+	if recs := rc.readmit.Swap(nil); recs != nil {
+		for _, r := range *recs {
+			rc.insert(g, r.hash, r.key, r.value, r.prev)
+		}
 	}
-	rc.mu.Lock()
-	off, ok := rc.allocLocked(g, size, true)
-	if !ok {
-		rc.mu.Unlock()
-		return
+}
+
+// insert appends one record and CASes the entry for h from expect to it.
+// The entry must still hold expect: any interleaved write, delete,
+// compaction republish or competing fill moves it, the CAS fails and the
+// copy is garbage that restore skips.
+func (rc *readCache) insert(g *epoch.Guard, h uint64, key, value []byte, expect hlog.Address) {
+	size := recordSize(len(key), len(value))
+	off, err := rc.log.Allocate(size, g)
+	if err != nil {
+		return // larger than a page, or the store is closing
 	}
-	b := rc.bytesv[rc.frameFor(off)][off%rc.pageSize:]
-	rec := writeRecord(b[:size], expect, 0, key, len(value))
+	rec := writeRecord(rc.log.Slice(off)[:size], expect, 0, key, len(value))
 	copy(rec.value, value)
-	// Publish while still holding mu: eviction also runs under mu, so the
-	// fresh record cannot be evicted between the write and the index CAS
-	// (publishing a tagged address already below head would wedge the
-	// entry on a dead cache offset). The entry must still hold the
-	// untagged chain head the read started from; any interleaved write,
-	// delete, compaction republish or competing fill moves the entry and
-	// the CAS fails — the cached copy becomes garbage and eviction skips
-	// it.
-	e, cur, found := rc.s.idx.FindEntry(h)
-	if !found || cur != expect || !e.CompareAndSwapAddress(expect, cacheAddrBit|off) {
-		rc.setInvalid(off)
-	} else {
-		rc.mx.fills.Inc()
+	if debugFillCAS != nil {
+		debugFillCAS(g)
 	}
-	rc.mx.bytes.Set(int64(rc.tail - rc.head.Load()))
-	rc.mu.Unlock()
+	c := cacheAddrBit | off
+	if !rc.moveEntry(h, expect, c) {
+		return
+	}
+	if off < rc.log.HeadAddress() {
+		// The page was evicted under this fill, so restore may already
+		// have passed the entry: move it back. A filler holding its guard
+		// from Allocate to here never gets this far (restore waits on
+		// that guard); one that lost it must not leave a tagged entry
+		// behind for a frame that can be reopened.
+		rc.moveEntry(h, c, expect)
+		return
+	}
+	rc.mx.fills.Inc()
 }
 
-// allocLocked claims size bytes at the tail, evicting the oldest page if
-// the cache is full (mayEvict). Records never span pages; crossing into a
-// page whose frame has not finished its epoch drain fails the allocation
-// (fail fast — the caller's fill is merely skipped).
-func (rc *readCache) allocLocked(g *epoch.Guard, size uint64, mayEvict bool) (uint64, bool) {
+// moveEntry CASes the index entry for h from one address to another. It
+// reports false once the entry holds anything but from; a CAS lost to an
+// index resize, which poisons the slot it migrates, is retried on the
+// entry's new slot.
+func (rc *readCache) moveEntry(h uint64, from, to hlog.Address) bool {
 	for {
-		off := rc.tail
-		if rem := rc.pageSize - off%rc.pageSize; size > rem {
-			// Pad to the page end; the bytes stay zero (keyLen 0 ends the
-			// eviction walk, same convention as the hlog).
-			rc.tail += rem
-			continue
+		e, cur, found := rc.s.idx.FindEntry(h)
+		if !found || cur != from {
+			return false
 		}
-		if off+size > rc.head.Load()+rc.nFrames*rc.pageSize {
-			if !mayEvict || !rc.evictLocked(g) {
-				return 0, false
-			}
-			continue
+		if e.CompareAndSwapAddress(from, to) {
+			return true
 		}
-		if off%rc.pageSize == 0 {
-			f := rc.frameFor(off)
-			if !rc.ready[f].Load() {
-				rc.s.em.Drain() // one non-blocking pass
-				if !rc.ready[f].Load() {
-					return 0, false
-				}
-			}
-		}
-		rc.tail = off + size
-		return off, true
 	}
 }
 
-// evictLocked evicts the page at head: restore every live entry from its
-// cached address back to the underlying hlog address, advance head, and
-// schedule the frame's zero-and-reuse for after the current epoch drains.
-// Records whose reference bit was set (and whose restore succeeded) are
-// re-admitted at the tail with the bit cleared — the second chance.
-func (rc *readCache) evictLocked(g *epoch.Guard) bool {
-	h := rc.head.Load()
-	if h >= rc.tail {
-		return false
-	}
-	f := rc.frameFor(h)
-	end := h + rc.pageSize
-	rc.readmit = rc.readmit[:0]
-	rc.scratch = rc.scratch[:0]
-	// Re-admission budget: at most half a page, so one eviction always
-	// frees net space and re-admission can never cascade into another
-	// eviction.
-	budget := int(rc.pageSize / 2)
-	for off := h; off < end && off < rc.tail; {
-		hdr := atomic.LoadUint64(rc.headerPtr(off))
-		rec, ok := parseRecordHeader(rc.bytesv[f][off%rc.pageSize:], hdr)
-		if !ok {
-			break // zero keyLen: page padding, rest of the page is empty
-		}
-		if !rec.invalid() {
-			c := cacheAddrBit | off
-			hk := hashKey(rec.key)
-			if e, cur, found := rc.s.idx.FindEntry(hk); found && cur == c &&
-				e.CompareAndSwapAddress(c, rec.prev()) {
-				rc.mx.evictions.Inc()
-				if hdr&flagCacheRef != 0 && len(rc.scratch)+len(rec.key)+len(rec.value) <= budget {
-					n := len(rc.scratch)
-					rc.scratch = append(rc.scratch, rec.key...)
-					rc.scratch = append(rc.scratch, rec.value...)
-					rc.readmit = append(rc.readmit, readmitRec{
-						hash: hk,
-						prev: rec.prev(),
-						key:  rc.scratch[n : n+len(rec.key)],
-						value: rc.scratch[n+len(rec.key) : n+
-							len(rec.key)+len(rec.value)],
-					})
-				}
+// restore is the cache log's OnEvict: it CASes every live entry of the
+// records in [from, to) from its cached address back to the underlying
+// address, and copies aside the referenced ones, up to half a page of
+// keys and values, for the next fill to re-fill with the bit cleared.
+func (rc *readCache) restore(from, to hlog.Address) {
+	ps := rc.log.PageSize()
+	budget := int(ps / 2)
+	var recs []readmitRec
+	var scratch []byte
+	for page := from; page < to; page += ps {
+		off := max(page, hlog.FirstValidAddress)
+		for off < page+ps {
+			hdr := atomic.LoadUint64(rc.log.Uint64Ptr(off))
+			rec, ok := parseRecordHeader(rc.log.Slice(off), hdr)
+			if !ok {
+				break // zero keyLen: page padding, rest of the page is empty
 			}
-			// A failed CAS means a writer already redirected the entry (the
-			// cached copy was invalidated by RCU) — nothing to restore.
-		}
-		off += uint64(rec.size)
-	}
-	ready := &rc.ready[f]
-	ready.Store(false)
-	rc.head.Store(end)
-	frame := rc.frames[f]
-	rc.s.em.BumpWith(func() {
-		clear(frame)
-		ready.Store(true)
-	})
-	// Our own guard predates the bump and would block the drain forever;
-	// refresh it, then run one drain pass so the single-session case
-	// reclaims immediately.
-	g.Refresh()
-	rc.s.em.Drain()
-
-	// Second chances: re-insert referenced records at the tail. Purely
-	// best-effort — a full tail or a moved entry just drops the record.
-	for i := range rc.readmit {
-		r := &rc.readmit[i]
-		size := uint64(recordSize(len(r.key), len(r.value)))
-		off, ok := rc.allocLocked(g, size, false)
-		if !ok {
-			break
-		}
-		b := rc.bytesv[rc.frameFor(off)][off%rc.pageSize:]
-		rec := writeRecord(b[:size], r.prev, 0, r.key, len(r.value))
-		copy(rec.value, r.value)
-		e, cur, found := rc.s.idx.FindEntry(r.hash)
-		if !found || cur != r.prev || !e.CompareAndSwapAddress(r.prev, cacheAddrBit|off) {
-			rc.setInvalid(off)
-		} else {
-			rc.mx.fills.Inc()
+			c := cacheAddrBit | off
+			off += uint64(rec.size)
+			hk := hashKey(rec.key)
+			if !rc.moveEntry(hk, c, rec.prev()) {
+				continue // a writer already moved the entry, or the fill lost
+			}
+			rc.mx.evictions.Inc()
+			if hdr&flagCacheRef != 0 && len(scratch)+len(rec.key)+len(rec.value) <= budget {
+				if scratch == nil {
+					scratch = make([]byte, 0, budget)
+				}
+				n := len(scratch)
+				scratch = append(append(scratch, rec.key...), rec.value...)
+				recs = append(recs, readmitRec{
+					hash:  hk,
+					prev:  rec.prev(),
+					key:   scratch[n : n+len(rec.key)],
+					value: scratch[n+len(rec.key):],
+				})
+			}
 		}
 	}
-	return true
+	rc.evicted.Store(to)
+	if recs != nil {
+		rc.readmit.Store(&recs)
+	}
 }
 
 // redirectPrev CASes the cached record's underlying chain pointer from
@@ -359,12 +273,12 @@ func (rc *readCache) evictLocked(g *epoch.Guard) bool {
 // cached value — the exact bug class the linearize checker must catch.
 func (rc *readCache) redirectPrev(a hlog.Address, oldPrev, newPrev hlog.Address) bool {
 	off := a &^ cacheAddrBit
-	if off < rc.head.Load() {
+	if off < rc.evicted.Load() {
 		return false
 	}
-	p := rc.headerPtr(off)
+	p := rc.log.Uint64Ptr(off)
 	old := atomic.LoadUint64(p)
-	if old&prevMask != uint64(oldPrev) || old&flagInvalid != 0 {
+	if old&prevMask != uint64(oldPrev) {
 		return false
 	}
 	return atomic.CompareAndSwapUint64(p, old, old&^prevMask|uint64(newPrev)&prevMask)
@@ -374,10 +288,12 @@ func (rc *readCache) redirectPrev(a hlog.Address, oldPrev, newPrev hlog.Address)
 // addresses pass through. For a cache-tagged address it dereferences the
 // cached record: chain is the underlying hlog chain head (what the entry
 // held before the fill), crec the cached record itself. stale means the
-// cached record was evicted between the probe and the deref — the caller
-// must re-probe the index. The caller holds epoch protection across
-// probe, splitProbe and every use of crec, with no guard refresh between
-// (in particular: resolve BEFORE any Allocate, which can refresh).
+// cached record's page was evicted between the probe and the deref — the
+// caller must re-probe the index, which needs no guard refresh: the entry
+// is restored already, or its late filler is moving it back. The caller
+// holds epoch protection across probe, splitProbe and every use of crec,
+// with no guard refresh between (in particular: resolve BEFORE any
+// Allocate, which can refresh).
 func (s *Store) splitProbe(raw hlog.Address) (chain hlog.Address, crec record, cached, stale bool) {
 	if !isCacheAddr(raw) {
 		return raw, record{}, false, false
@@ -404,7 +320,7 @@ type ReadCacheMetrics struct {
 	Fills         uint64
 	Evictions     uint64
 	Invalidations uint64
-	Bytes         int64 // live cached bytes right now
+	Bytes         int64 // bytes between the cache log's head and tail
 }
 
 func (rc *readCache) metrics() ReadCacheMetrics {
@@ -417,6 +333,6 @@ func (rc *readCache) metrics() ReadCacheMetrics {
 		Fills:         rc.mx.fills.Load(),
 		Evictions:     rc.mx.evictions.Load(),
 		Invalidations: rc.mx.invalidations.Load(),
-		Bytes:         rc.mx.bytes.Load(),
+		Bytes:         int64(rc.log.TailAddress() - rc.log.HeadAddress()),
 	}
 }

@@ -3,10 +3,13 @@ package faster
 import (
 	"encoding/binary"
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/cachesim"
 	"repro/internal/device"
+	"repro/internal/epoch"
+	"repro/internal/hlog"
 	"repro/internal/ycsb"
 )
 
@@ -233,5 +236,65 @@ func TestReadCacheSimCLOCKPrediction(t *testing.T) {
 					realRatio, simRatio, diff)
 			}
 		})
+	}
+}
+
+// TestReadCacheFillCASAfterRestore holds a fill between its record write
+// and its index CAS, with its guard parked, while other fills turn the
+// cache log past the held record's page and the restore walk passes it.
+// The late CAS then publishes a tagged address whose frame may already be
+// reopened: the filler must see its page below the cache head and move
+// the entry back, so no entry is left tagged below the head and the key
+// still reads its value.
+func TestReadCacheFillCASAfterRestore(t *testing.T) {
+	s, sess := openCacheStore(t, 2<<10, 1500)
+	var armed atomic.Bool
+	held, release := make(chan hlog.Address), make(chan struct{})
+	debugFillCAS = func(g *epoch.Guard) {
+		if armed.CompareAndSwap(true, false) {
+			g.Park()
+			held <- s.rc.log.TailAddress()
+			<-release
+			g.Unpark()
+		}
+	}
+	t.Cleanup(func() { debugFillCAS = nil })
+	armed.Store(true)
+
+	filler := s.StartSession()
+	done := make(chan []Result)
+	go func() {
+		defer filler.Close()
+		if st, err := filler.Read(key(0), nil, make([]byte, 8), nil); st != Pending || err != nil {
+			done <- []Result{{Status: st, Err: err}}
+			return
+		}
+		done <- filler.CompletePending(true)
+	}()
+	tail := <-held
+	for k := uint64(1); s.rc.evicted.Load() <= tail; k++ {
+		if k == 1500 {
+			t.Fatal("1500 fills never evicted the held fill's page")
+		}
+		if v, st := rcRead(t, sess, k); st != OK || v != k+1 {
+			t.Fatalf("read of key %d = (%d, %v), want (%d, OK)", k, v, st, k+1)
+		}
+	}
+	close(release)
+	if res := <-done; len(res) != 1 || res[0].Status != OK || binary.LittleEndian.Uint64(res[0].Output) != 1 {
+		t.Fatalf("held cold read of key 0 = %+v, want one OK of 1", res)
+	}
+
+	head := s.rc.log.HeadAddress()
+	s.idx.ForEachEntry(func(a uint64) {
+		if isCacheAddr(a) && a&^cacheAddrBit < head {
+			t.Errorf("entry tagged %#x below the cache head %#x", a&^cacheAddrBit, head)
+		}
+	})
+	if t.Failed() {
+		t.FailNow()
+	}
+	if v, st := rcRead(t, sess, 0); st != OK || v != 1 {
+		t.Fatalf("read of key 0 after the late fill = (%d, %v), want (1, OK)", v, st)
 	}
 }

@@ -23,6 +23,7 @@ type Session struct {
 
 	completed completionQueue // async I/O completions land here
 	retries   []*PendingOp    // fuzzy-region deferrals (§6.3)
+	retrying  bool            // completePass is re-running a deferral
 	inFlight  int             // issued I/Os not yet returned to the user
 
 	spinDebug uint64 // test instrumentation
@@ -569,7 +570,9 @@ func (sess *Session) rmwInternal(key, input []byte, ctx any, h uint64) (Status, 
 				if sess.residentOnly {
 					return WouldBlock, nil
 				}
-				sess.stat.fuzzyRMWs.Add(1)
+				if !sess.retrying {
+					sess.stat.fuzzyRMWs.Add(1) // once per RMW, not per retry
+				}
 				op := sess.newPendingOp(opRMWRetry, key, input, nil, ctx)
 				sess.retries = append(sess.retries, op)
 				return Pending, nil
@@ -679,10 +682,10 @@ func (sess *Session) appendRecord(h uint64, key []byte, expect, prev, srcAddr hl
 
 // sourceEvicted reports whether the memory behind a copy-update source
 // address may have been reclaimed: hlog addresses below the head, cache
-// addresses below the cache's eviction head.
+// addresses below the end of the cache's last restore.
 func (s *Store) sourceEvicted(srcAddr hlog.Address) bool {
 	if isCacheAddr(srcAddr) {
-		return srcAddr&^cacheAddrBit < s.rc.head.Load()
+		return srcAddr&^cacheAddrBit < s.rc.evicted.Load()
 	}
 	return srcAddr < s.log.HeadAddress()
 }

@@ -115,6 +115,14 @@ type Config struct {
 	// gives up and poisons the log tail. Called from an I/O callback
 	// goroutine; must not block.
 	OnWriteFailure func(err error)
+	// OnEvict, if set, is called once for each range [from, to) the head
+	// offset passes. It runs on the thread opening a page, under that
+	// thread's guard, after an epoch drain (every record a thread was
+	// writing in the range is whole) and before the range's frames can be
+	// reopened (they close only once a further bump drains). It must not
+	// allocate from this log. The read cache restores its index entries
+	// here.
+	OnEvict func(from, to Address)
 }
 
 // frame flush status values.
@@ -569,7 +577,7 @@ func (l *Log) openPage(newPage uint64, g *epoch.Guard) error {
 			if f.status.Load() == frameClosed {
 				return true
 			}
-			l.maybeShiftHead(desiredHead)
+			l.maybeShiftHead(desiredHead, g)
 			return false
 		}, l.waitStop); err != nil {
 			return err
@@ -773,9 +781,10 @@ func (l *Log) retryTimerCount() int {
 }
 
 // maybeShiftHead raises the head offset toward desired, limited by the
-// flush watermark (pages must be durable before eviction), and registers
-// the epoch trigger that closes the evicted frames (§5.2).
-func (l *Log) maybeShiftHead(desired uint64) {
+// flush watermark (pages must be durable before eviction), runs OnEvict
+// over the passed range, and registers the epoch trigger that closes the
+// evicted frames (§5.2). g is the page opener's guard.
+func (l *Log) maybeShiftHead(desired uint64, g *epoch.Guard) {
 	if desired == 0 {
 		return
 	}
@@ -790,10 +799,24 @@ func (l *Log) maybeShiftHead(desired uint64) {
 		if l.head.CompareAndSwap(cur, desired) {
 			l.mx.headShifts.Inc()
 			oldHead, newHead := cur, desired
+			if l.cfg.OnEvict != nil {
+				if l.waitDrain(g, l.waitStop) != nil {
+					return
+				}
+				l.cfg.OnEvict(oldHead, newHead)
+			}
 			l.em.BumpWith(func() { l.closeFrames(oldHead, newHead) })
 			return
 		}
 	}
+}
+
+// waitDrain bumps the epoch and waits until every thread has refreshed
+// past the bump, refreshing g meanwhile, or until stop reports an error.
+func (l *Log) waitDrain(g *epoch.Guard, stop func() error) error {
+	var drained atomic.Bool
+	l.em.BumpWith(func() { drained.Store(true) })
+	return l.em.Wait(g, drained.Load, stop)
 }
 
 // closeFrames marks the frames holding pages [oldHead, newHead) as closed,
@@ -875,9 +898,7 @@ func (l *Log) ShiftBeginAddress(addr Address, g *epoch.Guard) (bool, error) {
 		// logs have no device range to protect.
 		return advanced, nil
 	}
-	var drained atomic.Bool
-	l.em.BumpWith(func() { drained.Store(true) })
-	if err := l.em.Wait(g, drained.Load, func() error {
+	if err := l.waitDrain(g, func() error {
 		if l.closed.Load() {
 			return ErrClosed
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -721,5 +722,68 @@ func TestRecycledFrameReadsZeroPastLastRecord(t *testing.T) {
 		for i := range page[:size] {
 			page[i] = 0xff
 		}
+	}
+}
+
+// TestOnEvictOncePerRangeBeforeReopen turns an append-only log's buffer
+// many times from two writers and checks that OnEvict sees every evicted
+// range exactly once, in order, and while the frames still hold the
+// evicted pages: every slot reads back the address it was written at.
+func TestOnEvictOncePerRangeBeforeReopen(t *testing.T) {
+	em := epoch.New(8)
+	var (
+		mu      sync.Mutex
+		evicted Address // end of the last range seen
+		bad     int
+		l       *Log
+	)
+	l, err := New(Config{
+		PageBits: 9, BufferPages: 4, Mode: ModeAppendOnly,
+		Device: device.NewNull(), Epoch: em,
+		OnEvict: func(from, to Address) {
+			mu.Lock()
+			defer mu.Unlock()
+			if from != evicted || to <= from {
+				t.Errorf("OnEvict(%#x, %#x) after a range ending at %#x", from, to, evicted)
+			}
+			evicted = to
+			for a := max(from, FirstValidAddress); a < to; a += 64 {
+				if got := atomic.LoadUint64(l.Uint64Ptr(a)); got != a {
+					bad++
+				}
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+
+	var wg sync.WaitGroup
+	for range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			g := em.Acquire()
+			defer g.Release()
+			for range 2000 {
+				a, err := l.Allocate(64, g)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				atomic.StoreUint64(l.Uint64Ptr(a), a)
+				g.Refresh()
+			}
+		}()
+	}
+	wg.Wait()
+	mu.Lock()
+	defer mu.Unlock()
+	if bad != 0 {
+		t.Errorf("%d evicted slots no longer held their record when OnEvict ran", bad)
+	}
+	if head := l.HeadAddress(); evicted != head || head < 100*l.PageSize() {
+		t.Errorf("OnEvict covered [0, %#x), head is %#x", evicted, head)
 	}
 }

@@ -41,9 +41,9 @@ func (idx *Index) WriteCheckpoint(w io.Writer) error {
 // WriteCheckpointMapped is WriteCheckpoint with every live entry's address
 // rewritten through mapAddr before serialization. The store uses it to
 // keep volatile addresses (read-cache redirections) out of durable index
-// images: mapAddr returns the address to persist, or ok=false to omit the
-// entry entirely. mapAddr runs inside the fuzzy scan and must not mutate
-// the index.
+// images: mapAddr returns the address to persist, or ok=false to have the
+// entry read again (an address it cannot resolve is one that is about to
+// move). mapAddr runs inside the fuzzy scan and must not mutate the index.
 func (idx *Index) WriteCheckpointMapped(w io.Writer, mapAddr func(addr uint64) (uint64, bool)) error {
 	t, s := idx.pinActive()
 	if t == nil {
@@ -76,13 +76,15 @@ func (idx *Index) WriteCheckpointMapped(w io.Writer, mapAddr func(addr uint64) (
 		b := &t.buckets[off]
 		for {
 			for j := 0; j < entriesPerBucket; j++ {
-				w := atomic.LoadUint64(&b[j])
-				if entryLive(w) {
-					addr, ok := mapAddr(w & AddressMask)
-					if !ok {
-						continue
+				for {
+					w := atomic.LoadUint64(&b[j])
+					if !entryLive(w) {
+						break
 					}
-					recs = append(recs, rec{uint64(off), w&^AddressMask | addr&AddressMask})
+					if addr, ok := mapAddr(w & AddressMask); ok {
+						recs = append(recs, rec{uint64(off), w&^AddressMask | addr&AddressMask})
+						break
+					}
 				}
 			}
 			ov := atomic.LoadUint64(&b[7])

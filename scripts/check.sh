@@ -203,12 +203,16 @@ go test -race -run 'TestLinearizableSharded|TestLinearizableExactlyOnce' -count=
 go test -race -run 'TestShardedCrashTorture|TestShardedRoutingDeterministic|TestCRDTColdRMWOverDelta' -count=1 -timeout 300s ./internal/faster/
 go test -race -run 'TestServerSharded' -count=1 ./internal/server/
 
-# Read-cache gate: fill/hit/invalidation/eviction correctness,
-# warm-cache checkpoint/crash recovery
-# (tagged index entries must map back to hlog addresses), and the CLOCK
-# simulator validation, under the race detector. The linearize tier above
-# already picks up TestLinearizableReadCache via its TestLinearizable run.
-go test -race -run 'TestReadCache|TestCrashRecoveryWarmReadCache' -count=1 -timeout 300s ./internal/faster/
+# Read-cache gate: fill/hit/invalidation/eviction correctness, a fill
+# whose index CAS lands after its page's restore walk, warm-cache
+# checkpoint/crash recovery (tagged index entries must map back to hlog
+# addresses), and the CLOCK simulator validation, under the race
+# detector on one, two and eight processors, repeated: fills race the
+# cache log's page turns and restore walks with no lock between them.
+for procs in 1 2 8; do
+	GOMAXPROCS=$procs go test -race -run 'TestReadCache|TestCrashRecoveryWarmReadCache' -count=20 -timeout 600s ./internal/faster/
+done
+go test -race -run 'TestLinearizableReadCache' -count=20 -timeout 300s ./internal/linearize/
 
 # Mutation-gate seeds: the torn, unsynced session table must be flagged
 # by the dedup-aware linearize model, a dropped pending-I/O re-enqueue
