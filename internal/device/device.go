@@ -44,8 +44,9 @@ type Callback func(err error)
 // arbitrary goroutines and must not block for long.
 type Device interface {
 	// WriteAsync writes buf at the given offset and invokes cb when the
-	// write is durable (or has failed). The caller must not modify buf
-	// until cb runs.
+	// write has completed (or has failed): reads see it from then on, but
+	// it is durable only after a later Sync. The caller must not modify
+	// buf until cb runs.
 	WriteAsync(buf []byte, offset uint64, cb Callback)
 
 	// ReadAsync fills buf from the given offset and invokes cb. Reads of
@@ -53,7 +54,8 @@ type Device interface {
 	// instead return io.EOF-derived errors).
 	ReadAsync(buf []byte, offset uint64, cb Callback)
 
-	// Sync blocks until all writes issued before the call have completed.
+	// Sync blocks until all writes issued before the call have completed
+	// and are durable: they survive a power cut.
 	Sync() error
 
 	// Truncate discards all data below the given offset (log GC,
@@ -138,7 +140,59 @@ type ioRequest struct {
 	buf      []byte
 	offset   uint64
 	cb       Callback
-	submitNs int64 // set by submit; feeds the latency histograms
+	submitNs int64  // set by submit; feeds the latency histograms
+	gen      uint64 // a write's Sync generation (writeGens.issue)
+}
+
+// writeGens lets Sync wait for exactly the writes issued before it. Reads,
+// and writes issued after the call, do not hold it up: on a busy device
+// they may never drain. Each write is counted in the current generation;
+// wait opens a new one and blocks until every earlier one has drained.
+// The owner's lock guards it and is drained's Locker.
+type writeGens struct {
+	cur     uint64
+	count   map[uint64]int // writes in flight per generation; no zero entries
+	drained sync.Cond
+}
+
+func (w *writeGens) init(l sync.Locker) {
+	w.count = make(map[uint64]int)
+	w.drained.L = l
+}
+
+// issue counts a new write and returns its generation.
+func (w *writeGens) issue() uint64 {
+	w.count[w.cur]++
+	return w.cur
+}
+
+// done retires a write issued in generation g.
+func (w *writeGens) done(g uint64) {
+	if w.count[g]--; w.count[g] == 0 {
+		delete(w.count, g)
+		w.drained.Broadcast()
+	}
+}
+
+// wait blocks until every write issued before the call is done.
+func (w *writeGens) wait() {
+	g := w.cur
+	w.cur++
+	for w.inFlightThrough(g) {
+		w.drained.Wait()
+	}
+}
+
+// inFlightThrough reports whether a write of generation g or earlier is
+// still in flight. The map holds one entry per generation with writes in
+// flight: the current one plus one per waiting Sync.
+func (w *writeGens) inFlightThrough(g uint64) bool {
+	for k := range w.count {
+		if k <= g {
+			return true
+		}
+	}
+	return false
 }
 
 // ioPool services asynchronous requests with a fixed set of worker
@@ -147,12 +201,12 @@ type ioRequest struct {
 // so a bounded queue could deadlock with every worker blocked inside a
 // callback that is trying to enqueue.
 type ioPool struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	queue   []ioRequest
-	pending sync.WaitGroup // tracks in-flight requests for Sync
-	wg      sync.WaitGroup
-	closed  atomic.Bool
+	mu       sync.Mutex
+	cond     *sync.Cond
+	queue    []ioRequest
+	inflight writeGens // under mu; what syncWait waits for
+	wg       sync.WaitGroup
+	closed   atomic.Bool
 }
 
 func newIOPool(workers int, serve func(ioRequest)) *ioPool {
@@ -161,6 +215,7 @@ func newIOPool(workers int, serve func(ioRequest)) *ioPool {
 	}
 	p := &ioPool{}
 	p.cond = sync.NewCond(&p.mu)
+	p.inflight.init(&p.mu)
 	p.wg.Add(workers)
 	for i := 0; i < workers; i++ {
 		go func() {
@@ -178,7 +233,11 @@ func newIOPool(workers int, serve func(ioRequest)) *ioPool {
 				p.queue = p.queue[1:]
 				p.mu.Unlock()
 				serve(r)
-				p.pending.Done()
+				if r.write {
+					p.mu.Lock()
+					p.inflight.done(r.gen)
+					p.mu.Unlock()
+				}
 			}
 		}()
 	}
@@ -190,12 +249,13 @@ func (p *ioPool) submit(r ioRequest) bool {
 		return false
 	}
 	r.submitNs = time.Now().UnixNano()
-	p.pending.Add(1)
 	p.mu.Lock()
 	if p.closed.Load() {
 		p.mu.Unlock()
-		p.pending.Done()
 		return false
+	}
+	if r.write {
+		r.gen = p.inflight.issue()
 	}
 	p.queue = append(p.queue, r)
 	p.mu.Unlock()
@@ -203,7 +263,13 @@ func (p *ioPool) submit(r ioRequest) bool {
 	return true
 }
 
-func (p *ioPool) syncWait() { p.pending.Wait() }
+// syncWait blocks until every write submitted before the call has been
+// served.
+func (p *ioPool) syncWait() {
+	p.mu.Lock()
+	p.inflight.wait()
+	p.mu.Unlock()
+}
 
 func (p *ioPool) close() {
 	p.mu.Lock()
@@ -217,7 +283,11 @@ func (p *ioPool) close() {
 	// Fail any requests that were queued but never served.
 	for _, r := range p.queue {
 		r.cb(ErrClosed)
-		p.pending.Done()
+		if r.write {
+			p.mu.Lock()
+			p.inflight.done(r.gen)
+			p.mu.Unlock()
+		}
 	}
 	p.queue = nil
 }

@@ -325,6 +325,102 @@ func TestSyncWaitsForOutstandingWrites(t *testing.T) {
 	}
 }
 
+// TestSyncIgnoresReads: Sync waits for earlier writes only. A read still
+// in service does not hold it up; on a busy device reads never drain.
+func TestSyncIgnoresReads(t *testing.T) {
+	d := NewMem(MemConfig{ReadLatency: 100 * time.Millisecond})
+	defer d.Close()
+	writeSync(t, d, make([]byte, 512), 0)
+	read := make(chan error, 1)
+	d.ReadAsync(make([]byte, 8), 0, func(err error) { read <- err })
+	wrote := false
+	d.WriteAsync(make([]byte, 512), 512, func(error) { wrote = true })
+	if err := d.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-read:
+		t.Fatal("Sync waited for a read")
+	default:
+	}
+	if !wrote {
+		t.Fatal("Sync returned before an earlier write completed")
+	}
+	if err := <-read; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSyncUnderSteadyIO calls Sync over and over while other goroutines
+// keep reads and writes in flight, as a checkpoint does on a serving
+// store. Every Sync must return, and only once each write submitted
+// before it has completed.
+func TestSyncUnderSteadyIO(t *testing.T) {
+	for name, d := range devices(t) {
+		t.Run(name, func(t *testing.T) {
+			defer d.Close()
+			const pageSize = 512
+			writeSync(t, d, make([]byte, pageSize), 0)
+			const maxWrites = 1 << 14
+			var submitted, done [maxWrites]atomic.Bool
+			var issued atomic.Int64
+			stop := make(chan struct{})
+			var wg sync.WaitGroup
+			defer wg.Wait()
+			defer close(stop)
+			for w := 0; w < 4; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					buf := make([]byte, 8)
+					slots := make(chan struct{}, 16) // writes in flight
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						if w%2 == 0 {
+							if err := readSync(d, buf, 0); err != nil {
+								t.Error(err)
+								return
+							}
+							continue
+						}
+						i := issued.Add(1) - 1
+						if i >= maxWrites {
+							return
+						}
+						slots <- struct{}{}
+						d.WriteAsync(make([]byte, pageSize), uint64(i%64)*pageSize, func(error) {
+							done[i].Store(true)
+							<-slots
+						})
+						submitted[i].Store(true)
+					}
+				}(w)
+			}
+			var before []int64
+			for range 200 {
+				before = before[:0]
+				for i := range min(issued.Load(), maxWrites) {
+					if submitted[i].Load() && !done[i].Load() {
+						before = append(before, i)
+					}
+				}
+				if err := d.Sync(); err != nil {
+					t.Fatal(err)
+				}
+				for _, i := range before {
+					if !done[i].Load() {
+						t.Fatalf("Sync returned before write %d completed", i)
+					}
+				}
+			}
+		})
+	}
+}
+
 func TestConcurrentMixedIO(t *testing.T) {
 	for name, d := range devices(t) {
 		t.Run(name, func(t *testing.T) {

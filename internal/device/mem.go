@@ -42,17 +42,16 @@ type Mem struct {
 	cfg   MemConfig
 	start time.Time // the zero of the due-time clock
 
-	qmu         sync.Mutex
-	queue       []memRequest // min-heap on (due, seq)
-	seq         uint64
-	slots       []int64 // when each read service slot is next free
-	writeFree   int64   // when the write byte clock is next free
-	wakeAt      int64   // the alarm's setting, or wakeNever / wakeRunning
-	outstanding int     // submitted, callback not yet returned
-	drained     sync.Cond
-	closed      bool
-	alarm       alarm
-	stopped     chan struct{} // closed when the delivery goroutine exits
+	qmu       sync.Mutex
+	queue     []memRequest // min-heap on (due, seq)
+	seq       uint64
+	slots     []int64   // when each read service slot is next free
+	writeFree int64     // when the write byte clock is next free
+	wakeAt    int64     // the alarm's setting, or wakeNever / wakeRunning
+	inflight  writeGens // writes whose callback has not returned; what Sync waits for
+	closed    bool
+	alarm     alarm
+	stopped   chan struct{} // closed when the delivery goroutine exits
 
 	mu         sync.RWMutex
 	extents    map[uint64][]byte // offset -> copy of written buffer
@@ -96,7 +95,7 @@ func NewMem(cfg MemConfig) *Mem {
 		stopped: make(chan struct{}),
 		extents: make(map[uint64][]byte),
 	}
-	d.drained.L = &d.qmu
+	d.inflight.init(&d.qmu)
 	go d.deliver()
 	return d
 }
@@ -116,9 +115,11 @@ func (d *Mem) submit(r ioRequest) {
 		return
 	}
 	due := d.dueTime(r, t)
+	if r.write {
+		r.gen = d.inflight.issue()
+	}
 	d.seq++
 	d.push(memRequest{ioRequest: r, due: due, seq: d.seq})
-	d.outstanding++
 	if due < d.wakeAt {
 		d.wakeAt = due
 		d.alarm.set(time.Duration(due - t))
@@ -163,12 +164,13 @@ func (d *Mem) deliver() {
 			d.qmu.Unlock()
 			for i := range due {
 				d.serve(due[i].ioRequest)
-				due[i] = memRequest{} // drop the buffer and the callback
 			}
 			d.qmu.Lock()
-			d.outstanding -= len(due)
-			if d.outstanding == 0 {
-				d.drained.Broadcast()
+			for i := range due {
+				if due[i].write {
+					d.inflight.done(due[i].gen)
+				}
+				due[i] = memRequest{} // drop the buffer and the callback
 			}
 		}
 		switch {
@@ -322,13 +324,12 @@ func (d *Mem) ReadAsync(buf []byte, offset uint64, cb Callback) {
 	d.submit(ioRequest{buf: buf, offset: offset, cb: cb})
 }
 
-// Sync implements Device: it waits until every request submitted so far
-// has been delivered and its callback has returned.
+// Sync implements Device: it waits until every write submitted before the
+// call has been delivered and its callback has returned. Reads and later
+// writes do not hold it up.
 func (d *Mem) Sync() error {
 	d.qmu.Lock()
-	for d.outstanding > 0 {
-		d.drained.Wait()
-	}
+	d.inflight.wait()
 	d.qmu.Unlock()
 	return nil
 }

@@ -118,20 +118,12 @@ func New(maxSlots int) *Manager {
 	return m
 }
 
-// NewDefault creates a Manager sized for 2*GOMAXPROCS+8 slots.
-func NewDefault() *Manager {
-	return New(2*runtime.GOMAXPROCS(0) + 8)
-}
-
 // Guard represents one registered thread's membership in the epoch table.
 // It is not safe for concurrent use; exactly one goroutine drives a Guard.
 type Guard struct {
 	m    *Manager
 	slot int
 }
-
-// Current returns the current epoch E.
-func (m *Manager) Current() uint64 { return m.current.Load() }
 
 // Safe returns the most recently computed maximal safe epoch Es. It is a
 // conservative (monotone) lower bound of the true safe epoch.
@@ -389,18 +381,6 @@ func (m *Manager) Registered() int {
 
 // Slots returns the capacity of the epoch table.
 func (m *Manager) Slots() int { return len(m.table) }
-
-// LocalEpochs snapshots every occupied slot's published epoch (parked
-// slots report math.MaxUint64). Diagnostic use only.
-func (m *Manager) LocalEpochs() []uint64 {
-	var out []uint64
-	for i := range m.table {
-		if le := m.table[i].localEpoch.Load(); le != Unprotected {
-			out = append(out, le)
-		}
-	}
-	return out
-}
 
 func max64(a, b int64) int64 {
 	if a > b {

@@ -350,7 +350,7 @@ func TestQuickLaggingThreadBlocksActions(t *testing.T) {
 }
 
 func BenchmarkRefresh(b *testing.B) {
-	m := NewDefault()
+	m := New(8)
 	g := m.Acquire()
 	defer g.Release()
 	b.ResetTimer()
@@ -360,7 +360,7 @@ func BenchmarkRefresh(b *testing.B) {
 }
 
 func BenchmarkBumpWith(b *testing.B) {
-	m := NewDefault()
+	m := New(8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.BumpWith(func() {})

@@ -366,6 +366,11 @@ func (s *Store) checkpointFinish(prep ckptPrep, sessPayload []byte, t2 hlog.Addr
 	if err := s.log.WaitUntilFlushed(t2, nil); err != nil {
 		return CheckpointInfo{}, fmt.Errorf("faster: flush to t2: %w", err)
 	}
+	// A completed flush may still sit in a volatile cache; the meta
+	// and session table below promise that [Begin, T2) survives.
+	if err := s.log.Sync(); err != nil {
+		return CheckpointInfo{}, fmt.Errorf("faster: sync log to t2: %w", err)
+	}
 	meta := ckptMeta{CheckpointInfo: CheckpointInfo{T1: prep.t1, T2: t2, Begin: prep.begin}}
 	if len(sessPayload) > sessHeaderLen { // at least one entry
 		meta.sessLen = uint64(len(sessPayload))
@@ -749,31 +754,4 @@ func recoverFrom(cfg Config, info CheckpointInfo, idx *index.Index, sess []Sessi
 		return nil, fmt.Errorf("faster: log replay: %w", err)
 	}
 	return s, nil
-}
-
-// RebuildIndex reconstructs the entire hash index from the log (the
-// "technically we can rebuild the entire hash-index from the HybridLog"
-// observation of §6.5). It serves as the recovery oracle in tests and as
-// a last-resort repair path. The store must be quiesced.
-func (s *Store) RebuildIndex() error {
-	idx, err := index.New(index.Config{InitialBuckets: s.cfg.IndexBuckets, TagBits: s.cfg.TagBits})
-	if err != nil {
-		return err
-	}
-	err = s.Scan(ScanOptions{}, func(r ScanRecord) bool {
-		h := hashKey(r.Key)
-		e, cur := idx.FindOrCreateEntry(h)
-		for cur < r.Address {
-			if e.CompareAndSwapAddress(cur, r.Address) {
-				break
-			}
-			e, cur = idx.FindOrCreateEntry(h)
-		}
-		return true
-	})
-	if err != nil {
-		return err
-	}
-	s.idx = idx
-	return nil
 }

@@ -565,13 +565,13 @@ func TestRefreshIntervalHonored(t *testing.T) {
 	s, _ := openTestStore(t, Config{RefreshInterval: 16, BufferPages: 64})
 	sess := s.StartSession()
 	defer sess.Close()
-	e0 := s.Epoch().Current()
+	e0 := s.Epoch().Metrics().CurrentEpoch
 	// Drive enough page rolls to bump the epoch several times; the
 	// session's automatic refreshes must keep the safe epoch moving.
 	for i := uint64(0); i < 3000; i++ {
 		sess.RMW(key(i), u64(1), nil)
 	}
-	if s.Epoch().Current() == e0 {
+	if s.Epoch().Metrics().CurrentEpoch == e0 {
 		t.Skip("no epoch bumps; nothing to verify")
 	}
 	if s.Epoch().Safe() == 0 {

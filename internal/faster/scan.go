@@ -98,7 +98,7 @@ func (s *Store) scanPage(g *epoch.Guard, addr, to hlog.Address, buf []byte, incl
 		// inside it) from the device.
 		page = buf[:min(pageEnd, to)-pageStart]
 		// Page reads retry transient device faults under the read
-		// policy; this is what lets Recover and RebuildIndex survive a
+		// policy; this is what lets Recover and compaction survive a
 		// flaky device instead of aborting on the first hiccup.
 		err := s.cfg.ReadRetry.Do(s.classify, func() error {
 			errCh := make(chan error, 1)

@@ -693,7 +693,7 @@ func (s *Store) sourceEvicted(srcAddr hlog.Address) bool {
 // abandonSlot lays a freshly allocated, never-published slot out as a
 // full invalid record. A bare invalid flag is not enough: on an
 // otherwise-zero slot the key length stays 0, which log scans
-// (compaction's scan, checkpoint replay, RebuildIndex) read as
+// (compaction's scan, checkpoint replay, Store.Scan) read as
 // end-of-page padding — silently dropping every record after it in the
 // page, and with it any key whose newest version sat there. Writing the
 // full sized layout keeps the slot skippable but walkable. The slot is

@@ -72,11 +72,10 @@ func TestWrapConvoyRegression(t *testing.T) {
 			case <-time.After(60 * time.Second):
 				lg := s.Log()
 				em := s.Metrics().Epoch
-				t.Fatalf("writers stalled: tail=%#x head=%#x ro=%#x safeRO=%#x flushed=%#x epoch{cur=%d safe=%d pending=%d registered=%d} locals=%v",
+				t.Fatalf("writers stalled: tail=%#x head=%#x ro=%#x safeRO=%#x flushed=%#x epoch{cur=%d safe=%d pending=%d registered=%d}",
 					lg.TailAddress(), lg.HeadAddress(), lg.ReadOnlyAddress(), lg.SafeReadOnlyAddress(),
 					lg.FlushedUntilAddress(),
-					em.CurrentEpoch, em.SafeEpoch, em.DrainListDepth, em.Registered,
-					s.Epoch().LocalEpochs())
+					em.CurrentEpoch, em.SafeEpoch, em.DrainListDepth, em.Registered)
 			}
 		})
 	}

@@ -86,7 +86,9 @@ type Config struct {
 	BufferPages int
 	// MutableFraction is the fraction of the in-memory buffer kept as the
 	// in-place-updatable (mutable) region; the paper recommends 0.9
-	// (§6.4). Forced to 0 for ModeAppendOnly and 1 for ModeInMemory.
+	// (§6.4). Forced to 0 for ModeAppendOnly and 1 for ModeInMemory. A
+	// hybrid log rounds it down to whole pages and keeps at least two
+	// pages read-only (one in a 2-page buffer); see New.
 	MutableFraction float64
 	// Mode selects the allocator behaviour.
 	Mode Mode
@@ -225,8 +227,8 @@ type Log struct {
 		flushesIssued  metrics.Counter   // page-granular flush writes issued
 		flushRetries   metrics.Counter   // failed flush writes re-issued
 		flushFailures  metrics.Counter   // flush spans abandoned (poisoned)
-		flushedBytes   metrics.Counter   // bytes durably flushed
-		flushLatency   metrics.Histogram // write issue -> durable callback
+		flushedBytes   metrics.Counter   // bytes whose flush completed
+		flushLatency   metrics.Histogram // write issue -> completion callback
 		evictedPages   metrics.Counter   // frames closed by head advances
 		roShifts       metrics.Counter   // read-only offset advances (§6.2)
 		headShifts     metrics.Counter   // head offset advances (eviction)
@@ -340,11 +342,14 @@ func New(cfg Config) (*Log, error) {
 		// Mutable region size in whole pages; the remainder of the
 		// buffer is the read-only (second chance) region.
 		mutPages := uint64(float64(cfg.BufferPages) * cfg.MutableFraction)
-		// At least one page of the buffer must be able to become
-		// read-only, or nothing ever flushes and eviction deadlocks
-		// once the buffer wraps.
-		if cfg.Mode == ModeHybrid && mutPages >= uint64(cfg.BufferPages) {
-			mutPages = uint64(cfg.BufferPages) - 1
+		// The read-only region is the flush lead. With two pages of it,
+		// the page a turn evicts went read-only (and its flush was
+		// issued) one turn earlier, so the turn only closes its frame;
+		// with one, every turn starts that flush and then waits it
+		// out. A 2-page buffer can spare only one page, and needs it:
+		// with none, nothing flushes and eviction deadlocks.
+		if cfg.Mode == ModeHybrid {
+			mutPages = min(mutPages, uint64(max(cfg.BufferPages-2, 1)))
 		}
 		l.roLag = mutPages << cfg.PageBits
 	}
@@ -401,7 +406,8 @@ func (l *Log) SafeReadOnlyAddress() Address {
 // BeginAddress returns the truncation point of the log.
 func (l *Log) BeginAddress() Address { return l.begin.Load() }
 
-// FlushedUntilAddress returns the address below which every byte is durable.
+// FlushedUntilAddress returns the address below which every byte has been
+// written to the device. Sync makes those writes durable.
 func (l *Log) FlushedUntilAddress() Address { return l.flushed.level() }
 
 // FlushIssuedAddress returns the address below which flush I/O has been
@@ -781,7 +787,7 @@ func (l *Log) retryTimerCount() int {
 }
 
 // maybeShiftHead raises the head offset toward desired, limited by the
-// flush watermark (pages must be durable before eviction), runs OnEvict
+// flush watermark (pages must be on the device before eviction), runs OnEvict
 // over the passed range, and registers the epoch trigger that closes the
 // evicted frames (§5.2). g is the page opener's guard.
 func (l *Log) maybeShiftHead(desired uint64, g *epoch.Guard) {
@@ -855,6 +861,11 @@ func (l *Log) WaitUntilFlushed(addr Address, g *epoch.Guard) error {
 	// watermark can never reach addr.
 	return l.em.Wait(g, func() bool { return l.flushed.level() >= addr }, l.waitStop)
 }
+
+// Sync returns once every flush the device has completed is durable. A
+// flush completion, which FlushedUntilAddress reports, means only that the
+// device took the write: on a file device, the page cache.
+func (l *Log) Sync() error { return l.dev.Sync() }
 
 // waitStop ends an epoch wait once the log is closed or its tail poisoned:
 // whatever the wait expected can then never happen.
@@ -1006,15 +1017,6 @@ func (l *Log) RecoverTo(begin, tail Address) error {
 	}
 	l.frames[page&l.frameMask].open()
 	return nil
-}
-
-// Capacity returns the in-memory capacity in bytes (0 for ModeInMemory,
-// which is unbounded).
-func (l *Log) Capacity() uint64 {
-	if l.cfg.Mode == ModeInMemory {
-		return 0
-	}
-	return uint64(len(l.frames)) << l.pageBits
 }
 
 // FrameBytes reports the arena bytes the log's page frames occupy: the

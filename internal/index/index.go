@@ -239,15 +239,6 @@ func New(cfg Config) (*Index, error) {
 	return idx, nil
 }
 
-// NewForKeys sizes the index at keys/2 buckets, the paper's default.
-func NewForKeys(keys uint64) (*Index, error) {
-	n := keys / 2
-	if n < 64 {
-		n = 64
-	}
-	return New(Config{InitialBuckets: n})
-}
-
 // TagBits returns the configured tag width. TagZero reports whether tags
 // are disabled entirely (TagBits 0 is expressed as tagMask 0 internally
 // only via NewWithZeroTag; see ablation helpers).

@@ -438,13 +438,6 @@ func waitPhase(t *testing.T, idx *Index, phase uint32, step func()) *state {
 	}
 }
 
-func TestShrinkUnsupported(t *testing.T) {
-	idx := newTestIndex(t, 64)
-	if err := idx.Shrink(epoch.New(2)); err != ErrUnsupported {
-		t.Fatalf("Shrink = %v, want ErrUnsupported", err)
-	}
-}
-
 func TestCheckpointRoundTrip(t *testing.T) {
 	idx := newTestIndex(t, 128)
 	want := map[uint64]uint64{}

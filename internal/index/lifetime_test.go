@@ -34,10 +34,10 @@ func TestRetiredTableOutlivesGuards(t *testing.T) {
 	reader := em.Acquire()  // takes the stale Entry, then sits on it
 	blocker := em.Acquire() // holds Grow in prepare until the Entry is taken
 	grown := make(chan error, 1)
-	before := em.Current()
+	before := em.Metrics().CurrentEpoch
 	go func() { grown <- idx.Grow(em) }()
 	waitPhase(t, idx, phasePrepare, nil)
-	for em.Current() == before {
+	for em.Metrics().CurrentEpoch == before {
 		runtime.Gosched() // the reader must refresh past the prepare bump
 	}
 	reader.Refresh()

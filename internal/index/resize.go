@@ -1,7 +1,6 @@
 package index
 
 import (
-	"errors"
 	"math"
 	"math/bits"
 	"runtime"
@@ -43,7 +42,7 @@ import (
 // "really" owns each record cannot be determined synchronously (the paper
 // makes the same choice). Chains self-clean as records are copied forward.
 // Merging (shrink) requires the meta-record mechanism sketched in the
-// paper's appendix and is not implemented; Shrink returns ErrUnsupported.
+// paper's appendix and is not implemented: the index never shrinks.
 
 const (
 	phaseStable uint32 = iota
@@ -57,9 +56,6 @@ const maxResizeChunks = 256
 // poisonWord marks a migrated slot: tentative and not occupied, so it is
 // invisible to readers and unmatchable by any legitimate CAS.
 const poisonWord = tentativeBit
-
-// ErrUnsupported is returned by Shrink.
-var ErrUnsupported = errors.New("index: shrink requires meta-records and is not implemented")
 
 // state is one published resize state. Its fields never change once it is
 // stored in Index.state; a phase change publishes a new value. The prepare
@@ -244,6 +240,3 @@ func (idx *Index) Grow(em *epoch.Manager) error {
 	em.BumpWith(old.free)
 	return nil
 }
-
-// Shrink is unimplemented; see the package comment above.
-func (idx *Index) Shrink(*epoch.Manager) error { return ErrUnsupported }

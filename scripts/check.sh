@@ -55,11 +55,14 @@ done
 # updater that declines) falls through to the walk with the same answer,
 # Stats and record layout. A head below a truncation that passed records
 # still in memory falls through too: the walk drops the dangling entry.
-# The in-store ledger benchmark must keep compiling and running.
+# The in-store ledger benchmark must keep compiling and running, and so
+# must the page-turn rows: ingest through a small buffer, and a read cache
+# that evicts.
 for procs in 1 2 8; do
 	GOMAXPROCS=$procs go test -race -run 'TestHeadMatchFallThrough' -count=20 ./internal/faster/
 done
 go test -run '^$' -bench EmbeddedLedger -benchtime 1x ./internal/faster/
+go test -run '^$' -bench 'Ingest|ReadCacheTurnover' -benchtime 1x ./internal/faster/
 
 # The simulated SSD's delivery scheduler on one and on two processors,
 # repeated under the race detector (due-time order, service slots, Close
