@@ -67,7 +67,7 @@ func main() {
 
 		compactAt = flag.Uint64("compact-threshold", 0, "compact when the stable log region exceeds this many bytes (0: manual COMPACT only)")
 
-		readCache = flag.Uint64("read-cache-bytes", 0, "total in-memory read-cache budget across all shards for cold reads (0: disabled; ignored for in-memory devices)")
+		readCache = flag.Uint64("read-cache-bytes", 0, "total in-memory read-cache budget across all shards for cold reads (0: disabled)")
 	)
 	flag.Parse()
 

@@ -40,7 +40,7 @@ func TestAllSystemsRunAllMixes(t *testing.T) {
 }
 
 func TestFasterSystemModes(t *testing.T) {
-	for _, mode := range []hlog.Mode{hlog.ModeHybrid, hlog.ModeAppendOnly, hlog.ModeInMemory} {
+	for _, mode := range []hlog.Mode{hlog.ModeHybrid, hlog.ModeAppendOnly} {
 		sys, err := NewFasterSystem(FasterOptions{Keys: 1000, ValueSize: 8, Mode: mode,
 			PageBits: 14, BufferPages: 32})
 		if err != nil {

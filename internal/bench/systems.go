@@ -39,11 +39,7 @@ type FasterSystem struct {
 func NewFasterSystem(opt FasterOptions) (*FasterSystem, error) {
 	dev := opt.Device
 	if dev == nil {
-		if opt.Mode == hlog.ModeInMemory {
-			dev = device.NewNull()
-		} else {
-			dev = device.NewMem(device.MemConfig{})
-		}
+		dev = device.NewMem(device.MemConfig{})
 	}
 	if opt.PageBits == 0 {
 		opt.PageBits = 16 // 64 KB pages at laptop scale
@@ -74,11 +70,8 @@ func NewFasterSystem(opt FasterOptions) (*FasterSystem, error) {
 		return nil, err
 	}
 	name := "faster"
-	switch opt.Mode {
-	case hlog.ModeAppendOnly:
+	if opt.Mode == hlog.ModeAppendOnly {
 		name = "faster-aol"
-	case hlog.ModeInMemory:
-		name = "faster-mem"
 	}
 	return &FasterSystem{store: s, dev: dev, name: name}, nil
 }

@@ -401,9 +401,10 @@ func (d *File) Close() error {
 // Null device
 // ---------------------------------------------------------------------------
 
-// Null discards all writes and fails all reads. It backs the pure
-// in-memory allocator configuration (Section 4), which by construction
-// never reads from storage.
+// Null discards all writes and fails all reads. It backs the in-memory
+// store of Section 4, a log whose ring holds all its data and so never
+// reads from storage, and the read cache's log. A store over it cannot
+// checkpoint.
 type Null struct{ statCounters }
 
 // NewNull returns a Null device.

@@ -379,9 +379,6 @@ func (m *Manager) Registered() int {
 	return n
 }
 
-// Slots returns the capacity of the epoch table.
-func (m *Manager) Slots() int { return len(m.table) }
-
 func max64(a, b int64) int64 {
 	if a > b {
 		return a

@@ -11,6 +11,7 @@ import (
 	"sort"
 	"sync"
 
+	"repro/internal/device"
 	"repro/internal/hlog"
 	"repro/internal/index"
 )
@@ -265,8 +266,11 @@ type ckptPrep struct {
 // checkpointPrepare validates the store, captures the [Begin, t1)
 // bracket and writes the fuzzy index image into dir. No locks are held.
 func (s *Store) checkpointPrepare(dir string) (ckptPrep, error) {
-	if s.log.Mode() == hlog.ModeInMemory {
-		return ckptPrep{}, errors.New("faster: in-memory stores cannot checkpoint (no device)")
+	// A device.Null keeps none of the pages the checkpoint would flush:
+	// the manifest would commit a log prefix that no longer exists, and
+	// every read below the recovered tail would fail.
+	if _, ok := s.cfg.Device.(*device.Null); ok {
+		return ckptPrep{}, errors.New("faster: cannot checkpoint a store over device.Null (it keeps no writes)")
 	}
 	// A checkpoint must advance the durability watermark; with the write
 	// path gone it can only hang on the flush, so fail fast.

@@ -1,9 +1,10 @@
 // Package faster is a from-scratch Go implementation of the FASTER
 // concurrent key-value store (Chandramouli et al., SIGMOD 2018).
 //
-// A Store combines the latch-free hash index of Section 3 with one of the
-// three record allocators of Sections 4-6 (in-memory, append-only, or
-// HybridLog) and exposes the paper's runtime interface: Read, Upsert, RMW
+// A Store combines the latch-free hash index of Section 3 with a record
+// log (Sections 4-6): the HybridLog, its append-only configuration, or,
+// for the in-memory store, a HybridLog over a device.Null whose ring holds
+// all the data. It exposes the paper's runtime interface: Read, Upsert, RMW
 // (read-modify-write) and Delete, plus CompletePending for continuing
 // operations that went asynchronous on a storage miss.
 //
@@ -76,13 +77,17 @@ type Config struct {
 
 	// PageBits, BufferPages, MutableFraction and Mode configure the
 	// HybridLog (see hlog.Config). MutableFraction defaults to 0.9, the
-	// paper's recommended 90:10 split.
+	// paper's recommended 90:10 split. Mode is hlog.ModeHybrid (the zero
+	// value) or hlog.ModeAppendOnly.
 	PageBits        uint
 	BufferPages     int
 	MutableFraction float64
 	Mode            hlog.Mode
 
-	// Device stores the log; required for hybrid and append-only modes.
+	// Device stores the log. Required. The in-memory store of §4 is a
+	// hybrid log over device.NewNull() with MutableFraction 1 and enough
+	// BufferPages to hold its data: nothing it writes is kept, so it must
+	// never evict, and it cannot checkpoint.
 	Device device.Device
 
 	// Ops supplies the user read/update logic. Required.
@@ -103,7 +108,6 @@ type Config struct {
 	// maintenance goroutine watches the reclaimable region
 	// [BeginAddress, SafeReadOnlyAddress) and, once it exceeds this many
 	// bytes, compacts roughly the older half of it (see Store.Compact).
-	// Ignored by in-memory stores (nothing on a device to reclaim).
 	CompactionThreshold uint64
 
 	// IOWorkers sizes the io-worker pool that completes resident-only
@@ -123,8 +127,8 @@ type Config struct {
 	// the device. The cache is volatile — checkpoints and recovery never
 	// depend on it. Its pages are 512 B to 64 KiB, at least 4 where the
 	// budget allows, and the budget rounds down to a power-of-two number
-	// of them (4 MiB and 8 MiB are exact). Ignored by in-memory stores
-	// (nothing is ever cold).
+	// of them (4 MiB and 8 MiB are exact). A store whose data fits its
+	// ring never reads the device, so its cache stays empty.
 	ReadCacheBytes uint64
 
 	// ReadRetry bounds retries of pending record reads; the zero value
@@ -374,13 +378,13 @@ func Open(cfg Config) (*Store, error) {
 	if cfg.CRDT {
 		s.merge = cfg.Ops.(MergeOps)
 	}
-	if cfg.ReadCacheBytes > 0 && cfg.Mode != hlog.ModeInMemory {
+	if cfg.ReadCacheBytes > 0 {
 		if s.rc, err = newReadCache(s, cfg.ReadCacheBytes); err != nil {
 			log.Close()
 			return nil, err
 		}
 	}
-	if cfg.CompactionThreshold > 0 && cfg.Mode != hlog.ModeInMemory {
+	if cfg.CompactionThreshold > 0 {
 		s.maintStop = make(chan struct{})
 		s.maintWG.Add(1)
 		go s.maintainerLoop()

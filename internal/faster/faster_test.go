@@ -402,8 +402,8 @@ func TestAppendOnlyMode(t *testing.T) {
 
 func TestInMemoryMode(t *testing.T) {
 	dev := device.NewNull()
-	s, err := Open(Config{Ops: SumOps{}, Mode: hlog.ModeInMemory, PageBits: 12,
-		IndexBuckets: 256, Device: dev})
+	s, err := Open(Config{Ops: SumOps{}, PageBits: 12, BufferPages: 8,
+		MutableFraction: 1, IndexBuckets: 256, Device: dev})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,10 +19,12 @@ const hotKeys = 1 << 10
 func openHotStore(tb testing.TB) *Store {
 	tb.Helper()
 	s, err := Open(Config{
-		Mode:         hlog.ModeInMemory,
-		PageBits:     20,
-		IndexBuckets: 1 << 12,
-		Ops:          SumOps{},
+		PageBits:        20,
+		BufferPages:     8,
+		MutableFraction: 1,
+		Device:          device.NewNull(),
+		IndexBuckets:    1 << 12,
+		Ops:             SumOps{},
 	})
 	if err != nil {
 		tb.Fatal(err)
@@ -255,10 +257,12 @@ const benchKeys = 1 << 20
 func openBenchStore(tb testing.TB) *Store {
 	tb.Helper()
 	s, err := Open(Config{
-		Mode:         hlog.ModeInMemory,
-		PageBits:     22,
-		IndexBuckets: 1 << 18,
-		Ops:          SumOps{},
+		PageBits:        22,
+		BufferPages:     16,
+		MutableFraction: 1,
+		Device:          device.NewNull(),
+		IndexBuckets:    1 << 18,
+		Ops:             SumOps{},
 	})
 	if err != nil {
 		tb.Fatal(err)

@@ -47,6 +47,12 @@ func detectMutation(t *testing.T, budget time.Duration, run func(seed int64) ([]
 	}
 }
 
+// memGateConfig is the in-memory store: a ring over a device.Null that
+// holds every record the gate workloads write.
+func memGateConfig() faster.Config {
+	return faster.Config{PageBits: 12, BufferPages: 8, MutableFraction: 1, Device: device.NewNull()}
+}
+
 func openGateStore(t *testing.T, cfg faster.Config) *faster.Store {
 	t.Helper()
 	cfg.Ops = faster.SumOps{}
@@ -67,7 +73,7 @@ func TestMutationGateBaseline(t *testing.T) {
 	faster.DisableMutations()
 	hlog.DisableMutations()
 	for _, seed := range []int64{1, 2} {
-		s := openGateStore(t, faster.Config{Mode: hlog.ModeInMemory, PageBits: 12})
+		s := openGateStore(t, memGateConfig())
 		h, _ := linearize.RunWorkload(s, linearize.Workload{
 			Clients: 6, Ops: 60, Keys: 3, Seed: seed, RMWPct: 60, ReadPct: 30, UpsertPct: 8, DeletePct: 2,
 		})
@@ -86,10 +92,11 @@ func TestMutationGateBaseline(t *testing.T) {
 		ss, err := faster.OpenSharded(faster.ShardedConfig{
 			Shards: 4,
 			Base: faster.Config{
-				Mode:         hlog.ModeInMemory,
-				PageBits:     12,
-				IndexBuckets: 1 << 9,
-				Ops:          faster.SumOps{},
+				PageBits:        12,
+				BufferPages:     8,
+				MutableFraction: 1,
+				IndexBuckets:    1 << 9,
+				Ops:             faster.SumOps{},
 			},
 			NewDevice: func(int) device.Device { return device.NewNull() },
 		})
@@ -206,7 +213,7 @@ func TestMutationGateTornWrite(t *testing.T) {
 	faster.EnableMutation("torn-write")
 	defer faster.DisableMutations()
 	detectMutation(t, 60*time.Second, func(seed int64) ([]linearize.Op, *faster.Store) {
-		s := openGateStore(t, faster.Config{Mode: hlog.ModeInMemory, PageBits: 12})
+		s := openGateStore(t, memGateConfig())
 		h, _ := linearize.RunWorkload(s, linearize.Workload{
 			Clients: 6, Ops: 40, Keys: 2, Seed: seed,
 			ReadPct: 30, RMWPct: 70, UpsertPct: 0, DeletePct: 0,
@@ -396,10 +403,11 @@ func TestMutationGateRouteStaleMap(t *testing.T) {
 		ss, err := faster.OpenSharded(faster.ShardedConfig{
 			Shards: 4,
 			Base: faster.Config{
-				Mode:         hlog.ModeInMemory,
-				PageBits:     12,
-				IndexBuckets: 1 << 9,
-				Ops:          faster.SumOps{},
+				PageBits:        12,
+				BufferPages:     8,
+				MutableFraction: 1,
+				IndexBuckets:    1 << 9,
+				Ops:             faster.SumOps{},
 			},
 			NewDevice: func(int) device.Device { return device.NewNull() },
 		})

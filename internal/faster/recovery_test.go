@@ -3,6 +3,8 @@ package faster
 import (
 	"encoding/binary"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 	"testing/quick"
 
@@ -137,6 +139,47 @@ func TestCheckpointRecoverRoundTrip(t *testing.T) {
 		if st != OK || got != i+1 {
 			t.Fatalf("recovered key %d = (%d, %v), want (%d, OK)", i, got, st, i+1)
 		}
+	}
+}
+
+// TestCheckpointRefusesNullDevice checkpoints an in-memory store: a
+// ring over a device.Null, which keeps none of the pages a checkpoint
+// flushes. Committing it would let recovery succeed over a log prefix that
+// no longer exists, every read below the recovered tail failing on the
+// device. The checkpoint must fail, write no manifest, and leave the store
+// serving.
+func TestCheckpointRefusesNullDevice(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(Config{Ops: SumOps{}, PageBits: 12, BufferPages: 64,
+		MutableFraction: 1, IndexBuckets: 1 << 10, Device: device.NewNull()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	sess := s.StartSession()
+	for i := uint64(0); i < 300; i++ {
+		if st, err := sess.RMW(key(i%100), u64(1), nil); st != OK {
+			t.Fatalf("RMW = (%v, %v)", st, err)
+		}
+	}
+	sess.Close()
+
+	if info, err := s.Checkpoint(dir); err == nil {
+		t.Fatalf("Checkpoint over device.Null committed %+v, want an error", info)
+	}
+	for _, name := range manifestNames {
+		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
+			t.Fatalf("%s after a refused checkpoint: stat err %v, want not exist", name, err)
+		}
+	}
+
+	sess = s.StartSession()
+	defer sess.Close()
+	if st, err := sess.RMW(key(1), u64(1), nil); st != OK {
+		t.Fatalf("RMW after the refused checkpoint = (%v, %v)", st, err)
+	}
+	if got, st := readU64(t, sess, key(1)); st != OK || got != 4 {
+		t.Fatalf("key 1 after the refused checkpoint = (%d, %v), want (4, OK)", got, st)
 	}
 }
 

@@ -1,11 +1,12 @@
 // Package hlog implements the HybridLog record allocator from Sections 5
-// and 6 of the FASTER paper (SIGMOD 2018), together with its two
-// degenerate configurations: the pure in-memory allocator of Section 4 and
-// the append-only log allocator of Section 5.
+// and 6 of the FASTER paper (SIGMOD 2018), together with its append-only
+// configuration, the log allocator of Section 5. The pure in-memory
+// allocator of Section 4 is a hybrid log over a device.Null whose ring is
+// sized to hold all its data.
 //
 // The log defines a 48-bit global logical address space spanning main
 // memory and secondary storage. The in-memory tail portion lives in a
-// bounded circular buffer of page frames. Four monotone address markers
+// bounded ring of page frames. Four monotone address markers
 // partition the space (Fig 5 and Fig 7 of the paper):
 //
 //	begin ≤ head ≤ safeReadOnly ≤ readOnly ≤ tail
@@ -15,7 +16,7 @@
 //	[safeReadOnly, readOnly) fuzzy region (§6.2–6.3)
 //	[readOnly, tail)      mutable region, updated in place
 //
-// Page frames live outside the Go heap (internal/arena) and are addressed
+// The ring is one block outside the Go heap (internal/arena), addressed
 // as []uint64 so that every 8-byte word can be manipulated with
 // sync/atomic; records never span pages and are 8-byte aligned. Flushing
 // and eviction are coordinated latch-free with epoch trigger actions,
@@ -47,7 +48,7 @@ const InvalidAddress Address = 0
 // address space are reserved so that 0 can mean "empty" in index entries.
 const FirstValidAddress Address = 64
 
-// Mode selects which of the paper's three allocators this log behaves as.
+// Mode selects which of the paper's log allocators this log behaves as.
 type Mode int
 
 const (
@@ -58,10 +59,6 @@ const (
 	// read-only offset tracks the tail, so every update is a read-copy-
 	// update append.
 	ModeAppendOnly
-	// ModeInMemory is the allocator of Section 4: frames grow without
-	// bound, nothing is ever flushed or evicted, and the entire log is
-	// mutable.
-	ModeInMemory
 )
 
 func (m Mode) String() string {
@@ -70,8 +67,6 @@ func (m Mode) String() string {
 		return "hybrid"
 	case ModeAppendOnly:
 		return "append-only"
-	case ModeInMemory:
-		return "in-memory"
 	default:
 		return fmt.Sprintf("Mode(%d)", int(m))
 	}
@@ -81,25 +76,24 @@ func (m Mode) String() string {
 type Config struct {
 	// PageBits is F: pages are 1<<F bytes. Must be in [9, 30].
 	PageBits uint
-	// BufferPages is the number of in-memory page frames (power of two).
-	// Ignored by ModeInMemory.
+	// BufferPages is the number of page frames in the ring (a power of
+	// two, at least 2).
 	BufferPages int
-	// MutableFraction is the fraction of the in-memory buffer kept as the
+	// MutableFraction is the fraction of the ring kept as the
 	// in-place-updatable (mutable) region; the paper recommends 0.9
-	// (§6.4). Forced to 0 for ModeAppendOnly and 1 for ModeInMemory. A
-	// hybrid log rounds it down to whole pages and keeps at least two
-	// pages read-only (one in a 2-page buffer); see New.
+	// (§6.4). Forced to 0 for ModeAppendOnly. A hybrid log rounds it down
+	// to whole pages and keeps at least two pages read-only (one in a
+	// 2-page ring); see New.
 	MutableFraction float64
 	// Mode selects the allocator behaviour.
 	Mode Mode
-	// Device receives flushed pages and serves record reads. ModeInMemory
-	// may leave it nil (a Null device is substituted).
+	// Device receives flushed pages and serves record reads. Required. A
+	// device.Null discards what it is given, so a log over it holds only
+	// what its ring holds: the in-memory store of Section 4, sized so
+	// nothing evicts.
 	Device device.Device
 	// Epoch is the shared epoch manager. Required.
 	Epoch *epoch.Manager
-	// MaxInMemoryPages bounds the growable frame table for ModeInMemory
-	// (default 1<<20 pages).
-	MaxInMemoryPages int
 
 	// Retry bounds the flush-write retry loop. The zero value selects
 	// retry.DefaultWrite(). Transient flush failures are retried with
@@ -127,37 +121,26 @@ type Config struct {
 	OnEvict func(from, to Address)
 }
 
-// frame flush status values.
+// Frame status values. A frame is one page-sized slot of the ring; its
+// bytes are the slot's span of the ring block, and the status is all it
+// keeps besides.
 const (
-	frameClosed uint32 = iota // frame free for (re)use
-	frameOpen                 // frame holds a live page
+	frameFresh  uint32 = iota // never opened: free, and still zero
+	frameOpen                 // holds a live page
+	frameClosed               // evicted: free for reuse, holds an old page
 )
 
-// frame is one slot of the circular buffer.
-type frame struct {
-	bytes []byte   // page content, arena memory; fixed after init
-	words []uint64 // word view of bytes
-
-	status atomic.Uint32 // frameClosed / frameOpen
-	// used is set by the first open. Only the thread that claims the
-	// frame touches it, after the status load that hands the frame over.
-	used bool
-}
-
-func newFrame(mem []byte) *frame {
-	return &frame{bytes: mem, words: arena.View[uint64](mem)}
-}
-
-// open readies the frame for a new page: zeroed, as record scans expect
+// openFrame readies the frame for page: zeroed, as record scans expect
 // past the last record. Arena memory starts zeroed, so only a frame that
 // held an earlier page is cleared; clearing a fresh one would only fault
-// its memory in ahead of the records.
-func (f *frame) open() {
-	if f.used {
-		clear(f.words)
+// its memory in ahead of the records. Only the thread that claims the
+// frame calls this, after the status load that hands the frame over.
+func (l *Log) openFrame(page uint64) {
+	status := &l.frames[page&l.frameMask]
+	if status.Load() == frameClosed {
+		clear(l.Slice(page << l.pageBits))
 	}
-	f.used = true
-	f.status.Store(frameOpen)
+	status.Store(frameOpen)
 }
 
 // cacheLineBytes is the assumed cache line size, matching the epoch
@@ -172,7 +155,12 @@ type Log struct {
 	pageSize  uint64
 	frameMask uint64
 	roLag     uint64 // bytes between readOnly target and tail page start
-	headLag   uint64 // bytes of buffer capacity
+
+	// The ring of page frames: one arena block, power-of-two sized, so
+	// the frame holding addr's page holds addr at addr&ringMask.
+	ring     []byte
+	words    []uint64 // word view of ring
+	ringMask uint64
 
 	em  *epoch.Manager
 	dev device.Device
@@ -194,10 +182,7 @@ type Log struct {
 	flushIssue atomic.Uint64 // flushes issued up to this address
 	flushed    watermark     // contiguous flush completion watermark
 
-	frames    []*frame                // circular buffer (hybrid/append-only)
-	ring      []byte                  // the circular buffer's one arena block
-	memFrames []atomic.Pointer[frame] // growable table (in-memory mode), one block per page
-	memPages  atomic.Uint64           // pages opened in memFrames
+	frames []atomic.Uint32 // frame status, one per frame of the ring
 
 	classify retry.Classifier
 
@@ -283,28 +268,18 @@ func New(cfg Config) (*Log, error) {
 	switch cfg.Mode {
 	case ModeAppendOnly:
 		cfg.MutableFraction = 0
-	case ModeInMemory:
-		cfg.MutableFraction = 1
-		if cfg.Device == nil {
-			cfg.Device = device.NewNull()
-		}
-		if cfg.MaxInMemoryPages == 0 {
-			cfg.MaxInMemoryPages = 1 << 20
-		}
 	case ModeHybrid:
 		if cfg.MutableFraction < 0 || cfg.MutableFraction > 1 {
 			return nil, fmt.Errorf("hlog: MutableFraction %v out of range", cfg.MutableFraction)
 		}
-		if cfg.Device == nil {
-			return nil, errors.New("hlog: Device required for hybrid mode")
-		}
 	default:
 		return nil, fmt.Errorf("hlog: unknown mode %v", cfg.Mode)
 	}
-	if cfg.Mode != ModeInMemory {
-		if cfg.BufferPages < 2 || bits.OnesCount(uint(cfg.BufferPages)) != 1 {
-			return nil, fmt.Errorf("hlog: BufferPages %d must be a power of two >= 2", cfg.BufferPages)
-		}
+	if cfg.Device == nil {
+		return nil, errors.New("hlog: Device required")
+	}
+	if cfg.BufferPages < 2 || bits.OnesCount(uint(cfg.BufferPages)) != 1 {
+		return nil, fmt.Errorf("hlog: BufferPages %d must be a power of two >= 2", cfg.BufferPages)
 	}
 
 	if cfg.Retry == (retry.Policy{}) {
@@ -318,41 +293,33 @@ func New(cfg Config) (*Log, error) {
 		cfg:         cfg,
 		pageBits:    cfg.PageBits,
 		pageSize:    1 << cfg.PageBits,
+		frameMask:   uint64(cfg.BufferPages - 1),
 		em:          cfg.Epoch,
 		dev:         cfg.Device,
+		frames:      make([]atomic.Uint32, cfg.BufferPages),
 		classify:    cfg.Classify,
 		retryTimers: make(map[*time.Timer]struct{}),
 	}
 	l.flushed.init()
 	l.ioDrained.L = &l.ioMu
 
-	if cfg.Mode == ModeInMemory {
-		l.memFrames = make([]atomic.Pointer[frame], cfg.MaxInMemoryPages)
-		l.memFrames[0].Store(newFrame(arena.Alloc(int(l.pageSize))))
-		l.memPages.Store(1)
-	} else {
-		l.frameMask = uint64(cfg.BufferPages - 1)
-		l.frames = make([]*frame, cfg.BufferPages)
-		l.ring = arena.Alloc(cfg.BufferPages << cfg.PageBits)
-		for i := range l.frames {
-			l.frames[i] = newFrame(l.ring[i<<cfg.PageBits : (i+1)<<cfg.PageBits : (i+1)<<cfg.PageBits])
-		}
-		l.frames[0].open()
-		l.headLag = uint64(cfg.BufferPages) << cfg.PageBits
-		// Mutable region size in whole pages; the remainder of the
-		// buffer is the read-only (second chance) region.
-		mutPages := uint64(float64(cfg.BufferPages) * cfg.MutableFraction)
-		// The read-only region is the flush lead. With two pages of it,
-		// the page a turn evicts went read-only (and its flush was
-		// issued) one turn earlier, so the turn only closes its frame;
-		// with one, every turn starts that flush and then waits it
-		// out. A 2-page buffer can spare only one page, and needs it:
-		// with none, nothing flushes and eviction deadlocks.
-		if cfg.Mode == ModeHybrid {
-			mutPages = min(mutPages, uint64(max(cfg.BufferPages-2, 1)))
-		}
-		l.roLag = mutPages << cfg.PageBits
+	l.ring = arena.Alloc(cfg.BufferPages << cfg.PageBits)
+	l.words = arena.View[uint64](l.ring)
+	l.ringMask = uint64(len(l.ring) - 1)
+	l.openFrame(0)
+	// Mutable region size in whole pages; the remainder of the ring is
+	// the read-only (second chance) region.
+	mutPages := uint64(float64(cfg.BufferPages) * cfg.MutableFraction)
+	// The read-only region is the flush lead. With two pages of it, the
+	// page a turn evicts went read-only (and its flush was issued) one
+	// turn earlier, so the turn only closes its frame; with one, every
+	// turn starts that flush and then waits it out. A 2-page ring can
+	// spare only one page, and needs it: with none, nothing flushes and
+	// eviction deadlocks.
+	if cfg.Mode == ModeHybrid {
+		mutPages = min(mutPages, uint64(max(cfg.BufferPages-2, 1)))
 	}
+	l.roLag = mutPages << cfg.PageBits
 
 	l.tailWord.Store(FirstValidAddress) // page 0, offset 64
 	l.begin.Store(FirstValidAddress)
@@ -443,28 +410,20 @@ func (l *Log) poison(err error) {
 // pageOf returns the page number containing addr.
 func (l *Log) pageOf(addr Address) uint64 { return addr >> l.pageBits }
 
-// frameFor returns the frame that holds page, or nil (in-memory mode, page
-// not yet allocated).
-func (l *Log) frameFor(page uint64) *frame {
-	if l.cfg.Mode == ModeInMemory {
-		return l.memFrames[page].Load()
-	}
-	return l.frames[page&l.frameMask]
-}
-
-// Slice returns the in-memory bytes at addr, up to the end of its page.
-// The caller must have established addr >= HeadAddress under epoch
+// Slice returns the in-memory bytes at addr, up to the end of its page:
+// its capacity ends there too, so no append or reslice reaches the next
+// frame. The caller must have established addr >= HeadAddress under epoch
 // protection; this is the latch-free fast path, so no check is performed.
 func (l *Log) Slice(addr Address) []byte {
-	f := l.frameFor(l.pageOf(addr))
-	return f.bytes[addr&(l.pageSize-1):]
+	off := addr & l.ringMask
+	end := (off | (l.pageSize - 1)) + 1
+	return l.ring[off:end:end]
 }
 
 // Uint64Ptr returns a pointer to the 8-byte-aligned word at addr, suitable
 // for sync/atomic operations. addr must be 8-byte aligned and in memory.
 func (l *Log) Uint64Ptr(addr Address) *uint64 {
-	f := l.frameFor(l.pageOf(addr))
-	return &f.words[(addr&(l.pageSize-1))>>3]
+	return &l.words[(addr&l.ringMask)>>3]
 }
 
 // Allocate reserves size bytes at the tail and returns the logical address.
@@ -554,33 +513,24 @@ func (l *Log) Allocate(size uint32, g *epoch.Guard) (Address, error) {
 // offsets if they lag (Alg 1 buffer_maintenance), waits until the target
 // frame is evictable, and claims it.
 func (l *Log) openPage(newPage uint64, g *epoch.Guard) error {
-	if l.cfg.Mode == ModeInMemory {
-		if newPage >= uint64(len(l.memFrames)) {
-			panic("hlog: in-memory log exceeded MaxInMemoryPages")
-		}
-		l.memFrames[newPage].Store(newFrame(arena.Alloc(int(l.pageSize))))
-		l.memPages.Add(1)
-		return nil
-	}
-
 	// Advance the read-only offset to maintain its lag from the tail.
 	l.maybeShiftReadOnly(newPage)
 
 	// The frame for newPage can be claimed once its previous occupant
 	// (page newPage-bufferPages) has been closed. For the first pass
-	// around the buffer the frame has never been used and is Closed.
-	f := l.frames[newPage&l.frameMask]
+	// around the ring the frame has never been used and is fresh.
+	status := &l.frames[newPage&l.frameMask]
 	var desiredHead uint64
 	if newPage+1 >= uint64(len(l.frames)) {
 		desiredHead = (newPage + 1 - uint64(len(l.frames))) << l.pageBits
 	}
-	if f.status.Load() != frameClosed {
+	if status.Load() == frameOpen {
 		waitStart := time.Now()
 		// A write failure ends the wait: the occupant page can never flush,
 		// so this frame can never be evicted. The frame stays untouched
 		// (resident readers still need it).
 		if err := l.em.Wait(g, func() bool {
-			if f.status.Load() == frameClosed {
+			if status.Load() != frameOpen {
 				return true
 			}
 			l.maybeShiftHead(desiredHead, g)
@@ -590,7 +540,7 @@ func (l *Log) openPage(newPage uint64, g *epoch.Guard) error {
 		}
 		l.mx.frameWait.Observe(time.Since(waitStart))
 	}
-	f.open()
+	l.openFrame(newPage)
 	return nil
 }
 
@@ -624,9 +574,6 @@ func (l *Log) maybeShiftReadOnly(tailPage uint64) {
 // current tail (used by checkpointing, §6.5) and returns the tail address.
 func (l *Log) ShiftReadOnlyToTail() Address {
 	tail := l.TailAddress()
-	if l.cfg.Mode == ModeInMemory {
-		return tail
-	}
 	for {
 		cur := l.readOnly.Load()
 		if tail <= cur {
@@ -691,9 +638,7 @@ func (l *Log) issueFlush(from, to uint64) {
 		page := l.pageOf(from)
 		pageEnd := (page + 1) << l.pageBits
 		end := min(pageEnd, to)
-		f := l.frames[page&l.frameMask]
-		off := from & (l.pageSize - 1)
-		buf := f.bytes[off : end-(page<<l.pageBits)]
+		buf := l.Slice(from)[:end-from]
 		start, stop := from, end
 		if !l.beginIO() {
 			return
@@ -830,7 +775,7 @@ func (l *Log) waitDrain(g *epoch.Guard, stop func() error) error {
 // accessing those addresses.
 func (l *Log) closeFrames(oldHead, newHead uint64) {
 	for p := oldHead >> l.pageBits; p < newHead>>l.pageBits; p++ {
-		l.frames[p&l.frameMask].status.Store(frameClosed)
+		l.frames[p&l.frameMask].Store(frameClosed)
 		l.mx.evictedPages.Inc()
 	}
 }
@@ -902,12 +847,11 @@ func (l *Log) ShiftBeginAddress(addr Address, g *epoch.Guard) (bool, error) {
 			break
 		}
 	}
-	if !advanced || l.cfg.Mode == ModeInMemory {
+	if !advanced {
 		// A racing caller that advanced past addr performs its own drain;
 		// ApplyDeviceTruncation clamps to the epoch-safe watermark, so
-		// skipping the wait here cannot free the range early. In-memory
-		// logs have no device range to protect.
-		return advanced, nil
+		// skipping the wait here cannot free the range early.
+		return false, nil
 	}
 	if err := l.waitDrain(g, func() error {
 		if l.closed.Load() {
@@ -957,18 +901,6 @@ func (l *Log) ApplyDeviceTruncation(limit Address) error {
 // this address has been freed.
 func (l *Log) TruncatedUntil() Address { return l.truncDone.Load() }
 
-// TruncateUntil discards the log prefix below addr (expiration-based GC,
-// Appendix C): it advances begin under an epoch bump + drain and then
-// frees the device range. Addresses below the new begin address become
-// invalid. The calling goroutine must not hold an active (unparked)
-// epoch guard or session, or the drain cannot complete.
-func (l *Log) TruncateUntil(addr Address) error {
-	if _, err := l.ShiftBeginAddress(addr, nil); err != nil {
-		return err
-	}
-	return l.ApplyDeviceTruncation(addr)
-}
-
 // InMemory reports whether addr is at or above the head offset (resident).
 func (l *Log) InMemory(addr Address) bool { return addr >= l.head.Load() }
 
@@ -982,9 +914,6 @@ func (l *Log) InMemory(addr Address) bool { return addr >= l.head.Load() }
 // one, and a read may run to its page end. Must be called before any
 // allocation.
 func (l *Log) RecoverTo(begin, tail Address) error {
-	if l.cfg.Mode == ModeInMemory {
-		return errors.New("hlog: cannot recover an in-memory log")
-	}
 	if l.TailAddress() != FirstValidAddress {
 		return errors.New("hlog: RecoverTo on a used log")
 	}
@@ -1012,22 +941,18 @@ func (l *Log) RecoverTo(begin, tail Address) error {
 	// construction, and the device holds nothing below it.
 	l.truncSafe.Store(begin)
 	l.truncDone.Store(begin)
-	for _, f := range l.frames {
-		f.status.Store(frameClosed) // including the initially open frame 0
+	// Nothing was written, so every frame is still zero, the initially
+	// open frame 0 included.
+	for i := range l.frames {
+		l.frames[i].Store(frameFresh)
 	}
-	l.frames[page&l.frameMask].open()
+	l.openFrame(page)
 	return nil
 }
 
-// FrameBytes reports the arena bytes the log's page frames occupy: the
-// whole circular buffer, or every page opened so far in in-memory mode.
-// Resident memory can be lower: a frame costs it only once written.
-func (l *Log) FrameBytes() uint64 {
-	if l.cfg.Mode == ModeInMemory {
-		return l.memPages.Load() << l.pageBits
-	}
-	return uint64(len(l.ring))
-}
+// FrameBytes reports the arena bytes the log's ring occupies. Resident
+// memory can be lower: a frame costs it only once written.
+func (l *Log) FrameBytes() uint64 { return uint64(len(l.ring)) }
 
 // Close flushes nothing and releases the log. Subsequent allocations
 // fail, and outstanding flush-retry timers are cancelled so nothing fires
@@ -1058,15 +983,6 @@ func (l *Log) Close() error {
 	}
 	l.ioMu.Unlock()
 	err := l.dev.Sync()
-
-	if l.cfg.Mode == ModeInMemory {
-		for i := range l.memPages.Load() {
-			if f := l.memFrames[i].Load(); f != nil {
-				arena.Free(f.bytes)
-			}
-		}
-	} else {
-		arena.Free(l.ring)
-	}
+	arena.Free(l.ring)
 	return err
 }

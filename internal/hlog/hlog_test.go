@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"repro/internal/device"
 	"repro/internal/epoch"
@@ -295,30 +296,6 @@ func TestAppendOnlyModeReadOnlyTracksTail(t *testing.T) {
 	tailPageStart := (l.TailAddress() >> 12) << 12
 	if sro := l.safeRO.Load(); sro != tailPageStart {
 		t.Fatalf("append-only internal safeRO = %#x, want tail page start %#x", sro, tailPageStart)
-	}
-}
-
-func TestInMemoryModeGrowsWithoutDevice(t *testing.T) {
-	em := epoch.New(8)
-	l, err := New(Config{PageBits: 12, Mode: ModeInMemory, Epoch: em, MaxInMemoryPages: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	g := em.Acquire()
-	defer g.Release()
-	for i := 0; i < 20*8; i++ { // 20 pages, far beyond any fixed buffer
-		a, err := l.Allocate(512, g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		binary.LittleEndian.PutUint64(l.Slice(a), uint64(i))
-	}
-	if l.HeadAddress() != 0 {
-		t.Fatal("in-memory mode must never evict")
-	}
-	if l.ReadOnlyAddress() != 0 {
-		t.Fatal("in-memory mode must never become read-only")
 	}
 }
 
@@ -682,18 +659,6 @@ func TestRecoverToRejectsUsedLog(t *testing.T) {
 	}
 }
 
-func TestRecoverToRejectsInMemory(t *testing.T) {
-	em := epoch.New(4)
-	l, err := New(Config{PageBits: 12, Mode: ModeInMemory, Epoch: em, MaxInMemoryPages: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	if err := l.RecoverTo(FirstValidAddress, 0x1000); err == nil {
-		t.Fatal("RecoverTo on an in-memory log should fail")
-	}
-}
-
 func TestRecycledFrameReadsZeroPastLastRecord(t *testing.T) {
 	// Fill every page with non-zero records for several laps of the ring.
 	// Whenever a record opens a page, everything past it on that page
@@ -722,6 +687,46 @@ func TestRecycledFrameReadsZeroPastLastRecord(t *testing.T) {
 		for i := range page[:size] {
 			page[i] = 0xff
 		}
+	}
+}
+
+// TestRingIndexing drives a 4-page ring through three laps and checks
+// every record view against the ring block: Slice starts at the record's
+// slot (addr modulo the ring size) and its capacity ends exactly at the
+// end of the record's page, and Uint64Ptr is Slice's first word. Together
+// these keep every record view inside its own frame.
+func TestRingIndexing(t *testing.T) {
+	l, em, _ := testLog(t, ModeHybrid, 4, 0.5)
+	g := em.Acquire()
+	defer g.Release()
+	const size = 512
+	ringBytes := uint64(len(l.ring))
+	for l.pageOf(l.TailAddress()) < 3*4 {
+		a, err := l.Allocate(size, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := l.Slice(a)
+		pageEnd := (l.pageOf(a) + 1) << l.pageBits
+		if uint64(cap(rec)) != pageEnd-a || len(rec) != cap(rec) {
+			t.Fatalf("Slice(%#x): len %d cap %d, want both %d (to the page end %#x)",
+				a, len(rec), cap(rec), pageEnd-a, pageEnd)
+		}
+		if &rec[0] != &l.ring[a%ringBytes] {
+			t.Fatalf("Slice(%#x) does not start at ring offset %#x", a, a%ringBytes)
+		}
+		if last := &rec[cap(rec)-1]; last != &l.ring[(pageEnd-1)%ringBytes] {
+			t.Fatalf("Slice(%#x) does not end at its frame's last byte", a)
+		}
+		w := l.Uint64Ptr(a)
+		if unsafe.Pointer(w) != unsafe.Pointer(&rec[0]) {
+			t.Fatalf("Uint64Ptr(%#x) does not alias Slice(%#x)[0:8]", a, a)
+		}
+		atomic.StoreUint64(w, a)
+		if got := binary.LittleEndian.Uint64(rec); got != a {
+			t.Fatalf("word written through Uint64Ptr(%#x) reads %#x through Slice", a, got)
+		}
+		g.Refresh()
 	}
 }
 

@@ -9,6 +9,18 @@ import (
 	"repro/internal/epoch"
 )
 
+// TruncateUntil discards the log prefix below addr (expiration-based GC,
+// Appendix C): it advances begin under an epoch bump + drain and then
+// frees the device range, as Store.TruncateUntil does without the store's
+// checkpoint limit. The calling goroutine must not hold an active
+// (unparked) epoch guard, or the drain cannot complete.
+func (l *Log) TruncateUntil(addr Address) error {
+	if _, err := l.ShiftBeginAddress(addr, nil); err != nil {
+		return err
+	}
+	return l.ApplyDeviceTruncation(addr)
+}
+
 // truncLog builds a hybrid log over a Faulty(Mem) device so tests can
 // observe the exact device operations truncation issues.
 func truncLog(t *testing.T, bufferPages int) (*Log, *epoch.Manager, *device.Faulty) {

@@ -60,14 +60,17 @@ func openScenarioStore(t *testing.T, cfg faster.Config) *faster.Store {
 	return s
 }
 
-// TestLinearizableMemory exercises the pure in-memory allocator: every
-// update is in-place or an in-memory RCU, nothing flushes or evicts.
+// TestLinearizableMemory exercises the in-memory store: a ring over a
+// device.Null that holds every record, so every update is in-place or an
+// in-memory RCU and nothing evicts.
 func TestLinearizableMemory(t *testing.T) {
 	for _, seed := range seeds {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			s := openScenarioStore(t, faster.Config{
-				Mode:     hlog.ModeInMemory,
-				PageBits: 12,
+				PageBits:        12,
+				BufferPages:     8,
+				MutableFraction: 1,
+				Device:          device.NewNull(),
 			})
 			h, _ := RunWorkload(s, Workload{
 				Clients: 6, Ops: 80, Keys: 5, Seed: seed,

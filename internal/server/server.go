@@ -272,9 +272,6 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 // Store exposes shard 0's flat store (single-shard servers, tests).
 func (s *Server) Store() *faster.Store { return s.store.Shard(0) }
 
-// Sharded exposes the full ensemble being served.
-func (s *Server) Sharded() *faster.ShardedStore { return s.store }
-
 // allShardsFailed reports whether every shard has lost its device — the
 // only condition under which the ensemble as a whole sheds connections.
 func (s *Server) allShardsFailed() bool {

@@ -8,6 +8,7 @@ cd "$(dirname "$0")/.."
 
 go build ./...
 go vet ./...
+test -z "$(gofmt -l .)" # every Go file is gofmt-formatted
 go test ./...
 go test -race ./internal/...
 
