@@ -371,9 +371,12 @@ func (s *Store) checkpointFinish(prep ckptPrep, sessPayload []byte, t2 hlog.Addr
 		return CheckpointInfo{}, fmt.Errorf("faster: flush to t2: %w", err)
 	}
 	// A completed flush may still sit in a volatile cache; the meta
-	// and session table below promise that [Begin, T2) survives.
-	if err := s.log.Sync(); err != nil {
-		return CheckpointInfo{}, fmt.Errorf("faster: sync log to t2: %w", err)
+	// and session table below promise that [Begin, T2) survives. The
+	// skip-log-sync seed leaves it there.
+	if !(mutationsEnabled && mutSkipLogSync()) {
+		if err := s.log.Sync(); err != nil {
+			return CheckpointInfo{}, fmt.Errorf("faster: sync log to t2: %w", err)
+		}
 	}
 	meta := ckptMeta{CheckpointInfo: CheckpointInfo{T1: prep.t1, T2: t2, Begin: prep.begin}}
 	if len(sessPayload) > sessHeaderLen { // at least one entry

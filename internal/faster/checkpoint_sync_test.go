@@ -1,6 +1,7 @@
 package faster
 
 import (
+	"fmt"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -44,6 +45,15 @@ func (d *syncSpy) Sync() error {
 // may still sit in a volatile cache, so at least one device Sync must
 // come after the flush to T2 and before meta.ckpt is written.
 func TestCheckpointSyncsLogBeforeMeta(t *testing.T) {
+	if msg := checkpointSyncOrder(t); msg != "" {
+		t.Fatal(msg)
+	}
+}
+
+// checkpointSyncOrder checkpoints a store that spilled past its buffer,
+// spying on its device, and returns "" if a Sync came between the flush
+// to T2 and the meta write, else what it saw instead.
+func checkpointSyncOrder(t *testing.T) string {
 	dir := t.TempDir()
 	mem := device.NewMem(device.MemConfig{})
 	defer mem.Close()
@@ -70,10 +80,10 @@ func TestCheckpointSyncsLogBeforeMeta(t *testing.T) {
 	defer spy.mu.Unlock()
 	for _, sy := range spy.syncs {
 		if sy.flushed >= info.T2 && !sy.meta {
-			return
+			return ""
 		}
 	}
-	t.Fatalf("no device Sync between the flush to T2=%#x and the meta write; syncs: %+v", info.T2, spy.syncs)
+	return fmt.Sprintf("no device Sync between the flush to T2=%#x and the meta write; syncs: %+v", info.T2, spy.syncs)
 }
 
 // TestCheckpointUnderLoad checkpoints a store, whose log device syncs at

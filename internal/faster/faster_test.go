@@ -3,11 +3,18 @@ package faster
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
+	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/device"
+	"repro/internal/epoch"
 	"repro/internal/hlog"
+	"repro/internal/testutil"
 )
 
 // u64 encodes a uint64 as 8 little-endian bytes.
@@ -533,31 +540,170 @@ func TestPendingResultCarriesContext(t *testing.T) {
 	}
 }
 
-func TestCompletePendingNonBlocking(t *testing.T) {
-	s, _ := openTestStore(t, Config{BufferPages: 8})
-	sess := s.StartSession()
-	defer sess.Close()
-	sess.RMW(key(0), u64(1), nil)
-	for i := uint64(1); i < 1500; i++ {
-		sess.RMW(key(i), u64(1), nil)
+// driverSession is what the completion-driver tests need of a session;
+// Session and ShardedSession both provide it.
+type driverSession interface {
+	Read(key, input, output []byte, ctx any) (Status, error)
+	RMW(key, input []byte, ctx any) (Status, error)
+	CompletePending(wait bool) []Result
+	Close() error
+}
+
+// openDriverSession opens a store of max(shards, 1) shards over the
+// devices dev returns, writes key(i) = i+1 for i < 3000 so every shard
+// spills, and returns a flat session on shard 0 (shards == 0) or a
+// ShardedSession.
+func openDriverSession(t *testing.T, shards int, dev func() device.Device) (*ShardedStore, driverSession) {
+	t.Helper()
+	n := max(shards, 1)
+	devs := make([]device.Device, n)
+	for i := range devs {
+		devs[i] = dev()
+	}
+	ss, err := OpenSharded(ShardedConfig{Shards: n, NewDevice: func(i int) device.Device { return devs[i] },
+		Base: Config{Ops: SumOps{}, PageBits: 12, BufferPages: 8, IndexBuckets: 1 << 10}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sess driverSession
+	if shards == 0 {
+		sess = ss.Shard(0).StartSession()
+	} else {
+		sess = ss.StartSession()
+	}
+	t.Cleanup(func() {
+		sess.Close()
+		ss.Close()
+		for _, d := range devs {
+			d.Close()
+		}
+	})
+	for i := uint64(0); i < 3000; i++ {
+		if st, err := sess.RMW(key(i), u64(i+1), nil); err != nil {
+			t.Fatal(err)
+		} else if st == Pending {
+			sess.CompletePending(true)
+		}
 	}
 	sess.CompletePending(true)
-	st, _ := sess.Read(key(0), nil, make([]byte, 8), nil)
-	if st != Pending {
-		t.Skip("record still resident")
-	}
-	// Non-blocking drain returns immediately; eventually (after waiting)
-	// the result arrives.
-	_ = sess.CompletePending(false)
-	results := sess.CompletePending(true)
-	total := len(results)
-	if total != 1 {
-		// The non-blocking call may have caught it already; then the
-		// blocking call returns none. Accept either split, but exactly
-		// one result overall is required... recheck by reading again.
-		if total != 0 {
-			t.Fatalf("unexpected result count %d", total)
+	for i := 0; i < n; i++ {
+		if ss.Shard(i).Log().HeadAddress() == 0 {
+			t.Fatalf("shard %d did not spill", i)
 		}
+	}
+	return ss, sess
+}
+
+func driverName(shards int) string {
+	if shards == 0 {
+		return "flat"
+	}
+	return fmt.Sprintf("shards=%d", shards)
+}
+
+// checkColdRead requires results to be exactly one OK read of key(0),
+// whose value is 1.
+func checkColdRead(t *testing.T, results []Result) {
+	t.Helper()
+	if len(results) != 1 {
+		t.Fatalf("%d results for one pending read, want 1: %+v", len(results), results)
+	}
+	if r := results[0]; r.Kind != "read" || r.Status != OK || r.Err != nil || leU64(r.Output) != 1 {
+		t.Fatalf("result = %+v, want an OK read of value 1", r)
+	}
+}
+
+// TestCompletePendingNonBlocking issues one cold read, then drains with a
+// non-blocking and a blocking CompletePending: between them the two
+// calls must return exactly one result, the read's value.
+func TestCompletePendingNonBlocking(t *testing.T) {
+	for _, shards := range []int{0, 2} {
+		t.Run(driverName(shards), func(t *testing.T) {
+			_, sess := openDriverSession(t, shards, func() device.Device { return device.NewMem(device.MemConfig{}) })
+			st, err := sess.Read(key(0), nil, make([]byte, 8), nil)
+			if st != Pending {
+				t.Fatalf("cold read = %v %v, want Pending", st, err)
+			}
+			results := sess.CompletePending(false)
+			results = append(results, sess.CompletePending(true)...)
+			checkColdRead(t, results)
+			if flat, ok := sess.(*Session); ok {
+				// Close released the guard; there is nothing left to drive.
+				flat.Close()
+				if results := flat.CompletePending(true); len(results) != 0 {
+					t.Fatalf("CompletePending after Close = %+v, want none", results)
+				}
+			}
+		})
+	}
+}
+
+// TestCompletePendingPinsNoEpoch blocks a goroutine in
+// CompletePending(true) on a cold read that takes 50 ms and bumps the
+// epoch of the read's shard while it sleeps. The waiting session is
+// parked, so the bump's action must run at once, not when the wait ends.
+// On return a flat session is protected again and every sharded sub is
+// parked.
+func TestCompletePendingPinsNoEpoch(t *testing.T) {
+	for _, shards := range []int{0, 2} {
+		t.Run(driverName(shards), func(t *testing.T) {
+			var faulties []*device.Faulty
+			ss, sess := openDriverSession(t, shards, func() device.Device {
+				f := device.NewFaulty(device.NewMem(device.MemConfig{}))
+				faulties = append(faulties, f)
+				return f
+			})
+			for _, f := range faulties {
+				f.InjectLatency(50*time.Millisecond, 0)
+			}
+			s := ss.Shard(0)
+			if shards > 0 {
+				s = ss.Shard(ss.ShardFor(key(0)))
+			}
+
+			done := make(chan []Result, 1)
+			go func() {
+				st, err := sess.Read(key(0), nil, make([]byte, 8), nil)
+				if st != Pending {
+					t.Errorf("cold read = %v %v, want Pending", st, err)
+				}
+				done <- sess.CompletePending(true)
+			}()
+			// Bump only once the reader sleeps on its waker: a pass
+			// refreshes its members, so an earlier bump proves nothing.
+			testutil.WaitUntil(t, 5*time.Second, func() bool {
+				buf := make([]byte, 1<<20)
+				for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+					if strings.Contains(g, "(*waker).wait") && strings.Contains(g, "TestCompletePendingPinsNoEpoch") {
+						return true
+					}
+				}
+				return false
+			}, "the reader to sleep in CompletePending")
+			// Every other guard of the shard is parked too, so the bump's
+			// own drain runs the action unless the sleeper pins the epoch.
+			var ran atomic.Bool
+			s.Epoch().BumpWith(func() { ran.Store(true) })
+			inline := ran.Load()
+			results := <-done
+			if !inline {
+				t.Fatal("the bump's action did not run while the reader slept: its session pinned the epoch")
+			}
+			checkColdRead(t, results)
+
+			switch sess := sess.(type) {
+			case *Session:
+				if e := sess.g.Epoch(); e == epoch.Unprotected || e == math.MaxUint64 {
+					t.Fatalf("flat session publishes epoch %#x after CompletePending, want protected", e)
+				}
+			case *ShardedSession:
+				for i, sub := range sess.group.members {
+					if e := sub.g.Epoch(); e != math.MaxUint64 {
+						t.Fatalf("sub %d publishes epoch %#x after CompletePending, want parked", i, e)
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -12,10 +12,11 @@ import (
 // operation to SubmitRead/SubmitRMW and is free immediately — the miss is
 // admitted into a bounded queue and driven to completion by a small pool
 // of workers sized to the device's useful parallelism (Config.IOWorkers).
-// Each worker owns a private Session and runs the same continuation
-// machinery CompletePending does, so the full slow path (chain descents,
-// truncation races, verified RMW publishes, fuzzy deferrals) works
-// unchanged; only the goroutine driving it differs.
+// Each worker owns a private Session, a completion group of one
+// (pending.go) that runs the group's pass under its parking rule, so the
+// full slow path (chain descents, truncation races, verified RMW
+// publishes, fuzzy deferrals) works unchanged; its wait adds the
+// admission queue and stop channel, and its shutdown drain is the loop.
 //
 // Degradation is explicit and bounded in both directions:
 //
@@ -217,18 +218,19 @@ type ioWorker struct {
 // worker is one pool goroutine: admit requests, issue them on a private
 // session, hand the session's completions back to the submitters, and
 // shed anything that outlives its deadline. It is driven by events, not
-// a poll: between them it sleeps in Session.await — parked, so it pins no
-// epoch and cannot stall flushes, compactions and checkpoints like a
-// wedged session — on the admission queue, its session's wake channel,
-// the pool's stop channel and a timer for the earliest live deadline. It
+// a poll: between them it sleeps on its group's waker — parked, so it
+// pins no epoch and cannot stall flushes, compactions and checkpoints
+// like a wedged session — with the admission queue, the pool's stop
+// channel and a timer for the earliest live deadline. It
 // never blocks on device I/O, so a latency spike on cold misses leaves
 // admission (and every other worker) live.
 func (p *ioPool) worker() {
 	defer p.wg.Done()
 	w := &ioWorker{p: p, sess: p.s.StartSession()}
 	w.sess.ownOutputs = true
+	w.sess.Park()
 	for {
-		r, stopped := w.sess.await(w.nextWake(), p.reqs, p.stop)
+		r, stopped := w.sess.group.wake.wait(w.nextWake(), p.reqs, p.stop)
 		if stopped {
 			w.finish()
 			return
@@ -237,8 +239,8 @@ func (p *ioPool) worker() {
 			w.pickup(r)
 			if len(w.sess.retries) > 0 {
 				// The op deferred in the fuzzy region, quite possibly on a
-				// read-only shift only this session has yet to observe.
-				w.sess.g.Refresh()
+				// read-only shift only this session held back until the
+				// Park that ended the op.
 				w.reap()
 			}
 		} else {
@@ -279,11 +281,13 @@ func (w *ioWorker) pickup(r *ioRequest) {
 	}
 	var st Status
 	var err error
+	sess.Unpark()
 	if r.kind == opRMW {
 		st, err = sess.RMW(r.key, r.input, r)
 	} else {
 		st, err = sess.Read(r.key, r.input, nil, r)
 	}
+	sess.Park()
 	if st == Pending {
 		p.s.mx.ioInflight.Inc()
 		w.live = append(w.live, r)
@@ -314,7 +318,7 @@ func (w *ioWorker) reap() {
 	if debugReap != nil {
 		debugReap()
 	}
-	w.results = w.sess.completePass(w.results[:0])
+	w.results = w.sess.group.pass(w.results[:0])
 	w.handOver(w.results)
 	clear(w.results)
 }

@@ -15,6 +15,7 @@ func mutDroppedReenqueue() bool { return false }
 func mutRouteStale() bool       { return false }
 func mutSkipShardFsync() bool   { return false }
 func mutCacheInval() bool       { return false }
+func mutSkipLogSync() bool      { return false }
 
 // tornAddU64 and tornSessionPayload are never reachable when
 // mutationsEnabled is false; the stubs keep the !mutate build compiling.

@@ -25,6 +25,7 @@ var (
 	mutStaleRoute atomic.Bool
 	mutShardSync  atomic.Bool
 	mutCacheInv   atomic.Bool
+	mutLogSync    atomic.Bool
 )
 
 func mutTornWrite() bool        { return mutTorn.Load() }
@@ -34,6 +35,7 @@ func mutDroppedReenqueue() bool { return mutDropReenq.Load() }
 func mutRouteStale() bool       { return mutStaleRoute.Load() }
 func mutSkipShardFsync() bool   { return mutShardSync.Load() }
 func mutCacheInval() bool       { return mutCacheInv.Load() }
+func mutSkipLogSync() bool      { return mutLogSync.Load() }
 
 // EnableMutation turns on one seeded bug by name: "torn-write" (SumOps
 // in-place adds become a non-atomic two-half write), "double-rmw"
@@ -52,7 +54,9 @@ func mutCacheInval() bool       { return mutCacheInv.Load() }
 // the index entry pointing at a read-cache copy links its new record
 // BEHIND the cached copy instead of republishing the entry, so readers
 // keep being served the stale cached value — the canonical
-// forgot-to-invalidate cache bug).
+// forgot-to-invalidate cache bug) or "skip-log-sync" (a checkpoint writes
+// its meta without syncing the log's device, so the prefix the meta
+// promises may still sit in a volatile cache).
 func EnableMutation(name string) {
 	switch name {
 	case "torn-write":
@@ -69,6 +73,8 @@ func EnableMutation(name string) {
 		mutShardSync.Store(true)
 	case "skip-cache-invalidate":
 		mutCacheInv.Store(true)
+	case "skip-log-sync":
+		mutLogSync.Store(true)
 	default:
 		panic(fmt.Sprintf("faster: unknown mutation %q", name))
 	}
@@ -83,6 +89,7 @@ func DisableMutations() {
 	mutStaleRoute.Store(false)
 	mutShardSync.Store(false)
 	mutCacheInv.Store(false)
+	mutLogSync.Store(false)
 }
 
 // tornSessionPayload drops the serialized session table's final entry,

@@ -21,6 +21,12 @@ import (
 // same lookup rule a compaction copy uses; when the span it must re-check
 // has left memory, the op continues as a span check: a descent of that
 // span (verifyHead set) on the same continuation machinery.
+//
+// One driver finishes every miss: the sessions one goroutine drives form
+// a completionGroup, with one pass, one loop and one parking rule.
+// CompletePending and Close on both session types, and an io-worker's
+// shutdown, run the loop; the worker's event loop runs the same pass and
+// sleeps on the same waker.
 
 // opKind identifies how a pending operation resumes.
 type opKind int
@@ -127,7 +133,7 @@ type Result struct {
 // (arbitrary goroutines) and drained by the session goroutine. Every push
 // signals wake, so the session goroutine — a CompletePending(true) caller
 // or an io-worker — sleeps until a completion exists instead of polling
-// for one. The sub-sessions of a ShardedSession share one waker.
+// for one. The members of a completionGroup share one waker.
 type completionQueue struct {
 	mu   sync.Mutex
 	ops  []*PendingOp
@@ -231,16 +237,6 @@ func waitBound(deadlineNs int64, deferrals bool) int64 {
 		}
 	}
 	return deadlineNs
-}
-
-// await sleeps the session goroutine in waker.wait. The session is parked
-// for the duration, so a sleeper pins no epoch: flushes, evictions and the
-// read-only shifts its own deferrals wait for keep moving (Park also runs
-// the trigger actions this session was holding back).
-func (sess *Session) await(wakeNs int64, reqs <-chan *ioRequest, stop <-chan struct{}) (*ioRequest, bool) {
-	sess.g.Park()
-	defer sess.g.Unpark()
-	return sess.completed.wake.wait(wakeNs, reqs, stop)
 }
 
 // newPendingOp builds a continuation with owned copies of key and input,
@@ -443,10 +439,11 @@ var ErrPendingTimeout = errors.New("faster: pending operations did not complete 
 
 // CompletePending processes the session's completed asynchronous I/Os and
 // fuzzy-region retries, returning one Result per finished user operation.
-// With wait set it blocks (refreshing the epoch) until every outstanding
-// operation has finished.
+// With wait set it blocks until every outstanding operation has finished.
+// The session is a group of one: it parks on entry, runs the group's loop,
+// and is unparked again on return.
 func (sess *Session) CompletePending(wait bool) []Result {
-	results, _ := sess.completePending(wait, time.Time{})
+	results, _ := sess.completePending(wait, 0)
 	return results
 }
 
@@ -456,43 +453,79 @@ func (sess *Session) CompletePending(wait bool) []Result {
 // bound that keeps a caller from hanging when the device degrades faster
 // than the health machine can classify it.
 func (sess *Session) CompletePendingTimeout(d time.Duration) ([]Result, error) {
-	return sess.completePending(true, time.Now().Add(d))
+	return sess.completePending(true, time.Now().Add(d).UnixNano())
 }
 
-func (sess *Session) completePending(wait bool, deadline time.Time) ([]Result, error) {
-	var results []Result
-	var deadlineNs int64
-	if !deadline.IsZero() {
-		deadlineNs = deadline.UnixNano()
+func (sess *Session) completePending(wait bool, deadlineNs int64) ([]Result, error) {
+	if sess.closed {
+		return nil, nil // Close completed everything and released the guard
 	}
-	idle := 0
+	sess.g.Park()
+	defer sess.g.Unpark()
+	return sess.group.complete(wait, deadlineNs)
+}
+
+// completionGroup is the set of sessions one goroutine drives to
+// completion: a flat Session alone, a ShardedSession's shard subs, or an
+// io-worker's session. Their completion queues share the group's waker.
+// The parking rule: a member is unparked only while it runs a pass or an
+// operation, so a goroutine waiting for its misses pins no epoch on any
+// shard, and each Park runs the trigger actions the member held back —
+// flushes, evictions and the read-only shifts its own deferrals wait for
+// keep moving.
+type completionGroup struct {
+	members []*Session
+	wake    *waker
+}
+
+// newCompletionGroup makes members one group: every member's completion
+// queue, and its own group of one, signals and waits on one waker.
+func newCompletionGroup(members []*Session) completionGroup {
+	g := completionGroup{members: members, wake: newWaker()}
+	for _, m := range members {
+		m.completed.wake = g.wake
+		m.group.wake = g.wake
+	}
+	return g
+}
+
+// pass runs one non-blocking round over every member — Unpark, completePass,
+// Park — appending the finished operations' Results to results.
+func (g *completionGroup) pass(results []Result) []Result {
+	for _, m := range g.members {
+		m.g.Unpark()
+		results = m.completePass(results)
+		m.g.Park()
+	}
+	return results
+}
+
+// complete is the one completion loop: a pass, then return once nothing
+// is outstanding (or at once without wait), else sleep on the waker until
+// a completion lands, the next maintenance tick while deferrals are
+// outstanding, or deadlineNs (0 = none), past which it returns
+// ErrPendingTimeout. Every caller enters it through a CompletePending
+// method, whose frame a stall detector finds on a goroutine blocked here.
+func (g *completionGroup) complete(wait bool, deadlineNs int64) ([]Result, error) {
+	var results []Result
 	for {
 		n := len(results)
-		results = sess.completePass(results)
-		if !wait {
-			return results, nil
+		results = g.pass(results)
+		inFlight, deferred := 0, 0
+		for _, m := range g.members {
+			inFlight += m.inFlight
+			deferred += len(m.retries)
 		}
-		if sess.inFlight == 0 && len(sess.retries) == 0 {
+		switch {
+		case !wait || inFlight+deferred == 0:
 			return results, nil
-		}
-		if len(results) > n {
-			idle = 0
+		case len(results) > n:
 			continue
-		}
-		if deadlineNs != 0 && time.Now().UnixNano() > deadlineNs {
+		case deadlineNs != 0 && time.Now().UnixNano() > deadlineNs:
 			return results, fmt.Errorf("%w (%d in flight, %d deferred)",
-				ErrPendingTimeout, sess.inFlight, len(sess.retries))
+				ErrPendingTimeout, inFlight, deferred)
 		}
-		// Nothing moved. First let the trigger actions this session was
-		// holding back run (a deferral is often waiting on this very
-		// session's refresh) and look again; after that, sleep until a
-		// device callback signals the completion queue.
-		if idle++; idle == 1 {
-			sess.g.Refresh()
-			sess.s.em.Drain()
-			continue
-		}
-		sess.await(waitBound(deadlineNs, len(sess.retries) > 0), nil, nil)
+		g.wake.wait(waitBound(deadlineNs, deferred > 0), nil, nil)
 	}
 }
 

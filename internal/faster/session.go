@@ -22,6 +22,7 @@ type Session struct {
 	opsSince int
 
 	completed completionQueue // async I/O completions land here
+	group     completionGroup // the group of one CompletePending drives
 	retries   []*PendingOp    // fuzzy-region deferrals (§6.3)
 	retrying  bool            // completePass is re-running a deferral
 	inFlight  int             // issued I/Os not yet returned to the user
@@ -85,8 +86,9 @@ var errKeyEmpty = errors.New("faster: empty key")
 
 // StartSession registers a new session (the paper's Acquire).
 func (s *Store) StartSession() *Session {
-	return &Session{s: s, g: s.em.Acquire(), stat: s.acquireSessionStats(),
-		completed: completionQueue{wake: newWaker()}}
+	sess := &Session{s: s, g: s.em.Acquire(), stat: s.acquireSessionStats()}
+	sess.group = newCompletionGroup([]*Session{sess})
+	return sess
 }
 
 // Close deregisters the session (the paper's Release). Pending operations

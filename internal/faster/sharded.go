@@ -234,9 +234,8 @@ func (ss *ShardedStore) Close() error {
 // session per shard, with every operation routed to its key's shard.
 // Exactly one goroutine may drive it at a time.
 type ShardedSession struct {
-	ss   *ShardedStore
-	subs []*Session
-	wake *waker // shared by every sub-session's completion queue
+	ss    *ShardedStore
+	group completionGroup // members: one sub-session per shard
 	// batch scratch, reused across ExecBatch calls
 	groups  [][]BatchOp
 	origIdx [][]int
@@ -244,37 +243,31 @@ type ShardedSession struct {
 	fan     sync.WaitGroup
 }
 
-// Epoch discipline: every sub-session stays PARKED except while it is
-// actively executing an operation. A sharded session routes each op to
-// one shard, so at any instant its other sub-sessions are idle — were
-// they left unparked they would pin stale epochs on their shards, and
-// two clients blocked inside different shards' flush waits would stall
-// each other's drains forever (a cross-shard distributed deadlock:
-// A waits on shard 0 pinning shard 1, B waits on shard 1 pinning
-// shard 0). Parking makes an idle sub-session invisible to its shard's
-// epoch domain; the active one follows the flat store's own discipline.
+// Epoch discipline: the subs are a completionGroup, so a sub-session is
+// unparked only while it runs an operation or a completion pass. Its
+// siblings are idle meanwhile; left unparked they would pin stale epochs
+// on their shards, and two clients blocked in different shards' flush
+// waits would stall each other's drains forever (A waits on shard 0
+// pinning shard 1, B waits on shard 1 pinning shard 0).
 
 // StartSession opens a session on every shard. Each sub-session starts
 // parked; routed operations unpark exactly one for their duration.
 func (ss *ShardedStore) StartSession() *ShardedSession {
 	subs := make([]*Session, len(ss.shards))
-	wake := newWaker()
 	for i, s := range ss.shards {
 		subs[i] = s.StartSession()
-		subs[i].completed.wake = wake
 		subs[i].Park()
 	}
-	return &ShardedSession{ss: ss, subs: subs, wake: wake,
+	return &ShardedSession{ss: ss, group: newCompletionGroup(subs),
 		groups: make([][]BatchOp, len(ss.shards)), origIdx: make([][]int, len(ss.shards)),
 		errs: make([]error, len(ss.shards))}
 }
 
-// Close closes every per-shard session. Each sub is unparked first:
-// Close drains its pending operations, which needs epoch protection.
+// Close completes every pending operation and closes every sub-session.
 func (sess *ShardedSession) Close() error {
+	sess.CompletePending(true)
 	var firstErr error
-	for _, sub := range sess.subs {
-		sub.Unpark()
+	for _, sub := range sess.group.members {
 		if err := sub.Close(); err != nil && firstErr == nil {
 			firstErr = err
 		}
@@ -284,30 +277,26 @@ func (sess *ShardedSession) Close() error {
 
 // SetResidentOnly applies to every shard session.
 func (sess *ShardedSession) SetResidentOnly(on bool) {
-	for _, sub := range sess.subs {
+	for _, sub := range sess.group.members {
 		sub.SetResidentOnly(on)
 	}
 }
 
-// Refresh is a no-op: idle sub-sessions are parked (pinning nothing),
-// and the active one refreshes itself on the flat store's cadence.
-func (sess *ShardedSession) Refresh() {}
-
-// Park is a no-op for the same reason; it exists so callers can treat
-// sharded and flat sessions uniformly around blocking waits.
+// Park is a no-op, as idle sub-sessions are parked already; it lets
+// callers treat sharded and flat sessions uniformly around blocking waits.
 func (sess *ShardedSession) Park() {}
 
 // Unpark mirrors Park.
 func (sess *ShardedSession) Unpark() {}
 
-// SubFor returns the session of the shard owning key.
-func (sess *ShardedSession) SubFor(key []byte) *Session {
-	return sess.subs[sess.ss.ShardFor(key)]
+// subFor returns the session of the shard owning key.
+func (sess *ShardedSession) subFor(key []byte) *Session {
+	return sess.group.members[sess.ss.ShardFor(key)]
 }
 
 // Read routes to the key's shard.
 func (sess *ShardedSession) Read(key, input, output []byte, ctx any) (Status, error) {
-	sub := sess.SubFor(key)
+	sub := sess.subFor(key)
 	sub.Unpark()
 	st, err := sub.Read(key, input, output, ctx)
 	sub.Park()
@@ -316,7 +305,7 @@ func (sess *ShardedSession) Read(key, input, output []byte, ctx any) (Status, er
 
 // Upsert routes to the key's shard.
 func (sess *ShardedSession) Upsert(key, value []byte) (Status, error) {
-	sub := sess.SubFor(key)
+	sub := sess.subFor(key)
 	sub.Unpark()
 	st, err := sub.Upsert(key, value)
 	sub.Park()
@@ -325,7 +314,7 @@ func (sess *ShardedSession) Upsert(key, value []byte) (Status, error) {
 
 // RMW routes to the key's shard.
 func (sess *ShardedSession) RMW(key, input []byte, ctx any) (Status, error) {
-	sub := sess.SubFor(key)
+	sub := sess.subFor(key)
 	sub.Unpark()
 	st, err := sub.RMW(key, input, ctx)
 	sub.Park()
@@ -334,65 +323,25 @@ func (sess *ShardedSession) RMW(key, input []byte, ctx any) (Status, error) {
 
 // Delete routes to the key's shard.
 func (sess *ShardedSession) Delete(key []byte) (Status, error) {
-	sub := sess.SubFor(key)
+	sub := sess.subFor(key)
 	sub.Unpark()
 	st, err := sub.Delete(key)
 	sub.Park()
 	return st, err
 }
 
-// CompletePending drains completions from every shard session. With
-// wait set it cycles across all shards until none holds an outstanding
-// operation, never blocking inside any single shard's wait: a blocked
-// sub-session cannot drain its siblings' completions, and parking keeps
-// the idle shards from stalling the flushes the pending operations
-// need. Between cycles it sleeps on the wake channel the subs share.
+// CompletePending drains completions from every shard session through
+// the group's one loop: with wait set it cycles across all shards until
+// none holds an outstanding operation, never blocking inside any single
+// shard's wait, and sleeps between cycles on the waker the subs share.
 func (sess *ShardedSession) CompletePending(wait bool) []Result {
-	out, _ := sess.completePendingAll(wait, time.Time{})
+	out, _ := sess.group.complete(wait, 0)
 	return out
 }
 
 // CompletePendingTimeout drains every shard within one shared deadline.
 func (sess *ShardedSession) CompletePendingTimeout(d time.Duration) ([]Result, error) {
-	return sess.completePendingAll(true, time.Now().Add(d))
-}
-
-func (sess *ShardedSession) completePendingAll(wait bool, deadline time.Time) ([]Result, error) {
-	var out []Result
-	var deadlineNs int64
-	if !deadline.IsZero() {
-		deadlineNs = deadline.UnixNano()
-	}
-	for {
-		progressed := false
-		busy, deferrals := 0, false
-		for _, sub := range sess.subs {
-			sub.Unpark()
-			res := sub.CompletePending(false)
-			busyHere := sub.inFlight > 0 || len(sub.retries) > 0
-			deferrals = deferrals || len(sub.retries) > 0
-			sub.Park()
-			if len(res) > 0 {
-				progressed = true
-				out = append(out, res...)
-			}
-			if busyHere {
-				busy++
-			}
-		}
-		if !wait || busy == 0 {
-			return out, nil
-		}
-		if progressed {
-			continue
-		}
-		if deadlineNs != 0 && time.Now().UnixNano() > deadlineNs {
-			return out, fmt.Errorf("%w (%d shards busy)", ErrPendingTimeout, busy)
-		}
-		// Nothing moved and every sub is parked (each Park ran the trigger
-		// actions it could): sleep until any shard signals a completion.
-		sess.wake.wait(waitBound(deadlineNs, deferrals), nil, nil)
-	}
+	return sess.group.complete(true, time.Now().Add(d).UnixNano())
 }
 
 // ExecBatch splits the window by shard and executes the per-shard
@@ -404,8 +353,8 @@ func (sess *ShardedSession) ExecBatch(ops []BatchOp) error {
 	if len(ops) == 0 {
 		return nil
 	}
-	if len(sess.subs) == 1 {
-		sub := sess.subs[0]
+	if len(sess.group.members) == 1 {
+		sub := sess.group.members[0]
 		sub.Unpark()
 		err := sub.ExecBatch(ops)
 		sub.Park()
@@ -453,7 +402,7 @@ func (sess *ShardedSession) ExecBatch(ops []BatchOp) error {
 // execGroup runs shard sh's sub-batch of the current ExecBatch window.
 func (sess *ShardedSession) execGroup(sh int) {
 	defer sess.fan.Done()
-	sub := sess.subs[sh]
+	sub := sess.group.members[sh]
 	sub.Unpark()
 	sess.errs[sh] = sub.ExecBatch(sess.groups[sh])
 	sub.Park()

@@ -186,6 +186,15 @@ for procs in 1 2; do
 	GOMAXPROCS=$procs go test -race -run TestServerStampedTimeoutAppliesOnce -count=20 ./internal/server/
 done
 
+# The one completion driver on one, two and eight processors, repeated
+# under the race detector: flat and sharded CompletePending (exactly one
+# result for one pending read across a non-blocking and a blocking call;
+# a sleeper pins no epoch), the io-worker that makes no pass while a read
+# is in flight, and the deadline-bounded wait.
+for procs in 1 2 8; do
+	GOMAXPROCS=$procs go test -race -run 'TestCompletePending|TestIOWorkerCompletionDriven' -count=20 -timeout 300s ./internal/faster/
+done
+
 # Open-loop SLO smoke: constant-arrival-rate load over a larger-than-
 # memory store, no-chaos vs 100ms device latency spikes — hot (resident)
 # p999 must ride through the chaos while cold misses slow, with exact
@@ -227,8 +236,10 @@ go test -race -run 'TestLinearizableReadCache' -count=20 -timeout 300s ./interna
 # record behind a cached copy instead of republishing the index entry
 # (stale read-cache serves) by the read-cache scenario, and an epoch wait
 # that stops refreshing its own guard by a lone writer hanging as it wraps
-# the log buffer (the rest of the gate runs via `make mutation-gate`).
-go test -tags mutate -run 'TestMutationGateSkipSerialFsync|TestMutationGateDroppedReenqueue|TestMutationGateRouteStaleMap|TestMutationGateSkipShardFsync|TestMutationGateSkipCacheInvalidate|TestMutationGateSkipWaitRefresh' -count=1 -timeout 300s ./internal/faster/
+# the log buffer, and a checkpoint that writes its meta without syncing the
+# log's device by the sync spy (the rest of the gate runs via `make
+# mutation-gate`).
+go test -tags mutate -run 'TestMutationGateSkipSerialFsync|TestMutationGateDroppedReenqueue|TestMutationGateRouteStaleMap|TestMutationGateSkipShardFsync|TestMutationGateSkipCacheInvalidate|TestMutationGateSkipWaitRefresh|TestMutationGateSkipLogSync' -count=1 -timeout 300s ./internal/faster/
 
 # Fuzz smoke over the wire codecs and the checkpoint file parsers: a few
 # seconds per target beyond the committed seed corpora. `make fuzz` /
