@@ -98,7 +98,7 @@ func ListenAndServe(addr string) (*Server, error) {
 		// Patient: ~a second of cumulative backoff before concluding the
 		// listener is gone for good.
 		acceptRetry: retry.Policy{MaxAttempts: 8, BaseDelay: time.Millisecond,
-			MaxDelay: 250 * time.Millisecond, Multiplier: 2, JitterFrac: 0.25},
+			MaxDelay: 250 * time.Millisecond},
 	}
 	s.wg.Add(2)
 	go s.acceptLoop()
@@ -152,7 +152,7 @@ func (s *Server) acceptLoop() {
 			default:
 			}
 			failures++
-			if !s.acceptRetry.Budget(classifyAcceptErr, err, failures) {
+			if !s.acceptRetry.Budget(classifyAcceptErr(err), failures) {
 				return
 			}
 			select {

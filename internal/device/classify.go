@@ -14,16 +14,8 @@ import (
 // errors.Join) so errors.Is(err, ErrPermanent) classifies them.
 var ErrPermanent = errors.New("device: permanent failure")
 
-// Classifier is implemented by devices that know how to classify their own
-// errors (a cloud-storage device could map HTTP 503 to Transient and 404
-// to Permanent). Wrappers like Faulty forward to the inner device.
-type Classifier interface {
-	ClassifyError(err error) retry.Class
-}
-
-// Classify is the default error taxonomy for the built-in devices, and the
-// retry.Classifier used by the store when the device does not implement
-// Classifier:
+// Classify is the error taxonomy of every device I/O the store retries
+// (the HybridLog's one retry path):
 //
 //   - nil is not an error (Transient, never consulted on success)
 //   - ErrPermanent (and anything wrapping it), ErrClosed, ErrOutOfRange and
@@ -50,13 +42,4 @@ func Classify(err error) retry.Class {
 	default:
 		return retry.Transient
 	}
-}
-
-// ClassifierFor returns the retry.Classifier for dev: the device's own
-// ClassifyError when implemented, otherwise the default Classify taxonomy.
-func ClassifierFor(dev Device) retry.Classifier {
-	if c, ok := dev.(Classifier); ok {
-		return c.ClassifyError
-	}
-	return Classify
 }

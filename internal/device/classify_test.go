@@ -50,40 +50,3 @@ func TestClassifyTable(t *testing.T) {
 		})
 	}
 }
-
-// selfClassifying is a Device stub that implements Classifier with an
-// inverted taxonomy, to prove ClassifierFor dispatches to it.
-type selfClassifying struct{ Device }
-
-func (selfClassifying) ClassifyError(error) retry.Class { return retry.Permanent }
-
-func TestClassifierForDispatch(t *testing.T) {
-	mem := NewMem(MemConfig{})
-	defer mem.Close()
-
-	// A plain device gets the default taxonomy.
-	c := ClassifierFor(mem)
-	if got := c(errors.New("anything")); got != retry.Transient {
-		t.Fatalf("default classifier: %v, want Transient", got)
-	}
-
-	// A device that classifies its own errors wins.
-	c = ClassifierFor(selfClassifying{mem})
-	if got := c(errors.New("anything")); got != retry.Permanent {
-		t.Fatalf("device classifier not consulted: %v, want Permanent", got)
-	}
-
-	// Faulty forwards to the inner device's classifier when present…
-	f := NewFaulty(selfClassifying{mem})
-	if got := ClassifierFor(f)(errors.New("x")); got != retry.Permanent {
-		t.Fatalf("Faulty did not forward to inner classifier: %v", got)
-	}
-	// …and falls back to the default taxonomy otherwise.
-	f = NewFaulty(mem)
-	if got := ClassifierFor(f)(ErrPermanent); got != retry.Permanent {
-		t.Fatalf("Faulty default classification: %v, want Permanent", got)
-	}
-	if got := ClassifierFor(f)(ErrInjected); got != retry.Transient {
-		t.Fatalf("Faulty default classification: %v, want Transient", got)
-	}
-}

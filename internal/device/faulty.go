@@ -12,7 +12,7 @@ import (
 
 // Fault sentinels. All injected errors wrap ErrInjected so tests can
 // detect injection with errors.Is; permanent flavors additionally wrap
-// ErrPermanent so the default Classify taxonomy stops retrying them.
+// ErrPermanent so the Classify taxonomy stops retrying them.
 var (
 	// ErrInjected is returned by Faulty for injected transient failures.
 	ErrInjected = errors.New("device: injected fault")
@@ -231,16 +231,6 @@ func (d *Faulty) Metrics() Metrics {
 	m.InjectedReadFaults = uint64(r)
 	m.InjectedWriteFaults = uint64(w)
 	return m
-}
-
-// ClassifyError implements Classifier, forwarding to the inner device's
-// taxonomy when it has one. Injected sentinels are already shaped for the
-// default taxonomy (permanent flavors wrap ErrPermanent).
-func (d *Faulty) ClassifyError(err error) retry.Class {
-	if c, ok := d.inner.(Classifier); ok {
-		return c.ClassifyError(err)
-	}
-	return Classify(err)
 }
 
 func clamp01(p float64) float64 {

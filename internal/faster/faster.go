@@ -131,9 +131,11 @@ type Config struct {
 	// ring never reads the device, so its cache stays empty.
 	ReadCacheBytes uint64
 
-	// ReadRetry bounds retries of pending record reads; the zero value
-	// selects retry.DefaultRead(). Set MaxAttempts to 1 to disable
-	// retries (every device error surfaces immediately).
+	// ReadRetry bounds retries of device reads (pending records and
+	// scans: recovery, compaction); the zero value selects
+	// retry.DefaultRead(). Set MaxAttempts to 1 to disable retries (every
+	// device error surfaces immediately). The HybridLog retries every
+	// device read and write, classifying errors with device.Classify.
 	ReadRetry retry.Policy
 	// WriteRetry bounds retries of page-flush writes; the zero value
 	// selects retry.DefaultWrite(). When the budget is exhausted (or a
@@ -169,12 +171,6 @@ func (c *Config) setDefaults() error {
 	}
 	if c.IOQueueDepth <= 0 {
 		c.IOQueueDepth = 16 * c.IOWorkers
-	}
-	if c.ReadRetry == (retry.Policy{}) {
-		c.ReadRetry = retry.DefaultRead()
-	}
-	if c.WriteRetry == (retry.Policy{}) {
-		c.WriteRetry = retry.DefaultWrite()
 	}
 	if c.CRDT {
 		if _, ok := c.Ops.(MergeOps); !ok {
@@ -270,13 +266,12 @@ func (s *Store) sumStats() statTotals {
 
 // Store is a FASTER key-value store instance.
 type Store struct {
-	cfg      Config
-	em       *epoch.Manager
-	idx      *index.Index
-	log      *hlog.Log
-	ops      ValueOps
-	merge    MergeOps // non-nil iff cfg.CRDT
-	classify retry.Classifier
+	cfg   Config
+	em    *epoch.Manager
+	idx   *index.Index
+	log   *hlog.Log
+	ops   ValueOps
+	merge MergeOps // non-nil iff cfg.CRDT
 
 	health      atomic.Int32                // Health state machine (health.go)
 	healthCause atomic.Pointer[healthCause] // first ReadOnly/Failed cause
@@ -316,7 +311,6 @@ type Store struct {
 	mx struct {
 		pendingDepth      metrics.Gauge     // I/Os issued and not yet returned to the user
 		pendingLatency    metrics.Histogram // issue -> completion-queue drain
-		pendingRetries    metrics.Counter   // pending-read attempts retried after a transient fault
 		healthTransitions metrics.Counter   // health state machine transitions
 		compactions       metrics.Counter   // completed Compact runs
 		compactedRecords  metrics.Counter   // live records copied forward
@@ -355,7 +349,6 @@ func Open(cfg Config) (*Store, error) {
 		return nil, err
 	}
 	s := &Store{cfg: cfg, em: em, idx: idx, ops: cfg.Ops, sessions: newSessionTable()}
-	s.classify = device.ClassifierFor(cfg.Device)
 	log, err := hlog.New(hlog.Config{
 		PageBits:        cfg.PageBits,
 		BufferPages:     cfg.BufferPages,
@@ -363,12 +356,12 @@ func Open(cfg Config) (*Store, error) {
 		Mode:            cfg.Mode,
 		Device:          cfg.Device,
 		Epoch:           em,
-		Retry:           cfg.WriteRetry,
-		Classify:        s.classify,
-		// Flush retries mean the write path is limping: Degraded. A
-		// poisoned tail means it is gone: ReadOnly. Reads keep serving
-		// the resident region and flushed pages either way.
-		OnFlushRetry:   func(_ int, err error) { s.raiseHealth(Degraded, err) },
+		ReadRetry:       cfg.ReadRetry,
+		WriteRetry:      cfg.WriteRetry,
+		// A retried flush or read means the device is limping: Degraded.
+		// A poisoned tail means the write path is gone: ReadOnly. Reads
+		// keep serving the resident region and flushed pages either way.
+		OnRetry:        func(err error) { s.raiseHealth(Degraded, err) },
 		OnWriteFailure: func(err error) { s.raiseHealth(ReadOnly, err) },
 	})
 	if err != nil {

@@ -30,7 +30,7 @@ type StoreMetrics struct {
 
 	PendingDepth   int64                     // I/Os outstanding right now
 	PendingIssued  uint64                    // I/Os issued in total
-	PendingRetries uint64                    // pending-read attempts retried
+	PendingRetries uint64                    // device reads retried (pending records, scans)
 	PendingLatency metrics.HistogramSnapshot // issue -> completion drain
 
 	// io-worker pool (iopool.go): out-of-band completion of resident-only
@@ -139,7 +139,6 @@ func (s *Store) Metrics() StoreMetrics {
 
 		PendingDepth:   s.mx.pendingDepth.Load(),
 		PendingIssued:  t.pendingIOs,
-		PendingRetries: s.mx.pendingRetries.Load(),
 		PendingLatency: s.mx.pendingLatency.Snapshot(),
 
 		IOSubmitted:     s.mx.ioSubmitted.Load(),
@@ -177,6 +176,7 @@ func (s *Store) Metrics() StoreMetrics {
 		Index: s.idx.Metrics(),
 		Epoch: s.em.Metrics(),
 	}
+	m.PendingRetries = m.Log.ReadRetries // the log retries every device read
 	if src, ok := s.cfg.Device.(device.MetricsSource); ok {
 		m.Device = src.Metrics()
 		m.DeviceKnown = true

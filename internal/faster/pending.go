@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/hlog"
-	"repro/internal/retry"
 )
 
 // Operations go pending for two reasons (§5.3, §6.3): the record they need
@@ -317,58 +316,6 @@ func (sess *Session) ioDone() {
 // device degradation.
 var ErrOpDeadline = fmt.Errorf("faster: pending operation deadline expired: %w", context.DeadlineExceeded)
 
-// readRetrying reads buf at addr, retrying transient failures under the
-// store's read policy with jittered backoff. done receives nil on success
-// or the final error wrapped as a retry.ExhaustedError (errors.Is on the
-// device cause still works). deadlineNs, when nonzero, bounds the whole
-// retry chain: an expired deadline fails fast with ErrOpDeadline instead
-// of scheduling another backoff (and never raises health). The retry
-// chain is serial — one outstanding read at a time.
-func (s *Store) readRetrying(addr hlog.Address, buf []byte, deadlineNs int64, done func(error)) {
-	if deadlineNs > 0 && time.Now().UnixNano() >= deadlineNs {
-		done(ErrOpDeadline)
-		return
-	}
-	s.readAttempt(addr, buf, deadlineNs, 0, done)
-}
-
-// readAttempt issues one device read of the chain; failures counts the
-// attempts that failed before it. The success path costs one closure.
-func (s *Store) readAttempt(addr hlog.Address, buf []byte, deadlineNs int64, failures int, done func(error)) {
-	s.log.ReadAsync(addr, buf, func(err error) {
-		if err == nil {
-			done(nil)
-			return
-		}
-		if addr < s.log.BeginAddress() {
-			// The fetch raced a truncation: the record is provably dead
-			// (it sat below a begin address some caller advanced past).
-			// Deliver the raw error without burning retry budget or
-			// touching the health ladder — the continuation resolves it
-			// as NotFound, not as device degradation.
-			done(err)
-			return
-		}
-		failures := failures + 1
-		if !s.cfg.ReadRetry.Budget(s.classify, err, failures) {
-			done(retry.Exhausted(s.classify, err, failures))
-			return
-		}
-		delay := s.cfg.ReadRetry.Delay(failures)
-		if deadlineNs > 0 && time.Now().Add(delay).UnixNano() >= deadlineNs {
-			// The backoff would sleep past the deadline: shed now. No
-			// Degraded escalation — the device fault already consumed
-			// retry budget, and a deadline shed is explicit back-pressure,
-			// not a new health signal.
-			done(ErrOpDeadline)
-			return
-		}
-		s.mx.pendingRetries.Inc()
-		s.raiseHealth(Degraded, err)
-		time.AfterFunc(delay, func() { s.readAttempt(addr, buf, deadlineNs, failures, done) })
-	})
-}
-
 // firstReadBytes is the span issueIO reads for a cold record: enough for
 // any record of a few KiB in one device call, so a miss costs one read.
 // Longer records take a second read of their exact size.
@@ -378,7 +325,8 @@ const firstReadBytes = 4 << 10
 // of the span [addr, addr+firstReadBytes), clamped to addr's page end (the
 // device holds every page below the head whole, hlog.RecoverTo included),
 // then — only for a record longer than the span — a second read of the
-// whole record. The final callback parks the op on the session's
+// whole record. The log retries each read under the read policy, within
+// the op's deadline. The final callback parks the op on the session's
 // completion queue; no store state is touched from the I/O callback
 // goroutine beyond the health escalation for permanent device loss.
 func (sess *Session) issueIO(op *PendingOp) {
@@ -388,6 +336,9 @@ func (sess *Session) issueIO(op *PendingOp) {
 	op.issuedNs = time.Now().UnixNano()
 	s := sess.s
 	fail := func(err error) {
+		if errors.Is(err, hlog.ErrDeadline) {
+			err = ErrOpDeadline
+		}
 		op.err = err
 		// A read below a moving begin address is a truncation race, not a
 		// device failure, and a deadline shed is explicit back-pressure;
@@ -401,7 +352,7 @@ func (sess *Session) issueIO(op *PendingOp) {
 	// callback below runs elsewhere and must not touch the session's pool.
 	pageEnd := (op.addr | (s.log.PageSize() - 1)) + 1
 	buf := sess.getIOBuf(int(min(pageEnd, op.addr+firstReadBytes) - op.addr))
-	s.readRetrying(op.addr, buf, op.deadlineNs, func(err error) {
+	s.log.ReadAsync(op.addr, buf, op.deadlineNs, func(err error) {
 		if err != nil {
 			fail(err)
 			return
@@ -418,7 +369,7 @@ func (sess *Session) issueIO(op *PendingOp) {
 			} else {
 				buf = make([]byte, size)
 			}
-			s.readRetrying(op.addr, buf, op.deadlineNs, func(err error) {
+			s.log.ReadAsync(op.addr, buf, op.deadlineNs, func(err error) {
 				if err != nil {
 					fail(err)
 					return

@@ -97,15 +97,12 @@ func (s *Store) scanPage(g *epoch.Guard, addr, to hlog.Address, buf []byte, incl
 		// Fetch the flushed page (or its prefix, if the window ends
 		// inside it) from the device.
 		page = buf[:min(pageEnd, to)-pageStart]
-		// Page reads retry transient device faults under the read
+		// The log retries transient device faults under the read
 		// policy; this is what lets Recover and compaction survive a
 		// flaky device instead of aborting on the first hiccup.
-		err := s.cfg.ReadRetry.Do(s.classify, func() error {
-			errCh := make(chan error, 1)
-			s.log.ReadAsync(pageStart, page, func(err error) { errCh <- err })
-			return <-errCh
-		})
-		if err != nil {
+		done := make(chan error, 1)
+		s.log.ReadAsync(pageStart, page, 0, func(err error) { done <- err })
+		if err := <-done; err != nil {
 			return 0, false, fmt.Errorf("faster: scan read page at %#x: %w", pageStart, err)
 		}
 	}

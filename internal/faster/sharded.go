@@ -234,8 +234,9 @@ func (ss *ShardedStore) Close() error {
 // session per shard, with every operation routed to its key's shard.
 // Exactly one goroutine may drive it at a time.
 type ShardedSession struct {
-	ss    *ShardedStore
-	group completionGroup // members: one sub-session per shard
+	ss     *ShardedStore
+	group  completionGroup // members: one sub-session per shard
+	closed bool            // Close ran: the subs' guards are released
 	// batch scratch, reused across ExecBatch calls
 	groups  [][]BatchOp
 	origIdx [][]int
@@ -264,8 +265,13 @@ func (ss *ShardedStore) StartSession() *ShardedSession {
 }
 
 // Close completes every pending operation and closes every sub-session.
+// A second Close does nothing.
 func (sess *ShardedSession) Close() error {
+	if sess.closed {
+		return nil
+	}
 	sess.CompletePending(true)
+	sess.closed = true
 	var firstErr error
 	for _, sub := range sess.group.members {
 		if err := sub.Close(); err != nil && firstErr == nil {
@@ -296,6 +302,9 @@ func (sess *ShardedSession) subFor(key []byte) *Session {
 
 // Read routes to the key's shard.
 func (sess *ShardedSession) Read(key, input, output []byte, ctx any) (Status, error) {
+	if sess.closed {
+		return Err, ErrSessionClosed
+	}
 	sub := sess.subFor(key)
 	sub.Unpark()
 	st, err := sub.Read(key, input, output, ctx)
@@ -305,6 +314,9 @@ func (sess *ShardedSession) Read(key, input, output []byte, ctx any) (Status, er
 
 // Upsert routes to the key's shard.
 func (sess *ShardedSession) Upsert(key, value []byte) (Status, error) {
+	if sess.closed {
+		return Err, ErrSessionClosed
+	}
 	sub := sess.subFor(key)
 	sub.Unpark()
 	st, err := sub.Upsert(key, value)
@@ -314,6 +326,9 @@ func (sess *ShardedSession) Upsert(key, value []byte) (Status, error) {
 
 // RMW routes to the key's shard.
 func (sess *ShardedSession) RMW(key, input []byte, ctx any) (Status, error) {
+	if sess.closed {
+		return Err, ErrSessionClosed
+	}
 	sub := sess.subFor(key)
 	sub.Unpark()
 	st, err := sub.RMW(key, input, ctx)
@@ -323,6 +338,9 @@ func (sess *ShardedSession) RMW(key, input []byte, ctx any) (Status, error) {
 
 // Delete routes to the key's shard.
 func (sess *ShardedSession) Delete(key []byte) (Status, error) {
+	if sess.closed {
+		return Err, ErrSessionClosed
+	}
 	sub := sess.subFor(key)
 	sub.Unpark()
 	st, err := sub.Delete(key)
@@ -334,14 +352,22 @@ func (sess *ShardedSession) Delete(key []byte) (Status, error) {
 // the group's one loop: with wait set it cycles across all shards until
 // none holds an outstanding operation, never blocking inside any single
 // shard's wait, and sleeps between cycles on the waker the subs share.
+// A closed session returns nothing.
 func (sess *ShardedSession) CompletePending(wait bool) []Result {
-	out, _ := sess.group.complete(wait, 0)
+	out, _ := sess.complete(wait, 0)
 	return out
 }
 
 // CompletePendingTimeout drains every shard within one shared deadline.
 func (sess *ShardedSession) CompletePendingTimeout(d time.Duration) ([]Result, error) {
-	return sess.group.complete(true, time.Now().Add(d).UnixNano())
+	return sess.complete(true, time.Now().Add(d).UnixNano())
+}
+
+func (sess *ShardedSession) complete(wait bool, deadlineNs int64) ([]Result, error) {
+	if sess.closed {
+		return nil, nil // Close completed everything and released the guards
+	}
+	return sess.group.complete(wait, deadlineNs)
 }
 
 // ExecBatch splits the window by shard and executes the per-shard
@@ -350,6 +376,9 @@ func (sess *ShardedSession) CompletePendingTimeout(d time.Duration) ([]Result, e
 // caller's buffers exactly as with Session.ExecBatch. Slots that go
 // Pending complete through CompletePending as usual.
 func (sess *ShardedSession) ExecBatch(ops []BatchOp) error {
+	if sess.closed {
+		return ErrSessionClosed
+	}
 	if len(ops) == 0 {
 		return nil
 	}

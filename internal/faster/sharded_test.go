@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"repro/internal/device"
 	"repro/internal/hlog"
@@ -522,3 +523,42 @@ func leU64(b []byte) uint64 {
 
 var _ = hlog.Address(0)
 var _ = bytes.Equal
+
+// TestShardedSessionUseAfterClose checks that a closed ShardedSession
+// behaves as a closed flat Session: a second Close and CompletePending
+// return nothing, and every operation returns ErrSessionClosed.
+func TestShardedSessionUseAfterClose(t *testing.T) {
+	ss, _ := openTestSharded(t, 2, Config{})
+	defer ss.Close()
+	sess := ss.StartSession()
+	if _, err := sess.Upsert(key(1), u64(1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.Close(); err != nil {
+		t.Fatalf("second Close = %v", err)
+	}
+	if res := sess.CompletePending(true); len(res) != 0 {
+		t.Fatalf("CompletePending after Close = %v", res)
+	}
+	if res, err := sess.CompletePendingTimeout(time.Second); len(res) != 0 || err != nil {
+		t.Fatalf("CompletePendingTimeout after Close = %v, %v", res, err)
+	}
+	out := make([]byte, 8)
+	for name, op := range map[string]func() (Status, error){
+		"Read":   func() (Status, error) { return sess.Read(key(1), nil, out, nil) },
+		"Upsert": func() (Status, error) { return sess.Upsert(key(2), u64(2)) },
+		"RMW":    func() (Status, error) { return sess.RMW(key(1), u64(1), nil) },
+		"Delete": func() (Status, error) { return sess.Delete(key(1)) },
+	} {
+		if st, err := op(); st != Err || !errors.Is(err, ErrSessionClosed) {
+			t.Fatalf("%s after Close = %v, %v; want ErrSessionClosed", name, st, err)
+		}
+	}
+	ops := []BatchOp{{Kind: BatchRead, Key: key(1), Output: out}}
+	if err := sess.ExecBatch(ops); !errors.Is(err, ErrSessionClosed) {
+		t.Fatalf("ExecBatch after Close = %v; want ErrSessionClosed", err)
+	}
+}

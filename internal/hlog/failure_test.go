@@ -27,8 +27,8 @@ func faultyLog(t *testing.T, policy retry.Policy) (*Log, *epoch.Manager, *device
 		Mode:            ModeHybrid,
 		Device:          faulty,
 		Epoch:           em,
-		Retry:           policy,
-		OnFlushRetry:    func(int, error) { rec.retries.Add(1) },
+		WriteRetry:      policy,
+		OnRetry:         func(error) { rec.retries.Add(1) },
 		OnWriteFailure:  func(err error) { rec.record(err) },
 	})
 	if err != nil {
@@ -146,7 +146,7 @@ func TestTransientFailuresExhaustBudgetThenPoison(t *testing.T) {
 }
 
 func TestTransientFaultsHealWithinBudget(t *testing.T) {
-	l, em, faulty, _ := faultyLog(t, retry.Policy{MaxAttempts: 4, BaseDelay: 100 * time.Microsecond, Multiplier: 2})
+	l, em, faulty, _ := faultyLog(t, retry.Policy{MaxAttempts: 4, BaseDelay: 100 * time.Microsecond})
 	faulty.FailEveryNthWrite(2) // every other write fails; the retry lands on success
 	fillPages(t, l, em, 6)
 
@@ -160,38 +160,81 @@ func TestTransientFaultsHealWithinBudget(t *testing.T) {
 }
 
 func TestCloseCancelsOutstandingRetryTimers(t *testing.T) {
+	t.Run("flush", func(t *testing.T) {
+		em := epoch.New(64)
+		mem := device.NewMem(device.MemConfig{})
+		faulty := device.NewFaulty(mem)
+		l, err := New(Config{
+			PageBits: 12, BufferPages: 4, MutableFraction: 0.5,
+			Mode: ModeHybrid, Device: faulty, Epoch: em,
+			// Long backoff: timers are guaranteed still pending at Close.
+			WriteRetry: retry.Policy{MaxAttempts: 1000, BaseDelay: time.Hour},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer mem.Close()
+
+		faulty.FailEveryNthWrite(1)
+		fillPages(t, l, em, 3)
+		waitFor(t, "a pending retry timer", func() bool { return l.retryTimerCount() > 0 })
+
+		retriesBefore := l.Metrics().FlushRetries
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if n := l.retryTimerCount(); n != 0 {
+			t.Fatalf("%d retry timers survived Close", n)
+		}
+		// Nothing may fire after Close: the pre-hardening code leaked a
+		// 1ms AfterFunc chain that kept re-arming against the closed log.
+		time.Sleep(20 * time.Millisecond)
+		if got := l.Metrics().FlushRetries; got != retriesBefore {
+			t.Fatalf("flush retries advanced after Close: %d -> %d", retriesBefore, got)
+		}
+		if l.retryTimerCount() != 0 {
+			t.Fatal("retry timer re-armed after Close")
+		}
+	})
+	t.Run("read", testCloseCancelsReadRetry)
+}
+
+// testCloseCancelsReadRetry parks a failed read in its backoff and closes
+// the log: the read's callback runs exactly once, with ErrClosed, and no
+// timer survives Close.
+func testCloseCancelsReadRetry(t *testing.T) {
 	em := epoch.New(64)
 	mem := device.NewMem(device.MemConfig{})
+	defer mem.Close()
 	faulty := device.NewFaulty(mem)
 	l, err := New(Config{
 		PageBits: 12, BufferPages: 4, MutableFraction: 0.5,
 		Mode: ModeHybrid, Device: faulty, Epoch: em,
-		// Long backoff: timers are guaranteed still pending at Close.
-		Retry: retry.Policy{MaxAttempts: 1000, BaseDelay: time.Hour},
+		ReadRetry: retry.Policy{MaxAttempts: 1000, BaseDelay: 50 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer mem.Close()
-
-	faulty.FailEveryNthWrite(1)
-	fillPages(t, l, em, 3)
-	waitFor(t, "a pending retry timer", func() bool { return l.retryTimerCount() > 0 })
-
-	retriesBefore := l.Metrics().FlushRetries
+	faulty.FailEveryNthRead(1)
+	var calls atomic.Int64
+	var got atomic.Pointer[error]
+	l.ReadAsync(FirstValidAddress, make([]byte, 64), 0, func(err error) {
+		calls.Add(1)
+		got.Store(&err)
+	})
+	waitFor(t, "a pending read retry timer", func() bool { return l.retryTimerCount() > 0 })
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if n := l.retryTimerCount(); n != 0 {
 		t.Fatalf("%d retry timers survived Close", n)
 	}
-	// Nothing may fire after Close: the pre-hardening code leaked a
-	// 1ms AfterFunc chain that kept re-arming against the closed log.
-	time.Sleep(20 * time.Millisecond)
-	if got := l.Metrics().FlushRetries; got != retriesBefore {
-		t.Fatalf("flush retries advanced after Close: %d -> %d", retriesBefore, got)
+	// Past the stopped timer's whole jitter envelope: nothing fires late.
+	time.Sleep(100 * time.Millisecond)
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("read callback ran %d times, want exactly once", n)
 	}
-	if l.retryTimerCount() != 0 {
-		t.Fatal("retry timer re-armed after Close")
+	if err := *got.Load(); !errors.Is(err, ErrClosed) {
+		t.Fatalf("read callback got %v, want ErrClosed", err)
 	}
 }

@@ -24,6 +24,7 @@
 package hlog
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -95,18 +96,17 @@ type Config struct {
 	// Epoch is the shared epoch manager. Required.
 	Epoch *epoch.Manager
 
-	// Retry bounds the flush-write retry loop. The zero value selects
-	// retry.DefaultWrite(). Transient flush failures are retried with
-	// backoff up to the attempt budget; a Permanent classification or an
-	// exhausted budget poisons the log tail (see ErrPoisoned).
-	Retry retry.Policy
-	// Classify maps device errors to retry classes; defaults to the
-	// device's own taxonomy (device.ClassifierFor).
-	Classify retry.Classifier
-	// OnFlushRetry, if set, is observed on every retried flush write
-	// (attempt is the number of failures so far). Called from I/O
-	// callback goroutines; must not block.
-	OnFlushRetry func(attempt int, err error)
+	// ReadRetry and WriteRetry bound the retries of the log's device reads
+	// and writes (page flushes and RecoverTo's pad); the zero values select
+	// retry.DefaultRead() and retry.DefaultWrite(). Every device I/O of the
+	// log takes one retry path (attempt): a failure device.Classify calls
+	// Transient is retried with backoff up to the attempt budget; a
+	// Permanent one or an exhausted budget ends the I/O with its error. A
+	// flush that ends so poisons the log tail (see ErrPoisoned).
+	ReadRetry, WriteRetry retry.Policy
+	// OnRetry, if set, is observed on every retried device read or write.
+	// Called from I/O callback goroutines; must not block.
+	OnRetry func(err error)
 	// OnWriteFailure, if set, is called exactly once when the flush path
 	// gives up and poisons the log tail. Called from an I/O callback
 	// goroutine; must not block.
@@ -184,18 +184,17 @@ type Log struct {
 
 	frames []atomic.Uint32 // frame status, one per frame of the ring
 
-	classify retry.Classifier
-
 	// failure is set once when the flush path exhausts its retry budget
 	// (or hits a Permanent error): the log tail is poisoned. Allocation
 	// and flush waits fail fast instead of hanging; already-flushed data
 	// and the resident region stay readable.
 	failure atomic.Pointer[logFailure]
 
-	// Outstanding flush-retry timers, cancelled on Close so a dead device
-	// cannot keep firing retries into a closed log.
+	// Outstanding backoff timers, each with its I/O's callback: Close
+	// stops them, so a dead device cannot keep firing retries into a
+	// closed log, and calls each stopped I/O back with ErrClosed.
 	retryMu     sync.Mutex
-	retryTimers map[*time.Timer]struct{}
+	retryTimers map[*time.Timer]device.Callback
 
 	// Truncation state. truncSafe is the highest begin value that has been
 	// published under an epoch bump + drain: every thread has observed
@@ -210,7 +209,8 @@ type Log struct {
 
 	mx struct {
 		flushesIssued  metrics.Counter   // page-granular flush writes issued
-		flushRetries   metrics.Counter   // failed flush writes re-issued
+		flushRetries   metrics.Counter   // failed device writes re-issued
+		readRetries    metrics.Counter   // failed device reads re-issued
 		flushFailures  metrics.Counter   // flush spans abandoned (poisoned)
 		flushedBytes   metrics.Counter   // bytes whose flush completed
 		flushLatency   metrics.Histogram // write issue -> completion callback
@@ -225,8 +225,8 @@ type Log struct {
 		flushWait      metrics.Histogram // WaitUntilFlushed stall time
 	}
 
-	// closed is set under ioMu, which also counts the flush writes handed
-	// to the device whose callbacks have not returned (ioInflight). Close
+	// closed is set under ioMu, which also counts the writes handed to
+	// the device whose callbacks have not returned (ioInflight). Close
 	// unmaps the frames only once that count drains: a device may copy a
 	// write's buffer long after WriteAsync returned, and device.Faulty can
 	// hand a delayed or torn write to its inner device after Sync.
@@ -255,6 +255,9 @@ var (
 	// WaitUntilFlushed after poisoning wrap ErrPoisoned and the device
 	// cause.
 	ErrPoisoned = errors.New("hlog: log tail poisoned by write failure")
+	// ErrDeadline ends a read issued past its deadline, or one whose next
+	// backoff would sleep past it. It wraps context.DeadlineExceeded.
+	ErrDeadline = fmt.Errorf("hlog: read deadline expired: %w", context.DeadlineExceeded)
 )
 
 // New creates a Log from cfg.
@@ -282,11 +285,11 @@ func New(cfg Config) (*Log, error) {
 		return nil, fmt.Errorf("hlog: BufferPages %d must be a power of two >= 2", cfg.BufferPages)
 	}
 
-	if cfg.Retry == (retry.Policy{}) {
-		cfg.Retry = retry.DefaultWrite()
+	if cfg.ReadRetry == (retry.Policy{}) {
+		cfg.ReadRetry = retry.DefaultRead()
 	}
-	if cfg.Classify == nil {
-		cfg.Classify = device.ClassifierFor(cfg.Device)
+	if cfg.WriteRetry == (retry.Policy{}) {
+		cfg.WriteRetry = retry.DefaultWrite()
 	}
 
 	l := &Log{
@@ -297,8 +300,7 @@ func New(cfg Config) (*Log, error) {
 		em:          cfg.Epoch,
 		dev:         cfg.Device,
 		frames:      make([]atomic.Uint32, cfg.BufferPages),
-		classify:    cfg.Classify,
-		retryTimers: make(map[*time.Timer]struct{}),
+		retryTimers: make(map[*time.Timer]device.Callback),
 	}
 	l.flushed.init()
 	l.ioDrained.L = &l.ioMu
@@ -624,64 +626,139 @@ func (l *Log) onSafeReadOnly(ro uint64) {
 //
 // A failed flush would lose data; the paper assumes reliable storage.
 // Completion is recorded only on success — eviction can never pass an
-// unflushed page — and failures are handled by classification: transient
-// errors retry with bounded exponential backoff and jitter so the
-// durability watermark is not wedged by one flaky write, while a
-// Permanent classification (or an exhausted attempt budget) poisons the
-// log tail so the store can degrade to read-only instead of retrying a
-// dead device every millisecond forever.
+// unflushed page — and each page write retries like every device I/O of
+// the log (attempt), so one flaky write does not wedge the durability
+// watermark. A write that fails for good poisons the log tail, so the
+// store can degrade to read-only instead of retrying a dead device every
+// millisecond forever.
 func (l *Log) issueFlush(from, to uint64) {
 	if l.closed.Load() || l.Poisoned() {
 		return
 	}
 	for from < to {
-		page := l.pageOf(from)
-		pageEnd := (page + 1) << l.pageBits
-		end := min(pageEnd, to)
-		buf := l.Slice(from)[:end-from]
-		start, stop := from, end
-		if !l.beginIO() {
-			return
-		}
-		var done device.Callback
+		start, end := from, min((l.pageOf(from)+1)<<l.pageBits, to)
 		issued := time.Now()
-		failures := 0 // touched by one callback at a time (serial retries)
-		write := func() { l.dev.WriteAsync(buf, start, done) }
-		attempt := func(err error) {
-			if err == nil {
-				l.mx.flushLatency.Observe(time.Since(issued))
-				l.mx.flushedBytes.Add(stop - start)
-				l.flushed.complete(start, stop)
-				return
-			}
-			if l.closed.Load() || l.Poisoned() {
-				return
-			}
-			failures++
-			if l.classify.Classify(err) == retry.Permanent || failures >= l.cfg.Retry.Attempts() {
-				l.poison(fmt.Errorf("flush of [%#x,%#x): %w",
-					start, stop, retry.Exhausted(l.classify, err, failures)))
-				return
-			}
-			l.mx.flushRetries.Inc()
-			if l.cfg.OnFlushRetry != nil {
-				l.cfg.OnFlushRetry(failures, err)
-			}
-			l.scheduleRetry(l.cfg.Retry.Delay(failures), write)
-		}
-		done = func(err error) {
-			attempt(err)
-			l.endIO()
-		}
 		l.mx.flushesIssued.Inc()
-		write()
+		l.attempt(deviceIO{write: true, addr: start, buf: l.Slice(start)[:end-start], done: func(err error) {
+			switch {
+			case err == nil:
+				l.mx.flushLatency.Observe(time.Since(issued))
+				l.mx.flushedBytes.Add(end - start)
+				l.flushed.complete(start, end)
+			case !errors.Is(err, ErrClosed):
+				l.poison(fmt.Errorf("flush of [%#x,%#x): %w", start, end, err))
+			}
+		}}, 0)
 		from = end
 	}
 }
 
-// beginIO counts a flush write about to be handed to the device, or
-// reports false once the log is closed: Close may already be unmapping
-// the frame the write would read.
+// deviceIO is one read or write the log hands the device, retried as a
+// unit; done receives its outcome exactly once.
+type deviceIO struct {
+	write      bool
+	addr       Address
+	buf        []byte
+	deadlineNs int64 // reads: when nonzero, the retries end by then
+	done       device.Callback
+}
+
+// attempt hands io to the device; failures counts its attempts that
+// failed before this one. It is the one retry path for the log's device
+// I/O — page flushes, record and scan reads, RecoverTo's pad: each
+// failure is classified by device.Classify and either retried after a
+// backoff (retryOrEnd) or handed to io.done. The success path costs one
+// closure. A write counts as in flight from here until its callback
+// returns, so Close waits for it: the device may read its buffer, a ring
+// frame, until then.
+func (l *Log) attempt(io deviceIO, failures int) {
+	if io.write && !l.beginIO() {
+		io.done(ErrClosed)
+		return
+	}
+	cb := func(err error) {
+		if err == nil {
+			io.done(nil)
+		} else {
+			l.retryOrEnd(io, failures+1, err)
+		}
+		if io.write {
+			l.endIO()
+		}
+	}
+	if io.write {
+		l.dev.WriteAsync(io.buf, io.addr, cb)
+	} else {
+		l.dev.ReadAsync(io.buf, io.addr, cb)
+	}
+}
+
+// retryOrEnd decides io after its failures-th failed attempt, err: it is
+// re-issued after the policy's backoff while the budget allows, and ends
+// otherwise — with the error wrapped as a retry.ExhaustedError, or with
+// ErrClosed once the log is closed.
+func (l *Log) retryOrEnd(io deviceIO, failures int, err error) {
+	policy, retries := l.cfg.ReadRetry, &l.mx.readRetries
+	if io.write {
+		policy, retries = l.cfg.WriteRetry, &l.mx.flushRetries
+	}
+	class := device.Classify(err)
+	switch {
+	case l.closed.Load():
+		io.done(ErrClosed)
+	case !io.write && io.addr < l.begin.Load():
+		// The read raced a truncation: what it read is provably dead (it
+		// sat below a begin address some caller advanced past). The raw
+		// error goes back at once, burning no budget and raising no
+		// OnRetry.
+		io.done(err)
+	case io.write && l.Poisoned(), !policy.Budget(class, failures):
+		io.done(retry.Exhausted(class, err, failures))
+	default:
+		delay := policy.Delay(failures)
+		if io.deadlineNs > 0 && time.Now().Add(delay).UnixNano() >= io.deadlineNs {
+			// The backoff would sleep past the deadline: end the read now,
+			// without OnRetry — a deadline is caller impatience, not a
+			// new health signal.
+			io.done(ErrDeadline)
+			return
+		}
+		retries.Inc()
+		if l.cfg.OnRetry != nil {
+			l.cfg.OnRetry(err)
+		}
+		l.retryAfter(delay, io, failures)
+	}
+}
+
+// retryAfter re-issues io after delay. Every backoff timer of the log is
+// in one registry, so Close can stop it: an I/O whose timer Close stops,
+// or whose timer fires after Close, calls back once, with ErrClosed.
+func (l *Log) retryAfter(delay time.Duration, io deviceIO, failures int) {
+	l.retryMu.Lock()
+	if l.closed.Load() {
+		l.retryMu.Unlock()
+		io.done(ErrClosed)
+		return
+	}
+	var t *time.Timer
+	t = time.AfterFunc(delay, func() {
+		l.retryMu.Lock()
+		delete(l.retryTimers, t)
+		l.retryMu.Unlock()
+		if l.closed.Load() {
+			io.done(ErrClosed)
+			return
+		}
+		l.attempt(io, failures)
+	})
+	l.retryTimers[t] = io.done
+	l.retryMu.Unlock()
+}
+
+// beginIO counts a write about to be handed to the device, or reports
+// false once the log is closed: Close may already be unmapping the frame
+// the write would read.
 func (l *Log) beginIO() bool {
 	l.ioMu.Lock()
 	defer l.ioMu.Unlock()
@@ -692,7 +769,7 @@ func (l *Log) beginIO() bool {
 	return true
 }
 
-// endIO uncounts a flush write whose device callback has run.
+// endIO uncounts a write whose device callback has run.
 func (l *Log) endIO() {
 	l.ioMu.Lock()
 	if l.ioInflight--; l.ioInflight == 0 {
@@ -701,30 +778,7 @@ func (l *Log) endIO() {
 	l.ioMu.Unlock()
 }
 
-// scheduleRetry re-issues a failed flush write after delay. The timer is
-// tracked so Close can cancel it: without the registry a permanently
-// failing device would keep firing retries into a closed log (the
-// pre-hardening AfterFunc leak).
-func (l *Log) scheduleRetry(delay time.Duration, write func()) {
-	l.retryMu.Lock()
-	defer l.retryMu.Unlock()
-	if l.closed.Load() {
-		return
-	}
-	var t *time.Timer
-	t = time.AfterFunc(delay, func() {
-		l.retryMu.Lock()
-		delete(l.retryTimers, t)
-		l.retryMu.Unlock()
-		if l.Poisoned() || !l.beginIO() {
-			return
-		}
-		write()
-	})
-	l.retryTimers[t] = struct{}{}
-}
-
-// retryTimerCount reports outstanding flush-retry timers (tests).
+// retryTimerCount reports outstanding backoff timers (tests).
 func (l *Log) retryTimerCount() int {
 	l.retryMu.Lock()
 	defer l.retryMu.Unlock()
@@ -781,10 +835,19 @@ func (l *Log) closeFrames(oldHead, newHead uint64) {
 }
 
 // ReadAsync reads len(buf) bytes at addr from the device (the stable
-// region). The caller is responsible for ensuring addr+len(buf) is below
-// the flush watermark or handling the resulting error.
-func (l *Log) ReadAsync(addr Address, buf []byte, cb device.Callback) {
-	l.dev.ReadAsync(buf, addr, cb)
+// region) and calls cb once with the outcome, retrying failures under the
+// read policy (attempt). deadlineNs, when nonzero, bounds the read: one
+// issued past it, or whose next backoff would sleep past it, ends with
+// ErrDeadline. A read of an address below BeginAddress ends with the
+// device's raw error. The caller is responsible for ensuring
+// addr+len(buf) is below the flush watermark or handling the resulting
+// error.
+func (l *Log) ReadAsync(addr Address, buf []byte, deadlineNs int64, cb device.Callback) {
+	if deadlineNs > 0 && time.Now().UnixNano() >= deadlineNs {
+		cb(ErrDeadline)
+		return
+	}
+	l.attempt(deviceIO{addr: addr, buf: buf, deadlineNs: deadlineNs, done: cb}, 0)
 }
 
 // WaitUntilFlushed blocks until the flush watermark reaches addr. It
@@ -919,12 +982,10 @@ func (l *Log) RecoverTo(begin, tail Address) error {
 	}
 	page := l.pageOf(tail)
 	if off := tail & (l.pageSize - 1); off != 0 {
-		pad := make([]byte, l.pageSize-off)
-		if err := l.cfg.Retry.Do(l.classify, func() error {
-			done := make(chan error, 1)
-			l.dev.WriteAsync(pad, tail, func(err error) { done <- err })
-			return <-done
-		}); err != nil {
+		done := make(chan error, 1)
+		l.attempt(deviceIO{write: true, addr: tail, buf: make([]byte, l.pageSize-off),
+			done: func(err error) { done <- err }}, 0)
+		if err := <-done; err != nil {
 			return fmt.Errorf("hlog: zero the recovered tail page past %#x: %w", tail, err)
 		}
 		page++ // resume on a fresh page
@@ -955,10 +1016,11 @@ func (l *Log) RecoverTo(begin, tail Address) error {
 func (l *Log) FrameBytes() uint64 { return uint64(len(l.ring)) }
 
 // Close flushes nothing and releases the log. Subsequent allocations
-// fail, and outstanding flush-retry timers are cancelled so nothing fires
-// into the closed log. Close then waits until the device has called back
-// every flush write the log handed it — the device may read a write's
-// frame until then — and frees the frames. Nothing may touch a record
+// fail, and outstanding backoff timers are stopped so nothing fires into
+// the closed log; each I/O they held calls back with ErrClosed. Close
+// then waits until the device has called back every write the log handed
+// it — the device may read a write's frame until then — and frees the
+// frames. Nothing may touch a record
 // concurrently with Close or after it; the store guarantees that by
 // closing its log only once no session is left.
 func (l *Log) Close() error {
@@ -970,12 +1032,18 @@ func (l *Log) Close() error {
 	l.closed.Store(true)
 	l.ioMu.Unlock()
 
+	var stopped []device.Callback
 	l.retryMu.Lock()
-	for t := range l.retryTimers {
-		t.Stop()
+	for t, done := range l.retryTimers {
+		if t.Stop() {
+			stopped = append(stopped, done)
+		}
 	}
 	clear(l.retryTimers)
 	l.retryMu.Unlock()
+	for _, done := range stopped {
+		done(ErrClosed)
+	}
 
 	l.ioMu.Lock()
 	for l.ioInflight > 0 {

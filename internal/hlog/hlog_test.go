@@ -265,7 +265,7 @@ func TestBufferWrapEvictsAndRecycles(t *testing.T) {
 				t.Fatal(err)
 			}
 			done := make(chan error, 1)
-			l.ReadAsync(a, buf[:], func(err error) { done <- err })
+			l.ReadAsync(a, buf[:], 0, func(err error) { done <- err })
 			if err := <-done; err != nil {
 				t.Fatalf("record %d at %#x: %v", i, a, err)
 			}

@@ -26,6 +26,7 @@ type Metrics struct {
 	FlushesIssued uint64
 	FlushRetries  uint64
 	FlushFailures uint64 // flush spans abandoned after the retry budget
+	ReadRetries   uint64 // failed device reads re-issued
 	FlushedBytes  uint64
 	FlushLatency  metrics.HistogramSnapshot
 	EvictedPages  uint64
@@ -79,6 +80,7 @@ func (l *Log) Metrics() Metrics {
 		FlushesIssued: l.mx.flushesIssued.Load(),
 		FlushRetries:  l.mx.flushRetries.Load(),
 		FlushFailures: l.mx.flushFailures.Load(),
+		ReadRetries:   l.mx.readRetries.Load(),
 		FlushedBytes:  l.mx.flushedBytes.Load(),
 		FlushLatency:  l.mx.flushLatency.Snapshot(),
 		EvictedPages:  l.mx.evictedPages.Load(),

@@ -1,21 +1,20 @@
-// Package retry is the store-wide failure-handling substrate: error
-// classification and bounded retry with exponential backoff and jitter.
+// Package retry is the store-wide failure-handling vocabulary: error
+// classes and bounded retry with exponential backoff and jitter.
 //
 // The FASTER paper assumes reliable storage (§5: eviction can never pass
 // an unflushed page), but a production store must survive the device
-// misbehaving. Every I/O path that can fail (hlog page flushes, pending
-// record reads, recovery scans) consults a Policy: transient errors are
-// retried a bounded number of times with growing, jittered delays;
-// permanent errors (and exhausted budgets) are surfaced immediately so the
-// store can degrade gracefully instead of busy-looping against a dead
-// device.
+// misbehaving. Device I/O is retried in one place, the HybridLog
+// (internal/hlog): every read and write it hands the device is classified
+// (device.Classify) and, if Transient, retried under a Policy a bounded
+// number of times with growing, jittered delays; permanent errors (and
+// exhausted budgets) are surfaced immediately so the store can degrade
+// gracefully instead of busy-looping against a dead device.
 //
 // The package is stdlib-only and dependency-free, like internal/metrics,
 // so every layer can import it.
 package retry
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -47,19 +46,6 @@ func (c Class) String() string {
 	}
 }
 
-// Classifier maps an error to its Class. A nil Classifier treats every
-// error as Transient.
-type Classifier func(error) Class
-
-// Classify applies c, defaulting to Transient for nil classifiers and nil
-// errors.
-func (c Classifier) Classify(err error) Class {
-	if err == nil || c == nil {
-		return Transient
-	}
-	return c(err)
-}
-
 // Policy bounds a retry loop. The zero value is usable and means "no
 // retries" (one attempt, fail on first error); use DefaultRead/DefaultWrite
 // for the store defaults.
@@ -71,26 +57,19 @@ type Policy struct {
 	BaseDelay time.Duration
 	// MaxDelay caps the backoff growth. Zero means no cap.
 	MaxDelay time.Duration
-	// Multiplier scales the delay between consecutive retries; values
-	// below 1 mean 2 (plain exponential doubling).
-	Multiplier float64
-	// JitterFrac spreads each delay uniformly over ±JitterFrac of itself,
-	// decorrelating retry storms from many concurrent I/Os. Clamped to
-	// [0, 1].
-	JitterFrac float64
 }
 
 // DefaultRead is the store default for record-read paths: quick, short
 // retries — a pending operation is a user-visible latency.
 func DefaultRead() Policy {
-	return Policy{MaxAttempts: 4, BaseDelay: 100 * time.Microsecond, MaxDelay: 5 * time.Millisecond, Multiplier: 2, JitterFrac: 0.25}
+	return Policy{MaxAttempts: 4, BaseDelay: 100 * time.Microsecond, MaxDelay: 5 * time.Millisecond}
 }
 
 // DefaultWrite is the store default for page-flush paths: more patient —
 // a failed flush wedges the durability watermark, so it is worth riding
 // out longer transient outages before poisoning the log tail.
 func DefaultWrite() Policy {
-	return Policy{MaxAttempts: 8, BaseDelay: time.Millisecond, MaxDelay: 100 * time.Millisecond, Multiplier: 2, JitterFrac: 0.25}
+	return Policy{MaxAttempts: 8, BaseDelay: time.Millisecond, MaxDelay: 100 * time.Millisecond}
 }
 
 // Attempts returns the normalized attempt budget (at least 1).
@@ -123,56 +102,25 @@ func nextRand() uint64 {
 }
 
 // Delay returns the backoff before retry number retryNo (1-based: the
-// delay between attempt retryNo and attempt retryNo+1), with jitter
-// applied.
+// delay between attempt retryNo and attempt retryNo+1): BaseDelay doubled
+// per retry up to MaxDelay, then spread uniformly over ±25 % of itself,
+// which decorrelates retry storms from many concurrent I/Os.
 func (p Policy) Delay(retryNo int) time.Duration {
-	if retryNo < 1 {
-		retryNo = 1
-	}
 	d := float64(p.BaseDelay)
-	mult := p.Multiplier
-	if mult < 1 {
-		mult = 2
-	}
-	for i := 1; i < retryNo; i++ {
-		d *= mult
-		if p.MaxDelay > 0 && d >= float64(p.MaxDelay) {
-			d = float64(p.MaxDelay)
-			break
-		}
+	for i := 1; i < retryNo && (p.MaxDelay == 0 || d < float64(p.MaxDelay)); i++ {
+		d *= 2
 	}
 	if p.MaxDelay > 0 && d > float64(p.MaxDelay) {
 		d = float64(p.MaxDelay)
 	}
-	jf := p.JitterFrac
-	if jf < 0 {
-		jf = 0
-	}
-	if jf > 1 {
-		jf = 1
-	}
-	if jf > 0 && d > 0 {
-		// Uniform in [d*(1-jf), d*(1+jf)].
-		u := float64(nextRand()>>11) / float64(1<<53) // [0,1)
-		d = d * (1 - jf + 2*jf*u)
-	}
-	if d < 0 {
-		d = 0
-	}
-	return time.Duration(d)
+	u := float64(nextRand()>>11) / float64(1<<53) // [0,1)
+	return time.Duration(d * (0.75 + 0.5*u))
 }
 
-// Budget combines err with the attempt count to decide whether another
-// try is allowed under the policy. attempt is 1-based (the attempt that
-// just failed).
-func (p Policy) Budget(classify Classifier, err error, attempt int) bool {
-	if err == nil {
-		return false
-	}
-	if classify.Classify(err) == Permanent {
-		return false
-	}
-	return attempt < p.Attempts()
+// Budget reports whether a failure of class c on attempt (1-based: the
+// attempt that just failed) may be retried under the policy.
+func (p Policy) Budget(c Class, attempt int) bool {
+	return c == Transient && attempt < p.Attempts()
 }
 
 // ExhaustedError wraps the final error of a retry loop with the attempt
@@ -189,68 +137,16 @@ func (e *ExhaustedError) Error() string {
 
 func (e *ExhaustedError) Unwrap() error { return e.Err }
 
-// Exhausted wraps err as an ExhaustedError.
-func Exhausted(classify Classifier, err error, attempts int) error {
+// Exhausted wraps err, of class c, as an ExhaustedError.
+func Exhausted(c Class, err error, attempts int) error {
 	if err == nil {
 		return nil
 	}
-	return &ExhaustedError{Attempts: attempts, Class: classify.Classify(err), Err: err}
+	return &ExhaustedError{Attempts: attempts, Class: c, Err: err}
 }
 
 // IsExhausted reports whether err carries an ExhaustedError.
 func IsExhausted(err error) bool {
 	var e *ExhaustedError
 	return errors.As(err, &e)
-}
-
-// Do runs fn synchronously up to the policy's attempt budget, sleeping the
-// backoff between tries and stopping early on Permanent errors. It returns
-// nil on success, or the final error wrapped as an ExhaustedError.
-func (p Policy) Do(classify Classifier, fn func() error) error {
-	return p.DoCtx(context.Background(), classify, fn)
-}
-
-// DoCtx is Do with deadline/cancelation awareness: an already-expired
-// context fails before the first attempt, and cancelation during a backoff
-// sleep returns immediately instead of finishing the wait. Context errors
-// are surfaced as Permanent ExhaustedErrors wrapping ctx.Err(), so
-// errors.Is(err, context.DeadlineExceeded) holds for deadline expiry. A
-// retry loop interrupted mid-backoff reports the attempt count reached so
-// far; an already-dead context reports zero attempts.
-func (p Policy) DoCtx(ctx context.Context, classify Classifier, fn func() error) error {
-	if err := ctx.Err(); err != nil {
-		return &ExhaustedError{Attempts: 0, Class: Permanent, Err: err}
-	}
-	var err error
-	for attempt := 1; ; attempt++ {
-		if err = fn(); err == nil {
-			return nil
-		}
-		if !p.Budget(classify, err, attempt) {
-			return Exhausted(classify, err, attempt)
-		}
-		if err := sleepCtx(ctx, p.Delay(attempt)); err != nil {
-			return &ExhaustedError{Attempts: attempt, Class: Permanent, Err: err}
-		}
-	}
-}
-
-// sleepCtx sleeps d unless ctx is done first, in which case it returns
-// ctx.Err() immediately (draining the timer so it does not leak).
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return ctx.Err()
-	}
-	if ctx.Done() == nil {
-		time.Sleep(d)
-		return nil
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
 }

@@ -1,50 +1,74 @@
 package retry
 
 import (
-	"context"
 	"errors"
 	"testing"
 	"time"
 )
 
-var (
-	errFlaky = errors.New("flaky")
-	errDead  = errors.New("dead")
-)
+var errDead = errors.New("dead")
 
-func classify(err error) Class {
-	if errors.Is(err, errDead) {
-		return Permanent
-	}
-	return Transient
+// inEnvelope reports whether d lies within ±25 % of base, the fixed jitter
+// spread.
+func inEnvelope(d time.Duration, base float64) bool {
+	return d >= time.Duration(0.75*base) && d <= time.Duration(1.25*base)
 }
 
+// TestDelayGrowsAndCaps checks that the base delay doubles per retry
+// until MaxDelay caps it.
 func TestDelayGrowsAndCaps(t *testing.T) {
-	p := Policy{MaxAttempts: 10, BaseDelay: time.Millisecond, MaxDelay: 8 * time.Millisecond, Multiplier: 2}
-	prev := time.Duration(0)
-	for i := 1; i <= 6; i++ {
-		d := p.Delay(i)
-		if d < prev {
-			t.Fatalf("delay shrank: Delay(%d)=%v < %v", i, d, prev)
+	p := Policy{MaxAttempts: 10, BaseDelay: time.Millisecond, MaxDelay: 8 * time.Millisecond}
+	for i, ms := range []time.Duration{1, 2, 4, 8, 8, 8} {
+		if d := p.Delay(i + 1); !inEnvelope(d, float64(ms*time.Millisecond)) {
+			t.Fatalf("Delay(%d)=%v outside ±25%% of %v", i+1, d, ms*time.Millisecond)
 		}
-		if d > 8*time.Millisecond {
-			t.Fatalf("Delay(%d)=%v exceeds cap", i, d)
-		}
-		prev = d
-	}
-	if p.Delay(6) != 8*time.Millisecond {
-		t.Fatalf("Delay(6)=%v, want cap 8ms", p.Delay(6))
 	}
 }
 
+// TestDelayClampsDegenerateInputs pins the normalization rule: retry
+// numbers below 1 are the first rung.
+func TestDelayClampsDegenerateInputs(t *testing.T) {
+	p := Policy{BaseDelay: time.Millisecond}
+	for _, retryNo := range []int{0, -5} {
+		if d := p.Delay(retryNo); !inEnvelope(d, float64(time.Millisecond)) {
+			t.Fatalf("Delay(%d)=%v, want the first rung", retryNo, d)
+		}
+	}
+}
+
+// TestDelayJitterBoundsAcrossLadder checks the ±25 % envelope at every
+// rung of the backoff ladder, not just the first.
+func TestDelayJitterBoundsAcrossLadder(t *testing.T) {
+	p := Policy{BaseDelay: time.Millisecond, MaxDelay: 64 * time.Millisecond}
+	for retryNo := 1; retryNo <= 8; retryNo++ {
+		base := min(float64(time.Millisecond)*float64(int(1)<<(retryNo-1)), float64(64*time.Millisecond))
+		for i := 0; i < 100; i++ {
+			if d := p.Delay(retryNo); !inEnvelope(d, base) {
+				t.Fatalf("Delay(%d)=%v outside ±25%% of %v", retryNo, d, time.Duration(base))
+			}
+		}
+	}
+}
+
+// TestDelayUncappedGrowth confirms MaxDelay==0 really means unbounded
+// exponential growth.
+func TestDelayUncappedGrowth(t *testing.T) {
+	p := Policy{BaseDelay: time.Millisecond}
+	if d := p.Delay(11); !inEnvelope(d, float64(1024*time.Millisecond)) {
+		t.Fatalf("Delay(11)=%v, want 1024ms ±25%%", d)
+	}
+}
+
+// TestDelayJitterStaysInBounds checks that the ±25 % spread really varies
+// the delay, so concurrent retries do not fire in lockstep.
 func TestDelayJitterStaysInBounds(t *testing.T) {
-	p := Policy{MaxAttempts: 5, BaseDelay: time.Millisecond, Multiplier: 2, JitterFrac: 0.5}
+	p := Policy{MaxAttempts: 5, BaseDelay: time.Millisecond}
 	varied := false
 	first := p.Delay(1)
 	for i := 0; i < 200; i++ {
 		d := p.Delay(1)
-		if d < 500*time.Microsecond || d > 1500*time.Microsecond {
-			t.Fatalf("jittered delay %v outside [0.5ms, 1.5ms]", d)
+		if !inEnvelope(d, float64(time.Millisecond)) {
+			t.Fatalf("jittered delay %v outside [0.75ms, 1.25ms]", d)
 		}
 		if d != first {
 			varied = true
@@ -57,60 +81,14 @@ func TestDelayJitterStaysInBounds(t *testing.T) {
 
 func TestBudgetStopsOnPermanent(t *testing.T) {
 	p := Policy{MaxAttempts: 5}
-	if p.Budget(classify, errDead, 1) {
+	if p.Budget(Permanent, 1) {
 		t.Fatal("permanent error should not be retried")
 	}
-	if !p.Budget(classify, errFlaky, 1) {
+	if !p.Budget(Transient, 1) {
 		t.Fatal("transient error within budget should be retried")
 	}
-	if p.Budget(classify, errFlaky, 5) {
+	if p.Budget(Transient, 5) {
 		t.Fatal("attempt 5 of 5 should exhaust the budget")
-	}
-	if p.Budget(classify, nil, 1) {
-		t.Fatal("nil error is success, not retryable")
-	}
-}
-
-func TestDoRetriesUntilSuccess(t *testing.T) {
-	p := Policy{MaxAttempts: 5, BaseDelay: time.Microsecond}
-	calls := 0
-	err := p.Do(classify, func() error {
-		calls++
-		if calls < 3 {
-			return errFlaky
-		}
-		return nil
-	})
-	if err != nil || calls != 3 {
-		t.Fatalf("Do = %v after %d calls, want nil after 3", err, calls)
-	}
-}
-
-func TestDoStopsEarlyOnPermanent(t *testing.T) {
-	p := Policy{MaxAttempts: 5, BaseDelay: time.Microsecond}
-	calls := 0
-	err := p.Do(classify, func() error { calls++; return errDead })
-	if calls != 1 {
-		t.Fatalf("permanent error retried: %d calls", calls)
-	}
-	if !errors.Is(err, errDead) {
-		t.Fatalf("cause lost: %v", err)
-	}
-	var ex *ExhaustedError
-	if !errors.As(err, &ex) || ex.Class != Permanent || ex.Attempts != 1 {
-		t.Fatalf("wrong wrapper: %#v", err)
-	}
-}
-
-func TestDoExhaustsBudget(t *testing.T) {
-	p := Policy{MaxAttempts: 3, BaseDelay: time.Microsecond}
-	calls := 0
-	err := p.Do(classify, func() error { calls++; return errFlaky })
-	if calls != 3 {
-		t.Fatalf("budget of 3 made %d calls", calls)
-	}
-	if !IsExhausted(err) || !errors.Is(err, errFlaky) {
-		t.Fatalf("Do = %v, want exhausted wrapping errFlaky", err)
 	}
 }
 
@@ -119,87 +97,56 @@ func TestZeroPolicyMeansOneAttempt(t *testing.T) {
 	if p.Attempts() != 1 {
 		t.Fatalf("zero policy attempts = %d, want 1", p.Attempts())
 	}
-	calls := 0
-	err := p.Do(nil, func() error { calls++; return errFlaky })
-	if calls != 1 || err == nil {
-		t.Fatalf("zero policy: %d calls, err=%v", calls, err)
+	if p.Budget(Transient, 1) {
+		t.Fatal("zero policy retried its first failure")
 	}
 }
 
-func TestDoCtxExpiredBeforeFirstAttempt(t *testing.T) {
-	p := Policy{MaxAttempts: 5, BaseDelay: time.Microsecond}
-	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
-	defer cancel()
-	calls := 0
-	err := p.DoCtx(ctx, classify, func() error { calls++; return errFlaky })
-	if calls != 0 {
-		t.Fatalf("expired context still made %d attempts", calls)
+// TestDefaultsAreSane pins the store default policies: both retry, both
+// back off, both bound the worst-case delay.
+func TestDefaultsAreSane(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		p    Policy
+	}{{"read", DefaultRead()}, {"write", DefaultWrite()}} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.p.Attempts() < 2 {
+				t.Fatalf("default policy never retries: %+v", tc.p)
+			}
+			if tc.p.MaxDelay == 0 {
+				t.Fatalf("default policy has unbounded backoff: %+v", tc.p)
+			}
+			// Worst case: cap plus full jitter.
+			worst := time.Duration(float64(tc.p.MaxDelay) * 1.25)
+			for i := 1; i <= tc.p.Attempts(); i++ {
+				if d := tc.p.Delay(i); d > worst {
+					t.Fatalf("Delay(%d)=%v beyond worst case %v", i, d, worst)
+				}
+			}
+		})
 	}
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("DoCtx = %v, want DeadlineExceeded", err)
+}
+
+// TestExhaustedWrapping pins the error-chain contract: the wrapper
+// preserves errors.Is/errors.As to the cause, Exhausted(nil) is nil, and
+// IsExhausted sees through further wrapping.
+func TestExhaustedWrapping(t *testing.T) {
+	if Exhausted(Permanent, nil, 3) != nil {
+		t.Fatal("Exhausted(nil) != nil")
 	}
+	err := Exhausted(Permanent, errDead, 2)
 	var ex *ExhaustedError
-	if !errors.As(err, &ex) || ex.Class != Permanent || ex.Attempts != 0 {
-		t.Fatalf("wrong wrapper for dead-on-arrival context: %#v", err)
+	if !errors.As(err, &ex) || ex.Attempts != 2 || ex.Class != Permanent {
+		t.Fatalf("Exhausted = %#v", err)
 	}
-}
-
-func TestDoCtxCancelDuringBackoffSleep(t *testing.T) {
-	// A long backoff (10s) with a 20ms deadline: the loop must abandon the
-	// sleep as soon as the deadline fires instead of finishing the wait.
-	p := Policy{MaxAttempts: 5, BaseDelay: 10 * time.Second}
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	calls := 0
-	start := time.Now()
-	err := p.DoCtx(ctx, classify, func() error { calls++; return errFlaky })
-	elapsed := time.Since(start)
-	if calls != 1 {
-		t.Fatalf("cancel-during-sleep made %d attempts, want 1", calls)
+	if !errors.Is(err, errDead) {
+		t.Fatal("cause lost through ExhaustedError")
 	}
-	if elapsed > 5*time.Second {
-		t.Fatalf("backoff ignored cancelation: took %v", elapsed)
+	wrapped := errors.Join(errors.New("outer context"), err)
+	if !IsExhausted(wrapped) {
+		t.Fatal("IsExhausted lost through errors.Join")
 	}
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("DoCtx = %v, want DeadlineExceeded", err)
-	}
-	var ex *ExhaustedError
-	if !errors.As(err, &ex) || ex.Class != Permanent || ex.Attempts != 1 {
-		t.Fatalf("wrong wrapper for mid-backoff cancel: %#v", err)
-	}
-}
-
-func TestDoCtxExplicitCancelReturnsCanceled(t *testing.T) {
-	p := Policy{MaxAttempts: 5, BaseDelay: 10 * time.Second}
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(10 * time.Millisecond)
-		cancel()
-	}()
-	err := p.DoCtx(ctx, classify, func() error { return errFlaky })
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("DoCtx = %v, want Canceled", err)
-	}
-}
-
-func TestDoCtxBackgroundMatchesDo(t *testing.T) {
-	p := Policy{MaxAttempts: 3, BaseDelay: time.Microsecond}
-	calls := 0
-	err := p.DoCtx(context.Background(), classify, func() error {
-		calls++
-		if calls < 2 {
-			return errFlaky
-		}
-		return nil
-	})
-	if err != nil || calls != 2 {
-		t.Fatalf("DoCtx(Background) = %v after %d calls, want nil after 2", err, calls)
-	}
-}
-
-func TestNilClassifierIsTransient(t *testing.T) {
-	var c Classifier
-	if c.Classify(errFlaky) != Transient {
-		t.Fatal("nil classifier must default to Transient")
+	if IsExhausted(errDead) {
+		t.Fatal("IsExhausted on a bare cause")
 	}
 }

@@ -185,7 +185,7 @@ func (c *Config) setDefaults() {
 	}
 	if c.AcceptRetry == (retry.Policy{}) {
 		c.AcceptRetry = retry.Policy{MaxAttempts: 8, BaseDelay: time.Millisecond,
-			MaxDelay: 250 * time.Millisecond, Multiplier: 2, JitterFrac: 0.25}
+			MaxDelay: 250 * time.Millisecond}
 	}
 }
 
@@ -310,7 +310,7 @@ func (s *Server) acceptLoop() {
 			}
 			failures++
 			s.mx.acceptRetries.Inc()
-			if !s.cfg.AcceptRetry.Budget(classifyAcceptErr, err, failures) {
+			if !s.cfg.AcceptRetry.Budget(classifyAcceptErr(err), failures) {
 				return
 			}
 			select {

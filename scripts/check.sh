@@ -195,6 +195,17 @@ for procs in 1 2 8; do
 	GOMAXPROCS=$procs go test -race -run 'TestCompletePending|TestIOWorkerCompletionDriven' -count=20 -timeout 300s ./internal/faster/
 done
 
+# The one retry path for device I/O on one and on two processors,
+# repeated under the race detector: the HybridLog's attempt function
+# retries every read and write it hands the device (page flushes, cold
+# record and scan reads, the recovered tail's pad), classifies with
+# device.Classify, and keeps every backoff timer where Close cancels it.
+# Injected read and flush faults, the health ladder they drive, the
+# pending read and scan retries that heal, and a closed ShardedSession.
+for procs in 1 2; do
+	GOMAXPROCS=$procs go test -race -run 'TestInjectedReadFaultsSurfaceAsErrors|TestStoreRecoversAfterTransientReadFaults|TestRMWFaultDoesNotLoseOtherUpdates|TestFlushFaultsRetryAndEvictionStaysSafe|TestWritePathLossFlipsStoreReadOnly|TestReadPathLossEscalatesToFailed|TestPendingReadRetriesHealTransientFaults|TestRebuildIndexSurvivesReadFaults|TestShardedSessionUseAfterClose' -count=20 -timeout 600s ./internal/faster/
+done
+
 # Open-loop SLO smoke: constant-arrival-rate load over a larger-than-
 # memory store, no-chaos vs 100ms device latency spikes — hot (resident)
 # p999 must ride through the chaos while cold misses slow, with exact
