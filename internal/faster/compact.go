@@ -12,13 +12,15 @@ import (
 // Log compaction (the "Roll To Tail" garbage collection of Appendix C,
 // grown into an online operation): Compact scans the stable prefix
 // [BeginAddress, until) once, copies each live record to the tail (CASing
-// the index entry forward exactly like a lost-update-free RCU), and then
-// truncates the prefix under the epoch-safe protocol in hlog. Liveness is
-// F2's lookup rule: a record is live exactly when its key's index chain
-// reaches the record's address before any newer version of the key.
-// Unlike the paper's administrative sketch, this version runs
-// concurrently with reads, RMWs and pending I/O, and in bounded memory —
-// one page, never a copy of the live values, nothing per key:
+// the index entry forward exactly like a lost-update-free RCU), and
+// truncates the prefix under the epoch-safe protocol in hlog as it goes,
+// a chunk of pages at a time. Liveness is F2's lookup rule: a record is
+// live exactly when its key's index chain reaches the record's address
+// before any newer version of the key. Unlike the paper's administrative
+// sketch, this version runs concurrently with reads, RMWs and pending
+// I/O, in bounded memory — one page, never a copy of the live values,
+// nothing per key — and in bounded device space: about one chunk of
+// copies on top of the prefix, never a second copy of the live set:
 //
 //   - a copy is published only if the chain reaches the record without
 //     meeting a newer version of the key: publishVerified with the
@@ -27,9 +29,10 @@ import (
 //     checked in memory when resident, or by an asynchronous span check
 //     (opCompact) when part of it was already evicted, and a lost index
 //     CAS re-checks only the span that appeared since;
-//   - the prefix is truncated only after the copies are durably flushed,
-//     and the device range is freed only up to the newest committed
-//     checkpoint's Begin (recovery must never need truncated storage).
+//   - a chunk of the prefix is truncated only after its copies have
+//     flushed, and the device range is freed only up to the newest
+//     committed checkpoint's Begin and any checkpoint's pin (recovery
+//     must never need truncated storage).
 //
 // Tombstones are never copied: a key whose newest version is a tombstone
 // in the prefix dies with it. CRDT delta chains are not supported —
@@ -49,8 +52,9 @@ type CompactStats struct {
 	// superseded by a newer version of their key (in the prefix or above
 	// it), or left off the chain because the key died.
 	Skipped int
-	// ReclaimedBytes is the log span logically reclaimed: until minus the
-	// begin address the run started from. Device bytes actually freed can
+	// ReclaimedBytes is the log span logically reclaimed: the end of the
+	// last chunk cut (until, once the run succeeds) minus the begin
+	// address the run started from. Device bytes actually freed can
 	// lag behind it (see hlog.Metrics.TruncatedBytes) when truncation is
 	// deferred behind a checkpoint.
 	ReclaimedBytes uint64
@@ -62,13 +66,20 @@ var errCompactDelta = errors.New("faster: compaction does not support CRDT delta
 // maxCompactValue bounds the value size compaction will copy forward.
 const maxCompactValue = 1 << 16
 
+// compactChunkPages is how many log pages Compact cuts at a time: the
+// device space a pass needs on top of the prefix is about one such chunk
+// of copies plus the mutable window they flush out of.
+const compactChunkPages = 4
+
 // Compact copies every still-live record in [BeginAddress, until) to the
-// tail and truncates the prefix. until must be at or below the safe
-// read-only address and must be a record boundary — page-aligned
-// addresses always are (SafeReadOnlyAddress and TailAddress are record
-// boundaries too). It is safe to run concurrently with normal operations;
-// concurrent Compact/TruncateUntil calls serialize. The calling goroutine
-// must not hold an active (unparked) session (Compact drives its own).
+// tail and truncates the prefix, chunk by chunk. On an error the chunks
+// already cut stay cut (ReclaimedBytes counts them) and the rest of the
+// prefix stays in place. until must be at or below the safe read-only
+// address and must be a record boundary — page-aligned addresses always
+// are (SafeReadOnlyAddress and TailAddress are record boundaries too). It
+// is safe to run concurrently with normal operations; concurrent
+// Compact/TruncateUntil calls serialize. The calling goroutine must not
+// hold an active (unparked) session (Compact drives its own).
 func (s *Store) Compact(until hlog.Address) (CompactStats, error) {
 	s.compactMu.Lock()
 	defer s.compactMu.Unlock()
@@ -120,6 +131,44 @@ func (s *Store) Compact(until hlog.Address) (CompactStats, error) {
 			}
 		}
 	}
+
+	// The prefix is cut in chunks of compactChunkPages pages as the pass
+	// goes, so the device never holds much more than one chunk's copies
+	// next to the records they replace. Once a chunk's candidates and
+	// their span checks are done, every copy of the chunk lies below the
+	// tail: the chunk is cut when the flush watermark passes that tail,
+	// which the log's own page turns bring about while the pass appends.
+	// cuts holds the chunks done but not yet cut, oldest first.
+	chunkBytes := compactChunkPages * s.log.PageSize()
+	chunkEnd := min(begin|(chunkBytes-1)+1, until)
+	type chunkCut struct{ end, tail hlog.Address }
+	var cuts []chunkCut
+	var truncErr error
+	cut := func(end hlog.Address) error {
+		if _, err := s.log.ShiftBeginAddress(end, sess.g); err != nil {
+			return err
+		}
+		s.mx.reclaimedBytes.Add(end - begin - stats.ReclaimedBytes)
+		stats.ReclaimedBytes = end - begin
+		// A failed device free leaves the prefix logically gone (begin
+		// advanced); the next cut, or a later truncation or checkpoint,
+		// retries it from the monotone watermark.
+		truncErr = s.log.ApplyDeviceTruncation(s.deviceTruncateLimit(end))
+		return nil
+	}
+	cutFlushed := func() error {
+		n := 0
+		for n < len(cuts) && cuts[n].tail <= s.log.FlushedUntilAddress() {
+			n++
+		}
+		if n == 0 {
+			return nil
+		}
+		end := cuts[n-1].end
+		cuts = cuts[:copy(cuts, cuts[n:])]
+		return cut(end)
+	}
+
 	type candidate struct {
 		key, val []byte
 		addr     hlog.Address
@@ -127,7 +176,7 @@ func (s *Store) Compact(until hlog.Address) (CompactStats, error) {
 	var cands []candidate
 	arena := make([]byte, 0, s.log.PageSize())
 	var err, scanErr error
-	for addr := begin; addr < until && opErr == nil; {
+	for addr := begin; addr < until && opErr == nil && err == nil; {
 		var cont bool
 		addr, cont, err = s.scanPage(sess.g, addr, until, pageBuf, false, func(r ScanRecord) bool {
 			switch {
@@ -161,33 +210,36 @@ func (s *Store) Compact(until hlog.Address) (CompactStats, error) {
 			}
 		}
 		cands, arena = cands[:0], arena[:0]
+		if addr >= chunkEnd && chunkEnd < until && opErr == nil {
+			tally(sess.CompletePending(true))
+			if opErr == nil {
+				cuts = append(cuts, chunkCut{chunkEnd, s.log.TailAddress()})
+				chunkEnd = min(chunkEnd+chunkBytes, until)
+			}
+		}
+		err = cutFlushed()
 	}
 	tally(sess.CompletePending(true))
 	if err = cmp.Or(err, scanErr, opErr); err != nil {
 		return stats, err
 	}
 
-	// Make the copies durable before destroying their sources, then
-	// truncate. A poisoned tail aborts here with the prefix intact.
-	t := s.log.ShiftReadOnlyToTail()
-	if err := s.log.WaitUntilFlushed(t, sess.g); err != nil {
-		return stats, err
+	// The last chunks' copies may still be mutable. Make each durable
+	// before destroying its sources, oldest first, then cut it. A
+	// poisoned tail aborts here with the rest of the prefix intact.
+	for _, c := range append(cuts, chunkCut{until, s.log.TailAddress()}) {
+		s.log.ShiftReadOnlyTo(c.tail)
+		if err := s.log.WaitUntilFlushed(c.tail, sess.g); err != nil {
+			return stats, err
+		}
+		if err := cut(c.end); err != nil {
+			return stats, err
+		}
 	}
-	if _, err := s.log.ShiftBeginAddress(until, sess.g); err != nil {
-		return stats, err
-	}
-	stats.ReclaimedBytes = until - begin
 	s.mx.compactions.Inc()
 	s.mx.compactedRecords.Add(uint64(stats.Copied))
 	s.mx.compactedBytes.Add(stats.CopiedBytes)
-	s.mx.reclaimedBytes.Add(stats.ReclaimedBytes)
-	if err := s.log.ApplyDeviceTruncation(s.deviceTruncateLimit(until)); err != nil {
-		// The prefix is logically gone (begin advanced); only the device
-		// free failed. Surface it — the next truncation or checkpoint
-		// retries from the monotone watermark.
-		return stats, err
-	}
-	return stats, nil
+	return stats, truncErr
 }
 
 // compactKey rolls the scanned record (key, val) at address a forward if

@@ -1171,3 +1171,197 @@ func TestCompactReportsAppendFailure(t *testing.T) {
 		}
 	}
 }
+
+// peakMem is a simulated drive that keeps the high-water of the bytes it
+// holds. It samples after every write lands, the only moments the size
+// grows; device.Mem runs write callbacks on one goroutine, so the samples
+// are in order.
+type peakMem struct {
+	*device.Mem
+	peak atomic.Uint64
+}
+
+func newPeakMem() *peakMem { return &peakMem{Mem: device.NewMem(device.MemConfig{})} }
+
+func (d *peakMem) WriteAsync(buf []byte, off uint64, cb device.Callback) {
+	d.Mem.WriteAsync(buf, off, func(err error) {
+		if n := d.StoredBytes(); n > d.peak.Load() {
+			d.peak.Store(n)
+		}
+		cb(err)
+	})
+}
+
+// resetPeak starts a new high-water at the current size and returns it.
+func (d *peakMem) resetPeak() uint64 {
+	n := d.StoredBytes()
+	d.peak.Store(n)
+	return n
+}
+
+// TestCompactBoundsDeviceSpace compacts a prefix of live records several
+// times the log buffer and watches the device's size throughout: the pass
+// cuts each chunk of the prefix once its copies have flushed, so the
+// device never holds more than about one chunk of copies next to the
+// prefix, plus the pages that flush out of the buffer on the way. A pass
+// that cut only at its end would hold every copy and the whole prefix at
+// once.
+func TestCompactBoundsDeviceSpace(t *testing.T) {
+	const (
+		n    = 400
+		size = 512
+	)
+	dev := newPeakMem()
+	t.Cleanup(func() { dev.Close() })
+	s, _ := openTestStore(t, Config{Ops: BlobOps{}, BufferPages: 8, Device: dev})
+	sess := s.StartSession()
+	defer sess.Close()
+	for i := uint64(0); i < n; i++ {
+		if st, err := sess.Upsert(key(i), blobValue(i, 1, size)); st != OK {
+			t.Fatalf("upsert key %d: %v %v", i, st, err)
+		}
+	}
+	s.Log().ShiftReadOnlyToTail()
+	sess.Refresh()
+	cut := s.Log().SafeReadOnlyAddress()
+	sess.Park()
+	if err := s.Log().WaitUntilFlushed(cut, nil); err != nil {
+		t.Fatal(err)
+	}
+	start := dev.resetPeak()
+	stats, err := s.Compact(cut)
+	sess.Unpark()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Copied != n {
+		t.Fatalf("copied %d records, want %d (every key is live)", stats.Copied, n)
+	}
+	page := s.Log().PageSize()
+	bound := start + compactChunkPages*page + 8*page + page
+	t.Logf("device: %d bytes at start, high-water %d, bound %d; %d bytes copied",
+		start, dev.peak.Load(), bound, stats.CopiedBytes)
+	if peak := dev.peak.Load(); peak > bound {
+		t.Fatalf("device high-water %d bytes during the pass, want at most %d (start %d + a chunk, the buffer and a page)",
+			peak, bound, start)
+	}
+	if got := s.Log().BeginAddress(); got != cut {
+		t.Fatalf("begin = %#x, want %#x", got, cut)
+	}
+	checkBlobs(t, sess, n, size, func(uint64) uint64 { return 1 })
+}
+
+// TestCompactFailsAfterChunksCut fails every device write once the pass
+// has cut its first chunk, so the copies of later chunks never flush.
+// Compact must report the failure, and no record may have been cut away
+// unless its copy flushed: the chunks cut before the failure stay cut,
+// the rest of the prefix stays. Every key must still read its value.
+func TestCompactFailsAfterChunksCut(t *testing.T) {
+	const n = 6000
+	s, faulty := openFaultyStore(t)
+	sess := s.StartSession()
+	defer sess.Close()
+	spill(t, s, sess, n)
+	cut := s.Log().ShiftReadOnlyToTail()
+	sess.Refresh()
+	begin, tail := s.Log().BeginAddress(), s.Log().TailAddress()
+	// where maps each key to the address of its record in [from, to).
+	where := func(from, to hlog.Address) map[uint64]hlog.Address {
+		m := map[uint64]hlog.Address{}
+		if err := s.Scan(ScanOptions{From: from, To: to}, func(r ScanRecord) bool {
+			m[binary.LittleEndian.Uint64(r.Key)] = r.Address
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	src := where(begin, cut)
+	faulty.SetHook(func(op device.Op, off uint64, length int) error {
+		if op == device.OpWrite && s.Log().BeginAddress() > begin {
+			return device.ErrInjectedPermanent
+		}
+		return nil
+	})
+	sess.Park()
+	stats, err := s.Compact(cut)
+	sess.Unpark()
+	t.Logf("compact: %d copied, %d skipped, begin %#x -> %#x of %#x: %v",
+		stats.Copied, stats.Skipped, begin, s.Log().BeginAddress(), cut, err)
+	if !errors.Is(err, hlog.ErrPoisoned) && !errors.Is(err, ErrReadOnly) {
+		t.Fatalf("Compact = %v, want an error wrapping hlog.ErrPoisoned or ErrReadOnly", err)
+	}
+	after := s.Log().BeginAddress()
+	if after == begin || after >= cut {
+		t.Fatalf("begin %#x -> %#x with the prefix ending at %#x: want a chunk cut before the failure and the rest kept",
+			begin, after, cut)
+	}
+	if stats.ReclaimedBytes != after-begin {
+		t.Fatalf("ReclaimedBytes = %d, want %d (the chunks cut)", stats.ReclaimedBytes, after-begin)
+	}
+	flushed := s.Log().FlushedUntilAddress()
+	copies := where(tail, s.Log().TailAddress())
+	for i, a := range src {
+		if a >= after {
+			continue
+		}
+		if c, ok := copies[i]; !ok || c >= flushed {
+			t.Fatalf("key %d at %#x was cut (begin %#x) but its copy (%#x, found %v) is not below the flush watermark %#x",
+				i, a, after, c, ok, flushed)
+		}
+	}
+	for i := uint64(0); i < n; i++ {
+		if got, st := readU64(t, sess, key(i)); st != OK || got != i+1 {
+			t.Fatalf("key %d = %d %v, want %d OK", i, got, st, i+1)
+		}
+	}
+}
+
+// TestCompactThreePasses runs three passes, each up to the safe read-only
+// address, which sits inside a page, with new versions written between
+// them: each pass starts from a begin address inside the page the one
+// before it ended in, and that page has left memory by then. Every key
+// must read its newest value after each pass.
+func TestCompactThreePasses(t *testing.T) {
+	const n = 1500
+	s, _ := openTestStore(t, Config{BufferPages: 8})
+	sess := s.StartSession()
+	defer sess.Close()
+	page := s.Log().PageSize()
+	for pass := uint64(1); pass <= 3; pass++ {
+		// The first round writes every key, later ones two in three.
+		for i := uint64(0); i < n; i++ {
+			if pass == 1 || i%3 != 2 {
+				if st, err := sess.Upsert(key(i), u64(i+pass*10_000)); st != OK {
+					t.Fatalf("pass %d upsert key %d: %v %v", pass, i, st, err)
+				}
+			}
+		}
+		s.Log().ShiftReadOnlyToTail()
+		sess.Refresh()
+		until := s.Log().SafeReadOnlyAddress()
+		if until%page == 0 {
+			t.Fatalf("pass %d: safe read-only %#x is page-aligned, want mid-page", pass, until)
+		}
+		sess.Park()
+		stats, err := s.Compact(until)
+		sess.Unpark()
+		if err != nil {
+			t.Fatalf("pass %d: %v", pass, err)
+		}
+		if got := s.Log().BeginAddress(); got != until {
+			t.Fatalf("pass %d: begin = %#x, want %#x", pass, got, until)
+		}
+		t.Logf("pass %d: %d copied, %d skipped, %d reclaimed, head %#x", pass, stats.Copied, stats.Skipped,
+			stats.ReclaimedBytes, s.Log().HeadAddress())
+		for i := uint64(0); i < n; i++ {
+			want := i + pass*10_000
+			if i%3 == 2 {
+				want = i + 10_000
+			}
+			if got, st := readU64(t, sess, key(i)); st != OK || got != want {
+				t.Fatalf("pass %d: key %d = (%d, %v), want (%d, OK)", pass, i, got, st, want)
+			}
+		}
+	}
+}

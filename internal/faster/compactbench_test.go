@@ -4,16 +4,14 @@ import (
 	"encoding/binary"
 	"sync/atomic"
 	"testing"
-
-	"repro/internal/device"
 )
 
 // openCompactBenchStore builds a hybrid store whose stable region holds
 // mostly dead versions: gens generations of n small records, pushed out
 // of the mutable region so Compact has real work.
-func openCompactBenchStore(tb testing.TB, n uint64, gens int) (*Store, *device.Mem) {
+func openCompactBenchStore(tb testing.TB, n uint64, gens int) (*Store, *peakMem) {
 	tb.Helper()
-	dev := device.NewMem(device.MemConfig{})
+	dev := newPeakMem()
 	s, err := Open(Config{
 		Ops: SumOps{}, PageBits: 14, BufferPages: 16,
 		MutableFraction: 0.5, IndexBuckets: 1 << 12, Device: dev,
@@ -43,10 +41,12 @@ func openCompactBenchStore(tb testing.TB, n uint64, gens int) (*Store, *device.M
 // BenchmarkCompaction times a full copy-forward pass over a stable
 // region that is ~75% dead versions and reports the space economics:
 // bytes reclaimed, live bytes rewritten, the resulting write
-// amplification (copied/reclaimed — lower is better), and what the pass
-// read from the device: its bytes, and the chain descents among them.
+// amplification (copied/reclaimed — lower is better), what the pass
+// read from the device: its bytes, and the chain descents among them, and
+// the device space it needed: the drive's high-water during the pass
+// minus its size at the start.
 func BenchmarkCompaction(b *testing.B) {
-	var reclaimed, copied, read, descents float64
+	var reclaimed, copied, read, descents, peak float64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -56,6 +56,10 @@ func BenchmarkCompaction(b *testing.B) {
 		if cut <= s.Log().BeginAddress() {
 			b.Fatal("no stable region to compact")
 		}
+		if err := s.Log().WaitUntilFlushed(cut, nil); err != nil {
+			b.Fatal(err)
+		}
+		start := dev.resetPeak()
 		bytesRead, issued := dev.Stats().BytesRead, s.Metrics().PendingIssued
 		b.StartTimer()
 		stats, err := s.Compact(cut)
@@ -67,6 +71,7 @@ func BenchmarkCompaction(b *testing.B) {
 		copied += float64(stats.CopiedBytes)
 		read += float64(dev.Stats().BytesRead - bytesRead)
 		descents += float64(s.Metrics().PendingIssued - issued)
+		peak += float64(dev.peak.Load() - start)
 		b.StartTimer()
 	}
 	b.StopTimer()
@@ -74,6 +79,7 @@ func BenchmarkCompaction(b *testing.B) {
 	b.ReportMetric(copied/float64(b.N), "copied-B/op")
 	b.ReportMetric(read/float64(b.N), "read-B/op")
 	b.ReportMetric(descents/float64(b.N), "descents/op")
+	b.ReportMetric(peak/float64(b.N), "peak-stored-B/op")
 	if reclaimed > 0 {
 		b.ReportMetric(copied/reclaimed, "write-amp")
 	}

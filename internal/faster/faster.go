@@ -86,8 +86,9 @@ type Config struct {
 
 	// Device stores the log. Required. The in-memory store of §4 is a
 	// hybrid log over device.NewNull() with MutableFraction 1 and enough
-	// BufferPages to hold its data: nothing it writes is kept, so it must
-	// never evict, and it cannot checkpoint.
+	// BufferPages to hold its data: nothing it writes is kept, so it never
+	// evicts (a write that would fails with hlog.ErrRingFull), and it
+	// cannot checkpoint.
 	Device device.Device
 
 	// Ops supplies the user read/update logic. Required.
@@ -349,6 +350,7 @@ func Open(cfg Config) (*Store, error) {
 		return nil, err
 	}
 	s := &Store{cfg: cfg, em: em, idx: idx, ops: cfg.Ops, sessions: newSessionTable()}
+	_, inMemory := cfg.Device.(*device.Null)
 	log, err := hlog.New(hlog.Config{
 		PageBits:        cfg.PageBits,
 		BufferPages:     cfg.BufferPages,
@@ -363,6 +365,9 @@ func Open(cfg Config) (*Store, error) {
 		// keep serving the resident region and flushed pages either way.
 		OnRetry:        func(err error) { s.raiseHealth(Degraded, err) },
 		OnWriteFailure: func(err error) { s.raiseHealth(ReadOnly, err) },
+		// A ring over device.Null is the whole store: a page turn that
+		// would evict fails the write instead of dropping data.
+		Resident: inMemory,
 	})
 	if err != nil {
 		return nil, err

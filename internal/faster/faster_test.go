@@ -2,6 +2,7 @@ package faster
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -430,6 +431,39 @@ func TestInMemoryMode(t *testing.T) {
 	stats := s.Stats()
 	if stats.InPlace < 4000 {
 		t.Fatalf("in-memory mode in-place count = %d, want ~4900", stats.InPlace)
+	}
+}
+
+// TestInMemoryRingFullFailsWrites writes past the ring of an in-memory
+// store, a ring over device.Null. The page turn that would evict must fail
+// the write with hlog.ErrRingFull rather than drop the page into the
+// device, which keeps nothing: key 0 keeps its value and reads it from
+// memory, never Pending.
+func TestInMemoryRingFullFailsWrites(t *testing.T) {
+	s, err := Open(Config{Ops: SumOps{}, PageBits: 12, BufferPages: 4,
+		MutableFraction: 1, IndexBuckets: 1 << 10, Device: device.NewNull()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	sess := s.StartSession()
+	defer sess.Close()
+	var full error
+	for i := uint64(0); i < 2000 && full == nil; i++ {
+		switch st, err := sess.Upsert(key(i), u64(i+1)); {
+		case errors.Is(err, hlog.ErrRingFull):
+			full = err
+		case st != OK:
+			t.Fatalf("upsert %d = (%v, %v), want OK or hlog.ErrRingFull", i, st, err)
+		}
+	}
+	if full == nil {
+		t.Fatalf("2000 upserts through a 4-page ring over device.Null all succeeded (head %#x)", s.Log().HeadAddress())
+	}
+	t.Logf("ring full: %v", full)
+	out := make([]byte, 8)
+	if st, err := sess.Read(key(0), nil, out, nil); st != OK || binary.LittleEndian.Uint64(out) != 1 {
+		t.Fatalf("Read(key 0) = (%v, %v, %d), want (OK, 1) from memory", st, err, binary.LittleEndian.Uint64(out))
 	}
 }
 

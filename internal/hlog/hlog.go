@@ -93,6 +93,12 @@ type Config struct {
 	// what its ring holds: the in-memory store of Section 4, sized so
 	// nothing evicts.
 	Device device.Device
+	// Resident marks a log whose ring must hold all its data: its device
+	// keeps nothing and no OnEvict keeps what eviction drops (the
+	// in-memory store). A page turn that would move the head poisons the
+	// tail with ErrRingFull instead, so the write that needed the page
+	// fails rather than losing data that reads would then miss.
+	Resident bool
 	// Epoch is the shared epoch manager. Required.
 	Epoch *epoch.Manager
 
@@ -255,6 +261,10 @@ var (
 	// WaitUntilFlushed after poisoning wrap ErrPoisoned and the device
 	// cause.
 	ErrPoisoned = errors.New("hlog: log tail poisoned by write failure")
+	// ErrRingFull poisons a Resident log whose ring has no page left to
+	// turn to. It is a permanent device-class error: no retry frees a
+	// page.
+	ErrRingFull = fmt.Errorf("hlog: resident log's ring is full: %w", device.ErrPermanent)
 	// ErrDeadline ends a read issued past its deadline, or one whose next
 	// backoff would sleep past it. It wraps context.DeadlineExceeded.
 	ErrDeadline = fmt.Errorf("hlog: read deadline expired: %w", context.DeadlineExceeded)
@@ -395,11 +405,10 @@ func (l *Log) WriteFailure() error {
 // Poisoned reports whether the log tail is poisoned (see ErrPoisoned).
 func (l *Log) Poisoned() bool { return l.failure.Load() != nil }
 
-// poison records the first unrecoverable flush error and notifies the
-// owner exactly once. Later flush give-ups are counted but keep the first
-// cause.
+// poison records the first unrecoverable write error (a flush given up,
+// or a Resident ring that is full) and notifies the owner exactly once.
+// Later calls keep the first cause.
 func (l *Log) poison(err error) {
-	l.mx.flushFailures.Inc()
 	wrapped := fmt.Errorf("%w: %w", ErrPoisoned, err)
 	if !l.failure.CompareAndSwap(nil, &logFailure{err: wrapped}) {
 		return
@@ -547,28 +556,10 @@ func (l *Log) openPage(newPage uint64, g *epoch.Guard) error {
 }
 
 // maybeShiftReadOnly raises the read-only offset so it trails the new tail
-// page by roLag bytes, and registers the epoch trigger that publishes the
-// safe read-only offset and flushes the newly read-only pages (§6.2).
+// page by roLag bytes (§6.2).
 func (l *Log) maybeShiftReadOnly(tailPage uint64) {
-	tailStart := tailPage << l.pageBits
-	if tailStart <= l.roLag {
-		return
-	}
-	desired := tailStart - l.roLag
-	for {
-		cur := l.readOnly.Load()
-		if desired <= cur {
-			return
-		}
-		if l.readOnly.CompareAndSwap(cur, desired) {
-			l.mx.roShifts.Inc()
-			if mutationsEnabled && mutSkipEpochBump() {
-				l.onSafeReadOnly(desired) // seeded bug: no epoch wait
-			} else {
-				l.em.BumpWith(func() { l.onSafeReadOnly(desired) })
-			}
-			return
-		}
+	if tailStart := tailPage << l.pageBits; tailStart > l.roLag {
+		l.ShiftReadOnlyTo(tailStart - l.roLag)
 	}
 }
 
@@ -576,19 +567,28 @@ func (l *Log) maybeShiftReadOnly(tailPage uint64) {
 // current tail (used by checkpointing, §6.5) and returns the tail address.
 func (l *Log) ShiftReadOnlyToTail() Address {
 	tail := l.TailAddress()
+	l.ShiftReadOnlyTo(tail)
+	return tail
+}
+
+// ShiftReadOnlyTo raises the read-only offset to addr, which must not lie
+// above the tail, and registers the epoch trigger that publishes the safe
+// read-only offset and flushes the newly read-only span (§6.2). A lower
+// addr is a no-op.
+func (l *Log) ShiftReadOnlyTo(addr Address) {
 	for {
 		cur := l.readOnly.Load()
-		if tail <= cur {
-			return tail
+		if addr <= cur {
+			return
 		}
-		if l.readOnly.CompareAndSwap(cur, tail) {
+		if l.readOnly.CompareAndSwap(cur, addr) {
 			l.mx.roShifts.Inc()
 			if mutationsEnabled && mutSkipEpochBump() {
-				l.onSafeReadOnly(tail) // seeded bug: no epoch wait
+				l.onSafeReadOnly(addr) // seeded bug: no epoch wait
 			} else {
-				l.em.BumpWith(func() { l.onSafeReadOnly(tail) })
+				l.em.BumpWith(func() { l.onSafeReadOnly(addr) })
 			}
-			return tail
+			return
 		}
 	}
 }
@@ -646,6 +646,7 @@ func (l *Log) issueFlush(from, to uint64) {
 				l.mx.flushedBytes.Add(end - start)
 				l.flushed.complete(start, end)
 			case !errors.Is(err, ErrClosed):
+				l.mx.flushFailures.Inc()
 				l.poison(fmt.Errorf("flush of [%#x,%#x): %w", start, end, err))
 			}
 		}}, 0)
@@ -788,9 +789,14 @@ func (l *Log) retryTimerCount() int {
 // maybeShiftHead raises the head offset toward desired, limited by the
 // flush watermark (pages must be on the device before eviction), runs OnEvict
 // over the passed range, and registers the epoch trigger that closes the
-// evicted frames (§5.2). g is the page opener's guard.
+// evicted frames (§5.2). g is the page opener's guard. A Resident log
+// poisons its tail instead of evicting.
 func (l *Log) maybeShiftHead(desired uint64, g *epoch.Guard) {
 	if desired == 0 {
+		return
+	}
+	if l.cfg.Resident {
+		l.poison(fmt.Errorf("evict [%#x,%#x): %w", l.head.Load(), desired, ErrRingFull))
 		return
 	}
 	if fu := l.flushed.level(); desired > fu {

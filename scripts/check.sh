@@ -83,16 +83,24 @@ GOOS=darwin GOARCH=arm64 go vet ./internal/device/
 # cold-record fetch into pooled session buffers, and the allocator's own
 # huge-block tests (2 MiB-aligned trimmed mappings, Free rejecting a
 # reslice or a double free against its registry, AnonHugePages rising),
-# on one and on two processors, repeated.
+# compaction's chunked cut (the device-space bound, a failure after the
+# first chunk is cut, three passes from mid-page begin addresses) and an
+# in-memory ring that fills up, on one and on two processors, repeated.
 # The arena allocator's non-Linux and 32-bit Linux heap fallbacks must
 # keep compiling, and so must its raw mmap/munmap/madvise calls on arm64,
 # whose syscall numbers differ from amd64's.
 for procs in 1 2; do
-	GOMAXPROCS=$procs go test -run 'TestCloseWaits|TestStoreCloseWaits|TestCloseRefusesOpenSessions|TestRetiredTableOutlivesGuards|TestReadersHoldGuardsAcrossGrow|TestWalkPinsRetiredTable|TestCheckpointDuringMetrics|TestMetricsUnderGuardDuringGrow|TestMetricsFromSessionDuringGrow|TestCompactReadsPrefixOnce|TestCompactLookupLiveness|TestCompactCrashTorture|TestCrashRecoveryTorture|TestColdReadOneDeviceCall|TestColdReadLongRecord|TestColdReadAfterRecoverPartialPage|TestAllocZeroed|TestHugeBlockBacked|TestFreeRejects' -count=5 -timeout 600s ./internal/arena/ ./internal/hlog/ ./internal/index/ ./internal/faster/
+	GOMAXPROCS=$procs go test -run 'TestCloseWaits|TestStoreCloseWaits|TestCloseRefusesOpenSessions|TestRetiredTableOutlivesGuards|TestReadersHoldGuardsAcrossGrow|TestWalkPinsRetiredTable|TestCheckpointDuringMetrics|TestMetricsUnderGuardDuringGrow|TestMetricsFromSessionDuringGrow|TestCompactReadsPrefixOnce|TestCompactLookupLiveness|TestCompactCrashTorture|TestCrashRecoveryTorture|TestColdReadOneDeviceCall|TestColdReadLongRecord|TestColdReadAfterRecoverPartialPage|TestAllocZeroed|TestHugeBlockBacked|TestFreeRejects|TestCompactBoundsDeviceSpace|TestCompactFailsAfterChunksCut|TestCompactThreePasses|TestInMemoryRingFullFailsWrites' -count=5 -timeout 600s ./internal/arena/ ./internal/hlog/ ./internal/index/ ./internal/faster/
 done
 GOOS=darwin GOARCH=arm64 go vet ./internal/arena/
 GOOS=linux GOARCH=arm64 go vet ./internal/arena/
 GOOS=linux GOARCH=386 go vet ./internal/arena/
+
+# Compaction's chunked cut under the race detector, repeated: each chunk
+# is cut only once its copies have flushed, while the pass goes on
+# appending; and a ring over device.Null that fills up fails the write
+# instead of evicting.
+go test -race -run 'TestCompactBoundsDeviceSpace|TestCompactFailsAfterChunksCut|TestCompactThreePasses|TestInMemoryRingFullFailsWrites' -count=10 ./internal/faster/
 
 # Compaction's flush wait refreshes its session's guard; without that a
 # read-only shift racing the compaction hung this test.
